@@ -319,10 +319,7 @@ let invmod a m =
     end
   in
   let g, x = go m a zero one in
-  ignore g;
-  let g2 = gcd a m in
-  if not (is_one g2) && not (is_zero a && is_one m) then raise Division_by_zero
-  else erem x m
+  if not (is_one g) then raise Division_by_zero else erem x m
 
 let to_int_opt t =
   if t.sign = 0 then Some 0

@@ -21,71 +21,74 @@ let is_on_curve c = function
     let rhs = Fp.add c (Fp.mul c (Fp.sqr c x) x) x in
     Fp.equal lhs rhs
 
-let double c p =
+(* Jacobian coordinates: (X, Y, Z) stands for the affine point
+   (X / Z², Y / Z³), and Z = 0 for infinity. Doubling and adding need no
+   inversion; [to_affine] pays the one inversion a result costs. *)
+type jacobian = { x : B.t; y : B.t; z : B.t }
+
+let jinfinity = { x = B.one; y = B.one; z = B.zero }
+
+let of_affine = function
+  | Infinity -> jinfinity
+  | Affine (x, y) -> { x; y; z = B.one }
+
+let to_affine c v =
+  if Fp.is_zero v.z then Infinity
+  else begin
+    let zi = Fp.inv c v.z in
+    let zi2 = Fp.sqr c zi in
+    Affine (Fp.mul c v.x zi2, Fp.mul c v.y (Fp.mul c zi2 zi))
+  end
+
+let jdouble c v =
+  let dbl a = Fp.add c a a in
+  let xx = Fp.sqr c v.x and yy = Fp.sqr c v.y and zz = Fp.sqr c v.z in
+  (* M = 3X² + Z⁴ for y² = x³ + x; S = 4XY². *)
+  let m = Fp.add c (Fp.add c (dbl xx) xx) (Fp.sqr c zz) in
+  let s = dbl (dbl (Fp.mul c v.x yy)) in
+  let x = Fp.sub c (Fp.sqr c m) (dbl s) in
+  let y = Fp.sub c (Fp.mul c m (Fp.sub c s x)) (dbl (dbl (dbl (Fp.sqr c yy)))) in
+  ({ x; y; z = Fp.mul c (dbl v.y) v.z }, m)
+
+let jadd c v xp yp =
+  let zz = Fp.sqr c v.z in
+  let h = Fp.sub c (Fp.mul c xp zz) v.x in
+  let rr = Fp.sub c (Fp.mul c yp (Fp.mul c zz v.z)) v.y in
+  if Fp.is_zero h then if Fp.is_zero rr then `Same else `Opposite
+  else begin
+    let hh = Fp.sqr c h in
+    let hhh = Fp.mul c h hh and u = Fp.mul c v.x hh in
+    let x = Fp.sub c (Fp.sub c (Fp.sqr c rr) hhh) (Fp.add c u u) in
+    let y = Fp.sub c (Fp.mul c rr (Fp.sub c u x)) (Fp.mul c v.y hhh) in
+    `Sum ({ x; y; z = Fp.mul c v.z h }, rr)
+  end
+
+(* V + P for Jacobian V and affine P, every case included. *)
+let add_affine c v p =
   match p with
-  | Infinity -> Infinity
-  | Affine (x, y) ->
-    if Fp.is_zero y then Infinity
+  | Infinity -> v
+  | Affine (xp, yp) ->
+    if Fp.is_zero v.z then of_affine p
     else begin
-      (* lambda = (3x^2 + 1) / 2y  for y^2 = x^3 + x. *)
-      let three_x2 = Fp.mul c (Fp.of_int c 3) (Fp.sqr c x) in
-      let num = Fp.add c three_x2 Fp.one in
-      let lambda = Fp.div c num (Fp.add c y y) in
-      let x3 = Fp.sub c (Fp.sqr c lambda) (Fp.add c x x) in
-      let y3 = Fp.sub c (Fp.mul c lambda (Fp.sub c x x3)) y in
-      Affine (x3, y3)
+      match jadd c v xp yp with
+      | `Sum (s, _) -> s
+      | `Same -> fst (jdouble c v)
+      | `Opposite -> jinfinity
     end
 
-let add c p q =
-  match (p, q) with
-  | Infinity, r | r, Infinity -> r
-  | Affine (x1, y1), Affine (x2, y2) ->
-    if B.equal x1 x2 then begin
-      if B.equal y1 y2 then double c p else Infinity
-    end
-    else begin
-      let lambda = Fp.div c (Fp.sub c y2 y1) (Fp.sub c x2 x1) in
-      let x3 = Fp.sub c (Fp.sub c (Fp.sqr c lambda) x1) x2 in
-      let y3 = Fp.sub c (Fp.mul c lambda (Fp.sub c x1 x3)) y1 in
-      Affine (x3, y3)
-    end
+let double c p = to_affine c (fst (jdouble c (of_affine p)))
+let add c p q = to_affine c (add_affine c (of_affine p) q)
 
-(* Fixed 4-bit-window scalar multiplication: precompute 1P..15P once, then
-   one add per nibble instead of per set bit -- a ~25% saving on the long
-   exponentiations that dominate pairing-based signing. *)
-let window_bits = 4
-
+(* Left-to-right double-and-add in Jacobian coordinates with mixed
+   additions of the affine [p]; one inversion in all. *)
 let mul c k p =
   if B.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  let nb = B.num_bits k in
-  if nb <= window_bits * 2 then begin
-    (* Tiny scalars: plain double-and-add beats table setup. *)
-    let r = ref Infinity in
-    for i = nb - 1 downto 0 do
-      r := double c !r;
-      if B.testbit k i then r := add c !r p
-    done;
-    !r
-  end
-  else begin
-    let table = Array.make (1 lsl window_bits) Infinity in
-    for i = 1 to (1 lsl window_bits) - 1 do
-      table.(i) <- add c table.(i - 1) p
-    done;
-    let windows = (nb + window_bits - 1) / window_bits in
-    let r = ref Infinity in
-    for w = windows - 1 downto 0 do
-      for _ = 1 to window_bits do
-        r := double c !r
-      done;
-      let nibble = ref 0 in
-      for b = window_bits - 1 downto 0 do
-        nibble := (!nibble lsl 1) lor (if B.testbit k ((w * window_bits) + b) then 1 else 0)
-      done;
-      if !nibble <> 0 then r := add c !r table.(!nibble)
-    done;
-    !r
-  end
+  let v = ref jinfinity in
+  for i = B.num_bits k - 1 downto 0 do
+    v := fst (jdouble c !v);
+    if B.testbit k i then v := add_affine c !v p
+  done;
+  to_affine c !v
 
 let hash_to_point c ~domain msg =
   let p = Fp.modulus c in

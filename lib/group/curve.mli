@@ -14,7 +14,30 @@ val add : Fp.ctx -> point -> point -> point
 val double : Fp.ctx -> point -> point
 
 val mul : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> point
-(** Scalar multiplication (double-and-add); scalar must be >= 0. *)
+(** Scalar multiplication; scalar must be >= 0. Runs in Jacobian
+    coordinates and inverts once, to return the affine result. *)
+
+(** {2 Jacobian coordinates}
+
+    [{x; y; z}] stands for the affine point (x / z², y / z³); z = 0 is
+    infinity. The Miller loop keeps its running point in this form. *)
+
+type jacobian = { x : Zkqac_bigint.Bigint.t; y : Zkqac_bigint.Bigint.t; z : Zkqac_bigint.Bigint.t }
+
+val of_affine : point -> jacobian
+
+val jdouble : Fp.ctx -> jacobian -> jacobian * Zkqac_bigint.Bigint.t
+(** [2V] and M = 3X² + Z⁴: the tangent at V has slope M / 2YZ. *)
+
+val jadd :
+  Fp.ctx ->
+  jacobian ->
+  Zkqac_bigint.Bigint.t ->
+  Zkqac_bigint.Bigint.t ->
+  [ `Sum of jacobian * Zkqac_bigint.Bigint.t | `Same | `Opposite ]
+(** [jadd c v xp yp] for finite V and affine P = (xp, yp): [`Sum (V + P, R)]
+    where the chord through V and P has slope R / z(V + P); [`Same] if
+    V = P, [`Opposite] if V = −P. *)
 
 val hash_to_point : Fp.ctx -> domain:string -> string -> point
 (** Try-and-increment: hash to an x-coordinate, bump until x³+x is square.

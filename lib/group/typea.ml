@@ -3,11 +3,78 @@
    psi(x, y) = (-x, i*y) providing symmetry.
 
    Denominator elimination applies throughout: psi maps x-coordinates into
-   F_p, so every vertical-line value lies in F_p* and is annihilated by the
-   (p - 1) factor of the final exponentiation (p^2 - 1)/r = (p-1) * cofactor.
-   The Miller loop therefore only accumulates the tangent/chord lines. *)
+   F_p, so every vertical-line value lies in F_p*, and so does every nonzero
+   F_p factor a line value is scaled by. The (p - 1) factor of the final
+   exponentiation (p^2 - 1)/r = (p-1) * cofactor sends all of them to 1.
+   The Miller loop therefore only accumulates the tangent/chord lines, and
+   it keeps its running point in Jacobian coordinates, scaling each line by
+   the F_p factor that clears the point's denominators: the loop never
+   inverts. *)
 
 module B = Zkqac_bigint.Bigint
+
+(* Multi-pairing ∏ e(Pi, Qi) on curve points: because squaring distributes
+   over the product, a single Miller accumulator [f] is squared once per bit
+   of r while every pair contributes its own tangent/chord line values, and
+   one final exponentiation covers all terms. Pairs with an identity
+   argument contribute nothing; the empty product is 1. The evaluation
+   point psi(Q) = (-xq, yq*i) has F_p real coordinate and purely imaginary
+   y, so a line a + b*x + c*y with F_p coefficients takes the value
+   (a + b*(-xq), c*yq). *)
+let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
+  let infinity = Curve.of_affine Curve.Infinity in
+  let pairs =
+    List.filter_map
+      (fun pair ->
+        match pair with
+        | Curve.Infinity, _ | _, Curve.Infinity -> None
+        | (Curve.Affine (xp, yp) as p), Curve.Affine (xq, yq) ->
+          Some (xp, yp, Fp.neg fp xq, yq, ref (Curve.of_affine p)))
+      pairs
+  in
+  if pairs = [] then Fp2.one
+  else begin
+    let f = ref Fp2.one in
+    let line re im = f := Fp2.mul fp !f (Fp2.make re im) in
+    (* V := 2V, times the tangent at V scaled by 2YZ^3:
+       -2Y^2 - M*(xq'*Z^2 - X) + 2YZ^3*yq*i. At Y = 0 the tangent is
+       vertical and V becomes infinity. *)
+    let tangent v xq' yq =
+      let { Curve.x; y; z } = !v in
+      if Fp.is_zero y then v := infinity
+      else begin
+        let v2, m = Curve.jdouble fp !v in
+        let zz = Fp.sqr fp z in
+        let yy = Fp.sqr fp y in
+        line
+          (Fp.sub fp (Fp.neg fp (Fp.add fp yy yy)) (Fp.mul fp m (Fp.sub fp (Fp.mul fp xq' zz) x)))
+          (Fp.mul fp (Fp.mul fp v2.z zz) yq);
+        v := v2
+      end
+    in
+    for i = B.num_bits r - 2 downto 0 do
+      f := Fp2.sqr fp !f;
+      List.iter
+        (fun (xp, yp, xq', yq, v) ->
+          if not (Fp.is_zero !v.Curve.z) then tangent v xq' yq;
+          if B.testbit r i && not (Fp.is_zero !v.Curve.z) then
+            match Curve.jadd fp !v xp yp with
+            | `Sum (s, rr) ->
+              (* The chord scaled by z(V + P) = Z*H:
+                 -Z3*yp - R*(xq' - xp) + Z3*yq*i. *)
+              line
+                (Fp.sub fp (Fp.neg fp (Fp.mul fp s.z yp)) (Fp.mul fp rr (Fp.sub fp xq' xp)))
+                (Fp.mul fp s.z yq);
+              v := s
+            | `Same -> tangent v xq' yq
+            | `Opposite -> v := infinity (* vertical chord: eliminated *))
+        pairs
+    done;
+    (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
+       raise to the cofactor (p+1)/r. *)
+    let f1 = Fp2.mul fp (Fp2.conj fp !f) (Fp2.inv fp !f) in
+    Fp2.pow fp f1 cofactor
+  end
 
 let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
   let { Typea_params.r; p; cofactor; fp; g = gen } = params in
@@ -64,134 +131,8 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
         | Some _ | None -> None
     end
 
-    (* Miller loop computing f_{r,P}(psi(Q)) for affine P, Q. The evaluation
-       point psi(Q) = (-xq, yq*i) has F_p real coordinate and purely
-       imaginary y, so each line value is (re, yq) in F_p2. *)
-    let miller xp yp xq yq =
-      let xq' = Fp.neg fp xq in
-      let eval_line lambda xv yv =
-        (* y_psi - yv - lambda * (x_psi - xv), with y_psi = yq * i. *)
-        let re = Fp.sub fp (Fp.neg fp yv) (Fp.mul fp lambda (Fp.sub fp xq' xv)) in
-        Fp2.make re yq
-      in
-      let f = ref Fp2.one in
-      let v = ref (Curve.Affine (xp, yp)) in
-      let nb = B.num_bits r in
-      for i = nb - 2 downto 0 do
-        f := Fp2.sqr fp !f;
-        (match !v with
-         | Curve.Infinity -> ()
-         | Curve.Affine (xv, yv) ->
-           if Fp.is_zero yv then v := Curve.Infinity
-           else begin
-             let lambda =
-               Fp.div fp
-                 (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-                 (Fp.add fp yv yv)
-             in
-             f := Fp2.mul fp !f (eval_line lambda xv yv);
-             v := Curve.double fp !v
-           end);
-        if B.testbit r i then begin
-          match !v with
-          | Curve.Infinity -> ()
-          | Curve.Affine (xv, yv) ->
-            if B.equal xv xp then begin
-              (* Vertical chord (V = -P or V = P with doubling handled
-                 above): the line value lies in F_p and is eliminated. *)
-              if B.equal yv yp then begin
-                let lambda =
-                  Fp.div fp
-                    (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-                    (Fp.add fp yv yv)
-                in
-                f := Fp2.mul fp !f (eval_line lambda xv yv);
-                v := Curve.double fp !v
-              end
-              else v := Curve.Infinity
-            end
-            else begin
-              let lambda = Fp.div fp (Fp.sub fp yp yv) (Fp.sub fp xp xv) in
-              f := Fp2.mul fp !f (eval_line lambda xv yv);
-              v := Curve.add fp !v (Curve.Affine (xp, yp))
-            end
-        end
-      done;
-      !f
-
-    let e a b =
-      match (a, b) with
-      | Curve.Infinity, _ | _, Curve.Infinity -> Fp2.one
-      | Curve.Affine (xp, yp), Curve.Affine (xq, yq) ->
-        let f = miller xp yp xq yq in
-        (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
-           raise to the cofactor (p+1)/r. *)
-        let f1 = Fp2.mul fp (Fp2.conj fp f) (Fp2.inv fp f) in
-        Fp2.pow fp f1 cofactor
-
-    (* Multi-pairing ∏ e(Pi, Qi): because squaring distributes over the
-       product, a single Miller accumulator [f] is squared once per bit of r
-       while every pair contributes its own tangent/chord line values, and
-       one final exponentiation covers all terms. An n-term product thus
-       costs n Miller line computations but only one shared squaring chain
-       and one final exponentiation, instead of n of each. *)
-    let e_prod pairs =
-      let pairs =
-        List.filter_map
-          (fun pair ->
-            match pair with
-            | Curve.Infinity, _ | _, Curve.Infinity -> None
-            | Curve.Affine (xp, yp), Curve.Affine (xq, yq) ->
-              Some (xp, yp, Fp.neg fp xq, yq, ref (Curve.Affine (xp, yp))))
-          pairs
-      in
-      if pairs = [] then Fp2.one
-      else begin
-        let eval_line lambda xv yv xq' yq =
-          let re = Fp.sub fp (Fp.neg fp yv) (Fp.mul fp lambda (Fp.sub fp xq' xv)) in
-          Fp2.make re yq
-        in
-        let tangent xv yv =
-          Fp.div fp
-            (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-            (Fp.add fp yv yv)
-        in
-        let f = ref Fp2.one in
-        let nb = B.num_bits r in
-        for i = nb - 2 downto 0 do
-          f := Fp2.sqr fp !f;
-          List.iter
-            (fun (xp, yp, xq', yq, v) ->
-              (match !v with
-               | Curve.Infinity -> ()
-               | Curve.Affine (xv, yv) ->
-                 if Fp.is_zero yv then v := Curve.Infinity
-                 else begin
-                   f := Fp2.mul fp !f (eval_line (tangent xv yv) xv yv xq' yq);
-                   v := Curve.double fp !v
-                 end);
-              if B.testbit r i then begin
-                match !v with
-                | Curve.Infinity -> ()
-                | Curve.Affine (xv, yv) ->
-                  if B.equal xv xp then begin
-                    if B.equal yv yp then begin
-                      f := Fp2.mul fp !f (eval_line (tangent xv yv) xv yv xq' yq);
-                      v := Curve.double fp !v
-                    end
-                    else v := Curve.Infinity
-                  end
-                  else begin
-                    let lambda = Fp.div fp (Fp.sub fp yp yv) (Fp.sub fp xp xv) in
-                    f := Fp2.mul fp !f (eval_line lambda xv yv xq' yq);
-                    v := Curve.add fp !v (Curve.Affine (xp, yp))
-                  end
-              end)
-            pairs
-        done;
-        let f1 = Fp2.mul fp (Fp2.conj fp !f) (Fp2.inv fp !f) in
-        Fp2.pow fp f1 cofactor
-      end
+    let e_prod = e_prod params
+    let e a b = e_prod [ (a, b) ]
 
     let rand_scalar drbg = Zkqac_hashing.Drbg.nonzero_bigint drbg r
 

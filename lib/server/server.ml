@@ -59,7 +59,9 @@ type config = {
   max_in_flight : int;  (** concurrent connections before shedding *)
   read_deadline : float;  (** budget for reading one request frame *)
   write_deadline : float;  (** budget for writing one response frame *)
-  query_deadline : float;  (** budget for executing one query *)
+  query_deadline : float;
+      (** budget for executing one query; a non-positive budget answers
+          [Deadline] without running it *)
   drain_deadline : float;  (** budget for the whole graceful drain *)
   checkpoint_every : float;
       (** seconds between epoch checkpoints of the served tree; 0 disables *)
@@ -283,8 +285,17 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               ~attrs:[ ("delay_s", Trace.Float delay_s) ]
               (fun _ -> Unix.sleepf delay_s)
           | _ -> ());
+          let deadline_expired () =
+            Flight.record ~cat:"server" ~req_id:rid
+              ~detail:(Printf.sprintf "conn=%d" conn_id)
+              "server.query_deadline";
+            Proto.Deadline
+          in
           if not (Box.contains_box (Keyspace.whole t.space) query) then
             Proto.Bad_request "query-outside-space"
+          else if t.cfg.query_deadline <= 0.0 then
+            (* No budget: answer Deadline without racing a worker for it. *)
+            deadline_expired ()
           else begin
             let submitted = Monotonic_clock.now_ns () in
             let queue_ns = ref 0L
@@ -330,11 +341,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                       bytes))
             in
             match Pool.await_timeout fut t.cfg.query_deadline with
-            | None ->
-              Flight.record ~cat:"server" ~req_id:rid
-                ~detail:(Printf.sprintf "conn=%d" conn_id)
-                "server.query_deadline";
-              Proto.Deadline
+            | None -> deadline_expired ()
             | Some (Error (e, _bt)) ->
               Proto.Server_error (Printexc.to_string e)
             | Some (Ok vo_bytes) ->

@@ -33,7 +33,9 @@ type config = {
   max_in_flight : int;  (** concurrent connections before shedding *)
   read_deadline : float;  (** budget for reading one request frame *)
   write_deadline : float;  (** budget for writing one response frame *)
-  query_deadline : float;  (** budget for executing one query *)
+  query_deadline : float;
+      (** budget for executing one query; a non-positive budget answers
+          [Deadline] without running it *)
   drain_deadline : float;  (** budget for the whole graceful drain *)
   checkpoint_every : float;
       (** seconds between epoch checkpoints of the served tree; 0 disables *)

@@ -80,6 +80,19 @@ let test_invmod () =
   Alcotest.check_raises "non invertible" Division_by_zero (fun () ->
       ignore (B.invmod (bi 6) (bi 9)))
 
+(* invmod reads the gcd off its own extended Euclid: a shared factor or a
+   zero input still raises, and modulo 1 every input inverts to 0. *)
+let test_invmod_gcd () =
+  List.iter
+    (fun (a, m) ->
+      Alcotest.check_raises (Printf.sprintf "invmod %d %d" a m) Division_by_zero (fun () ->
+          ignore (B.invmod (bi a) (bi m))))
+    [ (0, 7); (14, 21); (-6, 9); (9, 9); (12, -8); (3, 0) ];
+  check_b "invmod 0 1" B.zero (B.invmod B.zero B.one);
+  check_b "invmod 5 1" B.zero (B.invmod (bi 5) B.one);
+  check_b "invmod -3 7" (bi 2) (B.invmod (bi (-3)) (bi 7));
+  check_b "invmod 3 -7" (bi 5) (B.invmod (bi 3) (bi (-7)))
+
 let test_gcd () =
   check_b "gcd" (bi 6) (B.gcd (bi 54) (bi 24));
   check_b "gcd0" (bi 7) (B.gcd B.zero (bi 7));
@@ -147,6 +160,7 @@ let suite =
         Alcotest.test_case "shift" `Quick test_shift;
         Alcotest.test_case "powmod" `Quick test_powmod;
         Alcotest.test_case "invmod" `Quick test_invmod;
+        Alcotest.test_case "invmod gcd from extended Euclid" `Quick test_invmod_gcd;
         Alcotest.test_case "gcd" `Quick test_gcd;
         Alcotest.test_case "bytes" `Quick test_bytes;
       ]

@@ -147,7 +147,7 @@ let test_curve_edges () =
   Alcotest.(check bool) "0 * g" true (Curve.is_infinity (Curve.mul fp B.zero g));
   Alcotest.(check bool) "(r-1)g = -g" true
     (Curve.equal (Curve.mul fp (B.sub r B.one) g) (Curve.neg fp g));
-  (* Windowed vs naive multiplication agreement on assorted scalars. *)
+  (* Jacobian double-and-add vs repeated affine addition on assorted scalars. *)
   let naive k p =
     let acc = ref Curve.Infinity in
     for _ = 1 to k do

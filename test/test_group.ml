@@ -85,7 +85,8 @@ let test_hash_to_group (_name, m) () =
 
 (* e_prod must agree with the naive product of individual pairings —
    including pairs with an identity argument (they contribute nothing) and
-   the empty product. *)
+   the empty product. On type-A, [e a b] is [e_prod [(a, b)]]; the
+   independent check is the affine reference below. *)
 let test_multi_pairing (name, m) () =
   let module P = (val m : Group.Pairing_intf.PAIRING) in
   let drbg = Drbg.create ~seed:("eprod" ^ name) in
@@ -149,6 +150,174 @@ let test_curve_basics () =
   Alcotest.(check bool) "p+1 = c*r" true
     (B.equal (B.add params.p B.one) (B.mul params.cofactor params.r))
 
+(* --- Jacobian arithmetic against the affine reference (tiny parameters) --- *)
+
+module Curve = Group.Curve
+module Fp2 = Group.Fp2
+
+let tiny () = Lazy.force Group.Typea_params.tiny
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let point_eq name want got =
+  let enc = Curve.to_bytes (tiny ()).fp in
+  Alcotest.(check string) name (hex (enc want)) (hex (enc got))
+
+let gt_eq name want got =
+  let enc = Fp2.to_bytes (tiny ()).fp in
+  Alcotest.(check string) name (hex (enc want)) (hex (enc got))
+
+(* A point of the full curve E(F_p), of order dividing c*r. *)
+let full_point i = Curve.hash_to_point (tiny ()).fp ~domain:"curve-ref" (string_of_int i)
+
+(* A point of order exactly n, for a small n dividing the cofactor. *)
+let point_of_order n =
+  let { Group.Typea_params.p; fp; _ } = tiny () in
+  let rec go i =
+    let t = Curve.mul fp (B.div (B.add p B.one) (B.of_int n)) (full_point i) in
+    let exact = ref true in
+    for d = 1 to n - 1 do
+      if n mod d = 0 && Curve.is_infinity (Curve.mul fp (B.of_int d) t) then exact := false
+    done;
+    if !exact then t else go (i + 1)
+  in
+  go 0
+
+let typea_e_prod pairs = Group.Typea.e_prod (tiny ()) pairs
+
+(* Scalars of 0 to 112 bits, so both below and above r (50 bits). *)
+let scalar_gen = QCheck2.Gen.(map B.of_bytes_be (string_size ~gen:char (int_range 0 14)))
+
+let qprop ~count name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
+
+let qcheck_reference =
+  [ qprop ~count:60 "Curve.mul = affine reference"
+      QCheck2.Gen.(pair (int_range 0 1000) scalar_gen)
+      (fun (i, k) ->
+        let { Group.Typea_params.fp; g; _ } = tiny () in
+        List.for_all
+          (fun pt -> Curve.equal (Curve.mul fp k pt) (Curve_check.mul fp k pt))
+          [ full_point i; g; Curve.mul fp k g ]);
+    qprop ~count:20 "e and e_prod = affine reference"
+      QCheck2.Gen.(list_size (int_range 1 3) (pair scalar_gen scalar_gen))
+      (fun ks ->
+        let params = tiny () in
+        let module P = (val Group.Typea.create params) in
+        let raw x = Option.get (Curve.of_bytes params.fp (P.G.to_bytes x)) in
+        let gt x = Option.get (Fp2.of_bytes params.fp (P.Gt.to_bytes x)) in
+        let pairs = List.map (fun (a, b) -> (P.G.pow P.G.g a, P.G.pow P.G.g b)) ks in
+        let reference ps = Curve_check.e_prod params (List.map (fun (a, b) -> (raw a, raw b)) ps) in
+        let a, b = List.hd pairs in
+        Fp2.equal (reference [ (a, b) ]) (gt (P.e a b))
+        && Fp2.equal (reference pairs) (gt (P.e_prod pairs))) ]
+
+let test_edge_scalars () =
+  let { Group.Typea_params.fp; g; r; _ } = tiny () in
+  let module P = (val Group.Typea.create (tiny ())) in
+  let h = full_point 7 in
+  List.iter
+    (fun (name, k) ->
+      point_eq ("mul g " ^ name) (Curve_check.mul fp k g) (Curve.mul fp k g);
+      point_eq ("mul h " ^ name) (Curve_check.mul fp k h) (Curve.mul fp k h);
+      Alcotest.(check string) ("G.pow " ^ name)
+        (hex (Curve.to_bytes fp (Curve_check.mul fp (B.erem k r) g)))
+        (hex (P.G.to_bytes (P.G.pow P.G.g k))))
+    [ ("0", B.zero); ("1", B.one); ("2", B.two);
+      ("r-1", B.sub r B.one); ("r", r); ("r+1", B.add r B.one) ];
+  Alcotest.(check bool) "r*g = O" true (Curve.is_infinity (Curve.mul fp r g));
+  point_eq "(r+1)*g = g" g (Curve.mul fp (B.add r B.one) g)
+
+let test_two_torsion () =
+  let params = tiny () in
+  let { Group.Typea_params.fp; g; _ } = params in
+  let t = Curve.Affine (B.zero, B.zero) in
+  Alcotest.(check bool) "(0,0) on curve" true (Curve.is_on_curve fp t);
+  Alcotest.(check bool) "2(0,0) = O" true (Curve.is_infinity (Curve.double fp t));
+  Alcotest.(check bool) "(0,0)+(0,0) = O" true (Curve.is_infinity (Curve.add fp t t));
+  for k = 0 to 5 do
+    let k' = B.of_int k in
+    point_eq (Printf.sprintf "%d*(0,0)" k) (Curve_check.mul fp k' t) (Curve.mul fp k' t)
+  done;
+  List.iter
+    (fun (name, pairs) ->
+      let got = typea_e_prod pairs in
+      gt_eq name (Curve_check.e_prod params pairs) got;
+      Alcotest.(check bool) (name ^ " = 1") true (Fp2.is_one got))
+    [ ("e(T, g)", [ (t, g) ]); ("e(g, T)", [ (g, t) ]); ("e(T, T)", [ (t, t) ]) ]
+
+let test_eprod_cancel_repeat () =
+  let params = tiny () in
+  let { Group.Typea_params.fp; g; _ } = params in
+  let p = Curve.mul fp (B.of_int 0x5eed) g and q = Curve.mul fp (B.of_int 0xbeef) g in
+  Alcotest.(check bool) "e(P,Q) e(-P,Q) = 1" true
+    (Fp2.is_one (typea_e_prod [ (p, q); (Curve.neg fp p, q) ]));
+  Alcotest.(check bool) "e(P,Q) e(P,-Q) = 1" true
+    (Fp2.is_one (typea_e_prod [ (p, q); (p, Curve.neg fp q) ]));
+  gt_eq "e(P,Q)^2" (Fp2.sqr fp (typea_e_prod [ (p, q) ])) (typea_e_prod [ (p, q); (p, q) ]);
+  let three = [ (p, q); (p, q); (p, q) ] in
+  gt_eq "e(P,Q)^3" (Curve_check.e_prod params three) (typea_e_prod three)
+
+(* Encodings computed by the affine implementation this one replaced; they
+   must stay byte-identical. *)
+let test_golden () =
+  let module P = (val Group.Typea.create (tiny ())) in
+  let g_pow k = P.G.pow P.G.g (B.of_string k) in
+  let check name want x = Alcotest.(check string) name want (hex (P.G.to_bytes x)) in
+  check "g" "0348afd3497e06ef43ff287418" P.G.g;
+  check "g^2" "022905c1d6c0001646451a103f" (g_pow "2");
+  check "g^3" "02386b348e1f32c9cb9d91b81c" (g_pow "3");
+  check "g^k" "0270a94d49855e6a21e3466815" (g_pow "47525402436927");
+  check "g^(1e9+7)" "024aed7654c7482dbb1cc3cf70" (g_pow "1000000007");
+  check "g^(r-2)" "032905c1d6c0001646451a103f" (P.G.pow P.G.g (B.sub P.order B.two));
+  Alcotest.(check string) "e(g,g)" "276040caa053ea25e95ebf7a27aba7c8010a0accc3be9cc7"
+    (hex (P.Gt.to_bytes (P.e P.G.g P.G.g)));
+  Alcotest.(check string) "e(g^k, g^(1e9+7))" "73ffc01b62c7b65596f5e9673f0b0eea19d7e2acb0905294"
+    (hex (P.Gt.to_bytes (P.e (g_pow "47525402436927") (g_pow "1000000007"))))
+
+(* The Miller loop's running point is V = [k]P for the prefixes k of r. For
+   a point P of small order n it meets V = P (k = 1 mod n) or V = -P at an
+   addition step, or reaches infinity, long before the loop ends. *)
+let test_miller_degenerate_steps () =
+  let params = tiny () in
+  let { Group.Typea_params.fp; g; r; _ } = params in
+  (* Replays the loop on k mod n: does an addition step meet V = P, V = -P? *)
+  let cases n =
+    let k = ref 1 and same = ref false and opposite = ref false in
+    for i = B.num_bits r - 2 downto 0 do
+      k := 2 * !k mod n;
+      if B.testbit r i && !k <> 0 then begin
+        if !k = 1 then same := true;
+        if !k = n - 1 then opposite := true;
+        k := (!k + 1) mod n
+      end
+    done;
+    (!same, !opposite)
+  in
+  Alcotest.(check (pair bool bool)) "order 3 meets V = P and V = -P" (true, true) (cases 3);
+  let t3 = point_of_order 3 and t4 = point_of_order 4 and t97 = point_of_order 97 in
+  List.iter
+    (fun (n, t) ->
+      Alcotest.(check bool) (Printf.sprintf "order %d" n) true
+        (Curve.is_infinity (Curve.mul fp (B.of_int n) t)))
+    [ (3, t3); (4, t4); (97, t97) ];
+  let h = full_point 11 in
+  List.iter
+    (fun (name, pairs) -> gt_eq name (Curve_check.e_prod params pairs) (typea_e_prod pairs))
+    [ ("e(T3, g)", [ (t3, g) ]); ("e(g, T3)", [ (g, t3) ]); ("e(T4, g)", [ (t4, g) ]);
+      ("e(T97, g)", [ (t97, g) ]); ("e(h, g)", [ (h, g) ]); ("e(g, h)", [ (g, h) ]);
+      ("e(T3, h)", [ (t3, h) ]);
+      ("mixed product", [ (t3, g); (g, h); (t97, g); (t4, g); (g, g) ]) ]
+
+let reference_suite =
+  [ Alcotest.test_case "typea edge scalars vs reference" `Quick test_edge_scalars;
+    Alcotest.test_case "typea 2-torsion point" `Quick test_two_torsion;
+    Alcotest.test_case "typea e_prod cancel and repeat" `Quick test_eprod_cancel_repeat;
+    Alcotest.test_case "typea golden encodings" `Quick test_golden;
+    Alcotest.test_case "typea miller degenerate steps" `Quick test_miller_degenerate_steps ]
+  @ qcheck_reference
+
 let suite =
   let per_backend =
     List.concat_map
@@ -165,4 +334,4 @@ let suite =
           Alcotest.test_case (name ^ " hash to group") `Quick (test_hash_to_group (name, m)) ])
       (backends ())
   in
-  [ ("group", Alcotest.test_case "typea params" `Quick test_curve_basics :: per_backend) ]
+  [ ("group", (Alcotest.test_case "typea params" `Quick test_curve_basics :: per_backend) @ reference_suite) ]

@@ -197,8 +197,8 @@ let test_serve_shed () =
   | Ok _ -> Alcotest.fail "query succeeded through a zero-capacity server"
 
 let test_serve_query_deadline () =
-  (* A zero query deadline expires before any worker can answer: typed
-     Deadline response, and the client treats it as transient. *)
+  (* A zero query deadline answers Deadline without running the query:
+     typed Deadline response, and the client treats it as transient. *)
   with_server { base_server_cfg with S.query_deadline = 0.0 } @@ fun t ->
   match query_server (Server.port t) with
   | Error (Client.Exhausted { last = "server-deadline"; _ }) -> ()
@@ -499,9 +499,10 @@ let test_drain_audit_entry () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Audit.disable (fun () ->
-      (* query_deadline 0 abandons the worker mid-query; drain_deadline 0
-         makes the drain's own Pool.await_timeout expire immediately. The
-         final [drain] audit entry must be written regardless. *)
+      (* query_deadline 0 answers Deadline without submitting the query;
+         drain_deadline 0 makes the drain's own Pool.await_timeout expire
+         immediately. The final [drain] audit entry must be written
+         regardless. *)
       match
         Server.start
           { base_server_cfg with S.query_deadline = 0.0; drain_deadline = 0.0 }
