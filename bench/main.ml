@@ -11,8 +11,6 @@
 module Backend = Zkqac_group.Backend
 module Telemetry = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
-module Histogram = Zkqac_telemetry.Histogram
-module Alloc = Zkqac_telemetry.Alloc
 module Metrics = Zkqac_telemetry.Metrics
 module Flight = Zkqac_telemetry.Flight
 module Rte = Zkqac_telemetry.Rte
@@ -128,17 +126,10 @@ let () =
         | _ -> assert false
       in
       let before = Telemetry.snapshot () in
-      let hist_before = Histogram.snapshot () in
-      let alloc_before = Alloc.snapshot () in
       let _, t = Report.time run in
       if !json_path <> None then begin
         let cost = Telemetry.diff ~earlier:before ~later:(Telemetry.snapshot ()) in
-        let hists =
-          Histogram.diff ~earlier:hist_before ~later:(Histogram.snapshot ())
-        in
-        let allocs =
-          Alloc.diff ~earlier:alloc_before ~later:(Alloc.snapshot ())
-        in
+        let stages = Telemetry.stages cost in
         let series = Report.take_series () in
         records :=
           Json.Obj
@@ -146,10 +137,10 @@ let () =
                ("wall_s", Json.Float t);
                ("ops", Telemetry.ops_json cost);
                ("spans", Telemetry.spans_json cost) ]
-             @ (if hists = [] then []
-                else [ ("histograms", Histogram.snapshot_json hists) ])
-             @ (if allocs = [] then []
-                else [ ("alloc", Alloc.snapshot_json allocs) ])
+             @ (if stages = [] then []
+                else
+                  [ ("histograms", Report.histograms_json stages);
+                    ("alloc", Report.alloc_json stages) ])
              @ (if series = [] then [] else [ ("series", Json.Obj series) ]))
           :: !records
       end;
@@ -169,7 +160,8 @@ let () =
       Printf.printf "[%s done in %.1fs]\n%!" exp t)
     selected;
   Rte.stop ();
-  if Telemetry.enabled () || !trace_dir <> None then Report.print_histograms ();
+  let stages = Telemetry.stages (Telemetry.snapshot ()) in
+  if Telemetry.enabled () || !trace_dir <> None then Report.print_histograms stages;
   Report.warn_dropped_spans ();
   Printf.printf "\ntotal: %.1fs\n" (Unix.gettimeofday () -. t0);
   match !json_path with
@@ -182,8 +174,8 @@ let () =
            ("full", Json.Bool !full);
            ("domains", Json.Int (Pool.size ()));
            ("total_wall_s", Json.Float (Unix.gettimeofday () -. t0));
-           ("histograms", Histogram.snapshot_json (Histogram.snapshot ()));
-           ("alloc", Alloc.snapshot_json (Alloc.snapshot ()));
+           ("histograms", Report.histograms_json stages);
+           ("alloc", Report.alloc_json stages);
            ("metrics", Metrics.to_json ());
            ("experiments", Json.Arr (List.rev !records)) ]);
     Printf.printf "wrote %s\n" path

@@ -103,20 +103,40 @@ let warn_dropped_spans () =
        %!"
       d
 
-(* Per-stage latency percentiles from the histogram registry, fed by every
-   span close since the last reset. *)
-let print_histograms () =
+(* The BENCH.json "histograms" and "alloc" sections: two views of one
+   [Stage] snapshot (or diff of snapshots). *)
+let histograms_json stages =
+  Json.Obj
+    (List.map
+       (fun (name, (c : Zkqac_telemetry.Stage.cell)) ->
+         (name, Zkqac_telemetry.Histogram.to_json c.hist))
+       stages)
+
+let alloc_json stages =
+  Json.Obj
+    (List.map
+       (fun (name, (c : Zkqac_telemetry.Stage.cell)) ->
+         ( name,
+           Json.Obj
+             [ ("count", Json.Int (Zkqac_telemetry.Stage.count c));
+               ("minor_words", Json.Float c.minor);
+               ("promoted_words", Json.Float c.promoted);
+               ("major_words", Json.Float c.major) ] ))
+       stages)
+
+(* Per-stage latency percentiles from a [Stage] snapshot. *)
+let print_histograms stages =
   let module H = Zkqac_telemetry.Histogram in
-  let snap = H.snapshot () in
-  if snap <> [] then begin
+  if stages <> [] then begin
     let q h p = Printf.sprintf "%.3f" (H.quantile h p /. 1e6) in
     print_table ~title:"per-stage latency percentiles (ms)"
       ~header:[ "stage"; "count"; "mean"; "p50"; "p95"; "p99" ]
       (List.map
-         (fun (name, h) ->
+         (fun (name, (c : Zkqac_telemetry.Stage.cell)) ->
+           let h = c.hist in
            [ name;
              string_of_int (H.count h);
              Printf.sprintf "%.3f" (H.mean_ns h /. 1e6);
              q h 0.50; q h 0.95; q h 0.99 ])
-         snap)
+         stages)
   end

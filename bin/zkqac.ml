@@ -204,53 +204,104 @@ let obs_term =
         $ stats_arg $ trace_arg $ trace_tree_arg $ audit_arg
         $ audit_durability_arg $ audit_recover_arg)
 
+(* Every field a record line carries, or the reason it is unusable. *)
 let parse_record line =
   (* Split on the first two '|' only: the policy itself may contain '|'. *)
+  let bad = Error "bad record line (expected k1,k2|value|policy)" in
   match String.index_opt line '|' with
-  | None -> die "bad record line (expected k1,k2|value|policy): %s" line
-  | Some i ->
-    (match String.index_from_opt line (i + 1) '|' with
-     | None -> die "bad record line (expected k1,k2|value|policy): %s" line
-     | Some j ->
-       let keys = String.sub line 0 i in
-       let value = String.sub line (i + 1) (j - i - 1) in
-       let policy = String.sub line (j + 1) (String.length line - j - 1) in
-       let key =
-         keys |> String.split_on_char ','
-         |> List.map (fun s -> int_of_string (String.trim s))
-         |> Array.of_list
-       in
-       Record.make ~key ~value ~policy:(Expr.of_string policy))
+  | None -> bad
+  | Some i -> (
+    match String.index_from_opt line (i + 1) '|' with
+    | None -> bad
+    | Some j -> (
+      let keys = String.sub line 0 i in
+      let value = String.sub line (i + 1) (j - i - 1) in
+      let policy = String.sub line (j + 1) (String.length line - j - 1) in
+      let key =
+        String.split_on_char ',' keys
+        |> List.map (fun s -> int_of_string_opt (String.trim s))
+      in
+      if List.mem None key then Error (Printf.sprintf "bad key %S" keys)
+      else
+        match Expr.of_string policy with
+        | exception Invalid_argument msg -> Error (Printf.sprintf "bad policy: %s" msg)
+        | policy ->
+          Ok
+            (Record.make
+               ~key:(Array.of_list (List.map Option.get key))
+               ~value ~policy)))
 
-let read_records path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc else go (parse_record line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
+(* The records of [path], each checked against the space and the role
+   universe it will be signed under; the first unusable line ends the run
+   with [path:line: reason]. *)
+let read_records ~space ~universe path =
+  let roles = Universe.attrs universe in
+  let seen = Hashtbl.create 64 in
+  let check (r : Record.t) =
+    if not (Keyspace.valid_key space r.Record.key) then
+      Error
+        (Printf.sprintf "key %s is outside the %d-dim %d^%d space"
+           (String.concat "," (Array.to_list (Array.map string_of_int r.Record.key)))
+           (Keyspace.dims space) (Keyspace.side space) (Keyspace.dims space))
+    else if Hashtbl.mem seen r.Record.key then
+      Error
+        (Printf.sprintf "duplicate key (first on line %d)"
+           (Hashtbl.find seen r.Record.key))
+    else if not (Expr.eval r.Record.policy roles) then
+      Error
+        (Printf.sprintf "policy %s cannot be satisfied by roles %s"
+           (Expr.to_string r.Record.policy)
+           (Universe.to_list universe
+           |> List.filter (fun a -> a <> Attr.pseudo_role)
+           |> String.concat ","))
+    else Ok r
   in
-  go []
+  In_channel.with_open_text path @@ fun ic ->
+  let rec go n acc =
+    match In_channel.input_line ic with
+    | None -> List.rev acc
+    | Some line ->
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then go (n + 1) acc
+      else (
+        match Result.bind (parse_record line) check with
+        | Error reason -> die "%s:%d: %s" path n reason
+        | Ok r ->
+          Hashtbl.replace seen r.Record.key n;
+          go (n + 1) (r :: acc))
+  in
+  go 1 []
 
 let parse_roles s =
   String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
 
-let parse_range ~dims s =
+(* A query range inside the ADS key space, or a [zkqac:] error: a range
+   the space does not contain could only produce a VO that verify rejects
+   (the server answers it [query-outside-space]). *)
+let parse_range ~space s =
+  let dims = Keyspace.dims space in
+  let bad () = die "bad range (expected a1,a2:b1,b2): %s" s in
   match String.split_on_char ':' s with
   | [ a; b ] ->
     let point p =
       p |> String.split_on_char ','
-      |> List.map (fun x -> int_of_string (String.trim x))
+      |> List.map (fun x ->
+             match int_of_string_opt (String.trim x) with
+             | Some v -> v
+             | None -> bad ())
       |> Array.of_list
     in
     let alpha = point a and beta = point b in
     if Array.length alpha <> dims || Array.length beta <> dims then
       die "range has %d dims, ADS has %d" (Array.length alpha) dims;
-    Box.of_range ~alpha ~beta
-  | _ -> die "bad range (expected a1,a2:b1,b2): %s" s
+    if Array.exists2 ( > ) alpha beta then
+      die "range %s has a lower corner above its upper corner" s;
+    let box = Box.of_range ~alpha ~beta in
+    if not (Box.contains_box (Keyspace.whole space) box) then
+      die "range %s is outside the ADS key space %s" s
+        (Box.to_string (Keyspace.whole space));
+    box
+  | _ -> bad ()
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -266,12 +317,12 @@ let read_file path =
 (* --- setup --- *)
 
 let setup records_file roles dims depth seed out =
-  let records = read_records records_file in
+  let universe = Universe.create (parse_roles roles) in
+  let space = Keyspace.create ~dims ~depth in
+  let records = read_records ~space ~universe records_file in
   let drbg = Drbg.create ~seed:("zkqac-cli:" ^ seed) in
   let msk, mvk = Abs.setup drbg in
-  let universe = Universe.create (parse_roles roles) in
   let sk = Abs.keygen drbg msk (Universe.attrs universe) in
-  let space = Keyspace.create ~dims ~depth in
   let tree =
     Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:("cli:" ^ seed) records
   in
@@ -336,7 +387,7 @@ let query path roles range out =
   | Ok (mvk, tree) ->
     let user = Attr.set_of_list (parse_roles roles) in
     let space = Ap2g.space tree in
-    let box = parse_range ~dims:(Keyspace.dims space) range in
+    let box = parse_range ~space range in
     let drbg = Drbg.create ~seed:"zkqac-sp" in
     (* Fan the relax jobs out over worker domains, like a real SP would
        (domain count from ZKQAC_DOMAINS, default the machine's cores). *)
@@ -373,7 +424,7 @@ let verify ?(batch = true) path vo_path roles range =
   | Ok (mvk, tree) ->
     let user = Attr.set_of_list (parse_roles roles) in
     let space = Ap2g.space tree in
-    let box = parse_range ~dims:(Keyspace.dims space) range in
+    let box = parse_range ~space range in
     let vo_bytes = read_file vo_path in
     let fallbacks0 = Zkqac_telemetry.Metrics.batch_fallbacks () in
     (* Mirrors the audit entry System.open_and_verify writes: the CLI path
@@ -898,7 +949,7 @@ let client ads host port roles range retries batch =
   | Ok (mvk, tree) ->
     let user = Attr.set_of_list (parse_roles roles) in
     let space = Ap2g.space tree in
-    let box = parse_range ~dims:(Keyspace.dims space) range in
+    let box = parse_range ~space range in
     let cfg = { Client.default_config with Client.host; port; retries; batch } in
     (match
        Cl.query cfg ~mvk ~universe:(Ap2g.universe tree)

@@ -126,7 +126,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     listen_fd : Unix.file_descr;
     mh : Metrics_http.t option;
     slowlog : Slowlog.t;
-    req_seq : int Atomic.t;  (* decoded requests, for slow_inject ordinals *)
+    req_seq : int Atomic.t;
+        (* decoded requests, for slow_inject ordinals and relax seeds *)
+    secret : string;
+        (* 32 bytes of OS entropy; with the request ordinal it seeds each
+           request's relax DRBG, so no client can predict the
+           re-randomization of a relaxed signature *)
     pool : Pool.pool;
     tree : Ap2g.t;
     mvk : Abs.mvk;
@@ -313,8 +318,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                     ~finally:(fun () -> Atomic.decr t.running_queries)
                     (fun () ->
                       let drbg =
-                        Drbg.create
-                          ~seed:(Printf.sprintf "zkqac-serve:%d" conn_id)
+                        Drbg.create ~seed:(t.secret ^ string_of_int n_req)
                       in
                       let user = Attr.set_of_list roles in
                       (* The relax share of proving is measured where it
@@ -479,7 +483,19 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       end
     done
 
+  let read_secret () =
+    match
+      In_channel.with_open_bin "/dev/urandom" (fun ic ->
+          really_input_string ic 32)
+    with
+    | s -> Ok s
+    | exception (Sys_error _ | End_of_file) ->
+      Error "cannot read 32 bytes of entropy from /dev/urandom"
+
   let start cfg ~ads =
+    match read_secret () with
+    | Error e -> Error e
+    | Ok secret ->
     (* Health plane first: /healthz answers and /readyz reports "starting"
        while checkpoint recovery below runs, so a supervisor can tell a
        recovering server from a dead one. *)
@@ -533,6 +549,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               mh;
               slowlog;
               req_seq = Atomic.make 0;
+              secret;
               pool = Pool.create ~threads:cfg.threads ();
               tree = rc.Ads_io.r_tree;
               mvk = rc.Ads_io.r_mvk;

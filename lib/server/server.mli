@@ -62,7 +62,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type t
 
   val start : config -> ads:string -> (t, string) result
-  (** Recover the newest valid ADS checkpoint epoch
+  (** Read a 32-byte server secret from [/dev/urandom] (an [Error] if that
+      fails) — with each request's ordinal it seeds the request's relax
+      randomness, so two servers never re-randomize alike — then recover
+      the newest valid ADS checkpoint epoch
       ({!Zkqac_core.Ads_io.Make.load_recover}), bind the listener(s), spawn
       the persistent pool and the acceptor (and, when [checkpoint_every] is
       positive, a periodic epoch checkpointer), emit a [recovered] audit

@@ -4,7 +4,7 @@
    the global sequence number, a DLS lookup, and a ring store — because it
    runs on every span close, verdict, pool failure and wire-limit hit even
    when all other telemetry is off. Rings are registered under [reg_lock]
-   (the Trace/Alloc idiom) so dumps can merge them from any domain. *)
+   (the Trace/Stage idiom) so dumps can merge them from any domain. *)
 
 type event = {
   seq : int;

@@ -2,11 +2,7 @@
    power-of-two octave, so any recorded value lands in a bucket whose width
    is at most 1/16 of its magnitude (quantile error <= ~6%). Buckets are
    plain int counts, which makes histograms mergeable (and diffable) by
-   pointwise addition (subtraction).
-
-   A global registry maps stage names to histograms. Recording goes through
-   a per-domain table (domain-local storage), so the hot path takes no lock;
-   [snapshot] merges all per-domain tables under a mutex. *)
+   pointwise addition (subtraction). *)
 
 let sub_bits = 4 (* 16 sub-buckets per octave *)
 let sub = 1 lsl sub_bits
@@ -50,6 +46,7 @@ let record t ns =
   t.sum_ns <- t.sum_ns +. float_of_int ns
 
 let count t = t.total
+let sum_ns t = t.sum_ns
 let mean_ns t = if t.total = 0 then 0.0 else t.sum_ns /. float_of_int t.total
 
 (* Min/max are derived from the bucket counts (lower bound of the first /
@@ -103,6 +100,15 @@ let merge a b =
     sum_ns = a.sum_ns +. b.sum_ns;
   }
 
+(* [sub later earlier]: what was recorded between two copies of one
+   histogram, clamped at zero. *)
+let sub l e =
+  {
+    counts = Array.mapi (fun i c -> max 0 (c - e.counts.(i))) l.counts;
+    total = max 0 (l.total - e.total);
+    sum_ns = Float.max 0.0 (l.sum_ns -. e.sum_ns);
+  }
+
 (* [quantile t q] interpolates the q-quantile (q in [0,1]) from the bucket
    counts: the fractional rank q*(n-1) is located in its bucket and mapped
    linearly across the bucket's bounds. *)
@@ -141,67 +147,3 @@ let to_json t =
           (List.map
              (fun (b, c) -> Json.Arr [ Json.Int b; Json.Int c ])
              (buckets t)) ) ]
-
-(* --- the per-stage registry --- *)
-
-let registry_lock = Mutex.create ()
-let tables : (string, t) Hashtbl.t list ref = ref []
-
-let dls =
-  Domain.DLS.new_key (fun () ->
-      let tbl : (string, t) Hashtbl.t = Hashtbl.create 16 in
-      Mutex.lock registry_lock;
-      tables := tbl :: !tables;
-      Mutex.unlock registry_lock;
-      tbl)
-
-let note name ns =
-  let tbl = Domain.DLS.get dls in
-  let h =
-    match Hashtbl.find_opt tbl name with
-    | Some h -> h
-    | None ->
-      let h = create () in
-      Hashtbl.add tbl name h;
-      h
-  in
-  record h ns
-
-let snapshot () =
-  Mutex.lock registry_lock;
-  let merged : (string, t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name h ->
-          match Hashtbl.find_opt merged name with
-          | Some acc -> Hashtbl.replace merged name (merge acc h)
-          | None -> Hashtbl.replace merged name (merge (create ()) h))
-        tbl)
-    !tables;
-  Mutex.unlock registry_lock;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])
-
-let diff ~earlier ~later =
-  List.filter_map
-    (fun (name, (l : t)) ->
-      let d =
-        match List.assoc_opt name earlier with
-        | None -> l
-        | Some e ->
-          {
-            counts = Array.mapi (fun i c -> max 0 (c - e.counts.(i))) l.counts;
-            total = max 0 (l.total - e.total);
-            sum_ns = Float.max 0.0 (l.sum_ns -. e.sum_ns);
-          }
-      in
-      if d.total = 0 then None else Some (name, d))
-    later
-
-let reset () =
-  Mutex.lock registry_lock;
-  List.iter Hashtbl.reset !tables;
-  Mutex.unlock registry_lock
-
-let snapshot_json snap =
-  Json.Obj (List.map (fun (name, h) -> (name, to_json h)) snap)

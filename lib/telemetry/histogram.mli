@@ -6,10 +6,8 @@
     particular histograms recorded on different worker domains combine
     exactly.
 
-    A process-wide registry maps stage names (span names) to histograms.
-    {!note} writes through a domain-local table so the recording path takes
-    no lock; {!snapshot} merges every domain's table. [Trace.with_span]
-    feeds the registry automatically when a span closes. *)
+    A histogram is plain data: {!Stage} keeps one per stage name, and the
+    server's load generator and slow-query log keep their own. *)
 
 type t
 
@@ -20,12 +18,16 @@ val record : t -> int -> unit
     clamped to 0). *)
 
 val count : t -> int
+
+val sum_ns : t -> float
+(** Sum of all recorded observations, in ns. *)
+
 val mean_ns : t -> float
 
 val min_ns : t -> float
 (** Lower bound of the smallest nonempty bucket — the minimum recorded
     value to bucket resolution (~6%); 0 on an empty histogram. Derived
-    from the counts, so it remains correct under {!merge} and {!diff}. *)
+    from the counts, so it remains correct under {!merge} and {!sub}. *)
 
 val max_ns : t -> float
 (** Lower bound of the largest nonempty bucket — the maximum recorded
@@ -36,6 +38,10 @@ val quantile : t -> float -> float
     interpolation inside the target bucket. 0 on an empty histogram. *)
 
 val merge : t -> t -> t
+
+val sub : t -> t -> t
+(** [sub later earlier] is the pointwise difference of two copies of one
+    histogram taken at different times (counts and sum clamped at 0). *)
 
 val bucket_of_ns : int -> int
 (** The bucket index an observation falls into (exposed for tests). *)
@@ -58,23 +64,3 @@ val of_buckets : (int * int) list -> t
 val to_json : t -> Json.t
 (** [{"count": n, "mean_ms": ..., "min_ms": ..., "max_ms": ...,
      "p50_ms": ..., "p95_ms": ..., "p99_ms": ..., "buckets": [[b,c],...]}] *)
-
-(** {1 The per-stage registry} *)
-
-val note : string -> int -> unit
-(** [note stage ns] records an observation for [stage] in this domain's
-    table. Lock-free with respect to other domains. *)
-
-val snapshot : unit -> (string * t) list
-(** Merge all domains' tables: every stage observed so far, sorted by name.
-    Taking a snapshot while worker domains are actively recording may miss
-    in-flight observations; take it at a quiet point. *)
-
-val diff : earlier:(string * t) list -> later:(string * t) list -> (string * t) list
-(** Pointwise subtraction of two snapshots; empty stages are dropped. *)
-
-val reset : unit -> unit
-(** Clear every stage in every domain's table. *)
-
-val snapshot_json : (string * t) list -> Json.t
-(** Object mapping stage names to {!to_json} summaries. *)

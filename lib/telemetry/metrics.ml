@@ -168,11 +168,10 @@ let () =
         } ]);
   (* Per-stage latency, as a Prometheus summary per stage label. *)
   register (fun () ->
-      let snap = Histogram.snapshot () in
       let samples =
         List.concat_map
-          (fun (stage, h) ->
-            let s = [ ("stage", stage) ] in
+          (fun (stage, (c : Stage.cell)) ->
+            let h = c.hist and s = [ ("stage", stage) ] in
             let sec ns = ns /. 1e9 in
             [ sample ~labels:(s @ [ ("quantile", "0.5") ])
                 (sec (Histogram.quantile h 0.5));
@@ -182,10 +181,9 @@ let () =
                 (sec (Histogram.quantile h 0.99));
               sample ~suffix:"_count" ~labels:s
                 (float_of_int (Histogram.count h));
-              sample ~suffix:"_sum" ~labels:s
-                (sec (Histogram.mean_ns h *. float_of_int (Histogram.count h)));
+              sample ~suffix:"_sum" ~labels:s (sec (Histogram.sum_ns h));
             ])
-          snap
+          (Stage.snapshot ())
       in
       [ {
           name = "zkqac_stage_latency_seconds";
@@ -195,15 +193,14 @@ let () =
         } ]);
   (* Per-stage allocation attribution. *)
   register (fun () ->
-      let snap = Alloc.snapshot () in
       let samples =
         List.concat_map
-          (fun (stage, (c : Alloc.cell)) ->
-            [ sample ~labels:[ ("stage", stage); ("heap", "minor") ] c.Alloc.minor;
-              sample ~labels:[ ("stage", stage); ("heap", "promoted") ] c.Alloc.promoted;
-              sample ~labels:[ ("stage", stage); ("heap", "major") ] c.Alloc.major;
+          (fun (stage, (c : Stage.cell)) ->
+            [ sample ~labels:[ ("stage", stage); ("heap", "minor") ] c.minor;
+              sample ~labels:[ ("stage", stage); ("heap", "promoted") ] c.promoted;
+              sample ~labels:[ ("stage", stage); ("heap", "major") ] c.major;
             ])
-          snap
+          (Stage.snapshot ())
       in
       [ {
           name = "zkqac_stage_alloc_words_total";
@@ -214,15 +211,14 @@ let () =
   (* Per-domain allocation totals: the worker-domain breakdown of the
      Pool fan-out. *)
   register (fun () ->
-      let doms = Alloc.by_domain () in
       let samples =
         List.concat_map
-          (fun (tid, (c : Alloc.cell)) ->
+          (fun (tid, (c : Stage.cell)) ->
             let d = [ ("domain", string_of_int tid) ] in
-            [ sample ~labels:(d @ [ ("heap", "minor") ]) c.Alloc.minor;
-              sample ~labels:(d @ [ ("heap", "major") ]) c.Alloc.major;
+            [ sample ~labels:(d @ [ ("heap", "minor") ]) c.minor;
+              sample ~labels:(d @ [ ("heap", "major") ]) c.major;
             ])
-          doms
+          (Stage.by_domain ())
       in
       [ {
           name = "zkqac_domain_alloc_words_total";
@@ -260,11 +256,11 @@ let () =
           help = "Flight-recorder dump triggers (verify errors, pool failures, signals).";
           samples = [ sample (float_of_int (Flight.trips ())) ];
         } ]);
-  (* GC pause attribution from the runtime-events bridge. Registered here
-     (not in Rte) because Rte cannot depend on Metrics: Metrics pulls from
-     Trace, which feeds Rte's stage table. Samples appear only once the
-     monitor has observed pauses, so expositions without Rte running are
-     unchanged. *)
+  (* GC pause attribution from the runtime-events bridge (per domain) and
+     from the stage table (per stage). Registered here, not in Rte, because
+     Rte cannot depend on Metrics: Metrics pulls from Trace, which samples
+     Rte's pause marks. Samples appear only once the monitor has observed
+     pauses, so expositions without Rte running are unchanged. *)
   register (fun () ->
       let doms = Rte.domain_snapshot () in
       let totals =
@@ -303,14 +299,14 @@ let () =
   register (fun () ->
       let samples =
         List.concat_map
-          (fun (stage, (_, minor_s, major_s)) ->
-            let l = [ ("stage", stage) ] in
-            (if minor_s = 0.0 then []
-             else [ sample ~labels:(l @ [ ("gc", "minor") ]) minor_s ])
+          (fun (stage, (c : Stage.cell)) ->
+            let l = [ ("stage", stage) ] and sec ns = float_of_int ns /. 1e9 in
+            (if c.gc_minor_ns = 0 then []
+             else [ sample ~labels:(l @ [ ("gc", "minor") ]) (sec c.gc_minor_ns) ])
             @
-            if major_s = 0.0 then []
-            else [ sample ~labels:(l @ [ ("gc", "major") ]) major_s ])
-          (Rte.stage_snapshot ())
+            if c.gc_major_ns = 0 then []
+            else [ sample ~labels:(l @ [ ("gc", "major") ]) (sec c.gc_major_ns) ])
+          (Stage.snapshot ())
       in
       [ {
           name = "zkqac_stage_gc_pause_seconds_total";

@@ -1,8 +1,8 @@
 (** Process-wide metrics registry with Prometheus and JSON export.
 
     This is the pull side of the telemetry layer: the op counters
-    ({!Telemetry}), per-stage latency histograms ({!Histogram}), per-stage
-    and per-domain allocation attribution ({!Alloc}), trace health
+    ({!Telemetry}), the per-stage table ({!Stage}: latency histograms,
+    per-stage and per-domain allocation words, GC pauses), trace health
     ({!Trace.dropped}) and verification-rejection counts are exposed as one
     registry of named metrics, scraped all at once by {!collect}. Metrics
     appear in registration order and label sets are sorted, so the
@@ -115,4 +115,4 @@ val to_json : unit -> Json.t
 val reset : unit -> unit
 (** Zero all counter families. Pull collectors reflect their underlying
     registries, which have their own resets ([Telemetry.reset] clears the
-    op counters, histograms and allocation tables). *)
+    op counters and the {!Stage} table). *)

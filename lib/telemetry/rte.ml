@@ -2,9 +2,9 @@
 
    One monitor domain owns a self-process cursor and polls it; everything it
    learns goes into mutable tables under [lock]. Producers only touch the
-   tables through [pause_mark]/[note_stage] (span open/close) — both cheap
-   hashtable reads/writes — so the GC attribution path adds nothing to the
-   uninstrumented fast path. *)
+   tables through [pause_mark] (span open and close) — a cheap hashtable
+   read — and the span's pause delta lands in its {!Stage} cell, so the GC
+   attribution path adds nothing to the uninstrumented fast path. *)
 
 module Re = Runtime_events
 
@@ -35,13 +35,10 @@ type totals = {
   mutable major_n : int;
 }
 
-type stage_cell = { mutable s_n : int; mutable s_minor : int64; mutable s_major : int64 }
-
 let lock = Mutex.create ()
 
 (* key: domain id when the ring was announced, -(ring+1) otherwise *)
 let dom_tbl : (int, totals) Hashtbl.t = Hashtbl.create 8
-let stage_tbl : (string, stage_cell) Hashtbl.t = Hashtbl.create 16
 let max_rings = 256
 let ring2dom = Array.make max_rings (-1)
 let minor_t0 = Array.make max_rings 0L
@@ -191,7 +188,7 @@ let stop () =
     Atomic.set is_started false
   end
 
-(* --- per-stage attribution (fed by Trace.with_span) --- *)
+(* --- per-stage attribution (sampled by Trace.with_span) --- *)
 
 let pause_mark () =
   if not (Atomic.get is_started) then (0L, 0L)
@@ -204,29 +201,6 @@ let pause_mark () =
     in
     Mutex.unlock lock;
     r
-  end
-
-let note_stage name (mi0, ma0) =
-  if Atomic.get is_started then begin
-    Mutex.lock lock;
-    (match Hashtbl.find_opt dom_tbl (Domain.self () :> int) with
-    | Some t ->
-        let dmi = Int64.sub t.minor_ns mi0 and dma = Int64.sub t.major_ns ma0 in
-        if dmi > 0L || dma > 0L then begin
-          let c =
-            match Hashtbl.find_opt stage_tbl name with
-            | Some c -> c
-            | None ->
-                let c = { s_n = 0; s_minor = 0L; s_major = 0L } in
-                Hashtbl.add stage_tbl name c;
-                c
-          in
-          c.s_n <- c.s_n + 1;
-          if dmi > 0L then c.s_minor <- Int64.add c.s_minor dmi;
-          if dma > 0L then c.s_major <- Int64.add c.s_major dma
-        end
-    | None -> ());
-    Mutex.unlock lock
   end
 
 (* --- snapshots --- *)
@@ -253,16 +227,6 @@ let domain_snapshot () =
   Mutex.unlock lock;
   List.sort (fun a b -> compare a.label b.label) out
 
-let stage_snapshot () =
-  Mutex.lock lock;
-  let out =
-    Hashtbl.fold
-      (fun name c acc -> (name, (c.s_n, s_of_ns c.s_minor, s_of_ns c.s_major)) :: acc)
-      stage_tbl []
-  in
-  Mutex.unlock lock;
-  List.sort compare out
-
 let slices () =
   Mutex.lock lock;
   let out = List.rev !slice_buf in
@@ -278,7 +242,6 @@ let slices_dropped () =
 let reset () =
   Mutex.lock lock;
   Hashtbl.reset dom_tbl;
-  Hashtbl.reset stage_tbl;
   slice_buf := [];
   slice_n := 0;
   slice_drop := 0;

@@ -6,8 +6,8 @@
 
     - per-domain pause totals and maxima (exposed as [Metrics] gauges),
     - per-stage pause attribution: {!Trace.with_span} samples
-      {!pause_mark} at open and calls {!note_stage} at close, so the GC
-      time a span absorbed lands next to its {!Alloc} word attribution,
+      {!pause_mark} at open and at close, and the difference lands in the
+      span's {!Stage} cell next to its allocation words,
     - a bounded buffer of raw pause {!slice}s that the Perfetto export
       renders as extra tracks alongside spans.
 
@@ -18,8 +18,8 @@
     currently writing to it; unmapped rings are labelled ["ring<i>"].
 
     Attribution is asynchronous: totals advance when the monitor polls
-    (default every 500 µs), so a mark/note pair around a very short span
-    may observe no delta. *)
+    (default every 500 µs), so the two marks around a very short span may
+    observe no delta. *)
 
 type slice = {
   sl_ring : int;
@@ -55,15 +55,8 @@ val pause_mark : unit -> int64 * int64
 (** Current (minor, major) pause totals in ns attributed to the calling
     domain; [(0L, 0L)] when not started. *)
 
-val note_stage : string -> int64 * int64 -> unit
-(** [note_stage stage mark] adds the pause time accumulated since [mark]
-    to [stage]'s attribution table. *)
-
 val domain_snapshot : unit -> dom_stats list
 (** Sorted by label. *)
-
-val stage_snapshot : unit -> (string * (int * float * float)) list
-(** [(stage, (spans_with_pauses, minor_s, major_s))], sorted by stage. *)
 
 val slices : unit -> slice list
 (** Oldest first; bounded, see {!slices_dropped}. *)
@@ -71,5 +64,6 @@ val slices : unit -> slice list
 val slices_dropped : unit -> int
 
 val reset : unit -> unit
-(** Clear totals, stage table and slices (tests); keeps the monitor and
-    ring mappings alive. *)
+(** Clear totals and slices (tests); keeps the monitor and ring mappings
+    alive. Per-stage pause rows live in {!Stage} and are cleared by
+    [Telemetry.reset]. *)

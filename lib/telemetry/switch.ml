@@ -2,9 +2,12 @@
    aggregate-counter layer (Telemetry) and the tracing layer (Trace) can
    consult them without depending on each other.
 
-   [telemetry_on] gates op counters, aggregate stage stats and histograms;
-   [tracing_on] additionally gates the per-domain span ring buffers. Both
-   default to off: the production hot path pays one atomic load + branch. *)
+   [telemetry_on] gates the op counters. Either switch turns on the
+   per-stage table ({!Stage}: latency histograms, allocation words, GC
+   pauses) that every span close feeds; [tracing_on] alone also gates the
+   per-domain span buffers and the close hook. Both default to off: a span
+   then pays two atomic loads and a branch, plus the flight recorder's
+   clock reads and ring store while that is enabled. *)
 
 let telemetry_on = Atomic.make false
 let tracing_on = Atomic.make false

@@ -75,46 +75,40 @@ let get c = Atomic.get counters.(index c)
 
 (* --- spans --- *)
 
-(* The timing primitive now lives in Trace: one [with_span] feeds the
-   aggregate stage table here, the per-stage histograms, and (when tracing
-   is enabled) the hierarchical span buffers. *)
+(* The timing primitive lives in Trace: one [with_span] close makes one
+   [Stage.note], and (when tracing is enabled) records a hierarchical span.
+   The per-stage calls/seconds reported here are that table's histogram
+   count and sum. *)
 
-type span_stat = Trace.stage_stat = { calls : int; seconds : float }
+type span_stat = { calls : int; seconds : float }
 
 let now_ns () = Monotonic_clock.now ()
 let span name f = Trace.with_span name (fun _ -> f ())
 
 (* --- snapshots --- *)
 
-type snapshot = { ops : int array; span_stats : (string * span_stat) list }
+type snapshot = { ops : int array; stages : (string * Stage.cell) list }
 
-let snapshot () =
-  let ops = Array.map Atomic.get counters in
-  { ops; span_stats = List.sort compare (Trace.stage_snapshot ()) }
+let snapshot () = { ops = Array.map Atomic.get counters; stages = Stage.snapshot () }
 
 let diff ~earlier ~later =
-  let ops = Array.mapi (fun i v -> v - earlier.ops.(i)) later.ops in
-  let span_stats =
-    List.filter_map
-      (fun (name, (l : span_stat)) ->
-        let d =
-          match List.assoc_opt name earlier.span_stats with
-          | None -> l
-          | Some e -> { calls = l.calls - e.calls; seconds = l.seconds -. e.seconds }
-        in
-        if d.calls = 0 && Float.abs d.seconds < 1e-12 then None else Some (name, d))
-      later.span_stats
-  in
-  { ops; span_stats }
+  {
+    ops = Array.mapi (fun i v -> v - earlier.ops.(i)) later.ops;
+    stages = Stage.diff ~earlier:earlier.stages ~later:later.stages;
+  }
 
 let reset () =
   Array.iter (fun c -> Atomic.set c 0) counters;
-  Trace.stage_reset ();
-  Histogram.reset ();
-  Alloc.reset ()
+  Stage.reset ()
 
 let ops snap = List.map (fun c -> (c, snap.ops.(index c))) all_counters
-let spans snap = snap.span_stats
+let stages snap = snap.stages
+
+let spans snap =
+  List.map
+    (fun (name, (c : Stage.cell)) ->
+      (name, { calls = Stage.count c; seconds = Histogram.sum_ns c.hist *. 1e-9 }))
+    snap.stages
 
 (* --- reporting --- *)
 
@@ -126,7 +120,7 @@ let spans_json snap =
     (List.map
        (fun (name, { calls; seconds }) ->
          (name, Json.Obj [ ("calls", Json.Int calls); ("seconds", Json.Float seconds) ]))
-       snap.span_stats)
+       (spans snap))
 
 let to_json snap =
   Json.Obj [ ("ops", ops_json snap); ("spans", spans_json snap) ]
@@ -139,11 +133,11 @@ let print oc snap =
     List.iter
       (fun (c, n) -> Printf.fprintf oc "  %-16s %12d\n" (counter_name c) n)
       nonzero;
-  if snap.span_stats <> [] then begin
+  if snap.stages <> [] then begin
     Printf.fprintf oc "telemetry: stage timings\n";
     List.iter
       (fun (name, { calls; seconds }) ->
         Printf.fprintf oc "  %-16s %6d call(s) %10.1f ms\n" name calls
           (seconds *. 1000.))
-      snap.span_stats
+      (spans snap)
   end

@@ -9,9 +9,9 @@
     the disabled path (the default) must cost a single load-and-branch per
     operation. Counters are {!Atomic} and therefore domain-safe: relax jobs
     fanned out by [Zkqac_parallel.Pool] count correctly. Named spans
-    accumulate under a mutex, but spans are only placed at coarse stage
-    boundaries (DO setup, ADS build, SP query, relax fan-out, envelope
-    seal/open, client verify), never per-op.
+    accumulate in the per-domain {!Stage} table without a lock, and are
+    only placed at coarse stage boundaries (DO setup, ADS build, SP query,
+    relax fan-out, envelope seal/open, client verify), never per-op.
 
     Typical profiling session:
     {[
@@ -63,13 +63,13 @@ val bump_n : counter -> int -> unit
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f], attributing its wall time (monotonic clock) to
-    [name]. Time is recorded even if [f] raises. Spans with the same name
-    accumulate in the aggregate table reported by {!snapshot}, and every
-    close also feeds the per-stage {!Histogram} registry. [span] is
-    implemented on {!Trace.with_span}, so when tracing is enabled the same
-    call additionally records a hierarchical span (parented to the innermost
-    open span of this domain). When both telemetry and tracing are disabled,
-    [span] is two atomic loads and a branch. *)
+    [name]. Time is recorded even if [f] raises. Every close makes one
+    {!Stage.note}, so spans with the same name accumulate in the per-stage
+    table that {!snapshot} reports. [span] is implemented on
+    {!Trace.with_span}, so when tracing is enabled the same call
+    additionally records a hierarchical span (parented to the innermost
+    open span of this domain). When both telemetry and tracing are
+    disabled, [span] costs what a disabled {!Trace.with_span} costs. *)
 
 val now_ns : unit -> int64
 (** The monotonic clock used by spans, in nanoseconds. *)
@@ -81,8 +81,8 @@ type span_stat = { calls : int; seconds : float }
 type snapshot
 
 val snapshot : unit -> snapshot
-(** Copy of all counters and spans at this instant. Cheap; safe to take
-    concurrently with recording. *)
+(** Copy of all counters and of the {!Stage} table at this instant. Take
+    it at a quiet point, like {!Stage.snapshot}. *)
 
 val diff : earlier:snapshot -> later:snapshot -> snapshot
 (** Pointwise subtraction: the cost of the region between two snapshots.
@@ -90,8 +90,8 @@ val diff : earlier:snapshot -> later:snapshot -> snapshot
     cleared, so concurrent profiled regions do not interfere. *)
 
 val reset : unit -> unit
-(** Zero all counters, drop all aggregate spans and clear the per-stage
-    histograms and allocation tables. Prefer {!snapshot}/{!diff}. *)
+(** Zero all counters and clear the {!Stage} table (latency, allocation
+    and GC-pause rows alike). Prefer {!snapshot}/{!diff}. *)
 
 val get : counter -> int
 (** Current live value of one counter. *)
@@ -100,7 +100,12 @@ val ops : snapshot -> (counter * int) list
 (** All counters in declaration order. *)
 
 val spans : snapshot -> (string * span_stat) list
-(** Spans sorted by name; zero entries (from {!diff}) are dropped. *)
+(** Spans sorted by name: calls and seconds are each stage's histogram
+    count and sum. Zero entries (from {!diff}) are dropped. *)
+
+val stages : snapshot -> (string * Stage.cell) list
+(** The snapshot's {!Stage} cells, sorted by name — the per-stage
+    histograms and allocation words that BENCH.json reports. *)
 
 (** {1 Reporting} *)
 

@@ -8,10 +8,10 @@
    so relax jobs fanned out across domains record without contention.
 
    The budget bounds retained memory: once [capacity] spans are stored, new
-   spans are counted in [dropped] and discarded. Span closes also feed
-   {!Histogram} and {!Alloc} (always, when measuring) and the aggregate
-   per-stage table that [Telemetry.snapshot] reports (when telemetry is
-   enabled). *)
+   spans are counted in [dropped] and discarded. Every measured span close
+   also makes one {!Stage.note}: duration, allocation words and GC pause
+   time, the per-stage table that [Telemetry], [Metrics] and the bench
+   harness read. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -85,35 +85,6 @@ let push d sp =
     d.len <- d.len + 1
   end
   else Atomic.incr dropped_ctr
-
-(* --- aggregate per-stage stats (what Telemetry.snapshot reports) --- *)
-
-type stage_stat = { calls : int; seconds : float }
-
-let stage_lock = Mutex.create ()
-let stage_table : (string, stage_stat) Hashtbl.t = Hashtbl.create 16
-
-let stage_record name dt_s =
-  Mutex.lock stage_lock;
-  let cur =
-    match Hashtbl.find_opt stage_table name with
-    | Some s -> s
-    | None -> { calls = 0; seconds = 0.0 }
-  in
-  Hashtbl.replace stage_table name
-    { calls = cur.calls + 1; seconds = cur.seconds +. dt_s };
-  Mutex.unlock stage_lock
-
-let stage_snapshot () =
-  Mutex.lock stage_lock;
-  let out = Hashtbl.fold (fun k v acc -> (k, v) :: acc) stage_table [] in
-  Mutex.unlock stage_lock;
-  out
-
-let stage_reset () =
-  Mutex.lock stage_lock;
-  Hashtbl.reset stage_table;
-  Mutex.unlock stage_lock
 
 (* --- recording --- *)
 
@@ -209,11 +180,12 @@ let with_span ?parent ?(attrs = []) name f =
       d.stack <- sp :: d.stack;
       Mutex.unlock d.dm
     end;
-    (* Domain-local allocation counters (minor, promoted, major words):
-       the close-time deltas attribute this span's allocation to its stage
-       (inclusive of children, like wall time). *)
+    (* Domain-local allocation counters (minor, promoted, major words) and
+       the domain's GC pause totals: the close-time deltas attribute this
+       span's allocation and pauses to its stage (inclusive of children,
+       like wall time). *)
     let mi0, pr0, ma0 = Gc.counters () in
-    let gc_mark = Rte.pause_mark () in
+    let gmi0, gma0 = Rte.pause_mark () in
     Fun.protect
       ~finally:(fun () ->
         sp.t1 <- now_ns ();
@@ -228,18 +200,17 @@ let with_span ?parent ?(attrs = []) name f =
           Mutex.unlock d.dm
         end;
         let ns = Int64.to_int (Int64.sub sp.t1 sp.t0) in
-        Histogram.note name ns;
         let mi1, pr1, ma1 = Gc.counters () in
-        Alloc.note name ~minor:(mi1 -. mi0) ~promoted:(pr1 -. pr0)
-          ~major:(ma1 -. ma0);
-        Rte.note_stage name gc_mark;
+        let gmi1, gma1 = Rte.pause_mark () in
+        Stage.note name ~ns ~minor:(mi1 -. mi0) ~promoted:(pr1 -. pr0)
+          ~major:(ma1 -. ma0)
+          ~gc_minor_ns:(Int64.to_int (Int64.sub gmi1 gmi0))
+          ~gc_major_ns:(Int64.to_int (Int64.sub gma1 gma0));
         Flight.record ~cat:"span" ~v:ns name;
         if tracing then (
           match Atomic.get close_hook with
           | None -> ()
-          | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ()));
-        if Atomic.get Switch.telemetry_on then
-          stage_record name (float_of_int ns *. 1e-9))
+          | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ())))
       (fun () -> f (Some sp))
   end
 

@@ -16,12 +16,14 @@
     Recording is domain-safe and bounded: closed spans go into per-domain
     buffers whose total size is capped by the capacity given to {!enable};
     beyond it spans are counted in {!dropped} and discarded, so the hot path
-    never allocates unboundedly. When a span closes its duration also feeds
-    the per-stage {!Histogram} registry, and (when telemetry is enabled) the
-    aggregate stage table reported by [Telemetry.snapshot].
+    never allocates unboundedly. When a span closes it also makes one
+    {!Stage.note} — duration, allocation words and GC pause time — into the
+    per-stage table that [Telemetry.snapshot] and [Metrics] report.
 
     When both tracing and telemetry are disabled (the default), {!with_span}
-    costs two atomic loads and a branch. *)
+    costs two atomic loads and a branch, plus — while the always-on flight
+    recorder is enabled, its default — two clock reads and one ring store
+    per span ({!Flight.record}). *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -121,10 +123,3 @@ val write_chrome : string -> unit
 val print_tree : out_channel -> unit
 (** Plain-text rendering of the span forest, children indented under
     parents, with durations, tids and attributes. *)
-
-(** {1 Aggregate per-stage stats (consumed by [Telemetry])} *)
-
-type stage_stat = { calls : int; seconds : float }
-
-val stage_snapshot : unit -> (string * stage_stat) list
-val stage_reset : unit -> unit

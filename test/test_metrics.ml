@@ -5,7 +5,8 @@
 module T = Zkqac_telemetry.Telemetry
 module Metrics = Zkqac_telemetry.Metrics
 module Histogram = Zkqac_telemetry.Histogram
-module Alloc = Zkqac_telemetry.Alloc
+module Stage = Zkqac_telemetry.Stage
+module Rte = Zkqac_telemetry.Rte
 module Trace = Zkqac_telemetry.Trace
 module Pool = Zkqac_parallel.Pool
 
@@ -140,8 +141,15 @@ let test_prometheus_golden () =
   T.with_enabled (fun () ->
       T.bump_n T.Pairing 3;
       T.bump_n T.G_exp 2);
-  List.iter (Histogram.note "golden.stage") [ 1000; 2000; 4000; 8000 ];
-  Alloc.note "golden.stage" ~minor:1024.0 ~promoted:64.0 ~major:32.0;
+  List.iteri
+    (fun i ns ->
+      (* One cell takes both views: four latencies, and the words of the
+         first span. *)
+      let words w = if i = 0 then w else 0.0 in
+      Stage.note "golden.stage" ~ns ~minor:(words 1024.0)
+        ~promoted:(words 64.0) ~major:(words 32.0) ~gc_minor_ns:0
+        ~gc_major_ns:0)
+    [ 1000; 2000; 4000; 8000 ];
   Metrics.rejection "bad-abs-signature";
   Metrics.rejection "bad-abs-signature";
   Metrics.rejection "malformed";
@@ -206,36 +214,110 @@ let test_alloc_multi_domain () =
   in
   T.with_enabled (fun () ->
       ignore (Pool.map ~threads:2 (List.init 4 (fun _ -> allocate))));
-  let snap = Alloc.snapshot () in
+  let snap = Stage.snapshot () in
   (match List.assoc_opt "alloc.job" snap with
    | None -> Alcotest.fail "alloc.job not attributed"
    | Some c ->
-     Alcotest.(check int) "4 spans" 4 c.Alloc.count;
-     Alcotest.(check bool) "allocated minor words" true (c.Alloc.minor > 0.0));
-  let doms = Alloc.by_domain () in
+     Alcotest.(check int) "4 spans" 4 (Stage.count c);
+     Alcotest.(check bool) "allocated minor words" true (c.Stage.minor > 0.0));
+  let doms = Stage.by_domain () in
   Alcotest.(check bool)
     (Printf.sprintf "saw %d domain(s), want >= 2" (List.length doms))
     true
     (List.length doms >= 2);
   List.iter
-    (fun (_, (c : Alloc.cell)) ->
-      Alcotest.(check bool) "domain allocated" true (c.Alloc.minor > 0.0))
+    (fun (_, (c : Stage.cell)) ->
+      Alcotest.(check bool) "domain allocated" true (c.Stage.minor > 0.0))
     doms;
   T.reset ()
 
 let test_alloc_diff () =
   T.reset ();
-  Alloc.note "diff.stage" ~minor:100.0 ~promoted:10.0 ~major:1.0;
-  let earlier = Alloc.snapshot () in
-  Alloc.note "diff.stage" ~minor:50.0 ~promoted:5.0 ~major:2.0;
-  let d = Alloc.diff ~earlier ~later:(Alloc.snapshot ()) in
+  let note ~minor ~promoted ~major =
+    Stage.note "diff.stage" ~ns:1000 ~minor ~promoted ~major ~gc_minor_ns:0
+      ~gc_major_ns:0
+  in
+  note ~minor:100.0 ~promoted:10.0 ~major:1.0;
+  let earlier = Stage.snapshot () in
+  note ~minor:50.0 ~promoted:5.0 ~major:2.0;
+  let d = Stage.diff ~earlier ~later:(Stage.snapshot ()) in
   (match List.assoc_opt "diff.stage" d with
    | None -> Alcotest.fail "stage missing from diff"
    | Some c ->
-     Alcotest.(check int) "count delta" 1 c.Alloc.count;
-     Alcotest.(check (float 1e-9)) "minor delta" 50.0 c.Alloc.minor;
-     Alcotest.(check (float 1e-9)) "major delta" 2.0 c.Alloc.major);
+     Alcotest.(check int) "count delta" 1 (Stage.count c);
+     Alcotest.(check (float 1e-9)) "minor delta" 50.0 c.Stage.minor;
+     Alcotest.(check (float 1e-9)) "major delta" 2.0 c.Stage.major);
   T.reset ()
+
+(* One span close feeds one cell: with tracing on, the runtime-events
+   bridge running and the spans spread over two worker domains, N spans of
+   one stage read back as N calls, N histogram observations and N
+   allocation samples. [Telemetry.reset] clears the stage's GC-pause row
+   along with everything else. *)
+let test_one_stage_table () =
+  T.reset ();
+  Rte.reset ();
+  Rte.start ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ();
+      Rte.stop ();
+      Rte.reset ();
+      T.reset ())
+  @@ fun () ->
+  let n = 8 in
+  let job () =
+    Rte.announce ();
+    Trace.with_span "one.table" ~parent:Trace.none @@ fun _ ->
+    for _ = 1 to 20 do
+      let acc = ref [] in
+      for i = 1 to 20_000 do
+        acc := (i, string_of_int i) :: !acc
+      done;
+      ignore (Sys.opaque_identity !acc);
+      Gc.minor ()
+    done
+  in
+  let gc_ns () =
+    match List.assoc_opt "one.table" (Stage.snapshot ()) with
+    | Some c -> c.Stage.gc_minor_ns + c.Stage.gc_major_ns
+    | None -> 0
+  in
+  (* Pause totals advance when the monitor polls, so repeat rounds of N
+     spans until the stage has absorbed some pause time. *)
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rounds = ref 0 in
+  let rec drive () =
+    ignore (Pool.map ~threads:2 (List.init n (fun _ -> job)));
+    incr rounds;
+    Unix.sleepf 0.05;
+    if gc_ns () = 0 && Unix.gettimeofday () < deadline then drive ()
+  in
+  drive ();
+  let spans = n * !rounds in
+  let calls =
+    match List.assoc_opt "one.table" (T.spans (T.snapshot ())) with
+    | Some s -> s.T.calls
+    | None -> 0
+  in
+  Alcotest.(check int) "telemetry calls" spans calls;
+  (match List.assoc_opt "one.table" (Stage.snapshot ()) with
+   | None -> Alcotest.fail "one.table missing from the stage table"
+   | Some c ->
+     Alcotest.(check int) "histogram count" spans (Histogram.count c.Stage.hist);
+     Alcotest.(check int) "alloc count" spans (Stage.count c);
+     Alcotest.(check bool) "allocated minor words" true (c.Stage.minor > 0.0));
+  let text = Metrics.to_prometheus () in
+  Alcotest.(check bool) "stage pause row" true
+    (contains text "zkqac_stage_gc_pause_seconds_total{stage=\"one.table\"");
+  T.reset ();
+  Alcotest.(check bool) "pause row gone after reset" false
+    (contains (Metrics.to_prometheus ())
+       "zkqac_stage_gc_pause_seconds_total{stage=\"one.table\"");
+  Alcotest.(check bool) "stage gone after reset" true
+    (List.assoc_opt "one.table" (Stage.snapshot ()) = None)
 
 let suite =
   [ ( "metrics",
@@ -249,4 +331,6 @@ let suite =
           test_histogram_bucket_roundtrip;
         Alcotest.test_case "alloc attribution across domains" `Quick
           test_alloc_multi_domain;
-        Alcotest.test_case "alloc snapshot diff" `Quick test_alloc_diff ] ) ]
+        Alcotest.test_case "alloc snapshot diff" `Quick test_alloc_diff;
+        Alcotest.test_case "one stage table per span close" `Quick
+          test_one_stage_table ] ) ]

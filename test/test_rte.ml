@@ -9,6 +9,8 @@
 
 module Rte = Zkqac_telemetry.Rte
 module Trace = Zkqac_telemetry.Trace
+module Stage = Zkqac_telemetry.Stage
+module Telemetry = Zkqac_telemetry.Telemetry
 module Metrics = Zkqac_telemetry.Metrics
 module Json = Zkqac_telemetry.Json
 module Pool = Zkqac_parallel.Pool
@@ -37,8 +39,24 @@ let minor_domains () =
   List.length
     (List.filter (fun d -> d.Rte.minor_n > 0) (Rte.domain_snapshot ()))
 
+(* The stage table's GC-pause rows, in the shape the runtime-events bridge
+   used to report them: (stage, (spans, minor s, major s)) for every stage
+   that absorbed pause time. *)
+let stage_pause_rows () =
+  List.filter_map
+    (fun (name, (c : Stage.cell)) ->
+      if c.Stage.gc_minor_ns = 0 && c.Stage.gc_major_ns = 0 then None
+      else
+        Some
+          ( name,
+            ( Stage.count c,
+              float_of_int c.Stage.gc_minor_ns /. 1e9,
+              float_of_int c.Stage.gc_major_ns /. 1e9 ) ))
+    (Stage.snapshot ())
+
 let test_gc_attribution () =
   Rte.reset ();
+  Telemetry.reset ();
   Rte.start ();
   Alcotest.(check bool) "started" true (Rte.started ());
   Trace.enable ();
@@ -55,7 +73,7 @@ let test_gc_attribution () =
     (* Let the monitor's poll loop catch up with the ring. *)
     Unix.sleepf 0.05;
     if
-      (minor_domains () < 2 || Rte.stage_snapshot () = [])
+      (minor_domains () < 2 || stage_pause_rows () = [])
       && Unix.gettimeofday () < deadline
     then drive ()
   in
@@ -76,7 +94,7 @@ let test_gc_attribution () =
       end)
     doms;
   (* Per-stage view: the span around the churn absorbed pause time. *)
-  (match List.assoc_opt "rte.job" (Rte.stage_snapshot ()) with
+  (match List.assoc_opt "rte.job" (stage_pause_rows ()) with
    | None -> Alcotest.fail "rte.job missing from stage snapshot"
    | Some (n, minor_s, _major_s) ->
      Alcotest.(check bool) "stage saw pauses" true (n > 0 && minor_s > 0.0));
@@ -105,15 +123,21 @@ let test_gc_attribution () =
 
 let test_stopped_is_inert () =
   Rte.reset ();
+  Telemetry.reset ();
   Alcotest.(check bool) "not started" false (Rte.started ());
   (* All of these must be safe no-ops without a monitor. *)
   Rte.announce ();
   let mark = Rte.pause_mark () in
   Alcotest.(check bool) "zero mark" true (mark = (0L, 0L));
-  Rte.note_stage "inert.stage" mark;
+  (* What a span close does with two marks taken while stopped. *)
+  let mark' = Rte.pause_mark () in
+  Stage.note "inert.stage" ~ns:0 ~minor:0.0 ~promoted:0.0 ~major:0.0
+    ~gc_minor_ns:(Int64.to_int (Int64.sub (fst mark') (fst mark)))
+    ~gc_major_ns:(Int64.to_int (Int64.sub (snd mark') (snd mark)));
   Alcotest.(check (list (pair string (triple int (float 0.0) (float 0.0)))))
     "no stage rows" []
-    (Rte.stage_snapshot ());
+    (stage_pause_rows ());
+  Telemetry.reset ();
   Alcotest.(check int) "no dropped slices" 0 (Rte.slices_dropped ())
 
 let suite =

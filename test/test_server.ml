@@ -863,6 +863,51 @@ let test_req_id_join () =
     Alcotest.(check bool) "audit entry carries the same hex id" true
       (List.exists (fun b -> contains_sub b hex) serve_bodies)
 
+(* Each server draws its relax randomness from a secret of its own: two
+   fresh servers on one ADS answer the same first relaxing query (RoleA
+   over the whole space, which hides RoleB's records) with different VO
+   bytes, and both answers verify. With a seed derived from a per-server
+   counter the two answers were byte-identical. *)
+let test_relax_unpredictable () =
+  let module Vo = Zkqac_core.Vo.Make (Backend) in
+  let _, mvk, tree = Lazy.force fixture in
+  let first_vo () =
+    with_server base_server_cfg @@ fun t ->
+    let fd =
+      Sockio.connect ~host:"127.0.0.1" ~port:(Server.port t) ~timeout:2.0
+    in
+    Fun.protect
+      ~finally:(fun () -> Sockio.close_noerr fd)
+      (fun () ->
+        let dl = Sockio.deadline_after 5.0 in
+        Sockio.write_frame fd ~deadline:dl
+          (Proto.encode_request
+             { Proto.req_id = None; roles = [ "RoleA" ]; query = whole_box });
+        match
+          Proto.decode_response
+            (Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 24))
+        with
+        | Ok (Proto.Vo bytes, _) -> bytes
+        | Ok (r, _) -> Alcotest.failf "expected Vo, got %s" (Proto.response_code r)
+        | Error e -> Alcotest.failf "response decode: %s" (VE.to_string e))
+  in
+  let a = first_vo () in
+  let b = first_vo () in
+  List.iter
+    (fun bytes ->
+      match Vo.decode bytes with
+      | Error e -> Alcotest.failf "VO decode: %s" (VE.to_string e)
+      | Ok vo -> (
+        match
+          Ap2g.verify ~mvk ~t_universe:(Ap2g.universe tree)
+            ?hierarchy:(Ap2g.hierarchy tree) ~user:user_a ~query:whole_box vo
+        with
+        | Ok records ->
+          Alcotest.(check int) "RoleA sees its one record" 1 (List.length records)
+        | Error e -> Alcotest.failf "VO verify: %s" (VE.to_string e)))
+    [ a; b ];
+  Alcotest.(check bool) "VO bytes differ" true (a <> b)
+
 let suite =
   [
     ( "server",
@@ -898,5 +943,7 @@ let suite =
           test_slowlog_forced_error;
         Alcotest.test_case "one req id joins audit, slowlog, client" `Quick
           test_req_id_join;
+        Alcotest.test_case "two servers relax unpredictably" `Quick
+          test_relax_unpredictable;
       ] );
   ]

@@ -6,6 +6,7 @@
 
 module Json = Zkqac_telemetry.Json
 module Histogram = Zkqac_telemetry.Histogram
+module Stage = Zkqac_telemetry.Stage
 module Trace = Zkqac_telemetry.Trace
 module Pool = Zkqac_parallel.Pool
 module Drbg = Zkqac_hashing.Drbg
@@ -99,21 +100,22 @@ let test_merge_and_diff () =
 
 let test_cross_domain_registry () =
   let stage = "test.xdom" in
-  let before = Histogram.snapshot () in
+  let before = Stage.snapshot () in
   let worker () =
     for i = 1 to 100 do
-      Histogram.note stage (i * 100)
+      Stage.note stage ~ns:(i * 100) ~minor:0.0 ~promoted:0.0 ~major:0.0
+        ~gc_minor_ns:0 ~gc_major_ns:0
     done
   in
   let domains = List.init 4 (fun _ -> Domain.spawn worker) in
   List.iter Domain.join domains;
   worker ();
-  let d = Histogram.diff ~earlier:before ~later:(Histogram.snapshot ()) in
+  let d = Stage.diff ~earlier:before ~later:(Stage.snapshot ()) in
   match List.assoc_opt stage d with
   | None -> Alcotest.fail "stage missing after cross-domain recording"
-  | Some h ->
+  | Some c ->
     (* 4 worker domains + the main domain, 100 observations each. *)
-    Alcotest.(check int) "cross-domain count" 500 (Histogram.count h)
+    Alcotest.(check int) "cross-domain count" 500 (Histogram.count c.Stage.hist)
 
 (* --- JSON parser --- *)
 
