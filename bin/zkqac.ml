@@ -204,6 +204,22 @@ let obs_term =
         $ stats_arg $ trace_arg $ trace_tree_arg $ audit_arg
         $ audit_durability_arg $ audit_recover_arg)
 
+(* Query flags shared by the subcommands that read an ADS and ask it a
+   range query; each caller keeps its own help text. *)
+let ads_arg ?doc () =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS" ?doc)
+
+let user_arg ?doc () =
+  Arg.(required & opt (some string) None & info [ "user" ] ~docv:"R1,R2" ?doc)
+
+let range_arg ?doc () =
+  Arg.(required & opt (some string) None & info [ "range" ] ~docv:"a1,a2:b1,b2" ?doc)
+
+let batch_arg ~no_batch_doc =
+  Arg.(value & vflag true
+         [ (true, info [ "batch" ] ~doc:"Batch signature verification (default).");
+           (false, info [ "no-batch" ] ~doc:no_batch_doc) ])
+
 (* Every field a record line carries, or the reason it is unusable. *)
 let parse_record line =
   (* Split on the first two '|' only: the policy itself may contain '|'. *)
@@ -314,6 +330,23 @@ let read_file path =
   close_in ic;
   data
 
+let load_ads path =
+  match Ads_io.load ~path with Error e -> die "%s" e | Ok loaded -> loaded
+
+(* The ADS at [path], the claimed roles, and the range as a box inside the
+   ADS key space. *)
+let load_query path roles range =
+  let mvk, tree = load_ads path in
+  let user = Attr.set_of_list (parse_roles roles) in
+  (mvk, tree, user, parse_range ~space:(Ap2g.space tree) range)
+
+let print_records =
+  List.iter (fun (r : Record.t) ->
+      Printf.printf "  %s | %s | %s\n"
+        (String.concat "," (Array.to_list (Array.map string_of_int r.Record.key)))
+        r.Record.value
+        (Expr.to_string r.Record.policy))
+
 (* --- setup --- *)
 
 let setup records_file roles dims depth seed out =
@@ -358,146 +391,111 @@ let setup_cmd =
 (* --- inspect --- *)
 
 let inspect path =
-  match Ads_io.load ~path with
-  | Error e -> die "%s" e
-  | Ok (_mvk, tree) ->
-    let st = Ap2g.stats tree in
-    let space = Ap2g.space tree in
-    Printf.printf "space: %d dims, depth %d (%d cells)\n" (Keyspace.dims space)
-      (Keyspace.depth space) (Keyspace.num_leaves space);
-    Printf.printf "records: %d real, %d leaves total\n" (Ap2g.num_records tree)
-      st.Ap2g.leaf_signatures;
-    Printf.printf "signatures: %d leaf + %d internal (%d KB)\n"
-      st.Ap2g.leaf_signatures st.Ap2g.node_signatures (st.Ap2g.signature_bytes / 1024);
-    Printf.printf "roles: %s\n"
-      (String.concat ", " (Universe.to_list (Ap2g.universe tree)))
+  let _mvk, tree = load_ads path in
+  let st = Ap2g.stats tree in
+  let space = Ap2g.space tree in
+  Printf.printf "space: %d dims, depth %d (%d cells)\n" (Keyspace.dims space)
+    (Keyspace.depth space) (Keyspace.num_leaves space);
+  Printf.printf "records: %d real, %d leaves total\n" (Ap2g.num_records tree)
+    st.Ap2g.leaf_signatures;
+  Printf.printf "signatures: %d leaf + %d internal (%d KB)\n"
+    st.Ap2g.leaf_signatures st.Ap2g.node_signatures (st.Ap2g.signature_bytes / 1024);
+  Printf.printf "roles: %s\n"
+    (String.concat ", " (Universe.to_list (Ap2g.universe tree)))
 
 let inspect_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS") in
   Cmd.v (Cmd.info "inspect" ~doc:"Describe an ADS file.")
     Term.(const (fun obs path ->
               with_obs obs (fun () -> inspect path))
-          $ obs_term $ path)
+          $ obs_term $ ads_arg ())
 
 (* --- query (SP side) --- *)
 
 let query path roles range out =
-  match Ads_io.load ~path with
-  | Error e -> die "%s" e
-  | Ok (mvk, tree) ->
-    let user = Attr.set_of_list (parse_roles roles) in
-    let space = Ap2g.space tree in
-    let box = parse_range ~space range in
-    let drbg = Drbg.create ~seed:"zkqac-sp" in
-    (* Fan the relax jobs out over worker domains, like a real SP would
-       (domain count from ZKQAC_DOMAINS, default the machine's cores). *)
-    let pmap = Pool.map ~threads:(Pool.size ()) in
-    let vo, st = Ap2g.range_vo ~pmap drbg ~mvk tree ~user box in
-    write_file out (Vo.to_bytes vo);
-    Printf.printf "VO written to %s: %d entries, %d bytes, %d relaxations, %.1f ms\n"
-      out (List.length vo) (Vo.size vo) st.Ap2g.relax_calls (st.Ap2g.sp_time *. 1000.)
+  let mvk, tree, user, box = load_query path roles range in
+  let drbg = Drbg.create ~seed:"zkqac-sp" in
+  (* Fan the relax jobs out over worker domains, like a real SP would
+     (domain count from ZKQAC_DOMAINS, default the machine's cores). *)
+  let pmap = Pool.map ~threads:(Pool.size ()) in
+  let vo, st = Ap2g.range_vo ~pmap drbg ~mvk tree ~user box in
+  write_file out (Vo.to_bytes vo);
+  Printf.printf "VO written to %s: %d entries, %d bytes, %d relaxations, %.1f ms\n"
+    out (List.length vo) (Vo.size vo) st.Ap2g.relax_calls (st.Ap2g.sp_time *. 1000.)
 
 let query_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS") in
-  let roles =
-    Arg.(required & opt (some string) None & info [ "user" ] ~docv:"R1,R2"
-           ~doc:"The querying user's claimed roles.")
-  in
-  let range =
-    Arg.(required & opt (some string) None & info [ "range" ] ~docv:"a1,a2:b1,b2"
-           ~doc:"Inclusive query range corners.")
-  in
   let out = Arg.(value & opt string "vo.zkqac" & info [ "o"; "out" ] ~doc:"Output VO file.") in
   Cmd.v
     (Cmd.info "query" ~doc:"Service-provider side: answer a range query with a VO.")
     Term.(const (fun obs path roles range out ->
               with_obs obs (fun () ->
                   query path roles range out))
-          $ obs_term $ path $ roles
-          $ range $ out)
+          $ obs_term $ ads_arg ()
+          $ user_arg ~doc:"The querying user's claimed roles." ()
+          $ range_arg ~doc:"Inclusive query range corners." ()
+          $ out)
 
 (* --- verify (user side) --- *)
 
 let verify ?(batch = true) path vo_path roles range =
-  match Ads_io.load ~path with
-  | Error e -> die "%s" e
-  | Ok (mvk, tree) ->
-    let user = Attr.set_of_list (parse_roles roles) in
-    let space = Ap2g.space tree in
-    let box = parse_range ~space range in
-    let vo_bytes = read_file vo_path in
-    let fallbacks0 = Zkqac_telemetry.Metrics.batch_fallbacks () in
-    (* Mirrors the audit entry System.open_and_verify writes: the CLI path
-       verifies raw VO bytes without an envelope, but an auditor still gets
-       query, digest, path and outcome for every decision. *)
-    let record_audit ~outcome ~rows =
-      if Audit.enabled () then
-        Audit.record ~kind:"verify"
-          (Json.Obj
-             [ ("query", Json.Str (Box.to_string box));
-               ("vo_digest", Json.Str (Zkqac_hashing.Sha256.hex vo_bytes));
-               ("vo_bytes", Json.Int (String.length vo_bytes));
-               ( "path",
-                 Json.Str
-                   (if not batch then "sequential"
-                    else if Zkqac_telemetry.Metrics.batch_fallbacks () > fallbacks0
-                    then "batch-fallback"
-                    else "batch") );
-               ("outcome", Json.Str outcome);
-               ("rows", Json.Int rows) ])
-    in
-    let fail e =
-      record_audit ~outcome:(Zkqac_util.Verify_error.code e) ~rows:0;
-      die_verify e
-    in
-    (* Batch weights derived from the VO bytes: whoever produced the VO
-       committed to it before the weights existed. *)
-    let batch_drbg =
-      if batch then
-        Some (Zkqac_hashing.Drbg.create ~seed:("zkqac-cli-batch:" ^ vo_bytes))
-      else None
-    in
-    (match Vo.decode vo_bytes with
-     | Error e -> fail e
-     | Ok vo ->
-       (match
-          Ap2g.verify ?batch:batch_drbg ~mvk ~t_universe:(Ap2g.universe tree)
-            ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box vo
-        with
-        | Error e -> fail e
-        | Ok results ->
-          record_audit ~outcome:"ok" ~rows:(List.length results);
-          Printf.printf "verification OK: %d accessible record(s)\n" (List.length results);
-          List.iter
-            (fun (r : Record.t) ->
-              Printf.printf "  %s | %s | %s\n"
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int r.Record.key)))
-                r.Record.value
-                (Expr.to_string r.Record.policy))
-            results))
+  let mvk, tree, user, box = load_query path roles range in
+  let vo_bytes = read_file vo_path in
+  let fallbacks0 = Zkqac_telemetry.Metrics.batch_fallbacks () in
+  (* Mirrors the audit entry System.open_and_verify writes: the CLI path
+     verifies raw VO bytes without an envelope, but an auditor still gets
+     query, digest, path and outcome for every decision. *)
+  let record_audit ~outcome ~rows =
+    if Audit.enabled () then
+      Audit.record ~kind:"verify"
+        (Json.Obj
+           [ ("query", Json.Str (Box.to_string box));
+             ("vo_digest", Json.Str (Zkqac_hashing.Sha256.hex vo_bytes));
+             ("vo_bytes", Json.Int (String.length vo_bytes));
+             ( "path",
+               Json.Str
+                 (if not batch then "sequential"
+                  else if Zkqac_telemetry.Metrics.batch_fallbacks () > fallbacks0
+                  then "batch-fallback"
+                  else "batch") );
+             ("outcome", Json.Str outcome);
+             ("rows", Json.Int rows) ])
+  in
+  let fail e =
+    record_audit ~outcome:(Zkqac_util.Verify_error.code e) ~rows:0;
+    die_verify e
+  in
+  (* Batch weights derived from the VO bytes: whoever produced the VO
+     committed to it before the weights existed. *)
+  let batch_drbg =
+    if batch then
+      Some (Zkqac_hashing.Drbg.create ~seed:("zkqac-cli-batch:" ^ vo_bytes))
+    else None
+  in
+  match Vo.decode vo_bytes with
+  | Error e -> fail e
+  | Ok vo -> (
+    match
+      Ap2g.verify ?batch:batch_drbg ~mvk ~t_universe:(Ap2g.universe tree)
+        ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box vo
+    with
+    | Error e -> fail e
+    | Ok results ->
+      record_audit ~outcome:"ok" ~rows:(List.length results);
+      Printf.printf "verification OK: %d accessible record(s)\n" (List.length results);
+      print_records results)
 
 let verify_cmd =
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS") in
   let vo = Arg.(required & opt (some file) None & info [ "vo" ] ~doc:"VO file to check.") in
-  let roles = Arg.(required & opt (some string) None & info [ "user" ] ~docv:"R1,R2") in
-  let range = Arg.(required & opt (some string) None & info [ "range" ] ~docv:"a1,a2:b1,b2") in
   let batch =
-    Arg.(
-      value
-      & vflag true
-          [ (true, info [ "batch" ] ~doc:"Batch signature verification (default).");
-            ( false,
-              info [ "no-batch" ]
-                ~doc:"Verify every signature individually (one pairing equation at a time)." ) ])
+    batch_arg
+      ~no_batch_doc:"Verify every signature individually (one pairing equation at a time)."
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"User side: check a VO for soundness and completeness.")
     Term.(const (fun obs batch path vo roles range ->
               with_obs obs (fun () ->
                   verify ~batch path vo roles range))
-          $ obs_term $ batch $ path
-          $ vo $ roles $ range)
+          $ obs_term $ batch $ ads_arg ()
+          $ vo $ user_arg () $ range_arg ())
 
 (* --- attack (fault-injection harness) --- *)
 
@@ -827,7 +825,6 @@ let host_arg =
 let port_arg ~doc default = Arg.(value & opt int default & info [ "port" ] ~docv:"PORT" ~doc)
 
 let serve_cmd =
-  let ads = Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS") in
   let metrics_port =
     Arg.(value & opt (some int) None & info [ "metrics-port" ] ~docv:"PORT"
            ~doc:"Also expose GET /metrics (Prometheus text) on $(docv).")
@@ -869,7 +866,7 @@ let serve_cmd =
                   serve ads host port metrics_port threads max_in_flight
                     read_dl write_dl query_dl drain_dl checkpoint_every
                     slow_threshold_ms slowlog_cap))
-          $ obs_term $ ads $ host_arg
+          $ obs_term $ ads_arg () $ host_arg
           $ port_arg ~doc:"Port to listen on (0 picks one)." 7499
           $ metrics_port $ threads $ max_in_flight
           $ deadline [ "read-deadline" ] 5.0 "Budget for reading one request frame."
@@ -944,25 +941,20 @@ let supervise_cmd =
           $ pid_file $ serve_args)
 
 let client ads host port roles range retries batch =
-  match Ads_io.load ~path:ads with
-  | Error e -> die "%s" e
-  | Ok (mvk, tree) ->
-    let user = Attr.set_of_list (parse_roles roles) in
-    let space = Ap2g.space tree in
-    let box = parse_range ~space range in
-    let cfg = { Client.default_config with Client.host; port; retries; batch } in
-    (match
-       Cl.query cfg ~mvk ~universe:(Ap2g.universe tree)
-         ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box ()
-     with
-    | Ok s ->
-      Printf.printf
-        "verification OK: %d accessible record(s), %d VO bytes, %d attempt(s)\n"
-        (List.length s.Cl.records) s.Cl.vo_bytes s.Cl.attempts;
-      (* The correlation line: this id greps into the server's audit log,
-         /slowlog, and flight dump. The split separates who to blame. *)
-      (match s.Cl.server with
-      | Some tm ->
+  let mvk, tree, user, box = load_query ads roles range in
+  let cfg = { Client.default_config with Client.host; port; retries; batch } in
+  match
+    Cl.query cfg ~mvk ~universe:(Ap2g.universe tree)
+      ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box ()
+  with
+  | Ok s ->
+    Printf.printf
+      "verification OK: %d accessible record(s), %d VO bytes, %d attempt(s)\n"
+      (List.length s.Cl.records) s.Cl.vo_bytes s.Cl.attempts;
+    (* The correlation line: this id greps into the server's audit log,
+       /slowlog, and flight dump. The split separates who to blame. *)
+    Option.iter
+      (fun (tm : Zkqac_server.Proto.timing) ->
         let ms us = float_of_int us /. 1e3 in
         let server_ms = ms tm.Zkqac_server.Proto.total_us in
         Printf.printf
@@ -975,30 +967,19 @@ let client ads host port roles range retries batch =
           (ms tm.Zkqac_server.Proto.prove_us)
           (ms tm.Zkqac_server.Proto.encode_us)
           (Float.max 0.0 (s.Cl.attempt_ms -. server_ms))
-          s.Cl.verify_ms
-      | None ->
-        Printf.printf "req %s: v1 responder (no server timing), verify %.2f ms\n"
-          (Zkqac_server.Proto.req_id_hex s.Cl.req_id)
-          s.Cl.verify_ms);
-      List.iter
-        (fun (r : Record.t) ->
-          Printf.printf "  %s | %s | %s\n"
-            (String.concat ","
-               (Array.to_list (Array.map string_of_int r.Record.key)))
-            r.Record.value
-            (Expr.to_string r.Record.policy))
-        s.Cl.records
-    | Error (Client.Rejected e) -> die_verify e
-    | Error f -> die "%s" (Client.failure_to_string f))
+          s.Cl.verify_ms)
+      s.Cl.server;
+    print_records s.Cl.records
+  | Error (Client.Rejected e) -> die_verify e
+  | Error f -> die "%s" (Client.failure_to_string f)
 
 let client_cmd =
   let ads =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS"
-           ~doc:"The client's trusted copy of the ADS checkpoint (public key \
-                 and role universe); the VO is verified against it locally.")
+    ads_arg
+      ~doc:"The client's trusted copy of the ADS checkpoint (public key \
+            and role universe); the VO is verified against it locally."
+      ()
   in
-  let roles = Arg.(required & opt (some string) None & info [ "user" ] ~docv:"R1,R2") in
-  let range = Arg.(required & opt (some string) None & info [ "range" ] ~docv:"a1,a2:b1,b2") in
   let retries =
     Arg.(value & opt int Client.default_config.Client.retries
          & info [ "retries" ] ~docv:"N"
@@ -1006,11 +987,7 @@ let client_cmd =
                    Overloaded, Deadline). Typed verification rejections are \
                    never retried.")
   in
-  let batch =
-    Arg.(value & vflag true
-           [ (true, info [ "batch" ] ~doc:"Batch signature verification (default).");
-             (false, info [ "no-batch" ] ~doc:"Verify signatures individually.") ])
-  in
+  let batch = batch_arg ~no_batch_doc:"Verify signatures individually." in
   Cmd.v
     (Cmd.info "client"
        ~doc:"Query a running server and verify the returned VO locally, \
@@ -1021,7 +998,8 @@ let client_cmd =
               with_obs obs (fun () ->
                   client ads host port roles range retries batch))
           $ obs_term $ ads $ host_arg
-          $ port_arg ~doc:"Server port." 7499 $ roles $ range $ retries $ batch)
+          $ port_arg ~doc:"Server port." 7499 $ user_arg () $ range_arg ()
+          $ retries $ batch)
 
 let chaos listen_port upstream_host upstream_port scenario faults stall
     trickle_delay cut_after seed =
@@ -1130,7 +1108,7 @@ let loadgen ads host port users qps duration max_queries frac roles
     Printf.printf "latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n"
       (q 0.5) (q 0.95) (q 0.99)
       (H.max_ns r.Loadgen.latency /. 1e6);
-    (* The split only exists when the server answered v2 footers. *)
+    (* The split only exists once some query succeeded. *)
     if H.count r.Loadgen.server_lat > 0 then begin
       let qh h p = H.quantile h p /. 1e6 in
       Printf.printf
@@ -1166,10 +1144,6 @@ let loadgen ads host port users qps duration max_queries frac roles
     if r.Loadgen.rejected > 0 then exit 1
 
 let loadgen_cmd =
-  let ads =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"ADS"
-           ~doc:"Trusted ADS checkpoint used to verify every response.")
-  in
   let users =
     Arg.(value & opt int 4 & info [ "users" ] ~docv:"N" ~doc:"Concurrent simulated users.")
   in
@@ -1209,7 +1183,9 @@ let loadgen_cmd =
              through the retrying, verifying client; report latency \
              quantiles and shed/timeout/retry accounting. Exits 1 if any \
              response fails verification.")
-    Term.(const loadgen $ ads $ host_arg
+    Term.(const loadgen
+          $ ads_arg ~doc:"Trusted ADS checkpoint used to verify every response." ()
+          $ host_arg
           $ port_arg ~doc:"Server port." 7499
           $ users $ qps $ duration $ max_queries $ frac $ roles $ metrics_port
           $ seed $ json_out)

@@ -27,7 +27,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let tree_to_bytes = Ap2g.to_bytes
   let tree_of_bytes = Ap2g.of_bytes
 
-  let file_magic_v1 = "ZKQAC-ADS-FILE-v1"
+  let file_magic_epochless = "ZKQAC-ADS-FILE-v1"
   let file_magic = "ZKQAC-ADS-FILE-v2"
 
   (* The commit footer is what makes a checkpoint self-certifying against
@@ -67,7 +67,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     match
       let r = Wire.reader data in
       let magic = Wire.rbytes r in
-      if String.equal magic file_magic_v1 then begin
+      if String.equal magic file_magic_epochless then begin
         (* v1 files predate epochs and the commit footer; treat as epoch 0. *)
         match Abs.mvk_of_bytes (Wire.rbytes r) with
         | None -> Error (E.Malformed { offset = Wire.pos r })

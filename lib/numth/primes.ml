@@ -84,13 +84,14 @@ let legendre a p =
 let sqrt_mod a p =
   let a = B.erem a p in
   if B.is_zero a then Some B.zero
-  else if legendre a p <> 1 then None
   else if B.testbit p 0 && B.testbit p 1 then begin
-    (* p = 3 (mod 4): sqrt = a^((p+1)/4). *)
+    (* p = 3 (mod 4): sqrt = a^((p+1)/4). The candidate squares back to [a]
+       exactly when [a] is a residue, so that check is the existence test. *)
     let e = B.shift_right (B.add p B.one) 2 in
     let r = B.powmod a e p in
     if B.equal (B.rem (B.mul r r) p) a then Some r else None
   end
+  else if legendre a p <> 1 then None
   else begin
     (* Tonelli-Shanks for p = 1 (mod 4). *)
     let p1 = B.sub p B.one in

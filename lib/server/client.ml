@@ -83,17 +83,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     vo_bytes : int;
     attempts : int;  (** total attempts, 1 = no retry was needed *)
     req_id : int64;  (** the correlation id this query travelled under *)
-    server : Proto.timing option;
-        (** the server's timing footer (v2 responders only) *)
+    server : Proto.timing option;  (** the server's timing footer; always [Some] *)
     attempt_ms : float;  (** wall time of the winning attempt (network+server) *)
     verify_ms : float;  (** local decode+verify time *)
   }
 
   (* One attempt: connect, send the request, read and decode one response
      frame. [`Transient] faults feed the retry loop; everything else is a
-     final outcome. [rid] is the id the request carries: a v2 footer that
-     echoes a different id is a confused or broken responder, and the
-     attempt is retried like any transport fault. *)
+     final outcome. [rid] is the id the request carries: a footer that
+     echoes a different non-zero id is a confused or broken responder, and
+     the attempt is retried like any transport fault. A zero id is a reply
+     sent before the request was read (a shed connection), so its typed
+     status stands. *)
   let attempt cfg ~rid request =
     let a0 = Monotonic_clock.now_ns () in
     match
@@ -120,13 +121,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                  sound because acceptance still requires full VO
                  verification. *)
               `Transient "garbled-response"
-            | Ok (_, Some f) when f.Proto.f_req_id <> rid ->
+            | Ok (_, { Proto.f_req_id; _ })
+              when f_req_id <> 0L && f_req_id <> rid ->
               `Transient "req-id-mismatch"
             | Ok (resp, footer) -> (
               match resp with
               | Proto.Vo vo ->
                 let ms = Monotonic_clock.elapsed_since a0 *. 1000.0 in
-                `Vo (vo, footer, ms)
+                `Vo (vo, footer.Proto.f_timing, ms)
               | Proto.Overloaded -> `Transient "overloaded"
               | Proto.Deadline -> `Transient "server-deadline"
               | Proto.Bad_request d -> `Bad_request d
@@ -158,7 +160,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     let request =
       Proto.encode_request
-        { Proto.req_id = Some rid; roles = Attr.Set.elements user; query = box }
+        { Proto.req_id = rid; roles = Attr.Set.elements user; query = box }
     in
     let max_attempts = 1 + max 0 cfg.retries in
     let rec go k last =
@@ -180,7 +182,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         match attempt cfg ~rid request with
         | `Transient fault -> go (k + 1) fault
         | `Bad_request d -> Error (Bad_request d)
-        | `Vo (vo_payload, footer, attempt_ms) -> (
+        | `Vo (vo_payload, timing, attempt_ms) -> (
           let v0 = Monotonic_clock.now_ns () in
           match verify cfg ~mvk ~universe ?hierarchy ~user ~query:box vo_payload with
           | Ok records ->
@@ -190,7 +192,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                 vo_bytes = String.length vo_payload;
                 attempts = k + 1;
                 req_id = rid;
-                server = Option.map (fun f -> f.Proto.f_timing) footer;
+                server = Some timing;
                 attempt_ms;
                 verify_ms = Monotonic_clock.elapsed_since v0 *. 1000.0;
               }

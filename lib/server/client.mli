@@ -37,8 +37,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     attempts : int;  (** total attempts, 1 = no retry was needed *)
     req_id : int64;  (** the correlation id this query travelled under *)
     server : Proto.timing option;
-        (** the server's timing footer (v2 responders only; [None] from an
-            old v1 responder) *)
+        (** the server's timing footer; always [Some], since every response
+            carries one *)
     attempt_ms : float;
         (** wall time of the winning attempt: network + server. Subtracting
             the footer's [total_us] isolates the network share. *)
@@ -58,7 +58,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     (success, failure) result
   (** One authenticated query: send [query] claiming [user]'s roles, read
       the VO, verify it locally against [mvk]. The request carries [req_id]
-      (minted here when absent or [0L]) across every retry; a v2 responder
-      must echo it in the footer — a mismatch is treated as a transient
-      fault. [prng] drives the backoff jitter only — never verification. *)
+      (minted here when absent or [0L]) across every retry; the responder
+      must echo it in the footer — a different non-zero id is treated as a
+      transient fault, while [0L] (a shed connection, answered before its
+      request was read) keeps the response's own status. [prng] drives the backoff jitter only — never verification. *)
 end

@@ -59,7 +59,7 @@ type slow_query = {
   s_req_id : int64;
   s_outcome : string;
   s_total_ms : float;
-  s_server_ms : float option;  (** from the v2 timing footer; [None] on v1 *)
+  s_server_ms : float option;  (** from the timing footer; [None] on failure *)
   s_network_ms : float option;  (** winning attempt wall minus server share *)
   s_attempts : int;  (** 0 = unknown (the failure does not carry it) *)
 }
@@ -76,7 +76,7 @@ type report = {
   retries : int;
   records : int;  (** result records returned across all verified responses *)
   latency : Histogram.t;  (** per-query wall latency, retries included *)
-  server_lat : Histogram.t;  (** server-reported total, v2 footers only *)
+  server_lat : Histogram.t;  (** server-reported total from the footer *)
   network_lat : Histogram.t;  (** winning-attempt wall minus server share *)
   verify_lat : Histogram.t;  (** local decode+verify *)
   slowest : slow_query list;  (** errors first, then slowest, bounded *)
@@ -215,7 +215,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             (int_of_float (s.Cl.verify_ms *. 1e6));
           let server_ms, network_ms =
             match s.Cl.server with
-            | None -> (None, None) (* v1 responder: no split available *)
+            | None -> (None, None)
             | Some tm ->
               let srv = float_of_int tm.Proto.total_us /. 1e3 in
               let net = Float.max 0.0 (s.Cl.attempt_ms -. srv) in

@@ -28,7 +28,8 @@ type slow_query = {
           audit log, /slowlog, and flight dump *)
   s_outcome : string;
   s_total_ms : float;
-  s_server_ms : float option;  (** from the v2 timing footer; [None] on v1 *)
+  s_server_ms : float option;
+      (** from the timing footer; [None] when the query failed *)
   s_network_ms : float option;  (** winning attempt wall minus server share *)
   s_attempts : int;  (** 0 = unknown (the failure does not carry it) *)
 }
@@ -46,7 +47,7 @@ type report = {
   latency : Zkqac_telemetry.Histogram.t;
       (** per-query wall latency, retries included *)
   server_lat : Zkqac_telemetry.Histogram.t;
-      (** server-reported totals from v2 timing footers *)
+      (** server-reported totals from the timing footers *)
   network_lat : Zkqac_telemetry.Histogram.t;
       (** winning-attempt wall minus the server-reported share *)
   verify_lat : Zkqac_telemetry.Histogram.t;  (** local decode+verify *)

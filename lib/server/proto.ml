@@ -8,26 +8,20 @@
    and expiry are protocol outcomes the client can act on (retry with
    backoff) — never a silent hang.
 
-   Versioning. The Wire decoders enforce a trailing-byte audit, so the v2
-   correlation extension (a client-minted 64-bit request id on requests, a
-   request-id + server-timing footer on responses) could not be appended to
-   the v1 frames; instead each extension is a new magic string and both
-   decoders accept both versions. The server mirrors the requester: a v1
-   request gets a v1 response, so an old client never sees bytes it cannot
-   parse, and a new client treats a footerless response as "old peer"
-   rather than an error. Request ids are correlation-only: they are never
-   hashed into, signed over, or carried inside VO bytes. *)
+   One envelope version. Every request carries a 64-bit request id after
+   its magic string, and every response opens with a footer: the echoed
+   request id plus the server-side timing split. A frame under any other
+   magic string is Malformed. Request ids are correlation-only: they are
+   never hashed into, signed over, or carried inside VO bytes. *)
 
 module Wire = Zkqac_util.Wire
 module Box = Zkqac_core.Box
 
-let request_magic_v1 = "ZKQAC-REQ-1"
 let request_magic = "ZKQAC-REQ-2"
-let response_magic_v1 = "ZKQAC-RSP-1"
 let response_magic = "ZKQAC-RSP-2"
 
-(* A request is small: role names and 2·dims u32 corners (plus 8 id bytes
-   in v2). Anything bigger than this bound is hostile and is refused before
+(* A request is small: 8 id bytes, role names and 2·dims u32 corners.
+   Anything bigger than this bound is hostile and is refused before
    allocation. *)
 let max_request_bytes = 1 lsl 16
 
@@ -66,7 +60,7 @@ let mint_req_id () =
 
 (* --- requests --- *)
 
-type request = { req_id : int64 option; roles : string list; query : Box.t }
+type request = { req_id : int64; roles : string list; query : Box.t }
 
 let encode_box w (b : Box.t) =
   let dims = Array.length b.Box.lo in
@@ -83,16 +77,10 @@ let decode_box r =
      through Wire.decode. *)
   Box.make ~lo ~hi
 
-(* A request without an id is encoded byte-identically to the v1 format, so
-   "encode with [req_id = None]" doubles as the old-peer emulation the
-   compatibility tests exercise. *)
 let encode_request { req_id; roles; query } =
   let w = Wire.writer () in
-  (match req_id with
-  | None -> Wire.bytes w request_magic_v1
-  | Some id ->
-    Wire.bytes w request_magic;
-    Wire.u64 w id);
+  Wire.bytes w request_magic;
+  Wire.u64 w req_id;
   Wire.u32 w (List.length roles);
   List.iter (fun role -> Wire.bytes w role) roles;
   encode_box w query;
@@ -100,12 +88,8 @@ let encode_request { req_id; roles; query } =
 
 let decode_request ?limits data =
   Wire.decode ?limits data @@ fun r ->
-  let magic = Wire.rbytes r in
-  let req_id =
-    if String.equal magic request_magic then Some (Wire.ru64 r)
-    else if String.equal magic request_magic_v1 then None
-    else raise Wire.Malformed
-  in
+  if not (String.equal (Wire.rbytes r) request_magic) then raise Wire.Malformed;
+  let req_id = Wire.ru64 r in
   let n = Wire.rcount r in
   let roles = List.init n (fun _ -> Wire.rbytes r) in
   let query = decode_box r in
@@ -175,14 +159,11 @@ let timing_json t =
       ("encode_us", Zkqac_telemetry.Json.Int t.encode_us);
       ("total_us", Zkqac_telemetry.Json.Int t.total_us) ]
 
-let encode_response ?footer resp =
+let encode_response ~footer:{ f_req_id; f_timing } resp =
   let w = Wire.writer () in
-  (match footer with
-  | None -> Wire.bytes w response_magic_v1
-  | Some { f_req_id; f_timing } ->
-    Wire.bytes w response_magic;
-    Wire.u64 w f_req_id;
-    encode_timing w f_timing);
+  Wire.bytes w response_magic;
+  Wire.u64 w f_req_id;
+  encode_timing w f_timing;
   (match resp with
   | Vo vo ->
     Wire.u8 w 0;
@@ -199,16 +180,9 @@ let encode_response ?footer resp =
 
 let decode_response ?limits data =
   Wire.decode ?limits data @@ fun r ->
-  let magic = Wire.rbytes r in
-  let footer =
-    if String.equal magic response_magic then begin
-      let f_req_id = Wire.ru64 r in
-      let f_timing = decode_timing r in
-      Some { f_req_id; f_timing }
-    end
-    else if String.equal magic response_magic_v1 then None
-    else raise Wire.Malformed
-  in
+  if not (String.equal (Wire.rbytes r) response_magic) then raise Wire.Malformed;
+  let f_req_id = Wire.ru64 r in
+  let f_timing = decode_timing r in
   let resp =
     match Wire.ru8 r with
     | 0 -> Vo (Wire.rbytes r)
@@ -218,4 +192,4 @@ let decode_response ?limits data =
     | 4 -> Server_error (Wire.rbytes r)
     | _ -> raise Wire.Malformed
   in
-  (resp, footer)
+  (resp, { f_req_id; f_timing })

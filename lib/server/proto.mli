@@ -8,19 +8,15 @@
     the public key, so a compromised server or network can only produce
     typed verification failures, never accepted forgeries.
 
-    Two envelope versions coexist. v2 adds end-to-end correlation: requests
-    carry a client-minted 64-bit request id, responses echo it back with a
-    server-side timing split. Each version is its own magic string (the
-    Wire trailing-byte audit forbids appending fields to v1 frames); both
-    decoders accept both versions, and the server answers in the version
-    the request arrived in, so old and new peers interoperate in either
-    direction. Request ids are correlation-only and never enter VO bytes. *)
+    There is one envelope version. For end-to-end correlation every
+    request carries a client-minted 64-bit request id, and every response
+    opens with a {!footer} that echoes it with a server-side timing split.
+    A frame under any other magic string decodes to [Malformed]. Request
+    ids are correlation-only and never enter VO bytes. *)
 
 module Box = Zkqac_core.Box
 
-val request_magic_v1 : string
 val request_magic : string
-val response_magic_v1 : string
 val response_magic : string
 
 val max_request_bytes : int
@@ -46,9 +42,8 @@ val req_id_of_hex : string -> int64 option
 (** {1 Requests} *)
 
 type request = {
-  req_id : int64 option;
-      (** [None] encodes (and decodes from) the v1 format — byte-identical
-          to the pre-correlation protocol *)
+  req_id : int64;
+      (** the correlation id; [0L] means "no id", and the server mints one *)
   roles : string list;
   query : Box.t;
 }
@@ -90,15 +85,13 @@ val us_of_ns : int64 -> int
 val timing_json : timing -> Zkqac_telemetry.Json.t
 
 type footer = { f_req_id : int64; f_timing : timing }
-(** The v2 response extension: the echoed request id plus the timing
-    split. *)
+(** What every response carries ahead of its status: the echoed request id
+    ([0L] when the server never read a request, as for a shed connection)
+    plus the timing split. *)
 
-val encode_response : ?footer:footer -> response -> string
-(** Without [footer], the v1 format — byte-identical to the
-    pre-correlation protocol. *)
+val encode_response : footer:footer -> response -> string
 
 val decode_response :
   ?limits:Zkqac_util.Wire.limits ->
   string ->
-  (response * footer option, Zkqac_util.Verify_error.t) result
-(** [footer] is [None] for v1 responses (an old peer answered). *)
+  (response * footer, Zkqac_util.Verify_error.t) result

@@ -165,10 +165,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     Unix.listen fd 128;
     fd
 
-  let respond t fd ?footer resp =
-    let deadline = Sockio.deadline_after t.cfg.write_deadline in
-    Sockio.write_frame fd ~deadline (Proto.encode_response ?footer resp)
-
   let audit_request ~conn ~rid ~minted ~roles ~query ~outcome ~vo_bytes ~ms =
     if Audit.enabled () then
       Audit.record ~kind:"serve"
@@ -187,20 +183,19 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
      and recorded but never propagate — a hostile peer can cost this
      handler its deadline budget, nothing more.
 
-     Correlation: the request id (client-minted for v2 requests,
-     server-minted otherwise) is threaded into the root span and its
-     pool.worker child, the audit entry, the flight event, the tail
-     sampler, and — for v2 requests — the response footer, always as the
-     same 16-hex-digit string. The response version mirrors the request's:
-     an old client never receives v2 bytes. *)
+     Correlation: the request id (client-minted, or server-minted when the
+     request carries none or cannot be decoded) is threaded into the root
+     span and its pool.worker child, the audit entry, the flight event, the
+     tail sampler, and the response footer, always as the same
+     16-hex-digit string. *)
   let handle_conn t fd conn_id =
     let t0 = Monotonic_clock.now_ns () in
     (* Called after the request's root span (if any) has closed, so the
        tail sampler sees the complete tree. The slowlog is consulted before
        the response bytes leave: once the client has its answer, /slowlog
        already knows about the incident. *)
-    let finish ?(roles = []) ?query ?(rid = 0L) ?(minted = true) ?(v2 = false)
-        ?(root = 0) ?(timing = Proto.zero_timing) resp =
+    let finish ?(roles = []) ?query ~rid ?(minted = true) ?(root = 0)
+        ?(timing = Proto.zero_timing) resp =
       let outcome = Proto.response_code resp in
       Metrics.inc m_requests [ ("outcome", outcome) ];
       let vo_bytes = match resp with Proto.Vo vo -> String.length vo | _ -> 0 in
@@ -215,15 +210,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       | None -> ());
       Flight.record ~cat:"server" ~req_id:rid ~detail:outcome ~v:vo_bytes
         "server.request";
-      if rid <> 0L then
-        ignore
-          (Slowlog.observe t.slowlog ~root ~req_id:rid ~minted ~conn:conn_id
-             ~outcome ~total_ms:ms ~timing ()
-            : bool);
-      let footer =
-        if v2 then Some { Proto.f_req_id = rid; f_timing = timing } else None
-      in
-      respond t fd ?footer resp
+      ignore
+        (Slowlog.observe t.slowlog ~root ~req_id:rid ~minted ~conn:conn_id
+           ~outcome ~total_ms:ms ~timing ()
+          : bool);
+      let deadline = Sockio.deadline_after t.cfg.write_deadline in
+      Sockio.write_frame fd ~deadline
+        (Proto.encode_response
+           ~footer:{ Proto.f_req_id = rid; f_timing = timing }
+           resp)
     in
     match
       let deadline = Sockio.deadline_after t.cfg.read_deadline in
@@ -260,11 +255,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         (* Crash-harness hook: die with a decoded request in hand, after the
            client committed to the exchange but before any response bytes. *)
         Crashpoint.maybe "serve-request";
-        let minted = req_id = None in
-        let rid =
-          match req_id with Some id -> id | None -> Proto.mint_req_id ()
-        in
-        let v2 = not minted in
+        let minted = req_id = 0L in
+        let rid = if minted then Proto.mint_req_id () else req_id in
         let n_req = Atomic.fetch_and_add t.req_seq 1 + 1 in
         let rid_attr = Trace.Str (Proto.req_id_hex rid) in
         let timing = ref Proto.zero_timing in
@@ -364,8 +356,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               Proto.Vo vo_bytes
           end
         in
-        finish ~roles ~query ~rid ~minted ~v2 ~root:!root_id ~timing:!timing
-          resp)
+        finish ~roles ~query ~rid ~minted ~root:!root_id ~timing:!timing resp)
 
   let guarded_handle t fd conn_id =
     (match handle_conn t fd conn_id with
@@ -387,8 +378,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     Metrics.inc m_shed [];
     Flight.record ~cat:"server" "server.shed";
     (* Shed connections never reach the request decoder, so there is no id
-       to correlate — but the tail sampler still counts them and keeps the
-       typed outcome, so /slowlog shows overload storms. *)
+       to correlate (the footer carries 0) — but the tail sampler still
+       counts them and keeps the typed outcome, so /slowlog shows overload
+       storms. *)
     ignore
       (Slowlog.observe t.slowlog ~root:0 ~req_id:0L ~minted:true ~conn:conn_id
          ~outcome:"overloaded" ~total_ms:0.0 ()
@@ -397,7 +389,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
        read its Overloaded frame forfeits it. *)
     (try
        let deadline = Sockio.deadline_after 1.0 in
-       Sockio.write_frame fd ~deadline (Proto.encode_response Proto.Overloaded)
+       Sockio.write_frame fd ~deadline
+         (Proto.encode_response
+            ~footer:{ Proto.f_req_id = 0L; f_timing = Proto.zero_timing }
+            Proto.Overloaded)
      with Sockio.Fault _ -> ());
     Sockio.close_noerr fd
 

@@ -18,12 +18,12 @@
     - an optional live [GET /metrics] HTTP endpoint fed by the
       {!Zkqac_telemetry.Metrics} registry, with the tail sampler's
       [GET /slowlog] mounted alongside;
-    - end-to-end request correlation: every request's id (client-minted
-      for v2 requests, server-minted otherwise) appears identically in the
-      root trace span, its [pool.worker] child, the [serve] audit entry,
-      the flight event, the {!Slowlog} incident, and — for v2 requests —
-      the response footer's timing split. The response version always
-      mirrors the request's, so old peers interoperate. *)
+    - end-to-end request correlation: every request's id (client-minted,
+      or server-minted when the request carries [0L] or does not decode)
+      appears identically in the root trace span, its [pool.worker] child,
+      the [serve] audit entry, the flight event, the {!Slowlog} incident,
+      and the response footer next to its timing split. A shed connection
+      is answered before any request is read, so its footer carries [0L]. *)
 
 type config = {
   host : string;

@@ -35,7 +35,7 @@ let m_observed =
 
 type incident = {
   i_req_id : int64;
-  i_minted : bool;  (** the server minted the id (v1 client sent none) *)
+  i_minted : bool;  (** the server minted the id (the client sent none) *)
   i_conn : int;
   i_time : float;  (** Unix wall-clock time the request finished *)
   i_outcome : string;  (** typed response code *)

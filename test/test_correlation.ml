@@ -1,7 +1,7 @@
 (* Property tests for the correlation plane's wire contracts: the canonical
    hex id form round-trips, a request id survives the envelope byte-exactly,
-   the response footer preserves id + timing split, and version selection is
-   exactly the presence of the id (None = byte-identical v1). *)
+   the response footer preserves id + timing split, and there is one
+   envelope version: frames under the retired "-1" magics are Malformed. *)
 
 module Proto = Zkqac_server.Proto
 module Box = Zkqac_core.Box
@@ -31,7 +31,9 @@ let gen_request =
   QCheck2.Gen.(
     map3
       (fun req_id roles query -> { Proto.req_id; roles; query })
-      (option gen_req_id) gen_roles gen_box)
+      (* 0L is "no id": the server mints one, the envelope is the same. *)
+      (frequency [ (1, return 0L); (4, gen_req_id) ])
+      gen_roles gen_box)
 
 let gen_timing =
   (* Each field independently anywhere in the encodable u32 range. *)
@@ -63,17 +65,13 @@ let prop_request_roundtrip =
         && Box.equal d.Proto.query r.Proto.query
       | Error _ -> false)
 
-let prop_request_version_is_id_presence =
-  (* The version split is precisely "does the request carry an id": None
-     encodes the v1 magic (old servers keep decoding new id-less clients),
-     Some encodes v2 — and the id is never silently dropped or remapped. *)
-  qprop "magic selection tracks req_id presence" gen_request (fun r ->
-      let frame = Proto.encode_request r in
-      (* Wire frames open with a u32 length prefix; the magic follows. *)
-      let magic_at m = String.sub frame 4 (String.length m) = m in
-      match r.Proto.req_id with
-      | None -> magic_at Proto.request_magic_v1
-      | Some _ -> magic_at Proto.request_magic)
+let prop_request_one_magic =
+  (* Every request, with or without an id, opens with the one request
+     magic, and the id follows it — never dropped or remapped. *)
+  qprop "requests carry the one magic" gen_request (fun r ->
+      let rd = Wire.reader (Proto.encode_request r) in
+      String.equal (Wire.rbytes rd) Proto.request_magic
+      && Wire.ru64 rd = r.Proto.req_id)
 
 let prop_footer_roundtrip =
   qprop "response footer round-trips"
@@ -81,29 +79,50 @@ let prop_footer_roundtrip =
     (fun (f_req_id, f_timing, payload) ->
       let footer = { Proto.f_req_id; f_timing } in
       match Proto.decode_response (Proto.encode_response ~footer (Proto.Vo payload)) with
-      | Ok (Proto.Vo p, Some f) ->
+      | Ok (Proto.Vo p, f) ->
         p = payload
         && f.Proto.f_req_id = f_req_id
         && f.Proto.f_timing = f_timing
       | _ -> false)
 
-let prop_footerless_is_v1 =
-  qprop "footerless responses decode with no footer"
-    QCheck2.Gen.(string_size (int_range 0 64))
-    (fun payload ->
-      let frame = Proto.encode_response (Proto.Vo payload) in
-      String.sub frame 4 (String.length Proto.response_magic_v1)
-      = Proto.response_magic_v1
-      &&
-      match Proto.decode_response frame with
-      | Ok (Proto.Vo p, None) -> p = payload
-      | _ -> false)
+let prop_v1_frames_malformed =
+  (* The retired v1 layouts — the magic, then the body with no id and no
+     footer — decode to Malformed in both directions. *)
+  qprop "v1 frames are malformed"
+    QCheck2.Gen.(pair gen_request (string_size (int_range 0 64)))
+    (fun (r, payload) ->
+      let frame magic body =
+        let w = Wire.writer () in
+        Wire.bytes w magic;
+        body w;
+        Wire.contents w
+      in
+      let req =
+        frame "ZKQAC-REQ-1" (fun w ->
+            Wire.u32 w (List.length r.Proto.roles);
+            List.iter (Wire.bytes w) r.Proto.roles;
+            let q = r.Proto.query in
+            Wire.u8 w (Array.length q.Box.lo);
+            Array.iter (Wire.u32 w) q.Box.lo;
+            Array.iter (Wire.u32 w) q.Box.hi)
+      in
+      let rsp =
+        frame "ZKQAC-RSP-1" (fun w ->
+            Wire.u8 w 0;
+            Wire.bytes w payload)
+      in
+      let malformed = function
+        | Error (Zkqac_util.Verify_error.Malformed _) -> true
+        | _ -> false
+      in
+      malformed (Proto.decode_request req)
+      && malformed (Proto.decode_response rsp))
 
 let suite =
   [ ( "correlation",
       [ prop_hex_roundtrip;
         prop_hex_canonical;
         prop_request_roundtrip;
-        prop_request_version_is_id_presence;
+        prop_request_one_magic;
         prop_footer_roundtrip;
-        prop_footerless_is_v1 ] ) ]
+        prop_v1_frames_malformed ] ) ]

@@ -195,6 +195,33 @@ let test_tonelli_shanks () =
   done;
   Alcotest.(check bool) "roughly half are QRs" true (!found > 20 && !found < 40)
 
+(* [sqrt_mod] finds a root exactly when the Legendre symbol is 1, or 0 for
+   a = 0 (whose root is 0), on both branches: p = 23 is 3 (mod 4), where
+   the squaring check alone decides, and p = 1000033 is 1 (mod 4), where
+   Tonelli-Shanks runs. *)
+let test_sqrt_mod_iff_residue () =
+  let module Primes = Zkqac_numth.Primes in
+  let check p upto =
+    let p = B.of_int p in
+    for a = 0 to upto - 1 do
+      let a = B.of_int a in
+      let expect = Primes.legendre a p >= 0 in
+      match Primes.sqrt_mod a p with
+      | Some r ->
+        if not expect then
+          Alcotest.failf "sqrt_mod %s %s found a root of a non-residue"
+            (B.to_string a) (B.to_string p);
+        Alcotest.(check bool) "squares back" true
+          (B.equal (B.erem (B.mul r r) p) a)
+      | None ->
+        if expect then
+          Alcotest.failf "sqrt_mod %s %s missed a residue" (B.to_string a)
+            (B.to_string p)
+    done
+  in
+  check 23 23;
+  check 1000033 2000
+
 let suite =
   [
     ( "edges",
@@ -207,5 +234,6 @@ let suite =
         Alcotest.test_case "curve edges" `Quick test_curve_edges;
         Alcotest.test_case "fp edges" `Quick test_fp_edges;
         Alcotest.test_case "tonelli-shanks" `Quick test_tonelli_shanks;
+        Alcotest.test_case "sqrt_mod iff residue" `Quick test_sqrt_mod_iff_residue;
       ] );
   ]

@@ -103,7 +103,8 @@ let query_server ?(cfg_of = client_cfg) ?rid port =
 (* --- protocol round-trips --- *)
 
 let test_proto_roundtrip () =
-  (* Both envelope versions round-trip; req_id = None is the v1 wire form. *)
+  (* Requests round-trip with and without an id ([0L] asks the server to
+     mint one), responses with their footer. *)
   List.iter
     (fun req_id ->
       let req =
@@ -116,7 +117,7 @@ let test_proto_roundtrip () =
           (Box.equal req.Proto.query r.Proto.query);
         Alcotest.(check bool) "req_id" true (r.Proto.req_id = req_id)
       | Error e -> Alcotest.failf "request decode: %s" (VE.to_string e))
-    [ None; Some 0xdeadbeefcafef00dL ];
+    [ 0L; 0xdeadbeefcafef00dL ];
   let responses =
     [
       Proto.Vo "some vo bytes";
@@ -141,24 +142,14 @@ let test_proto_roundtrip () =
   in
   List.iter
     (fun resp ->
-      (match Proto.decode_response (Proto.encode_response resp) with
+      match Proto.decode_response (Proto.encode_response ~footer resp) with
       | Ok (r, f) ->
         Alcotest.(check string)
           ("round-trip " ^ Proto.response_code resp)
           (Proto.response_code resp) (Proto.response_code r);
-        Alcotest.(check bool) "v1 has no footer" true (f = None)
+        Alcotest.(check bool) "footer survives" true (f = footer)
       | Error e ->
         Alcotest.failf "response decode [%s]: %s" (Proto.response_code resp)
-          (VE.to_string e));
-      match Proto.decode_response (Proto.encode_response ~footer resp) with
-      | Ok (r, Some f) ->
-        Alcotest.(check string)
-          ("v2 round-trip " ^ Proto.response_code resp)
-          (Proto.response_code resp) (Proto.response_code r);
-        Alcotest.(check bool) "footer survives" true (f = footer)
-      | Ok (_, None) -> Alcotest.fail "v2 footer dropped"
-      | Error e ->
-        Alcotest.failf "v2 response decode [%s]: %s" (Proto.response_code resp)
           (VE.to_string e))
     responses;
   (* Garbage and truncations decode to typed errors, never exceptions. *)
@@ -260,7 +251,7 @@ let test_serve_bad_request () =
   match
     exchange
       (Proto.encode_request
-         { Proto.req_id = None; roles = [ "RoleA" ]; query = outside })
+         { Proto.req_id = 0L; roles = [ "RoleA" ]; query = outside })
   with
   | `Resp (Proto.Bad_request d) ->
     Alcotest.(check string) "reason" "query-outside-space" d
@@ -614,14 +605,21 @@ let test_server_health_endpoints () =
     Alcotest.(check bool) "exposition served" true
       (contains_sub (http_get p "/metrics") "zkqac_")
 
-(* --- request correlation: envelope compatibility across versions --- *)
+(* --- request correlation: the retired "-1" envelopes --- *)
 
 module Slowlog = Zkqac_server.Slowlog
+module Wire = Zkqac_util.Wire
 
-let test_compat_v1_request () =
-  (* An old peer's request (no req_id: the v1 wire form) against the new
-     server: answered correctly, and answered in v1 — no footer bytes an old
-     decoder would reject. The server mints an id for its own logs. *)
+(* A frame under a retired magic string, with [body] written after it. *)
+let retired_frame magic body =
+  let w = Wire.writer () in
+  Wire.bytes w magic;
+  body w;
+  Wire.contents w
+
+let test_v1_request_refused () =
+  (* A request under the retired v1 magic (no id) is a typed Bad_request,
+     and the footer still carries the id the server minted for its logs. *)
   with_server base_server_cfg @@ fun t ->
   let fd =
     Sockio.connect ~host:"127.0.0.1" ~port:(Server.port t) ~timeout:2.0
@@ -631,35 +629,26 @@ let test_compat_v1_request () =
     (fun () ->
       let dl = Sockio.deadline_after 5.0 in
       Sockio.write_frame fd ~deadline:dl
-        (Proto.encode_request
-           { Proto.req_id = None; roles = [ "RoleA" ]; query = whole_box });
+        (retired_frame "ZKQAC-REQ-1" (fun w ->
+             Wire.u32 w 1;
+             Wire.bytes w "RoleA";
+             Wire.u8 w 2;
+             List.iter (Wire.u32 w) [ 0; 0; 3; 3 ]));
       let frame = Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 24) in
-      Alcotest.(check bool) "response is v1 bytes" true
-        (String.length frame > String.length Proto.response_magic_v1
-        && String.sub frame 4 (String.length Proto.response_magic_v1)
-           = Proto.response_magic_v1);
       match Proto.decode_response frame with
-      | Ok (Proto.Vo _, None) -> ()
-      | Ok (r, Some _) ->
-        Alcotest.failf "v1 request got a v2 footer (%s)" (Proto.response_code r)
-      | Ok (r, None) -> Alcotest.failf "expected Vo, got %s" (Proto.response_code r)
+      | Ok (Proto.Bad_request d, f) ->
+        Alcotest.(check string) "typed reason" "malformed" d;
+        Alcotest.(check bool) "footer carries a minted id" true
+          (f.Proto.f_req_id <> 0L)
+      | Ok (r, _) -> Alcotest.failf "expected bad-request, got %s" (Proto.response_code r)
       | Error e -> Alcotest.failf "response decode: %s" (VE.to_string e));
-  (* The minted id is in the audit-visible incident stream: every request
-     is observed, whatever its envelope version. *)
   Alcotest.(check int) "observed by the sampler" 1
     (Slowlog.observed (Server.slowlog t))
 
-let test_compat_v1_responder () =
-  (* A new client against an old responder: a fake v1 server answers without
-     a footer. The client must accept it — success with [server = None]. *)
+let test_v1_response_garbled () =
+  (* A responder answering under the retired v1 magic (no footer) is line
+     noise to the client: a transient garbled-response, never a success. *)
   let _, mvk, tree = Lazy.force fixture in
-  let drbg = Drbg.create ~seed:"v1-responder" in
-  let user = user_a in
-  let vo, _ = Ap2g.range_vo drbg ~mvk tree ~user whole_box in
-  let payload =
-    let module V = Zkqac_core.Vo.Make (Backend) in
-    V.to_bytes vo
-  in
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -679,16 +668,11 @@ let test_compat_v1_responder () =
             ~finally:(fun () -> Sockio.close_noerr fd)
             (fun () ->
               let dl = Sockio.deadline_after 5.0 in
-              let frame = Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 20) in
-              (* An old responder decodes the v2 request (the decoder in this
-                 tree accepts both) but answers with v1 bytes: no footer. *)
-              (match Proto.decode_request frame with
-              | Ok r ->
-                Alcotest.(check bool) "v2 request carried an id" true
-                  (r.Proto.req_id <> None)
-              | Error e -> Alcotest.failf "request decode: %s" (VE.to_string e));
+              ignore (Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 20) : string);
               Sockio.write_frame fd ~deadline:dl
-                (Proto.encode_response (Proto.Vo payload))))
+                (retired_frame "ZKQAC-RSP-1" (fun w ->
+                     Wire.u8 w 0;
+                     Wire.bytes w "vo"))))
       ()
   in
   Fun.protect
@@ -697,15 +681,15 @@ let test_compat_v1_responder () =
       Thread.join responder)
     (fun () ->
       match
-        Cl.query (client_cfg port) ~mvk ~universe:(Ap2g.universe tree)
-          ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:whole_box ()
+        Cl.query { (client_cfg port) with Client.retries = 0 } ~mvk
+          ~universe:(Ap2g.universe tree) ?hierarchy:(Ap2g.hierarchy tree)
+          ~user:user_a ~query:whole_box ()
       with
-      | Ok s ->
-        Alcotest.(check bool) "no server timing from a v1 responder" true
-          (s.Cl.server = None);
-        Alcotest.(check bool) "client still knows its own id" true
-          (s.Cl.req_id <> 0L)
-      | Error f -> Alcotest.failf "v1 responder: %s" (Client.failure_to_string f))
+      | Error (Client.Exhausted { attempts; last }) ->
+        Alcotest.(check int) "one attempt" 1 attempts;
+        Alcotest.(check string) "transient reason" "garbled-response" last
+      | Error f -> Alcotest.failf "v1 responder: %s" (Client.failure_to_string f)
+      | Ok _ -> Alcotest.fail "a v1 response was accepted")
 
 (* --- tail sampling: forced-slow and forced-error determinism --- *)
 
@@ -789,11 +773,11 @@ let test_slowlog_forced_error () =
       let dl = Sockio.deadline_after 5.0 in
       Sockio.write_frame fd ~deadline:dl
         (Proto.encode_request
-           { Proto.req_id = Some rid; roles = [ "RoleA" ]; query = outside });
+           { Proto.req_id = rid; roles = [ "RoleA" ]; query = outside });
       match Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 20) with
       | frame -> (
         match Proto.decode_response frame with
-        | Ok (Proto.Bad_request _, Some f) ->
+        | Ok (Proto.Bad_request _, f) ->
           Alcotest.(check bool) "footer echoes the id" true
             (f.Proto.f_req_id = rid)
         | Ok (r, _) -> Alcotest.failf "expected Bad_request, got %s"
@@ -882,7 +866,7 @@ let test_relax_unpredictable () =
         let dl = Sockio.deadline_after 5.0 in
         Sockio.write_frame fd ~deadline:dl
           (Proto.encode_request
-             { Proto.req_id = None; roles = [ "RoleA" ]; query = whole_box });
+             { Proto.req_id = 0L; roles = [ "RoleA" ]; query = whole_box });
         match
           Proto.decode_response
             (Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 24))
@@ -933,10 +917,10 @@ let suite =
           test_supervise_restart_loop;
         Alcotest.test_case "server health endpoints" `Quick
           test_server_health_endpoints;
-        Alcotest.test_case "v1 request against new server" `Quick
-          test_compat_v1_request;
-        Alcotest.test_case "new client against v1 responder" `Quick
-          test_compat_v1_responder;
+        Alcotest.test_case "v1 request is a bad request" `Quick
+          test_v1_request_refused;
+        Alcotest.test_case "v1 response is garbled" `Quick
+          test_v1_response_garbled;
         Alcotest.test_case "tail sampler keeps the forced-slow request" `Quick
           test_slowlog_forced_slow;
         Alcotest.test_case "tail sampler keeps the forced error" `Quick
