@@ -3,7 +3,6 @@
    laptop-scale runs; EXPERIMENTS.md records the mapping and the expected
    shapes. Every experiment prints the same rows/series the paper reports. *)
 
-module Report = Zkqac_bench.Report
 module Expr = Zkqac_policy.Expr
 module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
@@ -386,9 +385,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           let extent = max 1 (int_of_float (frac *. float_of_int side)) in
           let lo = Prng.int rng (side - extent + 1) in
           let query = Box.of_range ~alpha:[| lo |] ~beta:[| lo + extent - 1 |] in
-          let (jvo, jst), _ = Report.time (fun () ->
+          let (jvo, jst), _ = Pool.time (fun () ->
               Join.join_vo drbg ~mvk ~r:r_tree ~s:s_tree ~user query) in
-          let res, j_user = Report.time (fun () ->
+          let res, j_user = Pool.time (fun () ->
               Join.verify ~mvk ~t_universe:universe ~user ~query jvo) in
           (match res with
            | Ok _ -> ()
@@ -397,7 +396,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           let (vo_r, st_r) = Equality.range_vo drbg ~mvk r_flat ~user query in
           let (vo_s, st_s) = Equality.range_vo drbg ~mvk s_flat ~user query in
           let b_sp = st_r.Ap2g.sp_time +. st_s.Ap2g.sp_time in
-          let _, b_user = Report.time (fun () ->
+          let _, b_user = Pool.time (fun () ->
               ignore (Equality.verify_range ~mvk ~t_universe:universe ~user ~query vo_r);
               ignore (Equality.verify_range ~mvk ~t_universe:universe ~user ~query vo_s)) in
           [ Printf.sprintf "%.0f%%" (frac *. 100.);
@@ -454,7 +453,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let query = shared_query in
       let vo, st = Ap2g.range_vo drbg ~mvk tree ~user query in
       let res, user_t =
-        Report.time (fun () ->
+        Pool.time (fun () ->
             Ap2g.verify ~mvk ~t_universe:universe ?hierarchy ~user ~query vo)
       in
       (match res with
@@ -487,7 +486,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       List.map
         (fun t ->
           let (_, st), wall =
-            Report.time (fun () ->
+            Pool.time (fun () ->
                 Ap2g.range_vo ~pmap:(Pool.map ~threads:t) drbg ~mvk inst.tree ~user
                   query)
           in
@@ -545,13 +544,13 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         (fun frac ->
           let query = Workload.range_query rng ~space ~frac in
           let vo_g, st_g = Ap2g.range_vo drbg ~mvk g_tree ~user query in
-          let res_g, u_g = Report.time (fun () ->
+          let res_g, u_g = Pool.time (fun () ->
               Ap2g.verify ~mvk ~t_universe:universe ~user ~query vo_g) in
           let vo_k, st_k = Ap2kd.range_vo drbg ~mvk kd_tree ~user query in
-          let res_k, u_k = Report.time (fun () ->
+          let res_k, u_k = Pool.time (fun () ->
               Ap2kd.verify ~mvk ~t_universe:universe ~user ~query vo_k) in
           let vo_m, st_m = Ap2kd.range_vo drbg ~mvk kd_mid ~user query in
-          let res_m, _ = Report.time (fun () ->
+          let res_m, _ = Pool.time (fun () ->
               Ap2kd.verify ~mvk ~t_universe:universe ~user ~query vo_m) in
           (match (res_g, res_k, res_m) with
            | Ok a, Ok b, Ok c ->
@@ -579,16 +578,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let inst = make_instance ~seed:77 ~depth ~rows:2_000 () in
     let user = user_20pct ~seed:77 inst in
     let rng = Prng.create 770 in
-    (* ZKQAC_BENCH_BATCH=off|on restricts the run to a single arm so that
-       two --json artifacts can be compared arm-against-arm with
-       [zkqac bench diff]: the client.verify histogram of each artifact
-       then holds only that arm's spans. Default: both arms, one table. *)
-    let arm =
-      match Sys.getenv_opt "ZKQAC_BENCH_BATCH" with
-      | Some "off" -> `Plain
-      | Some "on" -> `Batched
-      | _ -> `Both
-    in
     let rows =
       List.map
         (fun frac ->
@@ -598,39 +587,23 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             List.length
               (List.filter (function Vo.Accessible _ -> false | _ -> true) vo)
           in
-          let plain () =
-            Report.time (fun () ->
-                Ap2g.verify ~mvk ~t_universe:inst.universe ~user ~query vo)
-          in
-          let batched () =
-            Report.time (fun () ->
-                Ap2g.verify ~batch:drbg ~mvk ~t_universe:inst.universe ~user
-                  ~query vo)
-          in
-          let check res =
-            match res with
+          let check = function
             | Ok r -> List.length r
             | Error _ -> failwith "ablation verify failed"
           in
-          let plain_c, batch_c, speedup =
-            match arm with
-            | `Plain ->
-              let res_p, plain_t = plain () in
-              ignore (check res_p);
-              (Report.ms plain_t, "-", "-")
-            | `Batched ->
-              let res_b, batch_t = batched () in
-              ignore (check res_b);
-              ("-", Report.ms batch_t, "-")
-            | `Both ->
-              let res_p, plain_t = plain () in
-              let res_b, batch_t = batched () in
-              assert (check res_p = check res_b);
-              ( Report.ms plain_t, Report.ms batch_t,
-                Printf.sprintf "%.2fx" (plain_t /. batch_t) )
+          let res_p, plain_t =
+            Pool.time (fun () ->
+                Ap2g.verify ~mvk ~t_universe:inst.universe ~user ~query vo)
           in
+          let res_b, batch_t =
+            Pool.time (fun () ->
+                Ap2g.verify ~batch:drbg ~mvk ~t_universe:inst.universe ~user
+                  ~query vo)
+          in
+          assert (check res_p = check res_b);
           [ Printf.sprintf "%.1f%%" (frac *. 100.); string_of_int aps_count;
-            plain_c; batch_c; speedup ])
+            Report.ms plain_t; Report.ms batch_t;
+            Printf.sprintf "%.2fx" (plain_t /. batch_t) ])
         [ 0.01; 0.05; 0.2 ]
     in
     Report.print_table
@@ -668,26 +641,26 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     (* ZK: virtual dimension + ordinary AP2G tree. *)
     let lifted_space, lifted = Dup.lift ~space records in
     let z_tree, z_build =
-      Report.time (fun () ->
+      Pool.time (fun () ->
           Ap2g.build drbg ~mvk ~sk ~space:lifted_space ~universe ~pseudo_seed:"z"
             lifted)
     in
     let z_query = Dup.lift_query ~lifted_space query in
     let vo_z, st_z = Ap2g.range_vo drbg ~mvk z_tree ~user z_query in
-    let res_z, u_z = Report.time (fun () ->
+    let res_z, u_z = Pool.time (fun () ->
         Ap2g.verify ~mvk ~t_universe:universe ~user ~query:z_query vo_z) in
     (* non-ZK: embedded dup counts. *)
     let n_tree, n_build =
-      Report.time (fun () ->
+      Pool.time (fun () ->
           Dup.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"n" records)
     in
     let vo_n, st_n = Dup.range_vo drbg ~mvk n_tree ~user query in
-    let res_n, u_n = Report.time (fun () ->
+    let res_n, u_n = Pool.time (fun () ->
         Dup.verify ~mvk ~t_universe:universe ~user ~query vo_n) in
     (* Basic on the lifted space. *)
     let flat = Equality.of_ap2g z_tree in
     let vo_b, st_b = Equality.range_vo drbg ~mvk flat ~user z_query in
-    let res_b, u_b = Report.time (fun () ->
+    let res_b, u_b = Pool.time (fun () ->
         Equality.verify_range ~mvk ~t_universe:universe ~user ~query:z_query vo_b) in
     (match (res_z, res_n, res_b) with
      | Ok a, Ok b, Ok c ->

@@ -16,7 +16,6 @@ module Flight = Zkqac_telemetry.Flight
 module Rte = Zkqac_telemetry.Rte
 module Json = Zkqac_telemetry.Json
 module Pool = Zkqac_parallel.Pool
-module Report = Zkqac_bench.Report
 
 let experiments =
   [ "table1"; "table2"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
@@ -100,8 +99,9 @@ let () =
      Perfetto GC tracks for --trace, gc-pause metrics for --json. *)
   if !json_path <> None || !trace_dir <> None then Rte.start ();
   let records = ref [] in
-  let t0 = Unix.gettimeofday () in
-  List.iter
+  let (), total =
+    Pool.time @@ fun () ->
+    List.iter
     (fun exp ->
       let run () =
         match exp with
@@ -126,7 +126,7 @@ let () =
         | _ -> assert false
       in
       let before = Telemetry.snapshot () in
-      let _, t = Report.time run in
+      let _, t = Pool.time run in
       if !json_path <> None then begin
         let cost = Telemetry.diff ~earlier:before ~later:(Telemetry.snapshot ()) in
         let stages = Telemetry.stages cost in
@@ -158,12 +158,13 @@ let () =
             else "");
          Trace.reset ());
       Printf.printf "[%s done in %.1fs]\n%!" exp t)
-    selected;
+    selected
+  in
   Rte.stop ();
   let stages = Telemetry.stages (Telemetry.snapshot ()) in
   if Telemetry.enabled () || !trace_dir <> None then Report.print_histograms stages;
   Report.warn_dropped_spans ();
-  Printf.printf "\ntotal: %.1fs\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "\ntotal: %.1fs\n" total;
   match !json_path with
   | None -> ()
   | Some path ->
@@ -173,7 +174,7 @@ let () =
            ("backend", Json.Str (Backend.to_string !backend));
            ("full", Json.Bool !full);
            ("domains", Json.Int (Pool.size ()));
-           ("total_wall_s", Json.Float (Unix.gettimeofday () -. t0));
+           ("total_wall_s", Json.Float total);
            ("histograms", Report.histograms_json stages);
            ("alloc", Report.alloc_json stages);
            ("metrics", Metrics.to_json ());

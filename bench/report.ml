@@ -46,49 +46,16 @@ let s t = Printf.sprintf "%.2f" t
 let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.)
 let mb bytes = Printf.sprintf "%.2f" (float_of_int bytes /. 1048576.)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
-(* Average wall time of [f] over [n] runs (n >= 1). *)
+(* Average time of [f] over [n] runs (n >= 1), on the monotonic clock. *)
 let avg_time n f =
   let acc = ref 0.0 in
   let last = ref None in
   for _ = 1 to n do
-    let v, t = time f in
+    let v, t = Zkqac_parallel.Pool.time f in
     acc := !acc +. t;
     last := Some v
   done;
   (Option.get !last, !acc /. float_of_int n)
-
-(* --- BENCH.json loading --- *)
-
-(* Schema versions this build knows how to read. Readers hard-fail on
-   anything else: silently misreading a future layout as zeros would make
-   a regression diff vacuously green. *)
-let supported_schemas = [ "zkqac-bench/2"; "zkqac-bench/3" ]
-
-let obj_mem name = function
-  | Json.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
-let load_bench path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error (Printf.sprintf "cannot read %s: %s" path e)
-  | raw -> (
-    match Json.of_string raw with
-    | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" path e)
-    | Ok j -> (
-      match obj_mem "schema" j with
-      | Some (Json.Str s) when List.mem s supported_schemas -> Ok j
-      | Some (Json.Str s) ->
-        Error
-          (Printf.sprintf "%s: unsupported schema %S (this build reads: %s)"
-             path s
-             (String.concat ", " supported_schemas))
-      | Some _ -> Error (Printf.sprintf "%s: \"schema\" is not a string" path)
-      | None -> Error (Printf.sprintf "%s: missing \"schema\" field" path)))
 
 (* Dropped spans silently truncate traces and undercount histograms — any
    report built on them must say so, loudly. *)

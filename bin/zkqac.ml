@@ -6,7 +6,6 @@
      zkqac verify  -- user side: check soundness + completeness of a VO
      zkqac attack  -- fault-injection harness: tamper VOs, assert rejection
      zkqac metrics -- run an instrumented workload, print the metrics registry
-     zkqac bench   -- BENCH.json tooling (regression diff)
      zkqac serve   -- long-lived SP daemon: deadlines, shedding, graceful drain
      zkqac client  -- verifying client with transient-fault retry/backoff
      zkqac chaos   -- socket-level fault-injection proxy
@@ -689,74 +688,6 @@ let audit_cmd =
              detectable offline.")
     [ audit_show_cmd; audit_verify_cmd ]
 
-(* --- bench (BENCH.json tooling) --- *)
-
-let bench_diff baseline current threshold latency_threshold alloc_threshold all
-    markdown =
-  let module Diff = Zkqac_bench.Diff in
-  let load path =
-    match Zkqac_bench.Report.load_bench path with
-    | Ok j -> j
-    | Error e ->
-      prerr_endline ("zkqac: " ^ e);
-      exit 2
-  in
-  let b = load baseline and c = load current in
-  let r =
-    Diff.run ~threshold ~latency_threshold ~alloc_threshold ~baseline:b
-      ~current:c ()
-  in
-  if markdown then Diff.print_markdown r else Diff.print ~all r;
-  if r.Diff.regressions > 0 then exit 1
-
-let bench_diff_cmd =
-  let baseline =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE"
-           ~doc:"Baseline BENCH.json.")
-  in
-  let current =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW"
-           ~doc:"New BENCH.json to compare against the baseline.")
-  in
-  let threshold =
-    Arg.(value & opt float 10.0 & info [ "threshold" ] ~docv:"PCT"
-           ~doc:"Relative change (percent) past which a deterministic metric \
-                 (op counts, VO bytes) counts as significant.")
-  in
-  let latency_threshold =
-    Arg.(value & opt float 25.0 & info [ "latency-threshold" ] ~docv:"PCT"
-           ~doc:"Threshold for latency metrics; a stage only regresses when \
-                 the whole bootstrap 95% confidence interval of its mean \
-                 delta clears this.")
-  in
-  let alloc_threshold =
-    Arg.(value & opt float 50.0 & info [ "alloc-threshold" ] ~docv:"PCT"
-           ~doc:"Threshold for per-stage allocation (minor words).")
-  in
-  let all =
-    Arg.(value & flag & info [ "all" ]
-           ~doc:"Show every comparison, not only significant changes.")
-  in
-  let markdown =
-    Arg.(value & flag & info [ "markdown" ]
-           ~doc:"Emit a Markdown table (for CI job summaries).")
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:"Compare two BENCH.json files. Deterministic metrics (pairing \
-             and group-operation counts, VO bytes, allocation words) diff \
-             directly; latency distributions diff with bootstrap confidence \
-             intervals so noise does not flag. Exits 1 when a significant \
-             regression is found, 2 when a file cannot be read or has an \
-             unsupported schema.")
-    Term.(const bench_diff $ baseline $ current $ threshold $ latency_threshold
-          $ alloc_threshold $ all $ markdown)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Benchmark-result tooling (regression diffing).")
-    [ bench_diff_cmd ]
-
 (* --- serve / client / chaos / loadgen (the resilience layer) --- *)
 
 module Server = Zkqac_server.Server.Make (Backend)
@@ -1222,5 +1153,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ setup_cmd; inspect_cmd; query_cmd; verify_cmd; attack_cmd;
-            audit_cmd; metrics_cmd; bench_cmd; serve_cmd; supervise_cmd;
+            audit_cmd; metrics_cmd; serve_cmd; supervise_cmd;
             client_cmd; chaos_cmd; loadgen_cmd; demo_cmd ]))

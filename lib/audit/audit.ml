@@ -19,6 +19,7 @@ module Flight = Zkqac_telemetry.Flight
 module Metrics = Zkqac_telemetry.Metrics
 module Durable = Zkqac_durable.Durable
 module Crashpoint = Zkqac_durable.Crashpoint
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 type entry = {
   seq : int;
@@ -243,7 +244,7 @@ type sink = {
   dur : durability;
   mutable prev : string;
   mutable next_seq : int;
-  mutable last_fsync : float;
+  mutable last_fsync : int64; (* [Clock.now_ns] of the last fsync *)
 }
 
 let sink_lock = Mutex.create ()
@@ -254,9 +255,9 @@ let m_fsync =
     ~help:"Wall-clock seconds spent fsyncing the audit log (group commit)."
 
 let fsync_oc oc =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  Metrics.finc m_fsync ~by:(Unix.gettimeofday () -. t0) []
+  Metrics.finc m_fsync ~by:(Clock.elapsed_since t0) []
 
 let disable () =
   Mutex.lock sink_lock;
@@ -316,7 +317,7 @@ let enable ?(durability = Always) ~path () =
               dur = durability;
               prev;
               next_seq = max n 0;
-              last_fsync = Unix.gettimeofday ();
+              last_fsync = Clock.now_ns ();
             };
         Mutex.unlock sink_lock;
         Ok ()
@@ -363,13 +364,10 @@ let record ?time ~kind body =
          flush s.oc;
          (match s.dur with
          | Always -> fsync_oc s.oc
-         | Interval dt ->
-           let now = Unix.gettimeofday () in
-           if now -. s.last_fsync >= dt then begin
-             fsync_oc s.oc;
-             s.last_fsync <- now
-           end
-         | Never -> ());
+         | Interval dt when Clock.elapsed_since s.last_fsync >= dt ->
+           s.last_fsync <- Clock.now_ns ();
+           fsync_oc s.oc
+         | Interval _ | Never -> ());
          s.prev <- h;
          s.next_seq <- s.next_seq + 1
        with Sys_error _ -> ()));

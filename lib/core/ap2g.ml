@@ -5,6 +5,7 @@ module Hierarchy = Zkqac_policy.Hierarchy
 
 module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -65,9 +66,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let sign_time = ref 0.0 in
     let structure_bytes = ref 0 and signature_bytes = ref 0 in
     let timed_sign ~msg ~policy =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       let s = Abs.sign drbg mvk sk ~msg ~policy in
-      sign_time := !sign_time +. (Unix.gettimeofday () -. t0);
+      sign_time := !sign_time +. Clock.elapsed_since t0;
       signature_bytes := !signature_bytes + Abs.size s;
       s
     in
@@ -180,7 +181,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         [ ("op", Trace.Str "ap2g.range");
           ("tree_depth", Trace.Int (Keyspace.depth t.space)) ]
     @@ fun ctx ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let user = effective_user t ~user in
     let keep = keep_set t ~user in
     let visited = ref 0 in
@@ -234,7 +235,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       {
         relax_calls = List.length relax_jobs;
         nodes_visited = !visited;
-        sp_time = Unix.gettimeofday () -. t0;
+        sp_time = Clock.elapsed_since t0;
       } )
 
   let verify ?batch ~mvk ~t_universe ?hierarchy ~user ~query vo =

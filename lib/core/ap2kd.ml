@@ -5,6 +5,7 @@ module Kd_split = Zkqac_policy.Kd_split
 
 module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -89,9 +90,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let sign_time = ref 0.0 in
     let structure_bytes = ref 0 and signature_bytes = ref 0 in
     let timed_sign ~msg ~policy =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       let s = Abs.sign drbg mvk sk ~msg ~policy in
-      sign_time := !sign_time +. (Unix.gettimeofday () -. t0);
+      sign_time := !sign_time +. Clock.elapsed_since t0;
       signature_bytes := !signature_bytes + Abs.size s;
       s
     in
@@ -198,7 +199,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "ap2kd.range") ]
     @@ fun ctx ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
     let visited = ref 0 in
     let direct = ref [] and jobs = ref [] in
@@ -249,7 +250,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       {
         relax_calls = List.length relax_jobs;
         nodes_visited = !visited;
-        sp_time = Unix.gettimeofday () -. t0;
+        sp_time = Clock.elapsed_since t0;
       } )
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =

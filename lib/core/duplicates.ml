@@ -3,6 +3,7 @@ module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Sha256 = Zkqac_hashing.Sha256
 module Wire = Zkqac_util.Wire
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -151,7 +152,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     { space; universe; root = build_node (Keyspace.whole space) }
 
   let range_vo drbg ~mvk t ~user query =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
     let visited = ref 0 and relaxed = ref 0 in
     let out = ref [] in
@@ -219,7 +220,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       {
         Ap2g.relax_calls = !relaxed;
         nodes_visited = !visited;
-        sp_time = Unix.gettimeofday () -. t0;
+        sp_time = Clock.elapsed_since t0;
       } )
 
   let verify ~mvk ~t_universe ~user ~query vo =

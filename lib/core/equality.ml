@@ -4,6 +4,7 @@ module Universe = Zkqac_policy.Universe
 
 module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -126,7 +127,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "equality.range") ]
     @@ fun ctx ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
     let jobs = ref [] in
     let count = ref 0 in
@@ -163,7 +164,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       {
         Ap2g.relax_calls;
         nodes_visited = !count;
-        sp_time = Unix.gettimeofday () -. t0;
+        sp_time = Clock.elapsed_since t0;
       } )
 
   let verify_range ?batch ~mvk ~t_universe ~user ~query vo =

@@ -2,6 +2,7 @@ module Expr = Zkqac_policy.Expr
 module Wire = Zkqac_util.Wire
 module Universe = Zkqac_policy.Universe
 module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -37,7 +38,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     if not (Keyspace.num_leaves (Ap2g.space r) = Keyspace.num_leaves (Ap2g.space s))
     then invalid_arg "Join.join_vo: trees over different keyspaces";
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "join") ] @@ fun ctx ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     let visited = ref 0 and relaxed = ref 0 in
     let out = ref [] in
     let queue = Queue.create () in
@@ -82,7 +83,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       {
         relax_calls = !relaxed;
         nodes_visited = !visited;
-        sp_time = Unix.gettimeofday () -. t0;
+        sp_time = Clock.elapsed_since t0;
       } )
 
   let rec verify ?batch ~mvk ~t_universe ~user ~query vo =

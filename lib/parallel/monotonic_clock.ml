@@ -1,5 +1,2 @@
-external now_ns : unit -> (int64[@unboxed])
-  = "zkqac_monotonic_now_ns_bytecode" "zkqac_monotonic_now_ns_native"
-[@@noalloc]
-
-let elapsed_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9
+(* The clock lives in zkqac_telemetry; this alias keeps the old path. *)
+include Zkqac_telemetry.Monotonic_clock

@@ -39,7 +39,7 @@ let next_seq = Atomic.make 1
 let overwritten = Atomic.make 0
 let trips_ctr = Atomic.make 0
 let dumps_ctr = Atomic.make 0
-let t0 = Monotonic_clock.now ()
+let t0 = Monotonic_clock.now_ns ()
 
 type dstate = {
   domain : int;
@@ -65,7 +65,7 @@ let record ?(v = 0) ?(req_id = 0L) ?(detail = "") ~cat name =
     let e =
       {
         seq = Atomic.fetch_and_add next_seq 1;
-        t_ns = Int64.sub (Monotonic_clock.now ()) t0;
+        t_ns = Int64.sub (Monotonic_clock.now_ns ()) t0;
         domain = d.domain;
         cat;
         name;

@@ -69,29 +69,13 @@ let max_ns t =
   find (num_buckets - 1)
 
 (* Sparse bucket view: (bucket index, count) for nonempty buckets, in
-   index order. The inverse [of_buckets] reconstructs a histogram whose
-   sum (hence mean) is approximated from bucket midpoints — it is how
-   BENCH.json readers recover a resampleable distribution. *)
+   index order — the form BENCH.json carries. *)
 let buckets t =
   let out = ref [] in
   for b = num_buckets - 1 downto 0 do
     if t.counts.(b) > 0 then out := (b, t.counts.(b)) :: !out
   done;
   !out
-
-let of_buckets sparse =
-  let t = create () in
-  List.iter
-    (fun (b, c) ->
-      if b < 0 || b >= num_buckets then
-        invalid_arg (Printf.sprintf "Histogram.of_buckets: bucket %d" b);
-      if c < 0 then invalid_arg "Histogram.of_buckets: negative count";
-      t.counts.(b) <- t.counts.(b) + c;
-      t.total <- t.total + c;
-      let lo, hi = bucket_bounds b in
-      t.sum_ns <- t.sum_ns +. (float_of_int c *. ((lo +. hi) /. 2.0)))
-    sparse;
-  t
 
 let merge a b =
   {

@@ -52,14 +52,7 @@ val bucket_bounds : int -> float * float
 
 val buckets : t -> (int * int) list
 (** Sparse bucket view: [(bucket index, count)] for every nonempty
-    bucket, in index order — the resampleable form of the distribution
-    that BENCH.json carries. *)
-
-val of_buckets : (int * int) list -> t
-(** Rebuild a histogram from a sparse bucket list (indices may repeat and
-    accumulate). The sum — hence {!mean_ns} — is approximated from bucket
-    midpoints.
-    @raise Invalid_argument on an out-of-range index or negative count. *)
+    bucket, in index order — the form BENCH.json carries. *)
 
 val to_json : t -> Json.t
 (** [{"count": n, "mean_ms": ..., "min_ms": ..., "max_ms": ...,

@@ -170,14 +170,28 @@ let monitor_loop poll_us cursor =
   (* final drain so short-lived runs lose nothing *)
   ignore (Re.read_poll cursor cbs None)
 
+(* One cursor for the process, with collection paused while stopped: a
+   fresh cursor reads the ring from its oldest event, so a restart would
+   count every pause still in it a second time. *)
+let cursor = ref None
+
 let start ?(poll_us = 500) () =
   if Atomic.compare_and_set is_started false true then begin
     Atomic.set stop_flag false;
-    Re.start ();
+    let c =
+      match !cursor with
+      | Some c ->
+        Re.resume ();
+        c
+      | None ->
+        Re.start ();
+        let c = Re.create_cursor None in
+        cursor := Some c;
+        c
+    in
     ignore (Lazy.force domain_evt);
     announce ();
-    let cursor = Re.create_cursor None in
-    monitor := Some (Domain.spawn (fun () -> monitor_loop poll_us cursor))
+    monitor := Some (Domain.spawn (fun () -> monitor_loop poll_us c))
   end
 
 let stop () =
@@ -185,6 +199,7 @@ let stop () =
     Atomic.set stop_flag true;
     (match !monitor with Some d -> Domain.join d | None -> ());
     monitor := None;
+    Re.pause ();
     Atomic.set is_started false
   end
 

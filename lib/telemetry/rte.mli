@@ -40,10 +40,13 @@ type dom_stats = {
 }
 
 val start : ?poll_us:int -> unit -> unit
-(** Start runtime events and the monitor domain. Idempotent. *)
+(** Start (or resume) runtime events and the monitor domain. Idempotent.
+    A restart reads on from where {!stop} left off, so no pause is
+    counted twice. *)
 
 val stop : unit -> unit
-(** Drain remaining events and join the monitor domain. Idempotent. *)
+(** Drain remaining events, join the monitor domain and pause event
+    collection. Idempotent. *)
 
 val started : unit -> bool
 

@@ -39,7 +39,7 @@ let capacity = Atomic.make default_capacity
 let remaining = Atomic.make 0
 let dropped_ctr = Atomic.make 0
 let next_id = Atomic.make 1
-let now_ns () = Monotonic_clock.now ()
+let now_ns () = Monotonic_clock.now_ns ()
 let t_zero = Atomic.make 0L
 
 (* --- per-domain buffers --- *)

@@ -9,7 +9,7 @@ let () =
       @ Test_properties.suite @ Test_typea_e2e.suite @ Test_edges.suite
       @ Test_wire.suite @ Test_pool.suite @ Test_telemetry.suite
       @ Test_trace.suite @ Test_adversary.suite @ Test_metrics.suite
-      @ Test_bench_diff.suite @ Test_flight.suite @ Test_audit.suite
+      @ Test_flight.suite @ Test_audit.suite
       @ Test_rte.suite @ Test_server.suite @ Test_durable.suite
       @ Test_crash.suite @ Test_correlation.suite)
   with Alcotest.Test_error ->

@@ -1,7 +1,8 @@
 (* Runtime-events bridge: with the monitor running, a >= 2-domain allocation
    storm must surface minor-GC pauses in all three views — per-domain
    totals (and their Metrics gauges), per-stage attribution, and raw slices
-   that the Perfetto export renders as extra "gc" tracks.
+   that the Perfetto export renders as extra "gc" tracks. A stop and
+   restart of the monitor counts no pause twice.
 
    Attribution is asynchronous (the monitor polls the runtime-events ring),
    so the workload repeats until pauses show up or a generous deadline
@@ -119,7 +120,22 @@ let test_gc_attribution () =
   Alcotest.(check bool) "domain pause max metric" true
     (contains text "zkqac_gc_pause_seconds_max{domain=");
   Alcotest.(check bool) "stage pause metric" true
-    (contains text "zkqac_stage_gc_pause_seconds_total{stage=\"rte.job\",gc=\"minor\"}")
+    (contains text "zkqac_stage_gc_pause_seconds_total{stage=\"rte.job\",gc=\"minor\"}");
+  (* A restart reads on from where [stop] left off: the pauses already
+     counted are not counted again (a fresh cursor would re-read them). *)
+  let minor_total () =
+    List.fold_left (fun acc (d : Rte.dom_stats) -> acc + d.Rte.minor_n) 0
+      (Rte.domain_snapshot ())
+  in
+  Rte.stop ();
+  let before = minor_total () in
+  Rte.start ();
+  Rte.stop ();
+  let recounted = minor_total () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "restart recounted %d of %d minor pauses" recounted before)
+    true
+    (recounted < before / 2)
 
 let test_stopped_is_inert () =
   Rte.reset ();
