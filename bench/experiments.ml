@@ -595,10 +595,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             Pool.time (fun () ->
                 Ap2g.verify ~mvk ~t_universe:inst.universe ~user ~query vo)
           in
+          let batch = Zkqac_core.System.batch_weights (Vo.to_bytes vo) in
           let res_b, batch_t =
             Pool.time (fun () ->
-                Ap2g.verify ~batch:drbg ~mvk ~t_universe:inst.universe ~user
-                  ~query vo)
+                Ap2g.verify ~batch ~mvk ~t_universe:inst.universe ~user ~query vo)
           in
           assert (check res_p = check res_b);
           [ Printf.sprintf "%.1f%%" (frac *. 100.); string_of_int aps_count;

@@ -29,6 +29,7 @@ module Abs = Zkqac_abs.Abs.Make (Backend)
 module Ap2g = Zkqac_core.Ap2g.Make (Backend)
 module Vo = Zkqac_core.Vo.Make (Backend)
 module Ads_io = Zkqac_core.Ads_io.Make (Backend)
+module System = Zkqac_core.System.Make (Backend)
 
 module Flight = Zkqac_telemetry.Flight
 module Rte = Zkqac_telemetry.Rte
@@ -41,7 +42,6 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("zkqac: " ^ s); exit 1) f
    Verify_error constructor) so scripts can tell a completeness gap from a
    bad signature without parsing stderr. *)
 let die_verify (e : Zkqac_util.Verify_error.t) =
-  Flight.trip ~reason:("verify-error:" ^ Zkqac_util.Verify_error.code e);
   prerr_endline
     (Printf.sprintf "zkqac: verification FAILED [%s]: %s"
        (Zkqac_util.Verify_error.code e)
@@ -213,11 +213,6 @@ let user_arg ?doc () =
 
 let range_arg ?doc () =
   Arg.(required & opt (some string) None & info [ "range" ] ~docv:"a1,a2:b1,b2" ?doc)
-
-let batch_arg ~no_batch_doc =
-  Arg.(value & vflag true
-         [ (true, info [ "batch" ] ~doc:"Batch signature verification (default).");
-           (false, info [ "no-batch" ] ~doc:no_batch_doc) ])
 
 (* Every field a record line carries, or the reason it is unusable. *)
 let parse_record line =
@@ -435,66 +430,24 @@ let query_cmd =
 
 (* --- verify (user side) --- *)
 
-let verify ?(batch = true) path vo_path roles range =
+let verify path vo_path roles range =
   let mvk, tree, user, box = load_query path roles range in
-  let vo_bytes = read_file vo_path in
-  let fallbacks0 = Zkqac_telemetry.Metrics.batch_fallbacks () in
-  (* Mirrors the audit entry System.open_and_verify writes: the CLI path
-     verifies raw VO bytes without an envelope, but an auditor still gets
-     query, digest, path and outcome for every decision. *)
-  let record_audit ~outcome ~rows =
-    if Audit.enabled () then
-      Audit.record ~kind:"verify"
-        (Json.Obj
-           [ ("query", Json.Str (Box.to_string box));
-             ("vo_digest", Json.Str (Zkqac_hashing.Sha256.hex vo_bytes));
-             ("vo_bytes", Json.Int (String.length vo_bytes));
-             ( "path",
-               Json.Str
-                 (if not batch then "sequential"
-                  else if Zkqac_telemetry.Metrics.batch_fallbacks () > fallbacks0
-                  then "batch-fallback"
-                  else "batch") );
-             ("outcome", Json.Str outcome);
-             ("rows", Json.Int rows) ])
-  in
-  let fail e =
-    record_audit ~outcome:(Zkqac_util.Verify_error.code e) ~rows:0;
-    die_verify e
-  in
-  (* Batch weights derived from the VO bytes: whoever produced the VO
-     committed to it before the weights existed. *)
-  let batch_drbg =
-    if batch then
-      Some (Zkqac_hashing.Drbg.create ~seed:("zkqac-cli-batch:" ^ vo_bytes))
-    else None
-  in
-  match Vo.decode vo_bytes with
-  | Error e -> fail e
-  | Ok vo -> (
-    match
-      Ap2g.verify ?batch:batch_drbg ~mvk ~t_universe:(Ap2g.universe tree)
-        ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box vo
-    with
-    | Error e -> fail e
-    | Ok results ->
-      record_audit ~outcome:"ok" ~rows:(List.length results);
-      Printf.printf "verification OK: %d accessible record(s)\n" (List.length results);
-      print_records results)
+  match
+    System.verify_vo ~mvk ~universe:(Ap2g.universe tree)
+      ?hierarchy:(Ap2g.hierarchy tree) ~roles:user ~query:box (read_file vo_path)
+  with
+  | Error e -> die_verify e
+  | Ok (results, _) ->
+    Printf.printf "verification OK: %d accessible record(s)\n" (List.length results);
+    print_records results
 
 let verify_cmd =
   let vo = Arg.(required & opt (some file) None & info [ "vo" ] ~doc:"VO file to check.") in
-  let batch =
-    batch_arg
-      ~no_batch_doc:"Verify every signature individually (one pairing equation at a time)."
-  in
   Cmd.v
     (Cmd.info "verify" ~doc:"User side: check a VO for soundness and completeness.")
-    Term.(const (fun obs batch path vo roles range ->
-              with_obs obs (fun () ->
-                  verify ~batch path vo roles range))
-          $ obs_term $ batch $ ads_arg ()
-          $ vo $ user_arg () $ range_arg ())
+    Term.(const (fun obs path vo roles range ->
+              with_obs obs (fun () -> verify path vo roles range))
+          $ obs_term $ ads_arg () $ vo $ user_arg () $ range_arg ())
 
 (* --- attack (fault-injection harness) --- *)
 
@@ -871,9 +824,9 @@ let supervise_cmd =
     Term.(const supervise $ max_restarts $ base_backoff $ max_backoff
           $ pid_file $ serve_args)
 
-let client ads host port roles range retries batch =
+let client ads host port roles range retries =
   let mvk, tree, user, box = load_query ads roles range in
-  let cfg = { Client.default_config with Client.host; port; retries; batch } in
+  let cfg = { Client.default_config with Client.host; port; retries } in
   match
     Cl.query cfg ~mvk ~universe:(Ap2g.universe tree)
       ?hierarchy:(Ap2g.hierarchy tree) ~user ~query:box ()
@@ -918,19 +871,16 @@ let client_cmd =
                    Overloaded, Deadline). Typed verification rejections are \
                    never retried.")
   in
-  let batch = batch_arg ~no_batch_doc:"Verify signatures individually." in
   Cmd.v
     (Cmd.info "client"
        ~doc:"Query a running server and verify the returned VO locally, \
              retrying transient faults with full-jitter backoff. Exits with \
              the typed verification code on rejection.")
-    Term.(const (fun obs ads host port roles range
-                     retries batch ->
-              with_obs obs (fun () ->
-                  client ads host port roles range retries batch))
+    Term.(const (fun obs ads host port roles range retries ->
+              with_obs obs (fun () -> client ads host port roles range retries))
           $ obs_term $ ads $ host_arg
           $ port_arg ~doc:"Server port." 7499 $ user_arg () $ range_arg ()
-          $ retries $ batch)
+          $ retries)
 
 let chaos listen_port upstream_host upstream_port scenario faults stall
     trickle_delay cut_after seed =

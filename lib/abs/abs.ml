@@ -82,8 +82,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     { attrs; k_base; k0; k_u }
 
-  let key_attrs sk = sk.attrs
-
   (* C * g^hash -- the message-binding base of the S components. *)
   let msg_base mvk hash = G.mul mvk.cap_c (G.pow mvk.g hash)
 

@@ -30,8 +30,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   (** ABS.KeyGen. The data owner typically calls this once on the full
       attribute universe (including the pseudo role) for itself. *)
 
-  val key_attrs : signing_key -> Zkqac_policy.Attr.Set.t
-
   val sign :
     Zkqac_hashing.Drbg.t ->
     mvk ->

@@ -11,6 +11,7 @@ module Flight = Zkqac_telemetry.Flight
 module Box = Zkqac_core.Box
 module Keyspace = Zkqac_core.Keyspace
 module Record = Zkqac_core.Record
+module System = Zkqac_core.System
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -481,8 +482,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let rec_ key value policy =
     Record.make ~key ~value ~policy:(Expr.of_string policy)
 
-  let batch_drbg bytes = Drbg.create ~seed:("zkqac-attack-batch:" ^ bytes)
-
   let vo_target ~kind ~verify_vo vo =
     let check batch bytes =
       match Vo.decode bytes with
@@ -494,7 +493,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       kind;
       bytes = Vo.to_bytes vo;
       verify = check None;
-      verify_batched = (fun bytes -> check (Some (batch_drbg bytes)) bytes);
+      verify_batched = (fun bytes -> check (Some (System.batch_weights bytes)) bytes);
       tamper =
         (fun prng name ->
           Option.map Vo.to_bytes (vo_tamper ~alt_policy prng name vo));
@@ -600,7 +599,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       kind = Join_q;
       bytes = Join.to_bytes vo;
       verify = check None;
-      verify_batched = (fun bytes -> check (Some (batch_drbg bytes)) bytes);
+      verify_batched = (fun bytes -> check (Some (System.batch_weights bytes)) bytes);
       tamper =
         (fun prng name ->
           Option.map Join.to_bytes (join_tamper ~alt_policy prng name vo));

@@ -136,7 +136,6 @@ let find name =
 
 let names = List.map (fun s -> s.name) all
 let network_names = List.map (fun s -> s.name) network
-let crash_names = List.map (fun s -> s.name) crash
 
 (* Which error classes count as the *right* rejection: a tamper that is
    refused for an unrelated reason (a "generic catch-all") would not witness

@@ -34,7 +34,6 @@ val crash : t list
 
 val names : string list
 val network_names : string list
-val crash_names : string list
 
 val find : string -> t option
 (** Look up a scenario in {!all}, {!network} or {!crash}. *)

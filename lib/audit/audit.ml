@@ -251,7 +251,7 @@ let sink_lock = Mutex.create ()
 let sink : sink option ref = ref None
 
 let m_fsync =
-  Metrics.fcounter ~name:"zkqac_audit_fsync_seconds_total"
+  Metrics.counter ~name:"zkqac_audit_fsync_seconds_total"
     ~help:"Wall-clock seconds spent fsyncing the audit log (group commit)."
 
 let fsync_oc oc =

@@ -1,7 +1,7 @@
 (** Append-only, hash-chained audit log with explicit group-commit
     durability.
 
-    Every [System.open_and_verify] decision (and every attack-harness cell)
+    Every [System.verify_vo] decision (and every attack-harness cell)
     can be recorded as one line of an audit log whose integrity is
     verifiable offline — the paper's tamper-evidence mindset applied to our
     own operational record.

@@ -48,7 +48,6 @@ let of_int i =
 
 let one = of_int 1
 let two = of_int 2
-let minus_one = of_int (-1)
 
 let sign t = t.sign
 let is_zero t = t.sign = 0
@@ -151,9 +150,6 @@ let mul a b =
     done;
     normalize (a.sign * b.sign) r
   end
-
-let mul_int a i = mul a (of_int i)
-let add_int a i = add a (of_int i)
 
 let shift_left t k =
   if t.sign = 0 || k = 0 then t

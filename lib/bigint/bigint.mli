@@ -11,7 +11,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 (** {1 Conversions} *)
 
@@ -57,8 +56,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < |b|] (Euclidean

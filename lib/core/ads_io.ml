@@ -24,9 +24,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Ap2g = Ap2g.Make (P)
   module Abs = Zkqac_abs.Abs.Make (P)
 
-  let tree_to_bytes = Ap2g.to_bytes
-  let tree_of_bytes = Ap2g.of_bytes
-
   let file_magic_epochless = "ZKQAC-ADS-FILE-v1"
   let file_magic = "ZKQAC-ADS-FILE-v2"
 

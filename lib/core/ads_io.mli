@@ -21,9 +21,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   module Ap2g : module type of Ap2g.Make (P)
   module Abs : module type of Zkqac_abs.Abs.Make (P)
 
-  val tree_to_bytes : Ap2g.t -> string
-  val tree_of_bytes : string -> Ap2g.t option
-
   val save : ?epoch:int -> path:string -> mvk:Abs.mvk -> Ap2g.t -> unit
   (** Atomically replace [path] with the tree and the public verification
       key, stamped with [epoch] (default 0). Raises [Sys_error] if the

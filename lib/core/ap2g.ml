@@ -253,7 +253,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let root t = t.root
   let node_box n = n.box
-  let node_policy n = n.policy
   let node_children n = match n.content with Leaf _ -> [] | Children c -> c
 
   let node_entry_inaccessible drbg ~mvk t ~user node =

@@ -94,7 +94,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type node
   val root : t -> node
   val node_box : node -> Box.t
-  val node_policy : node -> Zkqac_policy.Expr.t
   val node_children : node -> node list
   (** Empty for leaves. *)
 

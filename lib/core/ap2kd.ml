@@ -196,7 +196,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         in
         Vo.Inaccessible_node { region = node.box; aps }
 
-  let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
+  let range_vo drbg ~mvk t ~user query =
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "ap2kd.range") ]
     @@ fun ctx ->
     let t0 = Clock.now_ns () in
@@ -239,7 +239,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     done;
     let relax_jobs = List.rev !jobs in
     let relaxed =
-      Trace.with_span "sp.relax" ~parent:ctx (fun _ -> pmap relax_jobs)
+      Trace.with_span "sp.relax" ~parent:ctx (fun _ ->
+          List.map (fun job -> job ()) relax_jobs)
     in
     let vo = List.rev_append !direct relaxed in
     Trace.set_attrs ctx

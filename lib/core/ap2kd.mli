@@ -47,7 +47,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 
   val range_vo :
-    ?pmap:((unit -> Vo.entry) list -> Vo.entry list) ->
     Zkqac_hashing.Drbg.t ->
     mvk:Abs.mvk ->
     t ->

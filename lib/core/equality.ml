@@ -124,7 +124,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | Ok [ r ] -> Ok (Result r)
     | Ok _ -> Error (Vo.Invalid_shape "equality VO returned more than one record")
 
-  let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
+  let range_vo drbg ~mvk t ~user query =
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "equality.range") ]
     @@ fun ctx ->
     let t0 = Clock.now_ns () in
@@ -136,8 +136,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         let key = Array.of_list klist in
         if Box.contains_point query key then begin
           incr count;
-          (* Fork the DRBG per job *now* (sequentially) so the thunk is safe
-             to run on any domain. *)
+          (* Fork the DRBG per job *now*, in key order, so the relax work
+             can run later under its own span. *)
           let job_drbg =
             Zkqac_hashing.Drbg.create ~seed:(Zkqac_hashing.Drbg.generate drbg 32)
           in
@@ -154,7 +154,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               (Key_map.bindings t.entries)))
     in
     let vo =
-      Trace.with_span "sp.relax" ~parent:ctx (fun _ -> pmap (List.rev !jobs))
+      Trace.with_span "sp.relax" ~parent:ctx (fun _ ->
+          List.map (fun job -> job ()) (List.rev !jobs))
     in
     Trace.set_attrs ctx
       [ ("nodes_visited", Trace.Int !count);

@@ -57,7 +57,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     (outcome, Vo.error) result
 
   val range_vo :
-    ?pmap:((unit -> Vo.entry) list -> Vo.entry list) ->
     Zkqac_hashing.Drbg.t ->
     mvk:Abs.mvk ->
     t ->

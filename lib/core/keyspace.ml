@@ -47,7 +47,3 @@ let children_boxes t box =
 
 let is_unit box = Array.for_all2 (fun l h -> h - l = 1) box.Box.lo box.Box.hi
 let key_of_unit box = Array.copy box.Box.lo
-let clamp_box t box = Box.intersect (whole t) box
-
-let random_key rng t =
-  Array.init t.dims (fun _ -> Zkqac_rng.Prng.int rng (side t))

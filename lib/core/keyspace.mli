@@ -29,7 +29,3 @@ val children_boxes : t -> Box.t -> Box.t list
 
 val is_unit : Box.t -> bool
 val key_of_unit : Box.t -> int array
-val clamp_box : t -> Box.t -> Box.t option
-(** Intersection with the whole space. *)
-
-val random_key : Zkqac_rng.Prng.t -> t -> int array

@@ -4,6 +4,19 @@ module Universe = Zkqac_policy.Universe
 module Hierarchy = Zkqac_policy.Hierarchy
 module Drbg = Zkqac_hashing.Drbg
 module Trace = Zkqac_telemetry.Trace
+module Tel = Zkqac_telemetry.Telemetry
+module Flight = Zkqac_telemetry.Flight
+module Metrics = Zkqac_telemetry.Metrics
+module Json = Zkqac_telemetry.Json
+module Audit = Zkqac_audit.Audit
+module VE = Zkqac_util.Verify_error
+
+(* The weights are a function of bytes the SP committed to before they
+   existed, so a prover who grinds VO variants still passes a bad batch
+   with probability at most 1/r per try. *)
+let batch_weights vo_bytes = Drbg.create ~seed:("zkqac-vo-batch:" ^ vo_bytes)
+
+let ms_since t0 = Int64.to_float (Int64.sub (Tel.now_ns ()) t0) /. 1e6
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -89,10 +102,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   type response = { sealed : Envelope.sealed; query : Box.t }
 
-  let range_query ?pmap server ~claimed_roles query =
+  let range_query server ~claimed_roles query =
     Trace.with_span "system.range_query" ~parent:Trace.none @@ fun ctx ->
     let vo, _stats =
-      Ap2g.range_vo ?pmap server.sp_drbg ~mvk:server.mvk server.tree
+      Ap2g.range_vo server.sp_drbg ~mvk:server.mvk server.tree
         ~user:claimed_roles query
     in
     let payload = Vo.to_bytes vo in
@@ -113,112 +126,114 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     vo_size : int;
   }
 
-  let open_and_verify_v ?(batch = true) user ~query response =
-    Trace.with_span "system.open_and_verify" ~parent:Trace.none @@ fun ctx ->
-    let module Tel = Zkqac_telemetry.Telemetry in
-    let module Flight = Zkqac_telemetry.Flight in
-    let module Metrics = Zkqac_telemetry.Metrics in
-    let module Json = Zkqac_telemetry.Json in
-    let module Audit = Zkqac_audit.Audit in
+  (* Every decision — acceptance or typed rejection — leaves a verdict in
+     the flight recorder and, when a sink is enabled, one hash-chained
+     audit entry carrying the evidence an offline auditor needs: what was
+     verified, under which batch path, and how long each stage took. A
+     rejection also counts under its code and trips the recorder. The path
+     reads the process-wide fallback counter, so verifiers running
+     concurrently may see each other's fallbacks. *)
+  let decide ~fallbacks0 ~query ~stages ?payload ?(vo_entries = 0) result =
+    let outcome, rows =
+      match result with
+      | Ok records -> ("ok", List.length records)
+      | Error e -> (VE.code e, 0)
+    in
+    if Result.is_error result then Metrics.rejection outcome;
+    Flight.record ~cat:"verdict" ~detail:outcome ~v:rows "system.verify";
+    if Audit.enabled () then begin
+      let path =
+        if Metrics.batch_fallbacks () > fallbacks0 then "batch-fallback" else "batch"
+      in
+      let digest, size =
+        match payload with
+        | Some p -> (Zkqac_hashing.Sha256.hex p, String.length p)
+        | None -> ("", 0)
+      in
+      Audit.record ~kind:"verify"
+        (Json.Obj
+           [ ("query", Json.Str (Box.to_string query));
+             ("vo_digest", Json.Str digest);
+             ("vo_bytes", Json.Int size);
+             ("vo_entries", Json.Int vo_entries);
+             ("path", Json.Str path);
+             ("outcome", Json.Str outcome);
+             ("rows", Json.Int rows);
+             ( "stages_ms",
+               Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) stages) ) ])
+    end;
+    if Result.is_error result then Flight.trip ~reason:("verify-error:" ^ outcome)
+
+  let verify_vo ?envelope_open_ms ~mvk ~universe ?hierarchy ~roles ~query payload =
     let t_start = Tel.now_ns () in
-    let open_ms = ref 0.0 and decode_ms = ref 0.0 and verify_ms = ref 0.0 in
+    let fallbacks0 = Metrics.batch_fallbacks () in
+    let decode_ms = ref 0.0 and verify_ms = ref 0.0 and vo_entries = ref 0 in
     let timed cell f =
       let t0 = Tel.now_ns () in
       let r = f () in
-      cell := Int64.to_float (Int64.sub (Tel.now_ns ()) t0) /. 1e6;
+      cell := ms_since t0;
       r
     in
-    let fallbacks0 = Metrics.batch_fallbacks () in
-    (* Every decision — acceptance or typed rejection — leaves a verdict in
-       the flight recorder and, when a sink is enabled, one hash-chained
-       audit entry carrying the evidence an offline auditor needs: what was
-       verified, under which batch path, and how long each stage took. *)
-    let conclude ~outcome ~vo_digest ~vo_bytes ~vo_entries ~rows =
-      let total_ms = Int64.to_float (Int64.sub (Tel.now_ns ()) t_start) /. 1e6 in
-      Flight.record ~cat:"verdict" ~detail:outcome ~v:rows "system.open_and_verify";
-      if Audit.enabled () then begin
-        let path =
-          if not batch then "sequential"
-          else if Metrics.batch_fallbacks () > fallbacks0 then "batch-fallback"
-          else "batch"
-        in
-        Audit.record ~kind:"verify"
-          (Json.Obj
-             [ ("query", Json.Str (Box.to_string query));
-               ("vo_digest", Json.Str vo_digest);
-               ("vo_bytes", Json.Int vo_bytes);
-               ("vo_entries", Json.Int vo_entries);
-               ("path", Json.Str path);
-               ("outcome", Json.Str outcome);
-               ("rows", Json.Int rows);
-               ( "stages_ms",
-                 Json.Obj
-                   [ ("envelope_open", Json.Float !open_ms);
-                     ("vo_decode", Json.Float !decode_ms);
-                     ("vo_verify", Json.Float !verify_ms);
-                     ("total", Json.Float total_ms) ] ) ])
-      end
+    let result =
+      match timed decode_ms (fun () -> Vo.decode payload) with
+      | Error e -> Error e
+      | Ok vo ->
+        vo_entries := List.length vo;
+        timed verify_ms (fun () ->
+            Ap2g.verify ~batch:(batch_weights payload) ~mvk ~t_universe:universe
+              ?hierarchy ~user:roles ~query vo)
     in
-    let fail ?(vo_digest = "") ?(vo_bytes = 0) ?(vo_entries = 0) e =
-      let code = Zkqac_util.Verify_error.code e in
-      Trace.set_attr ctx "verify_error" (Trace.Str code);
-      Metrics.rejection code;
-      conclude ~outcome:code ~vo_digest ~vo_bytes ~vo_entries ~rows:0;
-      Flight.trip ~reason:("verify-error:" ^ code);
+    let total = Option.value envelope_open_ms ~default:0.0 +. ms_since t_start in
+    let stages =
+      Option.to_list (Option.map (fun ms -> ("envelope_open", ms)) envelope_open_ms)
+      @ [ ("vo_decode", !decode_ms); ("vo_verify", !verify_ms); ("total", total) ]
+    in
+    decide ~fallbacks0 ~query ~stages ~payload ~vo_entries:!vo_entries result;
+    Result.map (fun records -> (records, !vo_entries)) result
+
+  let open_and_verify_v user ~query response =
+    Trace.with_span "system.open_and_verify" ~parent:Trace.none @@ fun ctx ->
+    let fail e =
+      Trace.set_attr ctx "verify_error" (Trace.Str (VE.code e));
       Error e
     in
-    if not (Box.equal query response.query) then
-      fail Zkqac_util.Verify_error.Query_mismatch
-    else begin
+    let t_start = Tel.now_ns () in
+    let opened =
+      if not (Box.equal query response.query) then Error VE.Query_mismatch
+      else Envelope.open_result user.user_pp user.cpabe_sk response.sealed
+    in
+    let open_ms = ms_since t_start in
+    match opened with
+    | Error e ->
+      decide ~fallbacks0:(Metrics.batch_fallbacks ()) ~query (Error e)
+        ~stages:
+          [ ("envelope_open", open_ms); ("vo_decode", 0.0); ("vo_verify", 0.0);
+            ("total", open_ms) ];
+      fail e
+    | Ok payload -> (
       match
-        timed open_ms (fun () ->
-            Envelope.open_result user.user_pp user.cpabe_sk response.sealed)
+        verify_vo ~envelope_open_ms:open_ms ~mvk:user.user_mvk
+          ~universe:user.user_universe ?hierarchy:user.user_hierarchy
+          ~roles:user.roles ~query payload
       with
       | Error e -> fail e
-      | Ok payload ->
-        let vo_digest = Zkqac_hashing.Sha256.hex payload in
-        let vo_bytes = String.length payload in
-        (match timed decode_ms (fun () -> Vo.decode payload) with
-         | Error e -> fail ~vo_digest ~vo_bytes e
-         | Ok vo ->
-           let vo_entries = List.length vo in
-           (* Batch weights may be derived deterministically from the
-              payload: the server commits to the VO before the weights
-              exist, which is the soundness requirement of small-exponent
-              batching. *)
-           let batch_drbg =
-             if batch then
-               Some (Drbg.create ~seed:("zkqac-system-batch:" ^ payload))
-             else None
-           in
-           (match
-              timed verify_ms (fun () ->
-                  Ap2g.verify ?batch:batch_drbg ~mvk:user.user_mvk
-                    ~t_universe:user.user_universe ?hierarchy:user.user_hierarchy
-                    ~user:user.roles ~query vo)
-            with
-            | Error e -> fail ~vo_digest ~vo_bytes ~vo_entries e
-            | Ok records ->
-              let results =
-                List.map
-                  (fun (r : Record.t) ->
-                    match Envelope.of_bytes r.Record.value with
-                    | None -> (r.Record.key, "<malformed content>")
-                    | Some sealed ->
-                      (match Envelope.open_ user.user_pp user.cpabe_sk sealed with
-                       | Some content -> (r.Record.key, content)
-                       | None -> (r.Record.key, "<undecryptable content>")))
-                  records
-              in
-              Trace.set_attr ctx "result_rows" (Trace.Int (List.length results));
-              conclude ~outcome:"ok" ~vo_digest ~vo_bytes ~vo_entries
-                ~rows:(List.length results);
-              Ok { results; vo_entries; vo_size = vo_bytes }))
-    end
+      | Ok (records, vo_entries) ->
+        let results =
+          List.map
+            (fun (r : Record.t) ->
+              match Envelope.of_bytes r.Record.value with
+              | None -> (r.Record.key, "<malformed content>")
+              | Some sealed ->
+                (match Envelope.open_ user.user_pp user.cpabe_sk sealed with
+                 | Some content -> (r.Record.key, content)
+                 | None -> (r.Record.key, "<undecryptable content>")))
+            records
+        in
+        Trace.set_attr ctx "result_rows" (Trace.Int (List.length results));
+        Ok { results; vo_entries; vo_size = String.length payload })
 
-  let open_and_verify ?batch user ~query response =
-    Result.map_error Zkqac_util.Verify_error.to_string
-      (open_and_verify_v ?batch user ~query response)
+  let open_and_verify user ~query response =
+    Result.map_error VE.to_string (open_and_verify_v user ~query response)
 
   let user_roles u = u.roles
   let universe o = o.universe

@@ -10,6 +10,12 @@
     - the user opens the envelope, verifies soundness + completeness, and
       decrypts the contents of its accessible records. *)
 
+val batch_weights : string -> Zkqac_hashing.Drbg.t
+(** The small-exponent batch weights for a VO, derived Fiat–Shamir style
+    from its encoded bytes under one fixed tag. Every batched verifier
+    ({!Make.verify_vo}, the adversary harness, the bench ablation) takes
+    its weights from here. *)
+
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   module Abs : module type of Zkqac_abs.Abs.Make (P)
   module Cpabe : module type of Zkqac_cpabe.Cpabe.Make (P)
@@ -45,15 +51,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   (** The sealed payload the SP sends back. *)
 
   val range_query :
-    ?pmap:((unit -> Vo.entry) list -> Vo.entry list) ->
     server ->
     claimed_roles:Zkqac_policy.Attr.Set.t ->
     Box.t ->
     response
   (** SP-side query processing: constructs the VO and seals it under the
-      claimed roles. [pmap] runs the independent relax jobs (default:
-      sequential; pass [Zkqac_parallel.Pool.map ~threads] to fan out).
-      When tracing is enabled the whole call records one
+      claimed roles. When tracing is enabled the whole call records one
       [system.range_query] root span. *)
 
   val response_size : response -> int
@@ -64,25 +67,40 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     vo_size : int;
   }
 
+  val verify_vo :
+    ?envelope_open_ms:float ->
+    mvk:Zkqac_abs.Abs.Make(P).mvk ->
+    universe:Zkqac_policy.Universe.t ->
+    ?hierarchy:Zkqac_policy.Hierarchy.t ->
+    roles:Zkqac_policy.Attr.Set.t ->
+    query:Box.t ->
+    string ->
+    (Record.t list * int, Zkqac_util.Verify_error.t) result
+  (** The user-side decision on raw VO bytes: decode, verify every
+      signature in small-exponent batches weighted by {!batch_weights}
+      (a rejected batch falls back to one-by-one verification, so the
+      typed error is the same either way), and return the accessible
+      records in the query plus the VO's entry count.
+
+      The decision is recorded once: a flight-recorder verdict, a
+      [zkqac_verify_rejections_total] count and a flight trip on
+      rejection, and, when an audit sink is enabled, one [verify] entry
+      whose [path] is [batch] or [batch-fallback]. [envelope_open_ms]
+      adds the caller's envelope-open time to the entry's [stages_ms]. *)
+
   val open_and_verify_v :
-    ?batch:bool ->
     user ->
     query:Box.t ->
     response ->
     (verified, Zkqac_util.Verify_error.t) result
   (** User side: open the envelope (fails for impostors), verify the VO
-      (fails on any tampering or omission), decrypt accessible contents.
-      Failures carry the typed {!Zkqac_util.Verify_error.t} taxonomy; the
-      error code is also recorded as a [verify_error] span attribute.
-
-      [batch] (default [true]) verifies the VO's signatures with
-      small-exponent batching (weights derived deterministically from the
-      decrypted payload, which the server committed to before the weights
-      existed). A rejected batch falls back to one-by-one verification, so
-      the typed error is identical either way. *)
+      with {!verify_vo} (fails on any tampering or omission), decrypt
+      accessible contents. A mismatched query or an envelope that does not
+      open is recorded the same way as a VO rejection. The error code is
+      also recorded as a [verify_error] span attribute. *)
 
   val open_and_verify :
-    ?batch:bool -> user -> query:Box.t -> response -> (verified, string) result
+    user -> query:Box.t -> response -> (verified, string) result
   (** {!open_and_verify_v} with errors rendered to strings. *)
 
   val user_roles : user -> Zkqac_policy.Attr.Set.t

@@ -107,8 +107,6 @@ let hash_to_point c ~domain msg =
   in
   try_ctr 0
 
-let encoded_size c = 1 + ((B.num_bits (Fp.modulus c) + 7) / 8)
-
 let to_bytes c pt =
   let w = (B.num_bits (Fp.modulus c) + 7) / 8 in
   match pt with

@@ -49,4 +49,3 @@ val to_bytes : Fp.ctx -> point -> string
     the x-coordinate, fixed width. *)
 
 val of_bytes : Fp.ctx -> string -> point option
-val encoded_size : Fp.ctx -> int

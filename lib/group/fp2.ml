@@ -5,7 +5,6 @@ type t = { re : B.t; im : B.t }
 let zero = { re = B.zero; im = B.zero }
 let one = { re = B.one; im = B.zero }
 let make re im = { re; im }
-let of_fp re = { re; im = B.zero }
 let equal a b = B.equal a.re b.re && B.equal a.im b.im
 let is_zero a = B.is_zero a.re && B.is_zero a.im
 let is_one a = B.is_one a.re && B.is_zero a.im

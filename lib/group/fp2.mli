@@ -9,7 +9,6 @@ type t = { re : Zkqac_bigint.Bigint.t; im : Zkqac_bigint.Bigint.t }
 val zero : t
 val one : t
 val make : Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> t
-val of_fp : Zkqac_bigint.Bigint.t -> t
 val equal : t -> t -> bool
 val is_zero : t -> bool
 val is_one : t -> bool

@@ -33,6 +33,13 @@ let () =
 
 exception Job_failed of exn
 
+(* [map] spawns its domains per call instead of borrowing the persistent
+   pool below. Both alternatives were measured on a 2-vCPU host under two
+   busy-loop CPU hogs: one pool submit per job let a job run on a domain
+   other than its slice's, which broke per-domain allocation attribution in
+   2 of 8 test runs; static slices behind a start barrier held attribution
+   but took fig13's 16-thread row from 1.4-1.6 s to 1.7-2.3 s, and moving
+   the t=1 row off the caller's domain slowed it too. *)
 let map_results ~threads jobs =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in

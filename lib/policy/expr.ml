@@ -238,7 +238,6 @@ let of_dnf clauses =
          clauses)
 
 let eval_dnf dnf attrs = List.exists (fun clause -> Attr.Set.subset clause attrs) dnf
-let dnf_clause_sets t = to_dnf t
 
 let canonical t =
   let dnf = to_dnf t in

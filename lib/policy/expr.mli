@@ -72,8 +72,6 @@ val to_dnf : t -> dnf
 
 val of_dnf : dnf -> t
 val eval_dnf : dnf -> Attr.Set.t -> bool
-val dnf_clause_sets : t -> Attr.Set.t list
-(** The [X] set of Section 9.1: the OR-operand set of the DNF. *)
 
 val canonical : t -> t
 (** DNF-based canonical form, usable as a dictionary key for policies. *)

@@ -15,14 +15,10 @@
 module Wire = Zkqac_util.Wire
 module VE = Zkqac_util.Verify_error
 module Attr = Zkqac_policy.Attr
-module Universe = Zkqac_policy.Universe
-module Hierarchy = Zkqac_policy.Hierarchy
-module Drbg = Zkqac_hashing.Drbg
 module Prng = Zkqac_rng.Prng
 module Monotonic_clock = Zkqac_parallel.Monotonic_clock
 module Flight = Zkqac_telemetry.Flight
 module Metrics = Zkqac_telemetry.Metrics
-module Box = Zkqac_core.Box
 module Record = Zkqac_core.Record
 
 let m_attempts =
@@ -42,7 +38,6 @@ type config = {
   retries : int;  (** retry budget: attempts beyond the first *)
   base_backoff : float;  (** first backoff cap, seconds *)
   max_backoff : float;
-  batch : bool;  (** batch the signature verification (CLI default) *)
 }
 
 let default_config =
@@ -55,7 +50,6 @@ let default_config =
     retries = 4;
     base_backoff = 0.05;
     max_backoff = 2.0;
-    batch = true;
   }
 
 type failure =
@@ -74,9 +68,7 @@ let failure_to_string = function
       attempts last
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
-  module Ap2g = Zkqac_core.Ap2g.Make (P)
-  module Vo = Zkqac_core.Vo.Make (P)
-  module Abs = Zkqac_abs.Abs.Make (P)
+  module System = Zkqac_core.System.Make (P)
 
   type success = {
     records : Record.t list;
@@ -134,20 +126,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               | Proto.Bad_request d -> `Bad_request d
               | Proto.Server_error _ -> `Transient "server-error")))
 
-  let verify cfg ~mvk ~universe ?hierarchy ~user ~query vo_payload =
-    let batch =
-      if cfg.batch then
-        (* Weights derived from the received bytes: the producer committed
-           to the VO before the weights existed. *)
-        Some (Drbg.create ~seed:("zkqac-client-batch:" ^ vo_payload))
-      else None
-    in
-    match Vo.decode vo_payload with
-    | Error e -> Error e
-    | Ok vo ->
-      Ap2g.verify ?batch:batch ~mvk ~t_universe:universe ?hierarchy ~user ~query
-        vo
-
   let query ?(prng = Prng.create 1) ?req_id cfg ~mvk ~universe ?hierarchy ~user
       ~query:box () =
     (* The client mints the correlation id unless the caller (loadgen, a
@@ -184,8 +162,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         | `Bad_request d -> Error (Bad_request d)
         | `Vo (vo_payload, timing, attempt_ms) -> (
           let v0 = Monotonic_clock.now_ns () in
-          match verify cfg ~mvk ~universe ?hierarchy ~user ~query:box vo_payload with
-          | Ok records ->
+          match
+            System.verify_vo ~mvk ~universe ?hierarchy ~roles:user ~query:box
+              vo_payload
+          with
+          | Ok (records, _) ->
             Ok
               {
                 records;

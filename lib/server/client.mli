@@ -15,7 +15,6 @@ type config = {
   retries : int;  (** retry budget: attempts beyond the first *)
   base_backoff : float;  (** first backoff cap, seconds *)
   max_backoff : float;
-  batch : bool;  (** batch the signature verification *)
 }
 
 val default_config : config
@@ -57,7 +56,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     unit ->
     (success, failure) result
   (** One authenticated query: send [query] claiming [user]'s roles, read
-      the VO, verify it locally against [mvk]. The request carries [req_id]
+      the VO, verify it locally against [mvk] with
+      {!Zkqac_core.System.Make.verify_vo}, which records the decision. The request carries [req_id]
       (minted here when absent or [0L]) across every retry; the responder
       must echo it in the footer — a different non-zero id is treated as a
       transient fault, while [0L] (a shed connection, answered before its

@@ -145,8 +145,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     draining : bool Atomic.t;
     mutable acceptor : Thread.t option;
     mutable checkpointer : Thread.t option;
-    mutable handlers : Thread.t list;
-    handlers_lock : Mutex.t;
   }
 
   let port t =
@@ -412,10 +410,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             shed t fd conn_id
           else begin
             Atomic.incr t.in_flight;
-            let th = Thread.create (fun () -> guarded_handle t fd conn_id) () in
-            Mutex.lock t.handlers_lock;
-            t.handlers <- th :: t.handlers;
-            Mutex.unlock t.handlers_lock
+            ignore (Thread.create (fun () -> guarded_handle t fd conn_id) ())
           end)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done;
@@ -426,11 +421,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     while Atomic.get t.in_flight > 0 && Sockio.remaining_s deadline > 0.0 do
       Thread.delay 0.01
     done;
-    Mutex.lock t.handlers_lock;
-    let handlers = t.handlers in
-    t.handlers <- [];
-    Mutex.unlock t.handlers_lock;
-    if Atomic.get t.in_flight = 0 then List.iter Thread.join handlers;
     (* Abandoned (deadline-expired) queries may still hold worker domains;
        Pool.shutdown joins them, so it only runs when none is left. The
        drain must exit within its deadline even if a worker is stuck. *)
@@ -558,8 +548,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               draining = Atomic.make false;
               acceptor = None;
               checkpointer = None;
-              handlers = [];
-              handlers_lock = Mutex.create ();
             }
           in
           (* The recovered entry makes every (re)start part of the audited

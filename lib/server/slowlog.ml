@@ -127,12 +127,6 @@ let threshold_now_locked t =
   else if t.observed < dynamic_warmup then infinity
   else Float.max dynamic_floor_ms (Histogram.quantile t.lat 0.99 /. 1e6)
 
-let threshold_ms_now t =
-  Mutex.lock t.lock;
-  let v = threshold_now_locked t in
-  Mutex.unlock t.lock;
-  v
-
 let track t ~root ~req_id =
   if root <> 0 then begin
     Mutex.lock t.lock;

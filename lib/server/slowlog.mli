@@ -75,10 +75,6 @@ val sampled : t -> int
 
 val observed : t -> int
 
-val threshold_ms_now : t -> float
-(** The currently effective slow threshold ([infinity] while a dynamic
-    threshold is warming up). *)
-
 val to_json : t -> Zkqac_telemetry.Json.t
 (** The [/slowlog] payload: counters, the effective threshold, and every
     retained incident with its timing split and span tree. Request ids are

@@ -23,17 +23,12 @@ let env_flag name default =
   | Some _ -> true
   | None -> default
 
-let env_int name default min_v =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= min_v -> n | _ -> default)
-  | None -> default
-
 let on = Atomic.make (env_flag "ZKQAC_FLIGHT" true)
 let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
-let cap = env_int "ZKQAC_FLIGHT_CAP" 2048 16
-let max_dumps = env_int "ZKQAC_FLIGHT_MAX_DUMPS" 4 0
+let cap = 2048
+let max_dumps = 4
 let capacity () = cap
 let next_seq = Atomic.make 1
 let overwritten = Atomic.make 0

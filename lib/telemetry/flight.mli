@@ -8,17 +8,15 @@
 
     The recorder is enabled by default; set [ZKQAC_FLIGHT=off] in the
     environment (or call {!disable}) to turn it off, e.g. for overhead
-    ablations. Ring capacity per domain is [ZKQAC_FLIGHT_CAP] (default
-    2048); once full, the oldest events are overwritten and counted in
-    {!dropped}.
+    ablations. Each domain's ring holds 2048 events; once full, the oldest
+    events are overwritten and counted in {!dropped}.
 
     {!trip} is the dump-on-demand path: it records a [trip] event and, when
     a dump directory is configured ({!set_dir} or [ZKQAC_FLIGHT_DIR]),
-    writes the merged ring as JSON and text files, capped at
-    [ZKQAC_FLIGHT_MAX_DUMPS] (default 4) per process. {!emergency}
-    additionally prints the text dump to stderr when no directory is
-    configured — the last-resort path for SIGUSR1 and uncaught
-    exceptions. *)
+    writes the merged ring as JSON and text files, at most four times per
+    process. {!emergency} additionally prints the text dump to stderr when
+    no directory is configured — the last-resort path for SIGUSR1 and
+    uncaught exceptions. *)
 
 type event = {
   seq : int;  (** global sequence number, 1-based; total order of events *)
@@ -57,7 +55,7 @@ val trips : unit -> int
 (** Number of {!trip}/{!emergency} calls. *)
 
 val dumps_written : unit -> int
-(** Dump file pairs written so far (bounded by [ZKQAC_FLIGHT_MAX_DUMPS]). *)
+(** Dump file pairs written so far (at most four). *)
 
 val events : unit -> event list
 (** Merged view of all domain rings, sorted by sequence number. *)

@@ -14,12 +14,16 @@ type metric = { name : string; kind : kind; help : string; samples : sample list
 
 let sample ?(suffix = "") ?(labels = []) value = { suffix; labels; value }
 
-(* --- mutable counter families (push side: rare events like rejections) --- *)
+(* --- mutable counter families (push side: rare events like rejections) ---
+
+   Cells are floats so one family type serves both event counts and
+   accumulated durations (e.g. fsync seconds), where an int cell would lose
+   everything below the unit. Counts stay exact up to 2^53. *)
 
 type family = {
   fname : string;
   fhelp : string;
-  cells : (labels, int ref) Hashtbl.t;
+  cells : (labels, float ref) Hashtbl.t;
   lock : Mutex.t;
 }
 
@@ -41,56 +45,7 @@ let counter ~name ~help =
         help = f.fhelp;
         samples =
           List.sort compare cells
-          |> List.map (fun (labels, v) -> sample ~labels (float_of_int v));
-      } ]
-  in
-  collectors := !collectors @ [ collect ];
-  Mutex.unlock registry_lock;
-  f
-
-let inc ?(by = 1) f labels =
-  let labels = List.sort compare labels in
-  Mutex.lock f.lock;
-  (match Hashtbl.find_opt f.cells labels with
-   | Some r -> r := !r + by
-   | None -> Hashtbl.add f.cells labels (ref by));
-  Mutex.unlock f.lock
-
-let get f labels =
-  let labels = List.sort compare labels in
-  Mutex.lock f.lock;
-  let v = match Hashtbl.find_opt f.cells labels with Some r -> !r | None -> 0 in
-  Mutex.unlock f.lock;
-  v
-
-(* Float counter families: accumulated durations (e.g. fsync seconds) where
-   an int cell would lose everything below the unit. Same shape as [family]
-   otherwise. *)
-
-type ffamily = {
-  ffname : string;
-  ffhelp : string;
-  fcells : (labels, float ref) Hashtbl.t;
-  flock : Mutex.t;
-}
-
-let ffamilies : ffamily list ref = ref []
-
-let fcounter ~name ~help =
-  let f =
-    { ffname = name; ffhelp = help; fcells = Hashtbl.create 8; flock = Mutex.create () }
-  in
-  Mutex.lock registry_lock;
-  ffamilies := !ffamilies @ [ f ];
-  let collect () =
-    Mutex.lock f.flock;
-    let cells = Hashtbl.fold (fun k v acc -> (k, !v) :: acc) f.fcells [] in
-    Mutex.unlock f.flock;
-    [ {
-        name = f.ffname;
-        kind = Counter;
-        help = f.ffhelp;
-        samples = List.sort compare cells |> List.map (fun (labels, v) -> sample ~labels v);
+          |> List.map (fun (labels, v) -> sample ~labels v);
       } ]
   in
   collectors := !collectors @ [ collect ];
@@ -99,18 +54,21 @@ let fcounter ~name ~help =
 
 let finc ?(by = 1.0) f labels =
   let labels = List.sort compare labels in
-  Mutex.lock f.flock;
-  (match Hashtbl.find_opt f.fcells labels with
-  | Some r -> r := !r +. by
-  | None -> Hashtbl.add f.fcells labels (ref by));
-  Mutex.unlock f.flock
+  Mutex.lock f.lock;
+  (match Hashtbl.find_opt f.cells labels with
+   | Some r -> r := !r +. by
+   | None -> Hashtbl.add f.cells labels (ref by));
+  Mutex.unlock f.lock
 
 let fget f labels =
   let labels = List.sort compare labels in
-  Mutex.lock f.flock;
-  let v = match Hashtbl.find_opt f.fcells labels with Some r -> !r | None -> 0.0 in
-  Mutex.unlock f.flock;
+  Mutex.lock f.lock;
+  let v = match Hashtbl.find_opt f.cells labels with Some r -> !r | None -> 0.0 in
+  Mutex.unlock f.lock;
   v
+
+let inc ?(by = 1) f labels = finc ~by:(float_of_int by) f labels
+let get f labels = int_of_float (fget f labels)
 
 (* --- pull collectors --- *)
 
@@ -318,20 +276,13 @@ let () =
 let reset () =
   Mutex.lock registry_lock;
   let fams = !families in
-  let ffams = !ffamilies in
   Mutex.unlock registry_lock;
   List.iter
     (fun f ->
       Mutex.lock f.lock;
       Hashtbl.reset f.cells;
       Mutex.unlock f.lock)
-    fams;
-  List.iter
-    (fun f ->
-      Mutex.lock f.flock;
-      Hashtbl.reset f.fcells;
-      Mutex.unlock f.flock)
-    ffams
+    fams
 
 let collect () =
   Mutex.lock registry_lock;

@@ -46,9 +46,10 @@ val sample : ?suffix:string -> ?labels:labels -> float -> sample
 (** {1 Counter families (push side)} *)
 
 type family
-(** A mutable labelled counter family, for rare discrete events that have
-    no existing registry to pull from (e.g. verifier rejections).
-    Domain-safe. *)
+(** A mutable labelled counter family, for rare events that have no
+    existing registry to pull from: verifier rejections, or accumulated
+    durations such as fsync seconds. Cells are floats; the int accessors
+    are exact up to 2{^53}. Domain-safe. *)
 
 val counter : name:string -> help:string -> family
 (** Create and register a counter family. Call once, at module init. *)
@@ -56,16 +57,10 @@ val counter : name:string -> help:string -> family
 val inc : ?by:int -> family -> labels -> unit
 val get : family -> labels -> int
 
-type ffamily
-(** A float-valued counter family, for accumulated durations (fsync
-    seconds) where integer cells would round everything away. *)
+val finc : ?by:float -> family -> labels -> unit
+(** Fractional increment, for durations. *)
 
-val fcounter : name:string -> help:string -> ffamily
-(** Create and register a float counter family. Call once, at module
-    init. *)
-
-val finc : ?by:float -> ffamily -> labels -> unit
-val fget : ffamily -> labels -> float
+val fget : family -> labels -> float
 
 (** {1 Pull collectors} *)
 
@@ -87,7 +82,7 @@ val rejection : string -> unit
 
 val batch_fallback : unit -> unit
 (** Count one batched-verification fallback to the sequential path (feeds
-    [zkqac_batch_fallbacks_total]; sampled around [System.open_and_verify]
+    [zkqac_batch_fallbacks_total]; sampled around [System.verify_vo]
     to tell the audit log which path produced a verdict). *)
 
 val batch_fallbacks : unit -> int

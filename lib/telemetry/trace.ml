@@ -30,7 +30,6 @@ type ctx = span option
 
 let none : ctx = None
 let ctx_id : ctx -> int = function Some sp -> sp.id | None -> 0
-let ctx_root : ctx -> int = function Some sp -> sp.root | None -> 0
 let on = Switch.tracing_on
 let enabled () = Atomic.get on
 

@@ -38,9 +38,6 @@ val ctx_id : ctx -> int
 (** The span id behind a context (0 for {!none}) — what {!info.span_root}
     of every descendant will report for a root context. *)
 
-val ctx_root : ctx -> int
-(** The root span id of the context's tree (0 for {!none}). *)
-
 (** {1 Switching} *)
 
 val enabled : unit -> bool

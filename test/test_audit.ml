@@ -247,6 +247,111 @@ let test_fsync_metric () =
     (contains (Metrics.to_prometheus ()) "zkqac_audit_fsync_seconds_total");
   Metrics.reset ()
 
+(* The CLI's `zkqac verify` and System.open_and_verify make the same
+   decision through one entry point, so their audit entries share one
+   shape: the same keys, with only the envelope-open stage extra on the
+   System side, and a batch path on every entry, rejections included. *)
+module Backend = (val Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
+module System = Zkqac_core.System.Make (Backend)
+
+let zkqac_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/zkqac.exe"
+
+let run_zkqac args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process zkqac_exe
+      (Array.of_list (zkqac_exe :: args))
+      Unix.stdin null null
+  in
+  Unix.close null;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _ -> Alcotest.fail "zkqac killed by a signal"
+
+let verify_bodies path =
+  match Audit.verify_file path with
+  | Error b -> Alcotest.failf "broken at %d: %s" b.Audit.entry b.Audit.reason
+  | Ok entries ->
+    List.filter_map
+      (fun (e : Audit.entry) ->
+        match e.Audit.body with
+        | Json.Obj fields when e.Audit.kind = "verify" -> Some fields
+        | _ -> None)
+      entries
+
+let stage_keys fields =
+  match List.assoc_opt "stages_ms" fields with
+  | Some (Json.Obj stages) -> List.sort compare (List.map fst stages)
+  | _ -> Alcotest.fail "verify entry without stages_ms"
+
+let test_verify_entry_shape () =
+  let dir = Filename.temp_file "zkqac-verify-shape" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let file name = Filename.concat dir name in
+  write_file (file "recs.txt") "1,2|alpha|RoleA\n3,4|bravo|RoleA & RoleB\n";
+  let query = [ "--user"; "RoleA"; "--range"; "0,0:7,7" ] in
+  let ok code what = Alcotest.(check int) what 0 code in
+  ok (run_zkqac [ "setup"; "--records"; file "recs.txt"; "--roles"; "RoleA,RoleB";
+                  "-o"; file "ads" ]) "setup";
+  ok (run_zkqac ([ "query"; file "ads" ] @ query @ [ "-o"; file "vo" ])) "query";
+  let vo = read_file (file "vo") in
+  write_file (file "short") (String.sub vo 0 (String.length vo / 2));
+  let cli_log = file "cli.log" in
+  let verify vo =
+    run_zkqac ([ "verify"; file "ads"; "--vo"; vo; "--audit"; cli_log ] @ query)
+  in
+  ok (verify (file "vo")) "cli verify";
+  Alcotest.(check bool) "truncated VO rejected" true (verify (file "short") <> 0);
+  let roles = Zkqac_policy.Attr.set_of_list [ "RoleA" ] in
+  let owner, server =
+    System.setup ~seed:"verify-shape"
+      ~space:(Zkqac_core.Keyspace.create ~dims:2 ~depth:3)
+      ~roles:[ "RoleA"; "RoleB" ]
+      [ { System.key = [| 1; 2 |]; content = "alpha";
+          policy = Zkqac_policy.Expr.of_string "RoleA" } ]
+  in
+  let alice = System.register_user owner roles in
+  let box = Zkqac_core.Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
+  let resp = System.range_query server ~claimed_roles:roles box in
+  let sys_log = file "system.log" in
+  with_sink sys_log (fun () ->
+      Alcotest.(check bool) "system accepts" true
+        (Result.is_ok (System.open_and_verify alice ~query:box resp));
+      Alcotest.(check bool) "system rejects a mismatched query" true
+        (Result.is_error
+           (System.open_and_verify alice
+              ~query:(Zkqac_core.Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 1; 1 |])
+              resp)));
+  let cli = verify_bodies cli_log and sys = verify_bodies sys_log in
+  Alcotest.(check int) "two CLI entries" 2 (List.length cli);
+  Alcotest.(check int) "two System entries" 2 (List.length sys);
+  let keys fields = List.sort compare (List.map fst fields) in
+  let expected = keys (List.hd sys) in
+  List.iter
+    (fun fields ->
+      Alcotest.(check (list string)) "same keys" expected (keys fields);
+      Alcotest.(check bool) "batch path" true
+        (List.mem (List.assoc "path" fields)
+           [ Json.Str "batch"; Json.Str "batch-fallback" ]))
+    (cli @ sys);
+  List.iter
+    (fun fields ->
+      Alcotest.(check (list string)) "CLI stages" [ "total"; "vo_decode"; "vo_verify" ]
+        (stage_keys fields))
+    cli;
+  List.iter
+    (fun fields ->
+      Alcotest.(check (list string)) "System stages"
+        [ "envelope_open"; "total"; "vo_decode"; "vo_verify" ] (stage_keys fields))
+    sys;
+  Alcotest.(check (list string)) "outcomes" [ "ok"; "malformed"; "ok"; "query-mismatch" ]
+    (List.map
+       (fun fields ->
+         match List.assoc "outcome" fields with Json.Str s -> s | _ -> "?")
+       (cli @ sys))
+
 let suite =
   [ ( "audit",
       [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -264,4 +369,6 @@ let suite =
         Alcotest.test_case "recover missing file" `Quick test_recover_missing_file;
         Alcotest.test_case "durability parse" `Quick test_durability_parse;
         Alcotest.test_case "dur field recorded" `Quick test_dur_field_recorded;
-        Alcotest.test_case "fsync seconds metric" `Quick test_fsync_metric ] ) ]
+        Alcotest.test_case "fsync seconds metric" `Quick test_fsync_metric;
+        Alcotest.test_case "CLI and System verify entries share one shape" `Quick
+          test_verify_entry_shape ] ) ]

@@ -96,7 +96,7 @@ let test_multi_domain_wraparound () =
        (Printf.sprintf "zkqac_flight_events_total %d" (domains * (cap + extra))));
   Flight.reset ()
 
-(* Trips write at most ZKQAC_FLIGHT_MAX_DUMPS dump pairs, each a parseable
+(* Trips write at most four dump pairs, each a parseable
    JSON file plus a text rendering that names the trip reason. *)
 let test_trip_dumps () =
   Flight.reset ();

@@ -10,6 +10,11 @@ module Rte = Zkqac_telemetry.Rte
 module Trace = Zkqac_telemetry.Trace
 module Pool = Zkqac_parallel.Pool
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_counter_family () =
   let f = Metrics.counter ~name:"test_family_total" ~help:"test" in
   Alcotest.(check int) "fresh cell" 0 (Metrics.get f [ ("k", "a") ]);
@@ -24,30 +29,25 @@ let test_counter_family () =
   Metrics.inc g [ ("y", "2"); ("x", "1") ];
   Alcotest.(check int) "sorted key" 2 (Metrics.get g [ ("x", "1"); ("y", "2") ])
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-(* Float counter families (fsync seconds and friends): fractional increments
+(* Fractional increments on the same family type (fsync seconds and friends)
    accumulate, and the family is exported — but only once it has cells, so
    registering one never perturbs the golden exposition. *)
 let test_float_counter_family () =
   let before = Metrics.to_prometheus () in
-  let f = Metrics.fcounter ~name:"test_fseconds_total" ~help:"test" in
+  let h = Metrics.counter ~name:"test_fseconds_total" ~help:"test" in
   Alcotest.(check bool) "empty family invisible" false
     (contains (Metrics.to_prometheus ()) "test_fseconds_total");
   Alcotest.(check string) "registration alone changes nothing" before
     (Metrics.to_prometheus ());
-  Alcotest.(check (float 1e-9)) "fresh cell" 0.0 (Metrics.fget f [ ("k", "a") ]);
-  Metrics.finc f ~by:0.25 [ ("k", "a") ];
-  Metrics.finc f ~by:0.5 [ ("k", "a") ];
-  Alcotest.(check (float 1e-9)) "accumulated" 0.75 (Metrics.fget f [ ("k", "a") ]);
+  Alcotest.(check (float 1e-9)) "fresh float cell" 0.0 (Metrics.fget h [ ("k", "a") ]);
+  Metrics.finc h ~by:0.25 [ ("k", "a") ];
+  Metrics.finc h ~by:0.5 [ ("k", "a") ];
+  Alcotest.(check (float 1e-9)) "accumulated" 0.75 (Metrics.fget h [ ("k", "a") ]);
   Alcotest.(check bool) "exported once non-empty" true
     (contains (Metrics.to_prometheus ()) "test_fseconds_total{k=\"a\"} 0.75");
   Metrics.reset ();
   Alcotest.(check (float 1e-9)) "reset clears cells" 0.0
-    (Metrics.fget f [ ("k", "a") ])
+    (Metrics.fget h [ ("k", "a") ])
 
 (* The recovery-outcome counter exported by the crash-recovery paths. *)
 let test_recovery_counter () =

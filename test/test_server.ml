@@ -177,6 +177,42 @@ let test_serve_roundtrip () =
   | Error f -> Alcotest.failf "round-trip: %s" (Client.failure_to_string f));
   Alcotest.(check int) "served" 1 (Server.served t)
 
+(* A served connection must cost nothing once it is closed. With the
+   trace buffer, flight rings and slowlog pinned to their minimum, the live
+   heap after 1,000 more round trips may grow by less than one word per
+   connection; a server that kept every handler thread until the drain grew
+   by ten. *)
+let test_serve_no_per_connection_leak () =
+  let module Trace = Zkqac_telemetry.Trace in
+  let module Flight = Zkqac_telemetry.Flight in
+  let was_tracing = Trace.enabled () and was_flying = Flight.enabled () in
+  Trace.enable ~capacity:1 ();
+  Flight.disable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if was_tracing then Trace.enable () else Trace.disable ();
+      if was_flying then Flight.enable ())
+    (fun () ->
+      with_server { base_server_cfg with S.slowlog_cap = 1 } @@ fun t ->
+      let round_trips n =
+        for _ = 1 to n do
+          match query_server (Server.port t) with
+          | Ok _ -> ()
+          | Error f -> Alcotest.failf "round-trip: %s" (Client.failure_to_string f)
+        done;
+        Thread.delay 0.1
+      in
+      let live () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      round_trips 500;
+      let before = live () in
+      round_trips 1000;
+      let per_conn = float_of_int (live () - before) /. 1000.0 in
+      if per_conn >= 1.0 then
+        Alcotest.failf "live heap grew %.2f words per connection" per_conn)
+
 let test_serve_shed () =
   (* max_in_flight = 0 sheds every connection: the client must see typed
      Overloaded transients and exhaust its budget — never a hang. *)
@@ -899,6 +935,8 @@ let suite =
         Alcotest.test_case "proto round-trip" `Quick test_proto_roundtrip;
         Alcotest.test_case "serve round-trip" `Quick test_serve_roundtrip;
         Alcotest.test_case "shed under zero capacity" `Quick test_serve_shed;
+        Alcotest.test_case "no per-connection leak" `Slow
+          test_serve_no_per_connection_leak;
         Alcotest.test_case "query deadline" `Quick test_serve_query_deadline;
         Alcotest.test_case "read deadline" `Quick test_serve_read_deadline;
         Alcotest.test_case "bad request" `Quick test_serve_bad_request;
