@@ -153,27 +153,6 @@ let await fut =
   Mutex.unlock fut.fm;
   r
 
-(* OCaml's [Condition] has no timed wait, so the deadline path polls the
-   future state at millisecond granularity — coarse next to a query that
-   takes tens of milliseconds, and only connection-handler threads (of which
-   there is a bounded number) ever sit in this loop. *)
-let await_timeout fut seconds =
-  let t0 = Monotonic_clock.now_ns () in
-  let rec poll () =
-    Mutex.lock fut.fm;
-    let st = fut.state in
-    Mutex.unlock fut.fm;
-    match st with
-    | Done r -> Some r
-    | Pending ->
-      if Monotonic_clock.elapsed_since t0 >= seconds then None
-      else begin
-        Unix.sleepf 0.001;
-        poll ()
-      end
-  in
-  poll ()
-
 let peek fut =
   Mutex.lock fut.fm;
   let st = fut.state in

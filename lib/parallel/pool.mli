@@ -48,7 +48,7 @@ val time : (unit -> 'a) -> 'a * float
     {!map} spawns fresh domains per call — fine for a one-shot CLI, wrong
     for a server answering queries for hours. A persistent pool keeps its
     worker domains alive across queries; jobs are submitted individually
-    and awaited through futures, optionally with a deadline. A job whose
+    and awaited through futures. A job whose
     thunk raises delivers the failure to its future {e and} retires the
     worker domain that ran it (a fresh domain replaces it, counted in
     {!respawns} and [zkqac_pool_respawns_total]): an escaped exception may
@@ -87,13 +87,10 @@ val submit :
 
 val await : 'a future -> 'a outcome
 (** Block until the job finishes. A raising job yields [Error (e, bt)]
-    with the worker's backtrace. *)
-
-val await_timeout : 'a future -> float -> 'a outcome option
-(** [await_timeout fut seconds] waits up to [seconds] (monotonic clock) and
-    returns [None] on deadline expiry. The job itself is {e not} cancelled
-    — OCaml domains cannot be killed — so an expired job still occupies its
-    worker until it returns; callers account for that in their sizing. *)
+    with the worker's backtrace. The pool's only wait: domains cannot be
+    cancelled, so a caller with a deadline checks it inside the job (a
+    queued job can still skip its work); a running job is answered when it
+    returns, at most one job's run time late. *)
 
 val peek : 'a future -> 'a outcome option
 (** Non-blocking probe. *)

@@ -8,10 +8,11 @@
      that the acceptor sheds load with a typed Overloaded response (counted
      in zkqac_server_shed_total) instead of queueing without bound or
      hanging the client;
-   - query execution runs on a persistent worker-domain Pool; a query that
-     exceeds its deadline yields a typed Deadline response while the worker
-     finishes in the background (domains cannot be cancelled; the in-flight
-     bound already limits how much abandoned work can pile up);
+   - each handler waits for its own job on a persistent worker-domain Pool,
+     so the in-flight bound also bounds the pool's backlog. A job picked up
+     past its deadline returns at once; one that finishes over budget is
+     answered Deadline when it returns (domains cannot be cancelled), at
+     most one query's run time late;
    - SIGTERM/SIGINT initiate a graceful drain: stop accepting, let in-flight
      requests finish inside their own deadlines, shut the pool down when
      safe, flush the audit tail, dump the flight recorder, return so the
@@ -139,7 +140,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     recovered_epoch : int;
     ready : bool Atomic.t;
     in_flight : int Atomic.t;
-    running_queries : int Atomic.t;
     conn_seq : int Atomic.t;
     served : int Atomic.t;
     draining : bool Atomic.t;
@@ -280,9 +280,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               ~attrs:[ ("delay_s", Trace.Float delay_s) ]
               (fun _ -> Unix.sleepf delay_s)
           | _ -> ());
-          let deadline_expired () =
-            Flight.record ~cat:"server" ~req_id:rid
-              ~detail:(Printf.sprintf "conn=%d" conn_id)
+          let deadline_expired at =
+            Flight.record ~cat:"server" ~req_id:rid ~detail:at
               "server.query_deadline";
             Proto.Deadline
           in
@@ -290,7 +289,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             Proto.Bad_request "query-outside-space"
           else if t.cfg.query_deadline <= 0.0 then
             (* No budget: answer Deadline without racing a worker for it. *)
-            deadline_expired ()
+            deadline_expired "no-budget"
           else begin
             let submitted = Monotonic_clock.now_ns () in
             let queue_ns = ref 0L
@@ -303,46 +302,43 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                 t.pool
                 (fun () ->
                   queue_ns := Int64.sub (Monotonic_clock.now_ns ()) submitted;
-                  Atomic.incr t.running_queries;
-                  Fun.protect
-                    ~finally:(fun () -> Atomic.decr t.running_queries)
-                    (fun () ->
-                      let drbg =
-                        Drbg.create ~seed:(t.secret ^ string_of_int n_req)
-                      in
-                      let user = Attr.set_of_list roles in
-                      (* The relax share of proving is measured where it
-                         runs: the pmap hook wraps the ABS.Relax batch. *)
-                      let pmap jobs =
-                        let r0 = Monotonic_clock.now_ns () in
-                        let out = List.map (fun j -> j ()) jobs in
-                        relax_ns :=
-                          Int64.add !relax_ns
-                            (Int64.sub (Monotonic_clock.now_ns ()) r0);
-                        out
-                      in
-                      let p0 = Monotonic_clock.now_ns () in
-                      let vo, _stats =
-                        Ap2g.range_vo ~pmap drbg ~mvk:t.mvk t.tree ~user query
-                      in
-                      prove_ns :=
-                        Int64.sub
-                          (Int64.sub (Monotonic_clock.now_ns ()) p0)
-                          !relax_ns;
-                      let e0 = Monotonic_clock.now_ns () in
-                      let bytes = Vo.to_bytes vo in
-                      encode_ns := Int64.sub (Monotonic_clock.now_ns ()) e0;
-                      bytes))
+                  (* Picked up past its deadline: skip the work. *)
+                  if Int64.to_float !queue_ns /. 1e9 >= t.cfg.query_deadline
+                  then None
+                  else begin
+                    let drbg = Drbg.create ~seed:(t.secret ^ string_of_int n_req) in
+                    let user = Attr.set_of_list roles in
+                    (* The relax share of proving is measured where it runs:
+                       the pmap hook wraps the ABS.Relax batch. *)
+                    let pmap jobs =
+                      let r0 = Monotonic_clock.now_ns () in
+                      let out = List.map (fun j -> j ()) jobs in
+                      relax_ns :=
+                        Int64.add !relax_ns (Int64.sub (Monotonic_clock.now_ns ()) r0);
+                      out
+                    in
+                    let p0 = Monotonic_clock.now_ns () in
+                    let vo, _stats =
+                      Ap2g.range_vo ~pmap drbg ~mvk:t.mvk t.tree ~user query
+                    in
+                    prove_ns :=
+                      Int64.sub (Int64.sub (Monotonic_clock.now_ns ()) p0) !relax_ns;
+                    let e0 = Monotonic_clock.now_ns () in
+                    let bytes = Vo.to_bytes vo in
+                    encode_ns := Int64.sub (Monotonic_clock.now_ns ()) e0;
+                    Some bytes
+                  end)
             in
-            match Pool.await_timeout fut t.cfg.query_deadline with
-            | None -> deadline_expired ()
-            | Some (Error (e, _bt)) ->
-              Proto.Server_error (Printexc.to_string e)
-            | Some (Ok vo_bytes) ->
+            match Pool.await fut with
+            | Error (e, _bt) -> Proto.Server_error (Printexc.to_string e)
+            | Ok None -> deadline_expired "queued"
+            | Ok (Some _)
+              when Monotonic_clock.elapsed_since submitted > t.cfg.query_deadline ->
+              deadline_expired "ran"
+            | Ok (Some vo_bytes) ->
               Atomic.incr t.served;
               (* The future was fulfilled under its mutex, so the worker's
-                 writes to the stage refs are visible here. On the deadline
-                 path they are never read: the job may still be running. *)
+                 writes to the stage refs are visible here. *)
               timing :=
                 {
                   Proto.queue_us = Proto.us_of_ns !queue_ns;
@@ -414,29 +410,23 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           end)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done;
-    (* Drain: stop accepting, give in-flight requests their own deadlines
-       to finish, then stop the pool once no query is still running. *)
+    (* Drain: stop accepting and give in-flight requests their own
+       deadlines to finish. Handlers wait for their jobs, so with none in
+       flight the pool is idle; a stuck worker must not hold the drain. *)
     Sockio.close_noerr t.listen_fd;
     let deadline = Sockio.deadline_after t.cfg.drain_deadline in
     while Atomic.get t.in_flight > 0 && Sockio.remaining_s deadline > 0.0 do
       Thread.delay 0.01
     done;
-    (* Abandoned (deadline-expired) queries may still hold worker domains;
-       Pool.shutdown joins them, so it only runs when none is left. The
-       drain must exit within its deadline even if a worker is stuck. *)
-    while Atomic.get t.running_queries > 0 && Sockio.remaining_s deadline > 0.0 do
-      Thread.delay 0.01
-    done;
-    if Atomic.get t.running_queries = 0 then Pool.shutdown t.pool
-    else
-      Flight.record ~cat:"server" ~v:(Atomic.get t.running_queries)
-        "server.drain_stragglers";
+    let stragglers = Atomic.get t.in_flight in
+    if stragglers = 0 then Pool.shutdown t.pool
+    else Flight.record ~cat:"server" ~v:stragglers "server.drain_stragglers";
     if Audit.enabled () then
       Audit.record ~kind:"drain"
         (Json.Obj
            [ ("served", Json.Int (Atomic.get t.served));
              ("connections", Json.Int (Atomic.get t.conn_seq));
-             ("clean", Json.Bool (Atomic.get t.running_queries = 0)) ]);
+             ("clean", Json.Bool (stragglers = 0)) ]);
     Flight.record ~cat:"server" ~v:(Atomic.get t.served) "server.drained";
     (* Release the trace close hook; retained incidents stay readable for
        any post-drain dump. *)
@@ -485,10 +475,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
        while checkpoint recovery below runs, so a supervisor can tell a
        recovering server from a dead one. *)
     let ready = Atomic.make false in
-    (* Tail sampling needs span trees; a daemon run turns tracing on if the
-       embedder has not already. The slowlog exists before the metrics
-       endpoint so /slowlog can be mounted alongside /metrics. *)
-    if not (Trace.enabled ()) then Trace.enable ();
+    (* The slowlog exists before the metrics endpoint so /slowlog can be
+       mounted alongside /metrics. *)
     let slowlog =
       Slowlog.create ~cap:cfg.slowlog_cap ~threshold_ms:cfg.slow_threshold_ms ()
     in
@@ -542,7 +530,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               recovered_epoch = rc.Ads_io.r_epoch;
               ready;
               in_flight = Atomic.make 0;
-              running_queries = Atomic.make 0;
               conn_seq = Atomic.make 0;
               served = Atomic.make 0;
               draining = Atomic.make false;

@@ -6,18 +6,23 @@
     - per-connection absolute read/write deadlines ({!Sockio});
     - a bounded in-flight set with typed load shedding
       ([zkqac_server_shed_total]) — overload answers [Overloaded], never
-      queues without bound, never hangs;
+      queues without bound, never hangs. Each handler waits for its own
+      job, so the bound also caps the worker pool's backlog;
     - query execution on a persistent worker-domain pool
-      ({!Zkqac_parallel.Pool}) with a per-query deadline — expiry answers
-      [Deadline] while the abandoned worker finishes in the background;
+      ({!Zkqac_parallel.Pool}) with a per-query deadline checked where the
+      work runs: a job picked up after its deadline returns at once, and a
+      job that finishes over budget is discarded; both answer [Deadline].
+      Domains cannot be cancelled, so a running job is answered when it
+      returns — at most one query's run time after its deadline;
     - graceful drain ({!begin_drain}, wired to SIGTERM by the CLI): stop
       accepting, let in-flight requests finish within their own deadlines,
-      shut the pool down when no query is left running, append a [drain]
-      audit entry, and return within [drain_deadline] even if a worker is
-      stuck;
+      shut the pool down once none is in flight, append a [drain] audit
+      entry, and return within [drain_deadline] even if a worker is stuck
+      (then the pool is left running and the entry says [clean: false]);
     - an optional live [GET /metrics] HTTP endpoint fed by the
       {!Zkqac_telemetry.Metrics} registry, with the tail sampler's
-      [GET /slowlog] mounted alongside;
+      [GET /slowlog] mounted alongside (span trees come from the trace close
+      hook; the server retains no spans);
     - end-to-end request correlation: every request's id (client-minted,
       or server-minted when the request carries [0L] or does not decode)
       appears identically in the root trace span, its [pool.worker] child,

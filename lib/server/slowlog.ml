@@ -1,7 +1,8 @@
 (* Tail-based trace sampling for the serving daemon.
 
    Every request records its full span tree (the trace close hook fires per
-   span close, independent of the export buffer's retention budget); the
+   span close, with tracing off and independent of the export buffer's
+   retention budget); the
    decision of whether to KEEP the tree is made only after the request
    finishes, when its latency and typed outcome are known. Kept requests —
    incidents — land in a bounded ring exposed live at /slowlog and dumpable

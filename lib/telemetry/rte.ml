@@ -43,10 +43,12 @@ let max_rings = 256
 let ring2dom = Array.make max_rings (-1)
 let minor_t0 = Array.make max_rings 0L
 let major_t0 = Array.make max_rings 0L
+
+(* The newest [slice_cap] pause slices, in a ring (the Flight idiom). *)
 let slice_cap = 16384
-let slice_buf : slice list ref = ref [] (* newest first *)
-let slice_n = ref 0
-let slice_drop = ref 0
+let slice_ring : slice array ref = ref [||] (* [||] until the first slice *)
+let slice_n = ref 0 (* slices ever noted since [reset] *)
+
 let is_started = Atomic.make false
 let stop_flag = Atomic.make false
 let monitor : unit Domain.t option ref = ref None
@@ -92,20 +94,18 @@ let note_pause ring gc t0 t1 =
         t.major_ns <- Int64.add t.major_ns dur;
         if dur > t.major_max then t.major_max <- dur;
         t.major_n <- t.major_n + 1);
-    if !slice_n < slice_cap then begin
-      let sl_domain = if ring < max_rings && ring >= 0 then ring2dom.(ring) else -1 in
-      slice_buf :=
-        {
-          sl_ring = ring;
-          sl_domain;
-          sl_gc = (match gc with `Minor -> "minor" | `Major -> "major");
-          sl_t0 = t0;
-          sl_t1 = t1;
-        }
-        :: !slice_buf;
-      incr slice_n
-    end
-    else incr slice_drop;
+    let sl =
+      {
+        sl_ring = ring;
+        sl_domain = (if ring < max_rings && ring >= 0 then ring2dom.(ring) else -1);
+        sl_gc = (match gc with `Minor -> "minor" | `Major -> "major");
+        sl_t0 = t0;
+        sl_t1 = t1;
+      }
+    in
+    if Array.length !slice_ring = 0 then slice_ring := Array.make slice_cap sl;
+    !slice_ring.(!slice_n mod slice_cap) <- sl;
+    incr slice_n;
     Mutex.unlock lock
   end
 
@@ -244,20 +244,21 @@ let domain_snapshot () =
 
 let slices () =
   Mutex.lock lock;
-  let out = List.rev !slice_buf in
+  let n = min !slice_n slice_cap in
+  let first = !slice_n - n in
+  let out = List.init n (fun i -> !slice_ring.((first + i) mod slice_cap)) in
   Mutex.unlock lock;
   out
 
 let slices_dropped () =
   Mutex.lock lock;
-  let n = !slice_drop in
+  let n = max 0 (!slice_n - slice_cap) in
   Mutex.unlock lock;
   n
 
 let reset () =
   Mutex.lock lock;
   Hashtbl.reset dom_tbl;
-  slice_buf := [];
+  slice_ring := [||];
   slice_n := 0;
-  slice_drop := 0;
   Mutex.unlock lock

@@ -8,7 +8,7 @@
     - per-stage pause attribution: {!Trace.with_span} samples
       {!pause_mark} at open and at close, and the difference lands in the
       span's {!Stage} cell next to its allocation words,
-    - a bounded buffer of raw pause {!slice}s that the Perfetto export
+    - a ring of the newest raw pause {!slice}s that the Perfetto export
       renders as extra tracks alongside spans.
 
     Runtime-events ring indices identify ring slots, not domains, and
@@ -62,9 +62,10 @@ val domain_snapshot : unit -> dom_stats list
 (** Sorted by label. *)
 
 val slices : unit -> slice list
-(** Oldest first; bounded, see {!slices_dropped}. *)
+(** The newest 16384 slices, oldest first; see {!slices_dropped}. *)
 
 val slices_dropped : unit -> int
+(** Older slices the ring has overwritten since {!reset}. *)
 
 val reset : unit -> unit
 (** Clear totals and slices (tests); keeps the monitor and ring mappings

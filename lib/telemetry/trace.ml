@@ -39,7 +39,7 @@ let remaining = Atomic.make 0
 let dropped_ctr = Atomic.make 0
 let next_id = Atomic.make 1
 let now_ns () = Monotonic_clock.now_ns ()
-let t_zero = Atomic.make 0L
+let t_zero = Atomic.make (now_ns ()) (* reset by [enable]/[reset] *)
 
 (* --- per-domain buffers --- *)
 
@@ -100,8 +100,8 @@ let set_attrs (ctx : ctx) kvs =
 let set_attr ctx k v = set_attrs ctx [ (k, v) ]
 
 (* A closed span, for programmatic consumption (timestamps relative to the
-   last enable/reset). Defined here because the close hook below receives
-   one. *)
+   last enable/reset, or to process start). Defined here because the close
+   hook below receives one. *)
 type info = {
   span_id : int;
   span_parent : int;
@@ -125,20 +125,23 @@ let info_of_span zero sp =
     span_attrs = sp.attrs;
   }
 
-(* One process-wide close hook, fired (when tracing is on) for every span as
-   it closes — independent of the retention budget, so a consumer like the
-   server's slow-query log still sees complete trees after the export buffer
-   has filled up. The hook must be fast and must not raise. *)
+(* One process-wide close hook, fired for every span as it closes whenever
+   one is installed — with tracing off, and independent of the retention
+   budget, so a consumer like the server's slow-query log sees complete
+   trees without the export buffer holding them. The hook must be fast and
+   must not raise. *)
 let close_hook : (info -> unit) option Atomic.t = Atomic.make None
 let set_close_hook h = Atomic.set close_hook h
 
 let with_span ?parent ?(attrs = []) name f =
   let tracing = Atomic.get on in
-  if not (tracing || Atomic.get Switch.telemetry_on) then
+  (* Spans join the open-span stack when exported or handed to the hook. *)
+  let tree = tracing || Atomic.get close_hook <> None in
+  if not (tree || Atomic.get Switch.telemetry_on) then
     if not (Flight.enabled ()) then f none
     else begin
-      (* Tracing and telemetry are off, but the flight recorder still wants
-         the span close: two clock reads and one ring store per span. *)
+      (* Nothing else wants spans, but the flight recorder still wants the
+         span close: two clock reads and one ring store per span. *)
       let t0 = now_ns () in
       Fun.protect
         ~finally:(fun () ->
@@ -174,7 +177,7 @@ let with_span ?parent ?(attrs = []) name f =
         attrs;
       }
     in
-    if tracing then begin
+    if tree then begin
       Mutex.lock d.dm;
       d.stack <- sp :: d.stack;
       Mutex.unlock d.dm
@@ -188,14 +191,14 @@ let with_span ?parent ?(attrs = []) name f =
     Fun.protect
       ~finally:(fun () ->
         sp.t1 <- now_ns ();
-        if tracing then begin
+        if tree then begin
           Mutex.lock d.dm;
           (* Interleaved sys-threads on one domain can close out of stack
              order; remove this span wherever it sits. *)
           (match d.stack with
           | s :: rest when s == sp -> d.stack <- rest
           | stack -> d.stack <- List.filter (fun s -> not (s == sp)) stack);
-          push d sp;
+          if tracing then push d sp;
           Mutex.unlock d.dm
         end;
         let ns = Int64.to_int (Int64.sub sp.t1 sp.t0) in
@@ -206,10 +209,9 @@ let with_span ?parent ?(attrs = []) name f =
           ~gc_minor_ns:(Int64.to_int (Int64.sub gmi1 gmi0))
           ~gc_major_ns:(Int64.to_int (Int64.sub gma1 gma0));
         Flight.record ~cat:"span" ~v:ns name;
-        if tracing then (
-          match Atomic.get close_hook with
-          | None -> ()
-          | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ())))
+        match Atomic.get close_hook with
+        | None -> ()
+        | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ()))
       (fun () -> f (Some sp))
   end
 
@@ -361,7 +363,8 @@ let chrome_json () =
       ( "otherData",
         Json.Obj
           [ ("tool", Json.Str "zkqac");
-            ("dropped_spans", Json.Int (dropped ())) ] ) ]
+            ("dropped_spans", Json.Int (dropped ()));
+            ("dropped_gc_slices", Json.Int (Rte.slices_dropped ())) ] ) ]
 
 let write_chrome path = Json.to_file path (chrome_json ())
 

@@ -20,10 +20,10 @@
     {!Stage.note} — duration, allocation words and GC pause time — into the
     per-stage table that [Telemetry.snapshot] and [Metrics] report.
 
-    When both tracing and telemetry are disabled (the default), {!with_span}
-    costs two atomic loads and a branch, plus — while the always-on flight
-    recorder is enabled, its default — two clock reads and one ring store
-    per span ({!Flight.record}). *)
+    When tracing, telemetry and the close hook are all off (the default),
+    {!with_span} costs three atomic loads and a branch, plus — while the
+    always-on flight recorder is enabled, its default — two clock reads and
+    one ring store per span ({!Flight.record}). *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -78,7 +78,7 @@ val span_count : unit -> int
 val dropped : unit -> int
 
 (** A closed span, for programmatic consumption (timestamps relative to the
-    last {!enable}/{!reset}). *)
+    last {!enable}/{!reset}, or to process start before either). *)
 type info = {
   span_id : int;
   span_parent : int;  (** 0 = root *)
@@ -91,13 +91,12 @@ type info = {
 }
 
 val set_close_hook : (info -> unit) option -> unit
-(** Install (or clear) the process-wide span-close hook. While tracing is
-    enabled, the hook fires once for every span as it closes — including
-    spans the retention budget discarded, so a consumer can collect
-    complete per-request trees on a long-lived server whose export buffer
-    filled long ago. The hook runs on the closing domain's thread: keep it
-    fast; exceptions it raises are swallowed. One hook slot exists
-    process-wide (latest wins). *)
+(** Install (or clear) the process-wide span-close hook. While installed,
+    the hook fires once for every span as it closes, tracing enabled or
+    not, including spans the retention budget discarded — so a long-lived
+    server collects complete per-request trees without retaining any. The
+    hook runs on the closing domain's thread: keep it fast; exceptions it
+    raises are swallowed. One hook slot exists process-wide (latest wins). *)
 
 val spans : unit -> info list
 (** All recorded spans merged across domains, sorted by start time. Take at
@@ -107,7 +106,9 @@ val chrome_json : unit -> Json.t
 (** The trace as Chrome trace-event JSON — loadable in Perfetto
     (https://ui.perfetto.dev) or chrome://tracing. One complete ("X") event
     per span with [ts]/[dur] in microseconds and [tid] = domain id; span ids
-    and parent links are in [args]. *)
+    and parent links are in [args]; {!Rte} GC slices ride along as
+    [cat = "gc"] tracks. [otherData.dropped_gc_slices] counts slices the
+    {!Rte} ring overwrote since its reset (some may predate this trace). *)
 
 val chrome_json_of_spans : info list -> Json.t
 (** Chrome trace-event JSON for just the given spans — the per-incident

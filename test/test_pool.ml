@@ -104,18 +104,6 @@ let test_persistent_storm () =
   Pool.shutdown pool;
   Alcotest.(check int) "one respawn per raising job" 12 (Pool.respawns pool)
 
-let test_persistent_await_timeout () =
-  let pool = Pool.create ~threads:1 () in
-  let slow = Pool.submit pool (fun () -> Thread.delay 0.4; 7) in
-  (match Pool.await_timeout slow 0.02 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected deadline expiry");
-  (* The job was not cancelled; it still completes. *)
-  (match Pool.await slow with
-  | Ok 7 -> ()
-  | _ -> Alcotest.fail "slow job lost after timeout");
-  Pool.shutdown pool
-
 let test_persistent_shutdown () =
   let pool = Pool.create ~threads:1 () in
   let futs =
@@ -195,8 +183,6 @@ let suite =
         Alcotest.test_case "persistent basic" `Quick test_persistent_basic;
         Alcotest.test_case "persistent exception storm" `Quick
           test_persistent_storm;
-        Alcotest.test_case "persistent await timeout" `Quick
-          test_persistent_await_timeout;
         Alcotest.test_case "persistent shutdown fulfills queue" `Quick
           test_persistent_shutdown;
         Alcotest.test_case "submit carries trace context" `Quick

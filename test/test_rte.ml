@@ -156,8 +156,61 @@ let test_stopped_is_inert () =
   Telemetry.reset ();
   Alcotest.(check int) "no dropped slices" 0 (Rte.slices_dropped ())
 
+(* The slice buffer keeps the newest pauses, so a trace taken late in a
+   long run still has GC tracks. *)
+let test_gc_slices_keep_newest () =
+  Rte.reset ();
+  Rte.start ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ();
+      Rte.stop ();
+      Rte.reset ())
+  @@ fun () ->
+  let minors () =
+    List.fold_left (fun acc (d : Rte.dom_stats) -> acc + d.Rte.minor_n) 0
+      (Rte.domain_snapshot ())
+  in
+  (* [n] more minor collections seen by the monitor, paced so its polls keep
+     up with the runtime-events ring. *)
+  let collect n =
+    let target = minors () + n and deadline = Unix.gettimeofday () +. 30.0 in
+    while minors () < target && Unix.gettimeofday () < deadline do
+      for _ = 1 to 100 do
+        Gc.minor ()
+      done;
+      Unix.sleepf 0.002
+    done;
+    (* Let the monitor drain what is still in the ring. *)
+    Unix.sleepf 0.05
+  in
+  collect 16_500;
+  Trace.reset ();
+  collect 50;
+  let gc_events =
+    match Trace.chrome_json () with
+    | Json.Obj fields -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Json.Arr evs) ->
+        List.filter
+          (function
+            | Json.Obj e -> List.assoc_opt "cat" e = Some (Json.Str "gc")
+            | _ -> false)
+          evs
+      | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d gc events after the reset, want >= 50" (List.length gc_events))
+    true
+    (List.length gc_events >= 50)
+
 let suite =
   [ ( "rte",
       [ Alcotest.test_case "gc pause attribution across domains" `Quick
           test_gc_attribution;
+        Alcotest.test_case "gc slices keep the newest" `Quick
+          test_gc_slices_keep_newest;
         Alcotest.test_case "inert when stopped" `Quick test_stopped_is_inert ] ) ]

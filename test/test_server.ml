@@ -73,8 +73,8 @@ let base_server_cfg =
     drain_deadline = 10.0;
   }
 
-let with_server cfg f =
-  match Server.start cfg ~ads:(ads_path ()) with
+let with_server ?(ads = ads_path ()) cfg f =
+  match Server.start cfg ~ads with
   | Error e -> Alcotest.failf "server start: %s" e
   | Ok t ->
     Fun.protect
@@ -232,6 +232,112 @@ let test_serve_query_deadline () =
   | Error f ->
     Alcotest.failf "expected server-deadline, got %s" (Client.failure_to_string f)
   | Ok _ -> Alcotest.fail "query beat a zero deadline"
+
+(* --- the in-flight bound bounds the pool's backlog --- *)
+
+module Flight = Zkqac_telemetry.Flight
+
+(* A 64x64 grid holding 2,048 records: its whole-box query costs enough
+   proving to outlast a deadline set to a third of it. *)
+let backlog_fixture =
+  lazy
+    (let drbg = Drbg.create ~seed:"test-server-backlog" in
+     let msk, mvk = Abs.setup drbg in
+     let universe = Universe.create [ "RoleA"; "RoleB" ] in
+     let sk = Abs.keygen drbg msk (Universe.attrs universe) in
+     let space = Keyspace.create ~dims:2 ~depth:6 in
+     let policies = [| "RoleA"; "RoleB"; "RoleA & RoleB" |] in
+     let records =
+       List.init 2048 (fun i ->
+           Record.make
+             ~key:[| 2 * i / 64; 2 * i mod 64 |]
+             ~value:(string_of_int i)
+             ~policy:(Expr.of_string policies.(i mod 3)))
+     in
+     let tree =
+       Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"backlog" records
+     in
+     let path = Filename.temp_file "zkqac-test-backlog" ".zkqac" in
+     Ads_io.save ~path ~mvk tree;
+     (path, mvk, tree))
+
+let test_serve_backlog_bounded () =
+  (* One worker, a deadline of a third of a whole-box query, and a burst of
+     eight whole-box queries: the first job runs over budget, and every
+     job a worker picks up after its deadline returns without proving. A
+     one-cell query sent after the burst then finds no backlog. When a
+     handler answered Deadline without waiting for its job, the burst's
+     jobs stayed queued and ran in full, and the one-cell query missed its
+     deadline behind them. *)
+  let path, mvk, tree = Lazy.force backlog_fixture in
+  let big = Box.make ~lo:[| 0; 0 |] ~hi:[| 63; 63 |] in
+  let whole_box_s =
+    let drbg = Drbg.create ~seed:"backlog-calibration" in
+    let once () =
+      snd
+        (Zkqac_parallel.Pool.time (fun () ->
+             Ap2g.range_vo drbg ~mvk tree ~user:user_a big))
+    in
+    ignore (once ());
+    once ()
+  in
+  let was_flying = Flight.enabled () in
+  Flight.enable ();
+  Fun.protect ~finally:(fun () -> if not was_flying then Flight.disable ())
+  @@ fun () ->
+  with_server ~ads:path
+    {
+      base_server_cfg with
+      S.threads = 1;
+      max_in_flight = 16;
+      query_deadline = whole_box_s /. 3.0;
+    }
+  @@ fun t ->
+  let query ~rid box =
+    Cl.query ~req_id:rid
+      { (client_cfg (Server.port t)) with Client.retries = 0; read_deadline = 30.0 }
+      ~mvk ~universe:(Ap2g.universe tree) ?hierarchy:(Ap2g.hierarchy tree)
+      ~user:user_a ~query:box ()
+  in
+  let rids = List.init 8 (fun i -> Int64.of_int (0xb0b0_0000 + i)) in
+  List.map (fun rid -> Thread.create (fun () -> ignore (query ~rid big)) ()) rids
+  |> List.iter Thread.join;
+  (match query ~rid:0xb0b0_ffffL (Box.make ~lo:[| 0; 0 |] ~hi:[| 0; 0 |]) with
+  | Ok _ -> ()
+  | Error f ->
+    Alcotest.failf "one-cell query after the burst: %s" (Client.failure_to_string f));
+  let expiries at =
+    List.length
+      (List.filter
+         (fun (e : Flight.event) ->
+           e.Flight.name = "server.query_deadline"
+           && e.Flight.detail = at && List.mem e.Flight.req_id rids)
+         (Flight.events ()))
+  in
+  let ran = expiries "ran" and queued = expiries "queued" in
+  Alcotest.(check bool) (Printf.sprintf "at most one job ran over budget (%d)" ran)
+    true (ran <= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "the other jobs expired queued (%d)" queued)
+    true (queued >= List.length rids - 1)
+
+(* The daemon keeps no trace of its own: the slowlog's close hook sees
+   every span, and nothing fills the export buffer. *)
+let test_serve_retains_no_spans () =
+  let module Trace = Zkqac_telemetry.Trace in
+  let was_tracing = Trace.enabled () in
+  Trace.disable ();
+  Trace.reset ();
+  Fun.protect ~finally:(fun () -> if was_tracing then Trace.enable ())
+  @@ fun () ->
+  with_server base_server_cfg @@ fun t ->
+  for _ = 1 to 50 do
+    match query_server (Server.port t) with
+    | Ok _ -> ()
+    | Error f -> Alcotest.failf "round-trip: %s" (Client.failure_to_string f)
+  done;
+  Alcotest.(check int) "no spans retained" 0 (Trace.span_count ());
+  Alcotest.(check int) "no spans dropped" 0 (Trace.dropped ())
 
 let test_serve_read_deadline () =
   (* A mute client is disconnected once the read deadline passes — the
@@ -527,8 +633,8 @@ let test_drain_audit_entry () =
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Audit.disable (fun () ->
       (* query_deadline 0 answers Deadline without submitting the query;
-         drain_deadline 0 makes the drain's own Pool.await_timeout expire
-         immediately. The final [drain] audit entry must be written
+         drain_deadline 0 makes the drain's wait for in-flight requests
+         expire immediately. The final [drain] audit entry must be written
          regardless. *)
       match
         Server.start
@@ -938,6 +1044,10 @@ let suite =
         Alcotest.test_case "no per-connection leak" `Slow
           test_serve_no_per_connection_leak;
         Alcotest.test_case "query deadline" `Quick test_serve_query_deadline;
+        Alcotest.test_case "backlog bounded by in-flight" `Quick
+          test_serve_backlog_bounded;
+        Alcotest.test_case "daemon retains no spans" `Quick
+          test_serve_retains_no_spans;
         Alcotest.test_case "read deadline" `Quick test_serve_read_deadline;
         Alcotest.test_case "bad request" `Quick test_serve_bad_request;
         Alcotest.test_case "graceful drain" `Quick test_serve_drain;
