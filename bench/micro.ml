@@ -1,5 +1,6 @@
 (* Micro-benchmarks of the cryptographic primitives, per backend, and the
-   paired overhead gates of the telemetry wrapper and the flight recorder.
+   paired overhead gates of the telemetry wrapper, the flight recorder and
+   GC-pause attribution.
    These underpin every table: e.g. Table 2 is a direct consequence of how
    Sign/Verify/Relax scale with predicate size. Every figure is a median
    over timed blocks on the monotonic clock ([Pool.time]), with the
@@ -61,7 +62,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       ]
 end
 
-(* The mock-backend ABS.Verify loop both overhead gates time: [verifier
+(* The mock-backend ABS.Verify loop the overhead gates time: [verifier
    (module P) ~wrap] returns a function running [iters] verifies, each
    inside [wrap]. *)
 let verifier (module P : Zkqac_group.Pairing_intf.PAIRING) ~wrap =
@@ -148,6 +149,13 @@ let telemetry_overhead () =
     ~base:("raw", verifier (module R) ~wrap)
     ~variant:("instrumented", verifier (module I) ~wrap)
 
+(* [verifier] on the mock backend, each verify inside a root span [name]. *)
+let span_verifier name =
+  let module Trace = Zkqac_telemetry.Trace in
+  verifier
+    (Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
+    ~wrap:(fun f -> Trace.with_span name ~parent:Trace.none (fun _ -> f ()))
+
 (* Overhead of the always-on flight recorder: unlike the telemetry wrapper
    above, [Flight] records by default, so its cost per instrumented span is
    what every production run pays. The span fast path with flight enabled
@@ -157,7 +165,6 @@ let telemetry_overhead () =
    median under 10%. *)
 let flight_overhead () =
   let module Telemetry = Zkqac_telemetry.Telemetry in
-  let module Trace = Zkqac_telemetry.Trace in
   let module Flight = Zkqac_telemetry.Flight in
   let was_on = Flight.enabled () in
   let tel_on = Telemetry.enabled () in
@@ -167,17 +174,40 @@ let flight_overhead () =
       if was_on then Flight.enable () else Flight.disable ();
       if tel_on then Telemetry.enable ())
   @@ fun () ->
-  let run =
-    verifier
-      (Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
-      ~wrap:(fun f ->
-        Trace.with_span "flight.overhead" ~parent:Trace.none (fun _ -> f ()))
-  in
+  let run = span_verifier "flight.overhead" in
   paired_overhead
     ~title:"Flight recorder overhead (mock ABS.Verify inside a span)"
     ~series:"flight_overhead"
     ~base:("disabled", fun iters -> Flight.disable (); run iters)
     ~variant:("enabled", fun iters -> Flight.enable (); run iters)
+
+(* Overhead of GC-pause attribution: with telemetry on, each span's open
+   and close read [Rte.pause_mark], which drains the runtime-events ring
+   while [Rte] is started. The variant block starts [Rte] and stops it at
+   its end, so it pays for every drain, the final one included, and the
+   base block and the collections between blocks run with event collection
+   paused. The budget is the CI gate's: a median under 10%. *)
+let rte_overhead () =
+  let module Telemetry = Zkqac_telemetry.Telemetry in
+  let rte_on = Rte.started () and tel_on = Telemetry.enabled () in
+  Rte.stop ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if rte_on then Rte.start ();
+      if not tel_on then Telemetry.disable ())
+  @@ fun () ->
+  let run = span_verifier "rte.overhead" in
+  paired_overhead
+    ~title:"GC-pause attribution overhead (mock ABS.Verify inside a span, telemetry on)"
+    ~series:"rte_overhead"
+    ~base:("stopped", run)
+    ~variant:
+      ( "started",
+        fun iters ->
+          Rte.start ();
+          run iters;
+          Rte.stop () )
 
 let micro backends =
   let rows =
@@ -201,12 +231,6 @@ let micro backends =
          in
          [ name; pretty ])
        (List.sort compare rows));
-  (* The gates run without the GC-pause monitor that --json and --trace
-     start. On a 2-vCPU host, three runs with it widened the paired
-     quartiles to tens of percent and put the flight median at +13.7%,
-     +11.0% and +3.4%; three runs without it stayed at or below +2.8%. *)
-  let rte_on = Rte.started () in
-  Rte.stop ();
-  Fun.protect ~finally:(fun () -> if rte_on then Rte.start ()) @@ fun () ->
   telemetry_overhead ();
-  flight_overhead ()
+  flight_overhead ();
+  rte_overhead ()

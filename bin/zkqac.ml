@@ -152,8 +152,8 @@ let with_obs { stats; trace; trace_tree; audit; audit_durability; audit_recover 
   let module T = Zkqac_telemetry.Telemetry in
   if stats then T.enable ();
   if trace <> None || trace_tree then Trace.enable ();
-  (* GC pause attribution wants the runtime-events monitor; it only runs
-     when some observer (stats, trace) will report what it collects. *)
+  (* GC pause attribution reads the runtime-events ring; it only runs when
+     some observer (stats, trace) will report what it collects. *)
   if stats || trace <> None || trace_tree then Rte.start ();
   (match audit with
   | Some path ->
@@ -507,8 +507,8 @@ let metrics fmt seed out =
   let (_ : Harness.report) =
     try Harness.run ~seed () with Invalid_argument msg -> die "%s" msg
   in
-  (* Quiesce the runtime-events monitor so the exposition includes every GC
-     pause the sweep caused. *)
+  (* Pause runtime events after a final drain, so the exposition includes
+     every GC pause the sweep caused and none of its own. *)
   Rte.stop ();
   let text =
     match fmt with

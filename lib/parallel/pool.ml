@@ -63,7 +63,7 @@ let map_results ~threads jobs =
        [k*n/threads, (k+1)*n/threads). A failing job is recorded in place and
        the slice keeps going: callers get every job's outcome. *)
     let worker k () =
-      (* Let the runtime-events monitor map this domain's ring slot to its
+      (* Let the runtime-events reader map this domain's ring slot to its
          id, so its GC pauses are attributed to the right worker. *)
       Zkqac_telemetry.Rte.announce ();
       (* Parent the worker's span on the caller's [pool.map] span so jobs

@@ -217,8 +217,8 @@ let () =
   (* GC pause attribution from the runtime-events bridge (per domain) and
      from the stage table (per stage). Registered here, not in Rte, because
      Rte cannot depend on Metrics: Metrics pulls from Trace, which samples
-     Rte's pause marks. Samples appear only once the monitor has observed
-     pauses, so expositions without Rte running are unchanged. *)
+     Rte's pause marks. Samples appear only once Rte has read pauses, so
+     expositions without Rte running are unchanged. *)
   register (fun () ->
       let doms = Rte.domain_snapshot () in
       let totals =

@@ -1,10 +1,10 @@
 (* Runtime-events bridge: GC pause attribution per domain and per stage.
 
-   One monitor domain owns a self-process cursor and polls it; everything it
-   learns goes into mutable tables under [lock]. Producers only touch the
-   tables through [pause_mark] (span open and close) — a cheap hashtable
-   read — and the span's pause delta lands in its {!Stage} cell, so the GC
-   attribution path adds nothing to the uninstrumented fast path. *)
+   One self-process cursor, drained under [lock] by whoever needs its data:
+   [pause_mark] (span open and close), the snapshots and [stop]. The
+   callbacks run inside that drain, with [lock] held, and book what they
+   read into the tables below. Nothing reads between readers, so the ring
+   overwrites what a long reader-free stretch leaves, and [lost] counts it. *)
 
 module Re = Runtime_events
 
@@ -49,13 +49,13 @@ let slice_cap = 16384
 let slice_ring : slice array ref = ref [||] (* [||] until the first slice *)
 let slice_n = ref 0 (* slices ever noted since [reset] *)
 
+let lost = ref 0 (* runtime events the ring overwrote unread since [reset] *)
+
 let is_started = Atomic.make false
-let stop_flag = Atomic.make false
-let monitor : unit Domain.t option ref = ref None
 let started () = Atomic.get is_started
 
 (* Self-identification: rings are slots, not domains, so each domain writes
-   its [Domain.self] into the stream and the monitor maps slot -> domain. *)
+   its [Domain.self] into the stream and the reader maps slot -> domain. *)
 type Re.User.tag += Domain_id
 
 let domain_evt = lazy (Re.User.register "zkqac.domain_id" Domain_id Re.Type.int)
@@ -83,7 +83,6 @@ let find_totals k =
 let note_pause ring gc t0 t1 =
   let dur = Int64.sub t1 t0 in
   if dur > 0L then begin
-    Mutex.lock lock;
     let t = find_totals (key_of_ring ring) in
     (match gc with
     | `Minor ->
@@ -105,8 +104,7 @@ let note_pause ring gc t0 t1 =
     in
     if Array.length !slice_ring = 0 then slice_ring := Array.make slice_cap sl;
     !slice_ring.(!slice_n mod slice_cap) <- sl;
-    incr slice_n;
-    Mutex.unlock lock
+    incr slice_n
   end
 
 let on_begin ring ts phase =
@@ -136,7 +134,6 @@ let on_domain_id ring _ts evt v =
       if ring >= 0 && ring < max_rings && v >= 0 then begin
         (* Migrate any pauses already booked under the anonymous ring key to
            the real domain, so early GCs are not split across two labels. *)
-        Mutex.lock lock;
         (if ring2dom.(ring) < 0 then
            match Hashtbl.find_opt dom_tbl (-(ring + 1)) with
            | Some old ->
@@ -149,83 +146,80 @@ let on_domain_id ring _ts evt v =
                t.minor_n <- t.minor_n + old.minor_n;
                t.major_n <- t.major_n + old.major_n
            | None -> ());
-        ring2dom.(ring) <- v;
-        Mutex.unlock lock
+        ring2dom.(ring) <- v
       end
   | _ -> ()
 
+(* An overwritten stretch may hold the end of a pause whose begin was read,
+   so forget the ring's open begins rather than book a bogus span. *)
+let on_lost ring n =
+  lost := !lost + n;
+  if ring >= 0 && ring < max_rings then begin
+    minor_t0.(ring) <- 0L;
+    major_t0.(ring) <- 0L
+  end
+
 let callbacks =
   lazy
-    (Re.Callbacks.create ~runtime_begin:on_begin ~runtime_end:on_end ()
+    (Re.Callbacks.create ~runtime_begin:on_begin ~runtime_end:on_end
+       ~lost_events:on_lost ()
     |> Re.Callbacks.add_user_event Re.Type.int on_domain_id)
-
-let monitor_loop poll_us cursor =
-  announce ();
-  let cbs = Lazy.force callbacks in
-  let delay = float_of_int poll_us /. 1e6 in
-  while not (Atomic.get stop_flag) do
-    ignore (Re.read_poll cursor cbs None);
-    Unix.sleepf delay
-  done;
-  (* final drain so short-lived runs lose nothing *)
-  ignore (Re.read_poll cursor cbs None)
 
 (* One cursor for the process, with collection paused while stopped: a
    fresh cursor reads the ring from its oldest event, so a restart would
    count every pause still in it a second time. *)
 let cursor = ref None
 
-let start ?(poll_us = 500) () =
+(* Run [f] under [lock] after booking every event the ring holds. *)
+let drained f =
+  Mutex.protect lock (fun () ->
+      (match !cursor with
+      | Some c when Atomic.get is_started ->
+          ignore (Re.read_poll c (Lazy.force callbacks) None)
+      | _ -> ());
+      f ())
+
+let start () =
   if Atomic.compare_and_set is_started false true then begin
-    Atomic.set stop_flag false;
-    let c =
-      match !cursor with
-      | Some c ->
-        Re.resume ();
-        c
-      | None ->
+    (match !cursor with
+    | Some _ -> Re.resume ()
+    | None ->
         Re.start ();
-        let c = Re.create_cursor None in
-        cursor := Some c;
-        c
-    in
+        cursor := Some (Re.create_cursor None));
     ignore (Lazy.force domain_evt);
-    announce ();
-    monitor := Some (Domain.spawn (fun () -> monitor_loop poll_us c))
+    announce ()
   end
 
 let stop () =
-  if Atomic.get is_started then begin
-    Atomic.set stop_flag true;
-    (match !monitor with Some d -> Domain.join d | None -> ());
-    monitor := None;
-    Re.pause ();
-    Atomic.set is_started false
-  end
+  drained (fun () ->
+      if Atomic.get is_started then begin
+        Re.pause ();
+        Atomic.set is_started false
+      end)
 
 (* --- per-stage attribution (sampled by Trace.with_span) --- *)
 
 let pause_mark () =
   if not (Atomic.get is_started) then (0L, 0L)
-  else begin
-    Mutex.lock lock;
-    let r =
-      match Hashtbl.find_opt dom_tbl (Domain.self () :> int) with
-      | Some t -> (t.minor_ns, t.major_ns)
-      | None -> (0L, 0L)
-    in
-    Mutex.unlock lock;
-    r
-  end
+  else
+    drained (fun () ->
+        match Hashtbl.find_opt dom_tbl (Domain.self () :> int) with
+        | Some t -> (t.minor_ns, t.major_ns)
+        | None ->
+            (* No pause booked to this domain yet: the ring may have
+               overwritten its announcement unread, so announce again. *)
+            announce ();
+            (0L, 0L))
 
 (* --- snapshots --- *)
 
 let s_of_ns ns = Int64.to_float ns /. 1e9
 
 let domain_snapshot () =
-  Mutex.lock lock;
-  let out =
-    Hashtbl.fold
+  drained @@ fun () ->
+  List.sort
+    (fun a b -> compare a.label b.label)
+    (Hashtbl.fold
       (fun k t acc ->
         {
           label = label_of_key k;
@@ -237,28 +231,20 @@ let domain_snapshot () =
           major_n = t.major_n;
         }
         :: acc)
-      dom_tbl []
-  in
-  Mutex.unlock lock;
-  List.sort (fun a b -> compare a.label b.label) out
+       dom_tbl [])
 
 let slices () =
-  Mutex.lock lock;
+  drained @@ fun () ->
   let n = min !slice_n slice_cap in
   let first = !slice_n - n in
-  let out = List.init n (fun i -> !slice_ring.((first + i) mod slice_cap)) in
-  Mutex.unlock lock;
-  out
+  List.init n (fun i -> !slice_ring.((first + i) mod slice_cap))
 
-let slices_dropped () =
-  Mutex.lock lock;
-  let n = max 0 (!slice_n - slice_cap) in
-  Mutex.unlock lock;
-  n
+let slices_dropped () = drained (fun () -> max 0 (!slice_n - slice_cap))
+let lost_events () = drained (fun () -> !lost)
 
 let reset () =
-  Mutex.lock lock;
+  drained @@ fun () ->
   Hashtbl.reset dom_tbl;
   slice_ring := [||];
   slice_n := 0;
-  Mutex.unlock lock
+  lost := 0

@@ -364,7 +364,8 @@ let chrome_json () =
         Json.Obj
           [ ("tool", Json.Str "zkqac");
             ("dropped_spans", Json.Int (dropped ()));
-            ("dropped_gc_slices", Json.Int (Rte.slices_dropped ())) ] ) ]
+            ("dropped_gc_slices", Json.Int (Rte.slices_dropped ()));
+            ("lost_runtime_events", Json.Int (Rte.lost_events ())) ] ) ]
 
 let write_chrome path = Json.to_file path (chrome_json ())
 

@@ -108,7 +108,9 @@ val chrome_json : unit -> Json.t
     per span with [ts]/[dur] in microseconds and [tid] = domain id; span ids
     and parent links are in [args]; {!Rte} GC slices ride along as
     [cat = "gc"] tracks. [otherData.dropped_gc_slices] counts slices the
-    {!Rte} ring overwrote since its reset (some may predate this trace). *)
+    {!Rte} ring overwrote since its reset (some may predate this trace),
+    and [otherData.lost_runtime_events] the runtime events it never read
+    ({!Rte.lost_events}). *)
 
 val chrome_json_of_spans : info list -> Json.t
 (** Chrome trace-event JSON for just the given spans — the per-incident

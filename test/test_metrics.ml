@@ -269,14 +269,13 @@ let test_one_stage_table () =
     | Some c -> c.Stage.gc_minor_ns + c.Stage.gc_major_ns
     | None -> 0
   in
-  (* Pause totals advance when the monitor polls, so repeat rounds of N
-     spans until the stage has absorbed some pause time. *)
+  (* Repeat rounds of N spans until the stage has absorbed some pause
+     time. *)
   let deadline = Unix.gettimeofday () +. 20.0 in
   let rounds = ref 0 in
   let rec drive () =
     ignore (Pool.map ~threads:2 (List.init n (fun _ -> job)));
     incr rounds;
-    Unix.sleepf 0.05;
     if gc_ns () = 0 && Unix.gettimeofday () < deadline then drive ()
   in
   drive ();

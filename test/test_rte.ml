@@ -1,12 +1,12 @@
-(* Runtime-events bridge: with the monitor running, a >= 2-domain allocation
+(* Runtime-events bridge: with [Rte] started, a >= 2-domain allocation
    storm must surface minor-GC pauses in all three views — per-domain
    totals (and their Metrics gauges), per-stage attribution, and raw slices
    that the Perfetto export renders as extra "gc" tracks. A stop and
-   restart of the monitor counts no pause twice.
+   restart counts no pause twice.
 
-   Attribution is asynchronous (the monitor polls the runtime-events ring),
-   so the workload repeats until pauses show up or a generous deadline
-   passes; the assertions themselves are deterministic once data exists. *)
+   Every reader drains the runtime-events ring first, so attribution is
+   exact: a span that collects books its own pause, only the program's own
+   domains show up, and what the ring overwrote unread is counted. *)
 
 module Rte = Zkqac_telemetry.Rte
 module Trace = Zkqac_telemetry.Trace
@@ -71,8 +71,6 @@ let test_gc_attribution () =
   let deadline = Unix.gettimeofday () +. 20.0 in
   let rec drive () =
     ignore (Pool.map ~threads:2 (List.init 2 (fun _ -> job)));
-    (* Let the monitor's poll loop catch up with the ring. *)
-    Unix.sleepf 0.05;
     if
       (minor_domains () < 2 || stage_pause_rows () = [])
       && Unix.gettimeofday () < deadline
@@ -141,7 +139,7 @@ let test_stopped_is_inert () =
   Rte.reset ();
   Telemetry.reset ();
   Alcotest.(check bool) "not started" false (Rte.started ());
-  (* All of these must be safe no-ops without a monitor. *)
+  (* All of these must be safe no-ops while stopped. *)
   Rte.announce ();
   let mark = Rte.pause_mark () in
   Alcotest.(check bool) "zero mark" true (mark = (0L, 0L));
@@ -173,18 +171,15 @@ let test_gc_slices_keep_newest () =
     List.fold_left (fun acc (d : Rte.dom_stats) -> acc + d.Rte.minor_n) 0
       (Rte.domain_snapshot ())
   in
-  (* [n] more minor collections seen by the monitor, paced so its polls keep
-     up with the runtime-events ring. *)
+  (* [n] more minor collections, read back every 100 so the runtime-events
+     ring never overwrites one. *)
   let collect n =
     let target = minors () + n and deadline = Unix.gettimeofday () +. 30.0 in
     while minors () < target && Unix.gettimeofday () < deadline do
       for _ = 1 to 100 do
         Gc.minor ()
-      done;
-      Unix.sleepf 0.002
-    done;
-    (* Let the monitor drain what is still in the ring. *)
-    Unix.sleepf 0.05
+      done
+    done
   in
   collect 16_500;
   Trace.reset ();
@@ -207,10 +202,113 @@ let test_gc_slices_keep_newest () =
     true
     (List.length gc_events >= 50)
 
+(* Run [f] from cleared [Rte], [Trace] and [Telemetry] state, with all three
+   off, and put back whichever of them the caller had on. *)
+let isolated f =
+  let rte = Rte.started () and tr = Trace.enabled () and tel = Telemetry.enabled () in
+  let clear () =
+    Rte.stop ();
+    Rte.reset ();
+    Trace.disable ();
+    Trace.reset ();
+    Telemetry.disable ();
+    Telemetry.reset ()
+  in
+  clear ();
+  Fun.protect f ~finally:(fun () ->
+      clear ();
+      if rte then Rte.start ();
+      if tr then Trace.enable ();
+      if tel then Telemetry.enable ())
+
+(* Each span's closing mark drains the ring, so the minor collection a span
+   forces is booked to that span's own stage, every time. *)
+let test_exact_attribution () =
+  isolated @@ fun () ->
+  Rte.start ();
+  Telemetry.enable ();
+  let names = List.init 200 (Printf.sprintf "rte.exact.%03d") in
+  List.iter
+    (fun name -> Trace.with_span name ~parent:Trace.none (fun _ -> Gc.minor ()))
+    names;
+  let cells = Stage.snapshot () in
+  let missed =
+    List.filter
+      (fun name ->
+        match List.assoc_opt name cells with
+        | Some c -> c.Stage.gc_minor_ns <= 0
+        | None -> true)
+      names
+  in
+  Alcotest.(check (list string)) "spans without their own pause" [] missed
+
+(* Only domains the program runs take pauses: with no pool, the totals and
+   the slices name the calling domain and nothing else. *)
+let test_no_phantom_domain () =
+  isolated @@ fun () ->
+  Rte.start ();
+  Telemetry.enable ();
+  Trace.with_span "rte.solo" ~parent:Trace.none (fun _ -> churn ());
+  let self = (Domain.self () :> int) in
+  Alcotest.(check (list string))
+    "domains with pauses" [ string_of_int self ]
+    (List.map (fun (d : Rte.dom_stats) -> d.Rte.label) (Rte.domain_snapshot ()));
+  Alcotest.(check (list int))
+    "slice domains" [ self ]
+    (List.sort_uniq compare
+       (List.map (fun (s : Rte.slice) -> s.Rte.sl_domain) (Rte.slices ())))
+
+(* More minor collections than the ring holds, with no reader in between:
+   the overwritten events are counted and the trace export reports them.
+   The storm runs on a fresh domain, so it also overwrites that domain's
+   announcement; its first span announces again, and its second span
+   books its own pause. *)
+let test_lost_events_counted () =
+  isolated @@ fun () ->
+  Rte.start ();
+  Telemetry.enable ();
+  let storm () =
+    Rte.announce ();
+    for _ = 1 to 3_000 do
+      Gc.minor ()
+    done;
+    let lost = Rte.lost_events () in
+    List.iter
+      (fun name -> Trace.with_span name ~parent:Trace.none (fun _ -> Gc.minor ()))
+      [ "rte.after_loss.1"; "rte.after_loss.2" ];
+    ((Domain.self () :> int), lost)
+  in
+  let dom, lost = Domain.join (Domain.spawn storm) in
+  Alcotest.(check bool) (Printf.sprintf "lost %d events, want > 0" lost) true (lost > 0);
+  (match List.assoc_opt "rte.after_loss.2" (Stage.snapshot ()) with
+   | Some c -> Alcotest.(check bool) "pause booked after the loss" true (c.Stage.gc_minor_ns > 0)
+   | None -> Alcotest.fail "rte.after_loss.2 missing from the stage table");
+  Alcotest.(check bool) "storm domain mapped again" true
+    (List.exists
+       (fun (d : Rte.dom_stats) -> d.Rte.label = string_of_int dom)
+       (Rte.domain_snapshot ()));
+  let other =
+    match Trace.chrome_json () with
+    | Json.Obj fields -> List.assoc_opt "otherData" fields
+    | _ -> None
+  in
+  match other with
+  | Some (Json.Obj o) -> (
+    match List.assoc_opt "lost_runtime_events" o with
+    | Some (Json.Int n) ->
+      Alcotest.(check bool) "trace reports the loss" true (n >= lost)
+    | _ -> Alcotest.fail "otherData lacks lost_runtime_events")
+  | _ -> Alcotest.fail "trace lacks otherData"
+
 let suite =
   [ ( "rte",
       [ Alcotest.test_case "gc pause attribution across domains" `Quick
           test_gc_attribution;
         Alcotest.test_case "gc slices keep the newest" `Quick
           test_gc_slices_keep_newest;
-        Alcotest.test_case "inert when stopped" `Quick test_stopped_is_inert ] ) ]
+        Alcotest.test_case "inert when stopped" `Quick test_stopped_is_inert;
+        Alcotest.test_case "each span books its own pause" `Quick
+          test_exact_attribution;
+        Alcotest.test_case "no phantom domain" `Quick test_no_phantom_domain;
+        Alcotest.test_case "lost events counted" `Quick test_lost_events_counted
+      ] ) ]
