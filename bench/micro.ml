@@ -50,11 +50,13 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let keep = Universe.missing universe ~user in
     let g1 = P.rand_g drbg and g2 = P.rand_g drbg in
     let k = P.rand_scalar drbg in
+    let t1 = P.G.precompute g1 in
     List.map
       (fun (op, f) -> (P.name ^ "/" ^ op, per_op f))
       [
         ("pairing", fun () -> ignore (P.e g1 g2));
         ("g-exp", fun () -> ignore (P.G.pow g1 k));
+        ("g-exp-table", fun () -> ignore (P.G.pow_prod [ (t1, k) ]));
         ("abs-sign", fun () -> ignore (Abs.sign drbg mvk sk ~msg ~policy));
         ("abs-verify", fun () -> ignore (Abs.verify mvk ~msg ~policy sigma));
         ( "abs-relax",

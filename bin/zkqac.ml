@@ -343,10 +343,21 @@ let print_records =
 
 (* --- setup --- *)
 
+(* The key seed, and with it the pseudo records: [--seed] if given, else
+   32 bytes of OS entropy, so no one can derive the DO's signing key. *)
+let key_seed = function
+  | Some seed -> seed
+  | None -> (
+    match In_channel.with_open_bin "/dev/urandom" (fun ic -> really_input_string ic 32) with
+    | s -> Zkqac_hashing.Hex.encode s
+    | exception (Sys_error _ | End_of_file) ->
+      die "cannot read 32 bytes of entropy from /dev/urandom")
+
 let setup records_file roles dims depth seed out =
   let universe = Universe.create (parse_roles roles) in
   let space = Keyspace.create ~dims ~depth in
   let records = read_records ~space ~universe records_file in
+  let seed = key_seed seed in
   let drbg = Drbg.create ~seed:("zkqac-cli:" ^ seed) in
   let msk, mvk = Abs.setup drbg in
   let sk = Abs.keygen drbg msk (Universe.attrs universe) in
@@ -372,7 +383,12 @@ let setup_cmd =
   in
   let dims = Arg.(value & opt int 2 & info [ "dims" ] ~doc:"Key dimensions.") in
   let depth = Arg.(value & opt int 3 & info [ "depth" ] ~doc:"Grid depth (side = 2^depth).") in
-  let seed = Arg.(value & opt string "default" & info [ "seed" ] ~doc:"Deterministic key seed.") in
+  let seed =
+    Arg.(value & opt (some string) None & info [ "seed" ] ~docv:"SEED"
+           ~doc:"Derive the signing key and the pseudo records from $(docv), for \
+                 tests and benchmarks only: anyone who knows it can sign as the \
+                 data owner. By default the key seed comes from /dev/urandom.")
+  in
   let out = Arg.(value & opt string "ads.zkqac" & info [ "o"; "out" ] ~doc:"Output ADS file.") in
   Cmd.v
     (Cmd.info "setup" ~doc:"Data-owner setup: sign a database into an ADS file.")
@@ -1082,7 +1098,7 @@ let demo () =
     "1,2|alpha|RoleA\n3,4|bravo|RoleA & RoleB\n5,1|charlie|RoleB\n6,6|delta|RoleA | RoleC\n";
   let ads = Filename.concat dir "ads.zkqac" in
   let vo = Filename.concat dir "vo.zkqac" in
-  setup records_file "RoleA,RoleB,RoleC" 2 3 "demo" ads;
+  setup records_file "RoleA,RoleB,RoleC" 2 3 (Some "demo") ads;
   inspect ads;
   query ads "RoleA" "0,0:7,7" vo;
   verify ads vo "RoleA" "0,0:7,7";

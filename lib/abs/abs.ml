@@ -12,8 +12,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let order = P.order
 
-  type msk = { a0 : B.t; a : B.t; b : B.t }
-
   type mvk = {
     g : G.t;
     h0 : G.t;
@@ -24,13 +22,22 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     cap_c : G.t;  (* C *)
   }
 
+  type msk = { a0 : B.t; a : B.t; b : B.t; issued : mvk (* the mvk made with it *) }
+
   module Attr_map = Map.Make (String)
 
+  (* Every base ABS.Sign raises to a power is fixed by the key or its mvk,
+     so the key carries their tables: K_base, K0, each K_u, the mvk's C and
+     g, and A·B^u for each held attribute. *)
   type signing_key = {
     attrs : Attr.Set.t;
-    k_base : G.t;
-    k0 : G.t;
-    k_u : G.t Attr_map.t;
+    issuer : mvk;
+    k_base : G.table;
+    k0 : G.table;
+    k_u : G.table Attr_map.t;
+    cap_c_t : G.table;
+    g_t : G.table;
+    attr_bases : G.table Attr_map.t;
   }
 
   type signature = {
@@ -68,25 +75,36 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         cap_c;
       }
     in
-    ({ a0; a; b }, mvk)
-
-  let keygen drbg msk attrs =
-    let k_base = P.rand_g drbg in
-    let k0 = G.pow k_base (B.invmod msk.a0 order) in
-    let k_u =
-      Attr.Set.fold
-        (fun u acc ->
-          let d = B.erem (B.add msk.a (B.mul msk.b (attr_scalar u))) order in
-          Attr_map.add u (G.pow k_base (B.invmod d order)) acc)
-        attrs Attr_map.empty
-    in
-    { attrs; k_base; k0; k_u }
+    ({ a0; a; b; issued = mvk }, mvk)
 
   (* C * g^hash -- the message-binding base of the S components. *)
   let msg_base mvk hash = G.mul mvk.cap_c (G.pow mvk.g hash)
 
   (* A * B^u -- the attribute base of the P components. *)
   let attr_base mvk u = G.mul mvk.cap_a (G.pow mvk.cap_b (attr_scalar u))
+
+  let mvk_elements mvk = [ mvk.g; mvk.h0; mvk.h; mvk.cap_a0; mvk.cap_a; mvk.cap_b; mvk.cap_c ]
+
+  let keygen drbg msk attrs =
+    let mvk = msk.issued in
+    let k_base = P.rand_g drbg in
+    let k0 = G.pow k_base (B.invmod msk.a0 order) in
+    let per_attr f =
+      Attr.Set.fold (fun u acc -> Attr_map.add u (G.precompute (f u)) acc) attrs Attr_map.empty
+    in
+    {
+      attrs;
+      issuer = mvk;
+      k_base = G.precompute k_base;
+      k0 = G.precompute k0;
+      k_u =
+        per_attr (fun u ->
+            let d = B.erem (B.add msk.a (B.mul msk.b (attr_scalar u))) order in
+            G.pow k_base (B.invmod d order));
+      cap_c_t = G.precompute mvk.cap_c;
+      g_t = G.precompute mvk.g;
+      attr_bases = per_attr (attr_base mvk);
+    }
 
   (* Exponentiation by a possibly-negative small matrix entry. *)
   let pow_entry base entry r =
@@ -96,9 +114,17 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | -1 -> G.inv (G.pow base r)
     | m -> G.pow base (B.erem (B.mul (B.of_int m) r) order)
 
+  (* Sign raises only tabled bases: Y = K_base^r0, W = K0^r0, each row
+     S_i = K_u^r0 * C^rr_i * g^(h rr_i) and each column
+     P_j = prod_i (A B^u_i)^(M_ij rr_i), one [G.pow_prod] each. The draws
+     must stay in the order tau, r0, rr: every signature, and so every
+     ADS, depends on it (pinned by the goldens in test_core.ml). *)
   let sign drbg mvk sk ~msg ~policy =
     Trace.with_span "abs.sign" @@ fun _ ->
     T.bump T.Abs_sign;
+    if not (mvk == sk.issuer
+            || List.for_all2 G.equal (mvk_elements mvk) (mvk_elements sk.issuer))
+    then invalid_arg "Abs.sign: the mvk did not issue this signing key";
     let msp = Msp.build policy in
     let v =
       match Msp.satisfying_rows msp policy sk.attrs with
@@ -109,32 +135,35 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let hash = msg_scalar tau msg in
     let r0 = P.rand_scalar drbg in
     let rr = Array.init msp.Msp.rows (fun _ -> P.rand_scalar drbg) in
-    let y = G.pow sk.k_base r0 in
-    let w = G.pow sk.k0 r0 in
-    let base_c = msg_base mvk hash in
+    let y = G.pow_prod [ (sk.k_base, r0) ] in
+    let w = G.pow_prod [ (sk.k0, r0) ] in
     let s =
       Array.init msp.Msp.rows (fun i ->
-          let key_part =
-            if v.(i) = 0 then G.one
-            else begin
-              match Attr_map.find_opt msp.Msp.labels.(i) sk.k_u with
-              | Some k -> G.pow k r0
-              | None ->
-                (* satisfying_rows only selects held attributes *)
-                assert false
-            end
-          in
-          G.mul key_part (G.pow base_c rr.(i)))
+          let msg_part = [ (sk.cap_c_t, rr.(i)); (sk.g_t, B.mul hash rr.(i)) ] in
+          if v.(i) = 0 then G.pow_prod msg_part
+          else
+            (* satisfying_rows only selects held attributes *)
+            G.pow_prod ((Attr_map.find msp.Msp.labels.(i) sk.k_u, r0) :: msg_part))
+    in
+    (* A label the key does not hold gets its table on the spot. *)
+    let bases =
+      Array.map
+        (fun u ->
+          match Attr_map.find_opt u sk.attr_bases with
+          | Some t -> t
+          | None -> G.precompute (attr_base mvk u))
+        msp.Msp.labels
     in
     let p =
       Array.init msp.Msp.cols (fun j ->
-          let acc = ref G.one in
-          for i = 0 to msp.Msp.rows - 1 do
-            let mij = msp.Msp.matrix.(i).(j) in
-            if mij <> 0 then
-              acc := G.mul !acc (pow_entry (attr_base mvk msp.Msp.labels.(i)) mij rr.(i))
-          done;
-          !acc)
+          G.pow_prod
+            (List.filter_map
+               (fun i ->
+                 match msp.Msp.matrix.(i).(j) with
+                 | 0 -> None
+                 | 1 -> Some (bases.(i), rr.(i))
+                 | mij -> Some (bases.(i), B.mul (B.of_int mij) rr.(i)))
+               (List.init msp.Msp.rows Fun.id)))
     in
     { tau; y; w; s; p }
 
@@ -445,9 +474,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     && Array.for_all2 G.equal s1.p s2.p
 
   let mvk_to_bytes mvk =
-    String.concat ""
-      (List.map G.to_bytes
-         [ mvk.g; mvk.h0; mvk.h; mvk.cap_a0; mvk.cap_a; mvk.cap_b; mvk.cap_c ])
+    String.concat "" (List.map G.to_bytes (mvk_elements mvk))
 
   let mvk_of_bytes data =
     if String.length data <> 7 * g_size then None

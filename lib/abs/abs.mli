@@ -14,13 +14,16 @@
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type msk
-  (** Master signing key (a0, a, b) — held by the data owner only. *)
+  (** Master signing key (a0, a, b) — held by the data owner only — and the
+      mvk {!setup} made with it. *)
 
   type mvk
   (** Master verification key (g, h0, h, A0, A, B, C) — public. *)
 
   type signing_key
-  (** Per-attribute-set signing key (K_base, K0, {K_u}). *)
+  (** Per-attribute-set signing key (K_base, K0, {K_u}), as fixed-base
+      tables, with tables of its issuer's C and g and of A·B^u for each of
+      its attributes: every base {!sign} raises. *)
 
   type signature
 
@@ -28,7 +31,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   val keygen : Zkqac_hashing.Drbg.t -> msk -> Zkqac_policy.Attr.Set.t -> signing_key
   (** ABS.KeyGen. The data owner typically calls this once on the full
-      attribute universe (including the pseudo role) for itself. *)
+      attribute universe (including the pseudo role) for itself. Building
+      the tables makes this the cost of a few exponentiations per
+      attribute, and the key a few hundred group elements per attribute. *)
 
   val sign :
     Zkqac_hashing.Drbg.t ->
@@ -37,8 +42,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     msg:string ->
     policy:Zkqac_policy.Expr.t ->
     signature
-  (** ABS.Sign. @raise Invalid_argument if the key's attributes do not
-      satisfy the policy. *)
+  (** ABS.Sign, from the key's tables only; a policy label outside the
+      key's attributes gets its table built for this call. The DRBG draws
+      (τ, r0, then one r per row) and so every signature are the same as
+      with plain exponentiations. @raise Invalid_argument if the key's
+      attributes do not satisfy the policy, or if [mvk] (compared by value)
+      is not the one the key was issued under. *)
 
   val verify : mvk -> msg:string -> policy:Zkqac_policy.Expr.t -> signature -> bool
   (** ABS.Verify: checks Y ≠ 1, the key-binding pairing equation, and the

@@ -90,6 +90,89 @@ let mul c k p =
   done;
   to_affine c !v
 
+(* V + W for Jacobian V and W, every case included. *)
+let add_jacobian c v w =
+  if Fp.is_zero v.z then w
+  else if Fp.is_zero w.z then v
+  else begin
+    let z1z1 = Fp.sqr c v.z and z2z2 = Fp.sqr c w.z in
+    let u1 = Fp.mul c v.x z2z2 and u2 = Fp.mul c w.x z1z1 in
+    let s1 = Fp.mul c v.y (Fp.mul c w.z z2z2) and s2 = Fp.mul c w.y (Fp.mul c v.z z1z1) in
+    let h = Fp.sub c u2 u1 and rr = Fp.sub c s2 s1 in
+    if Fp.is_zero h then if Fp.is_zero rr then fst (jdouble c v) else jinfinity
+    else begin
+      let hh = Fp.sqr c h in
+      let hhh = Fp.mul c h hh and u = Fp.mul c u1 hh in
+      let x = Fp.sub c (Fp.sub c (Fp.sqr c rr) hhh) (Fp.add c u u) in
+      let y = Fp.sub c (Fp.mul c rr (Fp.sub c u x)) (Fp.mul c s1 hhh) in
+      { x; y; z = Fp.mul c (Fp.mul c v.z w.z) h }
+    end
+  end
+
+(* Affine forms of many Jacobian points for one inversion (Montgomery's
+   trick): invert the product of the non-zero z's, then peel each inverse
+   off the running prefix products. *)
+let batch_to_affine c vs =
+  let n = Array.length vs in
+  let prefix = Array.make n Fp.one in
+  let acc = ref Fp.one in
+  Array.iteri
+    (fun i v ->
+      prefix.(i) <- !acc;
+      if not (Fp.is_zero v.z) then acc := Fp.mul c !acc v.z)
+    vs;
+  let inv = ref (Fp.inv c !acc) in
+  let out = Array.make n Infinity in
+  for i = n - 1 downto 0 do
+    let v = vs.(i) in
+    if not (Fp.is_zero v.z) then begin
+      let zi = Fp.mul c !inv prefix.(i) in
+      inv := Fp.mul c !inv v.z;
+      let zi2 = Fp.sqr c zi in
+      out.(i) <- Affine (Fp.mul c v.x zi2, Fp.mul c v.y (Fp.mul c zi2 zi))
+    end
+  done;
+  out
+
+(* Fixed-base tables: 4-bit windows, entry [15 * i + d - 1] = d * 16^i * P
+   for d = 1..15, all affine. A scalar of at most [4 * windows] bits then
+   costs one mixed addition per non-zero nibble and no doubling. *)
+type table = point array
+
+let window = 4
+let digits = (1 lsl window) - 1
+
+let precompute c ~bits p =
+  let windows = (bits + window - 1) / window in
+  let jac = Array.make (windows * digits) jinfinity in
+  let base = ref (of_affine p) in
+  for i = 0 to windows - 1 do
+    let b = !base and at d = (digits * i) + d - 1 in
+    jac.(at 1) <- b;
+    for d = 2 to digits do
+      jac.(at d) <- add_jacobian c jac.(at (d - 1)) b
+    done;
+    base := add_jacobian c jac.(at digits) b
+  done;
+  batch_to_affine c jac
+
+let mul_prod c terms =
+  let acc = ref jinfinity in
+  List.iter
+    (fun (t, k) ->
+      if B.sign k < 0 then invalid_arg "Curve.mul_prod: negative scalar";
+      let windows = Array.length t / digits in
+      if B.num_bits k > windows * window then invalid_arg "Curve.mul_prod: scalar too wide";
+      for i = 0 to windows - 1 do
+        let d = ref 0 in
+        for b = window - 1 downto 0 do
+          d := (2 * !d) + Bool.to_int (B.testbit k ((window * i) + b))
+        done;
+        if !d <> 0 then acc := add_affine c !acc t.((digits * i) + !d - 1)
+      done)
+    terms;
+  to_affine c !acc
+
 let hash_to_point c ~domain msg =
   let p = Fp.modulus c in
   let rec try_ctr ctr =

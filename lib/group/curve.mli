@@ -39,6 +39,22 @@ val jadd :
     where the chord through V and P has slope R / z(V + P); [`Same] if
     V = P, [`Opposite] if V = −P. *)
 
+(** {2 Fixed-base tables} *)
+
+type table
+(** Affine multiples of one base for 4-bit windows: 15 entries per window,
+    [d·16^i·P] for each digit d of window i. *)
+
+val precompute : Fp.ctx -> bits:int -> point -> table
+(** The table of [P] for scalars of at most [bits] bits. Built in Jacobian
+    form and made affine with one batch inversion. *)
+
+val mul_prod : Fp.ctx -> (table * Zkqac_bigint.Bigint.t) list -> point
+(** [mul_prod c [(t1, k1); ...]] is Σ kᵢ·Pᵢ: one mixed addition per
+    non-zero scalar nibble into one Jacobian accumulator, and one final
+    inversion. @raise Invalid_argument on a negative scalar or one wider
+    than its table. *)
+
 val hash_to_point : Fp.ctx -> domain:string -> string -> point
 (** Try-and-increment: hash to an x-coordinate, bump until x³+x is square.
     The result is on the full curve; callers multiply by the cofactor to land

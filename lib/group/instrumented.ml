@@ -36,6 +36,18 @@ module Make (P : Pairing_intf.PAIRING) : Pairing_intf.PAIRING = struct
     let to_bytes = P.G.to_bytes
     let of_bytes = P.G.of_bytes
     let hash_to = P.G.hash_to
+
+    type table = P.G.table
+
+    let precompute = P.G.precompute
+
+    (* Counted as the fold it equals: one exponentiation per term and one
+       multiplication per join. *)
+    let pow_prod terms =
+      let n = List.length terms in
+      T.bump_n T.G_exp n;
+      if n > 1 then T.bump_n T.G_mul (n - 1);
+      P.G.pow_prod terms
   end
 
   module Gt = struct

@@ -57,6 +57,11 @@ let create ?(order = default_order) () : (module Pairing_intf.PAIRING) =
       let hash_to msg =
         let v = Zkqac_hashing.Hash_to_field.to_zp ~domain:"mock-g" ~p:order msg in
         if B.is_zero v then B.one else v
+
+      type table = t
+
+      let precompute a = a
+      let pow_prod terms = List.fold_left (fun acc (b, k) -> mul acc (pow b k)) one terms
     end
 
     module Gt = struct

@@ -39,6 +39,19 @@ module type PAIRING = sig
 
     val hash_to : string -> t
     (** Hash arbitrary bytes to a group element of full order. *)
+
+    type table
+    (** Precomputed powers of one fixed base. *)
+
+    val precompute : t -> table
+
+    val pow_prod : (table * Zkqac_bigint.Bigint.t) list -> t
+    (** [pow_prod [(t1, k1); ...; (tn, kn)]] is ∏ bᵢ^kᵢ, where tᵢ is the
+        table of bᵢ; each exponent is reduced mod [order], so negative and
+        ≥ [order] ones need no care. Equal to folding {!mul} over {!pow},
+        but the type-A backend adds up table entries in one Jacobian
+        accumulator with one final inversion and no doubling. The empty
+        product is {!one}. *)
   end
 
   module Gt : sig

@@ -107,6 +107,11 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
           if Curve.is_infinity pt then go (ctr + 1) else pt
         in
         go 0
+
+      type table = Curve.table
+
+      let precompute = Curve.precompute fp ~bits:(B.num_bits r)
+      let pow_prod terms = Curve.mul_prod fp (List.map (fun (t, k) -> (t, B.erem k r)) terms)
     end
 
     module Gt = struct

@@ -47,6 +47,19 @@ module Make_tests (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let sigma = Abs.sign drbg mvk weak ~msg:"m" ~policy:policy2 in
     Alcotest.(check bool) "disjunct ok" true (Abs.verify mvk ~msg:"m" ~policy:policy2 sigma)
 
+  (* The key has no table for a label outside its attribute set; sign
+     builds one on the spot, and the signature still verifies. *)
+  let test_foreign_label () =
+    let policy = Expr.of_string "RoleA | (RoleB & RoleX)" in
+    let sigma = Abs.sign drbg mvk do_key ~msg:"m" ~policy in
+    Alcotest.(check bool) "verifies" true (Abs.verify mvk ~msg:"m" ~policy sigma)
+
+  let test_foreign_mvk () =
+    let _, other = Abs.setup (Drbg.create ~seed:"abs-tests:other") in
+    match Abs.sign drbg other do_key ~msg:"m" ~policy:(Expr.of_string "RoleA") with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "signing under another issuer's mvk must fail"
+
   let test_serialization () =
     let policy = Expr.of_string "RoleA & (RoleB | RoleC)" in
     let sigma = Abs.sign drbg mvk do_key ~msg:"ser" ~policy in
@@ -192,6 +205,8 @@ module Make_tests (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       Alcotest.test_case (name ^ " sign/verify") `Quick test_sign_verify;
       Alcotest.test_case (name ^ " wrong policy") `Quick test_wrong_policy_rejected;
       Alcotest.test_case (name ^ " insufficient key") `Quick test_insufficient_key;
+      Alcotest.test_case (name ^ " label outside key") `Quick test_foreign_label;
+      Alcotest.test_case (name ^ " foreign mvk") `Quick test_foreign_mvk;
       Alcotest.test_case (name ^ " serialization") `Quick test_serialization;
       Alcotest.test_case (name ^ " relax success") `Quick test_relax_success;
       Alcotest.test_case (name ^ " relax refused") `Quick test_relax_refused;

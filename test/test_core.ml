@@ -455,6 +455,30 @@ end
 
 module Core_mock = Make_core_tests (Mock_backend)
 
+(* ADS goldens: the SHA-256 of [Ap2g.to_bytes] for a tree built from a
+   fixed seed. Signing draws its randomness in a fixed order, so any change
+   to how ABS.Sign computes its components must leave these bytes alone. *)
+let ads_digest (module P : Zkqac_group.Pairing_intf.PAIRING) ~depth =
+  let module Abs = Zkqac_abs.Abs.Make (P) in
+  let module Ap2g = Zkqac_core.Ap2g.Make (P) in
+  let drbg = Drbg.create ~seed:"ads-golden" in
+  let msk, mvk = Abs.setup drbg in
+  let universe = Universe.create [ "RoleA"; "RoleB"; "RoleC" ] in
+  let sk = Abs.keygen drbg msk (Universe.attrs universe) in
+  let space = Keyspace.create ~dims:1 ~depth in
+  let records =
+    List.map
+      (fun (k, v, p) -> Record.make ~key:[| k |] ~value:v ~policy:(Expr.of_string p))
+      [ (0, "va", "RoleA"); (2, "vb", "RoleA & RoleB");
+        (3, "vc", "RoleB | (RoleA & RoleC)") ]
+  in
+  let tree = Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"golden" records in
+  Zkqac_hashing.Sha256.hex (Zkqac_hashing.Sha256.digest (Ap2g.to_bytes tree))
+
+let test_ads_golden (kind, depth, expected) () =
+  Alcotest.(check string) "ADS SHA-256" expected
+    (ads_digest (Zkqac_group.Backend.instantiate kind) ~depth)
+
 let suite =
   [
     ( "core-geometry",
@@ -463,5 +487,14 @@ let suite =
         Alcotest.test_case "box cover" `Quick test_box_cover;
         Alcotest.test_case "keyspace" `Quick test_keyspace;
       ] );
-    ("core", Core_mock.suite "mock");
+    ( "core",
+      Core_mock.suite "mock"
+      @ [ Alcotest.test_case "mock ads golden" `Quick
+            (test_ads_golden
+               ( Zkqac_group.Backend.Mock, 3,
+                 "705123508f6dc276ebf6480149168871792d06e37adb78558de3ab8bebde7c21" ));
+          Alcotest.test_case "typea-tiny ads golden" `Quick
+            (test_ads_golden
+               ( Zkqac_group.Backend.Typea_tiny, 2,
+                 "ab29712459cb1041716d7cda320c05bbc3074c996cbc83d3692eb79a0e49ddc6" )) ] );
   ]

@@ -116,6 +116,36 @@ let test_multi_pairing (name, m) () =
   Alcotest.(check bool) "cancellation" true
     (P.Gt.is_one (P.e_prod [ (a, b); (P.G.inv a, b) ]))
 
+(* [G.pow_prod] must equal the fold of [G.pow] and [G.mul] for every
+   scalar the reduction mod order can trip on, the empty product, an
+   identity base and a base repeated within one product. *)
+let test_pow_prod (name, m) () =
+  let module P = (val m : Group.Pairing_intf.PAIRING) in
+  let drbg = Drbg.create ~seed:("powprod" ^ name) in
+  let fold terms =
+    List.fold_left (fun acc (b, k) -> P.G.mul acc (P.G.pow b k)) P.G.one terms
+  in
+  let check what terms =
+    let tabled = List.map (fun (b, k) -> (P.G.precompute b, k)) terms in
+    Alcotest.(check bool) what true (P.G.equal (P.G.pow_prod tabled) (fold terms))
+  in
+  check "empty product" [];
+  let a = P.rand_g drbg and b = P.rand_g drbg in
+  let scalars =
+    [ B.zero; B.one; B.sub P.order B.one; P.order; B.add P.order B.one;
+      B.neg (P.rand_scalar drbg) ]
+    @ List.init 4 (fun _ -> P.rand_scalar drbg)
+  in
+  List.iter
+    (fun k ->
+      let what = "scalar " ^ B.to_string k in
+      check what [ (a, k) ];
+      check (what ^ ", two bases") [ (a, k); (b, P.rand_scalar drbg) ];
+      check (what ^ ", identity base") [ (P.G.one, k); (b, k) ])
+    scalars;
+  check "repeated base" [ (a, P.rand_scalar drbg); (b, B.one); (a, P.rand_scalar drbg) ];
+  check "base and its inverse" [ (a, B.one); (P.G.inv a, B.one) ]
+
 (* Regression: Gt.of_bytes must reject encodings outside the order-r
    subgroup (a raw field element that parses but has x^r <> 1 would let a
    malicious SP smuggle structure into a c_tilde). *)
@@ -333,5 +363,9 @@ let suite =
             (test_gt_subgroup_membership (name, m));
           Alcotest.test_case (name ^ " hash to group") `Quick (test_hash_to_group (name, m)) ])
       (backends ())
+    @ List.map
+        (fun (name, m) ->
+          Alcotest.test_case (name ^ " pow_prod = fold of pow") `Quick (test_pow_prod (name, m)))
+        (backends () @ [ ("typea-small", Group.Backend.instantiate Group.Backend.Typea_small) ])
   in
   [ ("group", (Alcotest.test_case "typea params" `Quick test_curve_basics :: per_backend) @ reference_suite) ]
