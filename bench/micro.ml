@@ -4,7 +4,9 @@
    These underpin every table: e.g. Table 2 is a direct consequence of how
    Sign/Verify/Relax scale with predicate size. Every figure is a median
    over timed blocks on the monotonic clock ([Pool.time]), with the
-   statistics svcbench uses ([Svcbench.Stats]). *)
+   statistics svcbench uses ([Svcbench.Stats]). The primitives table also
+   goes into BENCH.json as the [primitives] series, one row per backend and
+   operation. *)
 
 module Pool = Zkqac_parallel.Pool
 module Stats = Svcbench.Stats
@@ -51,12 +53,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let g1 = P.rand_g drbg and g2 = P.rand_g drbg in
     let k = P.rand_scalar drbg in
     let t1 = P.G.precompute g1 in
+    let enc = P.G.to_bytes g1 in
     List.map
-      (fun (op, f) -> (P.name ^ "/" ^ op, per_op f))
+      (fun (op, f) -> (P.name, op, per_op f))
       [
         ("pairing", fun () -> ignore (P.e g1 g2));
         ("g-exp", fun () -> ignore (P.G.pow g1 k));
         ("g-exp-table", fun () -> ignore (P.G.pow_prod [ (t1, k) ]));
+        ("g-decode", fun () -> ignore (P.G.of_bytes enc));
         ("abs-sign", fun () -> ignore (Abs.sign drbg mvk sk ~msg ~policy));
         ("abs-verify", fun () -> ignore (Abs.verify mvk ~msg ~policy sigma));
         ( "abs-relax",
@@ -220,10 +224,16 @@ let micro backends =
         M.rows ())
       backends
   in
+  let rows = List.sort compare rows in
+  List.iter
+    (fun (backend, op, s) ->
+      Report.emit ~series:"primitives"
+        (Json.Obj [ ("backend", Json.Str backend); ("op", Json.Str op); ("seconds", Json.Float s) ]))
+    rows;
   Report.print_table ~title:"Micro-benchmarks (median per op, monotonic clock)"
     ~header:[ "operation"; "time/run" ]
     (List.map
-       (fun (name, s) ->
+       (fun (backend, op, s) ->
          let ns = s *. 1e9 in
          let pretty =
            if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
@@ -231,8 +241,8 @@ let micro backends =
            else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
            else Printf.sprintf "%.0f ns" ns
          in
-         [ name; pretty ])
-       (List.sort compare rows));
+         [ backend ^ "/" ^ op; pretty ])
+       rows);
   telemetry_overhead ();
   flight_overhead ();
   rte_overhead ()

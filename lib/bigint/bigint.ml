@@ -446,6 +446,20 @@ let to_bytes_be_pad len t =
   if n > len then invalid_arg "Bigint.to_bytes_be_pad: too large"
   else String.make (len - n) '\000' ^ s
 
+(* Fixed-width limb import and export for the Montgomery field kernel,
+   which keeps residues as exactly [n] limbs of [limb_bits] bits. *)
+let to_limbs n t =
+  let m = Array.length t.mag in
+  if t.sign < 0 || m > n then invalid_arg "Bigint.to_limbs: negative or too wide";
+  let r = Array.make n 0 in
+  Array.blit t.mag 0 r 0 m;
+  r
+
+let of_limbs limbs =
+  let rec top i = if i > 0 && limbs.(i - 1) = 0 then top (i - 1) else i in
+  let k = top (Array.length limbs) in
+  if k = 0 then zero else { sign = 1; mag = Array.sub limbs 0 k }
+
 module Infix = struct
   let ( + ) = add
   let ( - ) = sub

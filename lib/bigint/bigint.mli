@@ -86,6 +86,21 @@ val invmod : t -> t -> t
 
 val gcd : t -> t -> t
 
+(** {1 Fixed-width limbs} *)
+
+val limb_bits : int
+(** Bits per limb: 26. *)
+
+val to_limbs : int -> t -> int array
+(** [to_limbs n x] is [x] as exactly [n] little-endian limbs of
+    {!limb_bits} bits each; the result is a fresh array.
+    @raise Invalid_argument if [x] is negative or needs more than [n]
+    limbs. *)
+
+val of_limbs : int array -> t
+(** The non-negative value of little-endian limbs, each in
+    [[0, 2^limb_bits)]. The result shares nothing with the argument. *)
+
 (** {1 Infix operators} *)
 
 module Infix : sig

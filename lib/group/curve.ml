@@ -21,91 +21,108 @@ let is_on_curve c = function
     let rhs = Fp.add c (Fp.mul c (Fp.sqr c x) x) x in
     Fp.equal lhs rhs
 
-(* Jacobian coordinates: (X, Y, Z) stands for the affine point
-   (X / Z², Y / Z³), and Z = 0 for infinity. Doubling and adding need no
-   inversion; [to_affine] pays the one inversion a result costs. *)
-type jacobian = { x : B.t; y : B.t; z : B.t }
+(* Jacobian coordinates over Montgomery-form residues: (X, Y, Z) stands
+   for the affine point (X / Z², Y / Z³), and Z = 0 for infinity. Doubling
+   and adding need no inversion; [to_affine] pays the one inversion a
+   result costs and converts it back to canonical coordinates. *)
+module M = Fp.Mont
 
-let jinfinity = { x = B.one; y = B.one; z = B.zero }
+type jacobian = { x : M.t; y : M.t; z : M.t }
 
-let of_affine = function
-  | Infinity -> jinfinity
-  | Affine (x, y) -> { x; y; z = B.one }
+(* Affine points in Montgomery form: table entries and the fixed operand of
+   a mixed addition. *)
+type maffine = Inf | Aff of M.t * M.t
+
+let jinfinity c = { x = M.one c; y = M.one c; z = M.zero c }
+
+let to_mont c = function
+  | Infinity -> Inf
+  | Affine (x, y) -> Aff (M.of_fp c x, M.of_fp c y)
+
+let of_maffine c = function
+  | Inf -> jinfinity c
+  | Aff (x, y) -> { x; y; z = M.one c }
+
+let of_affine c p = of_maffine c (to_mont c p)
 
 let to_affine c v =
-  if Fp.is_zero v.z then Infinity
+  if M.is_zero v.z then Infinity
   else begin
-    let zi = Fp.inv c v.z in
-    let zi2 = Fp.sqr c zi in
-    Affine (Fp.mul c v.x zi2, Fp.mul c v.y (Fp.mul c zi2 zi))
+    let zi = M.inv c v.z in
+    let zi2 = M.sqr c zi in
+    Affine (M.to_fp c (M.mul c v.x zi2), M.to_fp c (M.mul c v.y (M.mul c zi2 zi)))
   end
 
 let jdouble c v =
-  let dbl a = Fp.add c a a in
-  let xx = Fp.sqr c v.x and yy = Fp.sqr c v.y and zz = Fp.sqr c v.z in
+  let dbl a = M.add c a a in
+  let xx = M.sqr c v.x and yy = M.sqr c v.y and zz = M.sqr c v.z in
   (* M = 3X² + Z⁴ for y² = x³ + x; S = 4XY². *)
-  let m = Fp.add c (Fp.add c (dbl xx) xx) (Fp.sqr c zz) in
-  let s = dbl (dbl (Fp.mul c v.x yy)) in
-  let x = Fp.sub c (Fp.sqr c m) (dbl s) in
-  let y = Fp.sub c (Fp.mul c m (Fp.sub c s x)) (dbl (dbl (dbl (Fp.sqr c yy)))) in
-  ({ x; y; z = Fp.mul c (dbl v.y) v.z }, m)
+  let m = M.add c (M.add c (dbl xx) xx) (M.sqr c zz) in
+  let s = dbl (dbl (M.mul c v.x yy)) in
+  let x = M.sub c (M.sqr c m) (dbl s) in
+  let y = M.sub c (M.mul c m (M.sub c s x)) (dbl (dbl (dbl (M.sqr c yy)))) in
+  ({ x; y; z = M.mul c (dbl v.y) v.z }, m)
 
 let jadd c v xp yp =
-  let zz = Fp.sqr c v.z in
-  let h = Fp.sub c (Fp.mul c xp zz) v.x in
-  let rr = Fp.sub c (Fp.mul c yp (Fp.mul c zz v.z)) v.y in
-  if Fp.is_zero h then if Fp.is_zero rr then `Same else `Opposite
+  let zz = M.sqr c v.z in
+  let h = M.sub c (M.mul c xp zz) v.x in
+  let rr = M.sub c (M.mul c yp (M.mul c zz v.z)) v.y in
+  if M.is_zero h then if M.is_zero rr then `Same else `Opposite
   else begin
-    let hh = Fp.sqr c h in
-    let hhh = Fp.mul c h hh and u = Fp.mul c v.x hh in
-    let x = Fp.sub c (Fp.sub c (Fp.sqr c rr) hhh) (Fp.add c u u) in
-    let y = Fp.sub c (Fp.mul c rr (Fp.sub c u x)) (Fp.mul c v.y hhh) in
-    `Sum ({ x; y; z = Fp.mul c v.z h }, rr)
+    let hh = M.sqr c h in
+    let hhh = M.mul c h hh and u = M.mul c v.x hh in
+    let x = M.sub c (M.sub c (M.sqr c rr) hhh) (M.add c u u) in
+    let y = M.sub c (M.mul c rr (M.sub c u x)) (M.mul c v.y hhh) in
+    `Sum ({ x; y; z = M.mul c v.z h }, rr)
   end
 
 (* V + P for Jacobian V and affine P, every case included. *)
 let add_affine c v p =
   match p with
-  | Infinity -> v
-  | Affine (xp, yp) ->
-    if Fp.is_zero v.z then of_affine p
+  | Inf -> v
+  | Aff (xp, yp) ->
+    if M.is_zero v.z then of_maffine c p
     else begin
       match jadd c v xp yp with
       | `Sum (s, _) -> s
       | `Same -> fst (jdouble c v)
-      | `Opposite -> jinfinity
+      | `Opposite -> jinfinity c
     end
 
-let double c p = to_affine c (fst (jdouble c (of_affine p)))
-let add c p q = to_affine c (add_affine c (of_affine p) q)
+let double c p = to_affine c (fst (jdouble c (of_affine c p)))
+let add c p q = to_affine c (add_affine c (of_affine c p) (to_mont c q))
 
 (* Left-to-right double-and-add in Jacobian coordinates with mixed
-   additions of the affine [p]; one inversion in all. *)
-let mul c k p =
+   additions of the affine [p], from its top bit. *)
+let mul_jacobian c k p =
   if B.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  let v = ref jinfinity in
-  for i = B.num_bits k - 1 downto 0 do
+  let p = to_mont c p in
+  let v = ref (if B.is_zero k then jinfinity c else of_maffine c p) in
+  for i = B.num_bits k - 2 downto 0 do
     v := fst (jdouble c !v);
     if B.testbit k i then v := add_affine c !v p
   done;
-  to_affine c !v
+  !v
+
+let mul c k p = to_affine c (mul_jacobian c k p)
+let mul_is_infinity c k p = M.is_zero (mul_jacobian c k p).z
 
 (* V + W for Jacobian V and W, every case included. *)
 let add_jacobian c v w =
-  if Fp.is_zero v.z then w
-  else if Fp.is_zero w.z then v
+  if M.is_zero v.z then w
+  else if M.is_zero w.z then v
   else begin
-    let z1z1 = Fp.sqr c v.z and z2z2 = Fp.sqr c w.z in
-    let u1 = Fp.mul c v.x z2z2 and u2 = Fp.mul c w.x z1z1 in
-    let s1 = Fp.mul c v.y (Fp.mul c w.z z2z2) and s2 = Fp.mul c w.y (Fp.mul c v.z z1z1) in
-    let h = Fp.sub c u2 u1 and rr = Fp.sub c s2 s1 in
-    if Fp.is_zero h then if Fp.is_zero rr then fst (jdouble c v) else jinfinity
+    let z1z1 = M.sqr c v.z and z2z2 = M.sqr c w.z in
+    let u1 = M.mul c v.x z2z2 and u2 = M.mul c w.x z1z1 in
+    let s1 = M.mul c v.y (M.mul c w.z z2z2) and s2 = M.mul c w.y (M.mul c v.z z1z1) in
+    let h = M.sub c u2 u1 and rr = M.sub c s2 s1 in
+    if M.is_zero h then if M.is_zero rr then fst (jdouble c v) else jinfinity c
     else begin
-      let hh = Fp.sqr c h in
-      let hhh = Fp.mul c h hh and u = Fp.mul c u1 hh in
-      let x = Fp.sub c (Fp.sub c (Fp.sqr c rr) hhh) (Fp.add c u u) in
-      let y = Fp.sub c (Fp.mul c rr (Fp.sub c u x)) (Fp.mul c s1 hhh) in
-      { x; y; z = Fp.mul c (Fp.mul c v.z w.z) h }
+      let hh = M.sqr c h in
+      let hhh = M.mul c h hh and u = M.mul c u1 hh in
+      let x = M.sub c (M.sub c (M.sqr c rr) hhh) (M.add c u u) in
+      let y = M.sub c (M.mul c rr (M.sub c u x)) (M.mul c s1 hhh) in
+      { x; y; z = M.mul c (M.mul c v.z w.z) h }
     end
   end
 
@@ -114,38 +131,39 @@ let add_jacobian c v w =
    off the running prefix products. *)
 let batch_to_affine c vs =
   let n = Array.length vs in
-  let prefix = Array.make n Fp.one in
-  let acc = ref Fp.one in
+  let prefix = Array.make n (M.one c) in
+  let acc = ref (M.one c) in
   Array.iteri
     (fun i v ->
       prefix.(i) <- !acc;
-      if not (Fp.is_zero v.z) then acc := Fp.mul c !acc v.z)
+      if not (M.is_zero v.z) then acc := M.mul c !acc v.z)
     vs;
-  let inv = ref (Fp.inv c !acc) in
-  let out = Array.make n Infinity in
+  let inv = ref (M.inv c !acc) in
+  let out = Array.make n Inf in
   for i = n - 1 downto 0 do
     let v = vs.(i) in
-    if not (Fp.is_zero v.z) then begin
-      let zi = Fp.mul c !inv prefix.(i) in
-      inv := Fp.mul c !inv v.z;
-      let zi2 = Fp.sqr c zi in
-      out.(i) <- Affine (Fp.mul c v.x zi2, Fp.mul c v.y (Fp.mul c zi2 zi))
+    if not (M.is_zero v.z) then begin
+      let zi = M.mul c !inv prefix.(i) in
+      inv := M.mul c !inv v.z;
+      let zi2 = M.sqr c zi in
+      out.(i) <- Aff (M.mul c v.x zi2, M.mul c v.y (M.mul c zi2 zi))
     end
   done;
   out
 
 (* Fixed-base tables: 4-bit windows, entry [15 * i + d - 1] = d * 16^i * P
-   for d = 1..15, all affine. A scalar of at most [4 * windows] bits then
-   costs one mixed addition per non-zero nibble and no doubling. *)
-type table = point array
+   for d = 1..15, all affine and in Montgomery form. A scalar of at most
+   [4 * windows] bits then costs one mixed addition per non-zero nibble and
+   no doubling. *)
+type table = maffine array
 
 let window = 4
 let digits = (1 lsl window) - 1
 
 let precompute c ~bits p =
   let windows = (bits + window - 1) / window in
-  let jac = Array.make (windows * digits) jinfinity in
-  let base = ref (of_affine p) in
+  let jac = Array.make (windows * digits) (jinfinity c) in
+  let base = ref (of_affine c p) in
   for i = 0 to windows - 1 do
     let b = !base and at d = (digits * i) + d - 1 in
     jac.(at 1) <- b;
@@ -157,7 +175,7 @@ let precompute c ~bits p =
   batch_to_affine c jac
 
 let mul_prod c terms =
-  let acc = ref jinfinity in
+  let acc = ref (jinfinity c) in
   List.iter
     (fun (t, k) ->
       if B.sign k < 0 then invalid_arg "Curve.mul_prod: negative scalar";
@@ -173,6 +191,11 @@ let mul_prod c terms =
     terms;
   to_affine c !acc
 
+(* A canonical y with y² = x³ + x for the canonical [x], if there is one. *)
+let y_of_x c x =
+  let x = M.of_fp c x in
+  Option.map (M.to_fp c) (M.sqrt c (M.add c (M.mul c (M.sqr c x) x) x))
+
 let hash_to_point c ~domain msg =
   let p = Fp.modulus c in
   let rec try_ctr ctr =
@@ -180,8 +203,7 @@ let hash_to_point c ~domain msg =
       Zkqac_hashing.Hash_to_field.to_zp ~domain:(domain ^ ":h2p") ~p
         (msg ^ ":" ^ string_of_int ctr)
     in
-    let rhs = Fp.add c (Fp.mul c (Fp.sqr c x) x) x in
-    match Fp.sqrt c rhs with
+    match y_of_x c x with
     | Some y ->
       (* Deterministic sign choice keyed on the counter stream. *)
       let y = if B.testbit x 0 then y else Fp.neg c y in
@@ -211,8 +233,7 @@ let of_bytes c s =
       let x = B.of_bytes_be (String.sub s 1 w) in
       if B.compare x (Fp.modulus c) >= 0 then None
       else begin
-        let rhs = Fp.add c (Fp.mul c (Fp.sqr c x) x) x in
-        match Fp.sqrt c rhs with
+        match y_of_x c x with
         | None -> None
         | Some y ->
           let want_odd = tag = '\003' in

@@ -15,26 +15,32 @@ val double : Fp.ctx -> point -> point
 
 val mul : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> point
 (** Scalar multiplication; scalar must be >= 0. Runs in Jacobian
-    coordinates and inverts once, to return the affine result. *)
+    coordinates over {!Fp.Mont} and inverts once, to return the affine
+    result. *)
+
+val mul_is_infinity : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> bool
+(** [mul_is_infinity c k p] is [is_infinity (mul c k p)], without the
+    final inversion: the subgroup check of a decode. *)
 
 (** {2 Jacobian coordinates}
 
-    [{x; y; z}] stands for the affine point (x / z², y / z³); z = 0 is
-    infinity. The Miller loop keeps its running point in this form. *)
+    [{x; y; z}] stands for the affine point (x / z², y / z³), every
+    coordinate in Montgomery form; z = 0 is infinity. The Miller loop keeps
+    its running point in this form. *)
 
-type jacobian = { x : Zkqac_bigint.Bigint.t; y : Zkqac_bigint.Bigint.t; z : Zkqac_bigint.Bigint.t }
+type jacobian = { x : Fp.Mont.t; y : Fp.Mont.t; z : Fp.Mont.t }
 
-val of_affine : point -> jacobian
+val of_affine : Fp.ctx -> point -> jacobian
 
-val jdouble : Fp.ctx -> jacobian -> jacobian * Zkqac_bigint.Bigint.t
+val jdouble : Fp.ctx -> jacobian -> jacobian * Fp.Mont.t
 (** [2V] and M = 3X² + Z⁴: the tangent at V has slope M / 2YZ. *)
 
 val jadd :
   Fp.ctx ->
   jacobian ->
-  Zkqac_bigint.Bigint.t ->
-  Zkqac_bigint.Bigint.t ->
-  [ `Sum of jacobian * Zkqac_bigint.Bigint.t | `Same | `Opposite ]
+  Fp.Mont.t ->
+  Fp.Mont.t ->
+  [ `Sum of jacobian * Fp.Mont.t | `Same | `Opposite ]
 (** [jadd c v xp yp] for finite V and affine P = (xp, yp): [`Sum (V + P, R)]
     where the chord through V and P has slope R / z(V + P); [`Same] if
     V = P, [`Opposite] if V = −P. *)
@@ -42,8 +48,8 @@ val jadd :
 (** {2 Fixed-base tables} *)
 
 type table
-(** Affine multiples of one base for 4-bit windows: 15 entries per window,
-    [d·16^i·P] for each digit d of window i. *)
+(** Affine multiples of one base for 4-bit windows, in Montgomery form: 15
+    entries per window, [d·16^i·P] for each digit d of window i. *)
 
 val precompute : Fp.ctx -> bits:int -> point -> table
 (** The table of [P] for scalars of at most [bits] bits. Built in Jacobian

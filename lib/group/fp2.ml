@@ -34,15 +34,43 @@ let inv c a =
   let ninv = Fp.inv c norm in
   { re = Fp.mul c a.re ninv; im = Fp.neg c (Fp.mul c a.im ninv) }
 
-let pow c a e =
-  if B.sign e < 0 then invalid_arg "Fp2.pow: negative exponent";
-  let nb = B.num_bits e in
-  let r = ref one in
-  for i = nb - 1 downto 0 do
-    r := sqr c !r;
-    if B.testbit e i then r := mul c !r a
-  done;
-  !r
+module Mont = struct
+  module M = Fp.Mont
+
+  type fp2 = t
+  type t = { re : M.t; im : M.t }
+
+  let make re im = { re; im }
+  let of_fp2 c (a : fp2) = { re = M.of_fp c a.re; im = M.of_fp c a.im }
+  let to_fp2 c a : fp2 = { re = M.to_fp c a.re; im = M.to_fp c a.im }
+  let one c = { re = M.one c; im = M.zero c }
+  let conj c a = { a with im = M.neg c a.im }
+
+  let mul c x y =
+    let ac = M.mul c x.re y.re in
+    let bd = M.mul c x.im y.im in
+    let cross = M.mul c (M.add c x.re x.im) (M.add c y.re y.im) in
+    { re = M.sub c ac bd; im = M.sub c (M.sub c cross ac) bd }
+
+  let sqr c x =
+    let ab = M.mul c x.re x.im in
+    { re = M.mul c (M.add c x.re x.im) (M.sub c x.re x.im); im = M.add c ab ab }
+
+  let inv c a =
+    let ninv = M.inv c (M.add c (M.sqr c a.re) (M.sqr c a.im)) in
+    { re = M.mul c a.re ninv; im = M.neg c (M.mul c a.im ninv) }
+
+  let pow c a e =
+    if B.sign e < 0 then invalid_arg "Fp2.pow: negative exponent";
+    let r = ref (one c) in
+    for i = B.num_bits e - 1 downto 0 do
+      r := sqr c !r;
+      if B.testbit e i then r := mul c !r a
+    done;
+    !r
+end
+
+let pow c a e = Mont.to_fp2 c (Mont.pow c (Mont.of_fp2 c a) e)
 
 let to_bytes c a =
   let w = (B.num_bits (Fp.modulus c) + 7) / 8 in

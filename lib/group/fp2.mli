@@ -24,6 +24,26 @@ val conj : Fp.ctx -> t -> t
 (** Conjugation (a + bi ↦ a − bi); this is the p-power Frobenius. *)
 
 val pow : Fp.ctx -> t -> Zkqac_bigint.Bigint.t -> t
+(** Runs in Montgomery form. @raise Invalid_argument on a negative
+    exponent. *)
+
+(** F_p² over {!Fp.Mont}: the Miller loop's accumulator and the final
+    exponentiation run here, and convert to {!t} once, at the end. *)
+module Mont : sig
+  type fp2 := t
+  type t = { re : Fp.Mont.t; im : Fp.Mont.t }
+
+  val of_fp2 : Fp.ctx -> fp2 -> t
+  val to_fp2 : Fp.ctx -> t -> fp2
+  val make : Fp.Mont.t -> Fp.Mont.t -> t
+  val one : Fp.ctx -> t
+  val conj : Fp.ctx -> t -> t
+  val mul : Fp.ctx -> t -> t -> t
+  val sqr : Fp.ctx -> t -> t
+  val inv : Fp.ctx -> t -> t
+  val pow : Fp.ctx -> t -> Zkqac_bigint.Bigint.t -> t
+end
+
 val to_bytes : Fp.ctx -> t -> string
 (** Fixed-width big-endian [re || im]. *)
 

@@ -22,49 +22,52 @@ module B = Zkqac_bigint.Bigint
    y, so a line a + b*x + c*y with F_p coefficients takes the value
    (a + b*(-xq), c*yq). *)
 let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
-  let infinity = Curve.of_affine Curve.Infinity in
+  let module M = Fp.Mont in
+  let module F2 = Fp2.Mont in
+  let infinity = Curve.of_affine fp Curve.Infinity in
   let pairs =
     List.filter_map
       (fun pair ->
         match pair with
         | Curve.Infinity, _ | _, Curve.Infinity -> None
-        | (Curve.Affine (xp, yp) as p), Curve.Affine (xq, yq) ->
-          Some (xp, yp, Fp.neg fp xq, yq, ref (Curve.of_affine p)))
+        | (Curve.Affine _ as p), Curve.Affine (xq, yq) ->
+          let v = Curve.of_affine fp p in
+          Some (v.x, v.y, M.neg fp (M.of_fp fp xq), M.of_fp fp yq, ref v))
       pairs
   in
   if pairs = [] then Fp2.one
   else begin
-    let f = ref Fp2.one in
-    let line re im = f := Fp2.mul fp !f (Fp2.make re im) in
+    let f = ref (F2.one fp) in
+    let line re im = f := F2.mul fp !f (F2.make re im) in
     (* V := 2V, times the tangent at V scaled by 2YZ^3:
        -2Y^2 - M*(xq'*Z^2 - X) + 2YZ^3*yq*i. At Y = 0 the tangent is
        vertical and V becomes infinity. *)
     let tangent v xq' yq =
       let { Curve.x; y; z } = !v in
-      if Fp.is_zero y then v := infinity
+      if M.is_zero y then v := infinity
       else begin
         let v2, m = Curve.jdouble fp !v in
-        let zz = Fp.sqr fp z in
-        let yy = Fp.sqr fp y in
+        let zz = M.sqr fp z in
+        let yy = M.sqr fp y in
         line
-          (Fp.sub fp (Fp.neg fp (Fp.add fp yy yy)) (Fp.mul fp m (Fp.sub fp (Fp.mul fp xq' zz) x)))
-          (Fp.mul fp (Fp.mul fp v2.z zz) yq);
+          (M.sub fp (M.neg fp (M.add fp yy yy)) (M.mul fp m (M.sub fp (M.mul fp xq' zz) x)))
+          (M.mul fp (M.mul fp v2.z zz) yq);
         v := v2
       end
     in
     for i = B.num_bits r - 2 downto 0 do
-      f := Fp2.sqr fp !f;
+      f := F2.sqr fp !f;
       List.iter
         (fun (xp, yp, xq', yq, v) ->
-          if not (Fp.is_zero !v.Curve.z) then tangent v xq' yq;
-          if B.testbit r i && not (Fp.is_zero !v.Curve.z) then
+          if not (M.is_zero !v.Curve.z) then tangent v xq' yq;
+          if B.testbit r i && not (M.is_zero !v.Curve.z) then
             match Curve.jadd fp !v xp yp with
             | `Sum (s, rr) ->
               (* The chord scaled by z(V + P) = Z*H:
                  -Z3*yp - R*(xq' - xp) + Z3*yq*i. *)
               line
-                (Fp.sub fp (Fp.neg fp (Fp.mul fp s.z yp)) (Fp.mul fp rr (Fp.sub fp xq' xp)))
-                (Fp.mul fp s.z yq);
+                (M.sub fp (M.neg fp (M.mul fp s.z yp)) (M.mul fp rr (M.sub fp xq' xp)))
+                (M.mul fp s.z yq);
               v := s
             | `Same -> tangent v xq' yq
             | `Opposite -> v := infinity (* vertical chord: eliminated *))
@@ -72,8 +75,8 @@ let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
     done;
     (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
        raise to the cofactor (p+1)/r. *)
-    let f1 = Fp2.mul fp (Fp2.conj fp !f) (Fp2.inv fp !f) in
-    Fp2.pow fp f1 cofactor
+    let f1 = F2.mul fp (F2.conj fp !f) (F2.inv fp !f) in
+    F2.to_fp2 fp (F2.pow fp f1 cofactor)
   end
 
 let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
@@ -96,7 +99,7 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
 
       let of_bytes s =
         match Curve.of_bytes fp s with
-        | Some pt when Curve.is_infinity pt || Curve.is_infinity (Curve.mul fp r pt) ->
+        | Some pt when Curve.mul_is_infinity fp r pt ->
           Some pt
         | Some _ | None -> None
 

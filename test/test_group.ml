@@ -340,12 +340,79 @@ let test_miller_degenerate_steps () =
       ("e(T3, h)", [ (t3, h) ]);
       ("mixed product", [ (t3, g); (g, h); (t97, g); (t4, g); (g, g) ]) ]
 
+(* --- The Montgomery kernel against Bigint, on every preset modulus and on
+   one that fills its top limb, where a missed final subtraction shows. --- *)
+
+module Fp = Group.Fp
+module M = Group.Fp.Mont
+
+(* The largest prime p = 3 (mod 4) below 2^104: four full 26-bit limbs. *)
+let full_limb_prime =
+  lazy
+    (let rec go p = if Zkqac_numth.Primes.is_probable_prime p then p else go (B.sub p (B.of_int 4)) in
+     go (B.sub (B.shift_left B.one 104) B.one))
+
+let kernel_moduli () =
+  let preset name l = (name, (Lazy.force l).Group.Typea_params.p) in
+  [ preset "tiny" Group.Typea_params.tiny; preset "small" Group.Typea_params.small;
+    preset "paper" Group.Typea_params.default; ("full top limb", Lazy.force full_limb_prime);
+    ("1 mod 4", B.of_int 1000033) ]
+
+let test_kernel (name, p) () =
+  let c = Fp.create p in
+  let rng = Zkqac_rng.Prng.create 26 in
+  let edges =
+    List.filter
+      (fun v -> B.compare v p < 0)
+      [ B.zero; B.one; B.two; B.of_int 12345; B.of_int ((1 lsl 26) - 1); B.sub p B.two; B.sub p B.one ]
+  in
+  let values = edges @ List.init 40 (fun _ -> Zkqac_rng.Prng.bigint rng p) in
+  let check what want got = Alcotest.(check string) (name ^ " " ^ what) (B.to_hex want) (B.to_hex got) in
+  (* Compares Montgomery representations too, so an unreduced result fails
+     even where converting it back would reduce it. *)
+  let check_m what want got =
+    check what want (M.to_fp c got);
+    Alcotest.(check bool) (name ^ " " ^ what ^ " (representation)") true (M.equal (M.of_fp c want) got)
+  in
+  List.iter
+    (fun a ->
+      let ma = M.of_fp c a in
+      check "round trip" a (M.to_fp c ma);
+      Alcotest.(check bool) (name ^ " is_zero") (B.is_zero a) (M.is_zero ma);
+      check_m "sqr" (B.erem (B.mul a a) p) (M.sqr c ma);
+      check "Fp.sqr" (B.erem (B.mul a a) p) (Fp.sqr c a);
+      check_m "neg" (B.erem (B.neg a) p) (M.neg c ma);
+      (if not (B.is_zero a) then check_m "inv" (B.invmod a p) (M.inv c ma));
+      let e = Zkqac_rng.Prng.bigint rng p in
+      check_m "pow" (B.powmod a e p) (M.pow c ma e);
+      check "Fp.pow" (B.powmod a e p) (Fp.pow c a e);
+      (match (Zkqac_numth.Primes.sqrt_mod a p, M.sqrt c ma) with
+       | None, None -> ()
+       | Some r, Some got -> check_m "sqrt" r got
+       | _ -> Alcotest.fail (name ^ " sqrt: existence differs"));
+      List.iter
+        (fun b ->
+          let mb = M.of_fp c b in
+          check_m "mul" (B.erem (B.mul a b) p) (M.mul c ma mb);
+          check "Fp.mul" (B.erem (B.mul a b) p) (Fp.mul c a b);
+          check_m "add" (B.erem (B.add a b) p) (M.add c ma mb);
+          check_m "sub" (B.erem (B.sub a b) p) (M.sub c ma mb);
+          Alcotest.(check bool) (name ^ " equal") (B.equal a b) (M.equal ma mb))
+        edges)
+    values;
+  Alcotest.check_raises (name ^ " inv 0") Division_by_zero (fun () -> ignore (M.inv c (M.zero c)));
+  Alcotest.check_raises "even modulus" (Invalid_argument "Fp.create: modulus not an odd number > 2")
+    (fun () -> ignore (Fp.create (B.add p B.one)))
+
 let reference_suite =
   [ Alcotest.test_case "typea edge scalars vs reference" `Quick test_edge_scalars;
     Alcotest.test_case "typea 2-torsion point" `Quick test_two_torsion;
     Alcotest.test_case "typea e_prod cancel and repeat" `Quick test_eprod_cancel_repeat;
     Alcotest.test_case "typea golden encodings" `Quick test_golden;
     Alcotest.test_case "typea miller degenerate steps" `Quick test_miller_degenerate_steps ]
+  @ List.map
+      (fun (name, p) -> Alcotest.test_case ("kernel " ^ name) `Quick (test_kernel (name, p)))
+      (kernel_moduli ())
   @ qcheck_reference
 
 let suite =
