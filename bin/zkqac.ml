@@ -112,10 +112,10 @@ let trace_tree_arg =
 let audit_arg =
   Arg.(value & opt (some string) None
        & info [ "audit" ] ~docv:"FILE"
-           ~doc:"Append every verification decision to a hash-chained audit \
-                 log at $(docv) (created if missing; an existing log is \
-                 re-verified and extended). Check it later with $(b,zkqac \
-                 audit verify).")
+           ~doc:"Append every verification decision (and, under $(b,query), \
+                 the query answered) to a hash-chained audit log at $(docv) \
+                 (created if missing; an existing log is re-verified and \
+                 extended). Check it later with $(b,zkqac audit verify).")
 
 let durability_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Audit.durability_of_string s) in
@@ -428,9 +428,17 @@ let query path roles range out =
      (domain count from ZKQAC_DOMAINS, default the machine's cores). *)
   let pmap = Pool.map ~threads:(Pool.size ()) in
   let vo, st = Ap2g.range_vo ~pmap drbg ~mvk tree ~user box in
-  write_file out (Vo.to_bytes vo);
+  let bytes = Vo.to_bytes vo in
+  write_file out bytes;
+  Audit.record ~kind:"query"
+    (Json.Obj
+       [ ("roles", Json.Arr (List.map (fun r -> Json.Str r) (Attr.Set.elements user)));
+         ("query", Json.Str (Box.to_string box));
+         ("vo_entries", Json.Int (List.length vo));
+         ("vo_bytes", Json.Int (String.length bytes));
+         ("relax_calls", Json.Int st.Ap2g.relax_calls) ]);
   Printf.printf "VO written to %s: %d entries, %d bytes, %d relaxations, %.1f ms\n"
-    out (List.length vo) (Vo.size vo) st.Ap2g.relax_calls (st.Ap2g.sp_time *. 1000.)
+    out (List.length vo) (String.length bytes) st.Ap2g.relax_calls (st.Ap2g.sp_time *. 1000.)
 
 let query_cmd =
   let out = Arg.(value & opt string "vo.zkqac" & info [ "o"; "out" ] ~doc:"Output VO file.") in

@@ -376,6 +376,46 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         P.Gt.is_one (P.e_prod terms)
       end
 
+  type claim = {
+    msg : string;
+    policy : Expr.t;
+    sigma : signature;
+    blame : Zkqac_util.Verify_error.t -> Zkqac_util.Verify_error.t;
+  }
+
+  let rec check_each mvk = function
+    | [] -> Ok ()
+    | c :: rest ->
+      (match verify_result mvk ~msg:c.msg ~policy:c.policy c.sigma with
+       | Ok () -> check_each mvk rest
+       | Error e -> Error (c.blame e))
+
+  (* One batch per span program, keyed by policy string. A rejected batch
+     only says that some claim is bad, so the sequential pass names it. *)
+  let check ?batch mvk claims =
+    match batch with
+    | None -> check_each mvk claims
+    | Some drbg ->
+      let keyed = List.map (fun c -> (Expr.to_string c.policy, c)) claims in
+      let batch_ok key =
+        let cs = List.filter_map (fun (k, c) -> if k = key then Some c else None) keyed in
+        verify_batch drbg mvk ~policy:(List.hd cs).policy
+          (List.map (fun c -> (c.msg, c.sigma)) cs)
+      in
+      if List.for_all batch_ok (List.sort_uniq String.compare (List.map fst keyed))
+      then Ok ()
+      else begin
+        Zkqac_telemetry.Metrics.batch_fallback ();
+        Zkqac_telemetry.Flight.record ~cat:"verdict" ~detail:"batch-rejected"
+          "vo.batch_fallback";
+        match check_each mvk claims with
+        | Error e -> Error e
+        | Ok () ->
+          (* Sequential accepts what the batch rejected: a ~1/order
+             coincidence in the weights. The batch is authoritative. *)
+          Error (Zkqac_util.Verify_error.Bad_aps_signature "batched APS verification")
+      end
+
   let relaxed_policy keep = Expr.of_attrs_or (Attr.Set.elements keep)
 
   let relax drbg mvk sigma ~msg ~policy ~keep =

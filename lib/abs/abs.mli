@@ -94,6 +94,27 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       the conjunction of all individual verdicts (sound for accepting; on
       [false], fall back to one-by-one verification to locate the culprit). *)
 
+  type claim = {
+    msg : string;
+    policy : Zkqac_policy.Expr.t;
+    sigma : signature;
+    blame : Zkqac_util.Verify_error.t -> Zkqac_util.Verify_error.t;
+        (** maps a rejection of this claim to the caller's typed error *)
+  }
+
+  val check :
+    ?batch:Zkqac_hashing.Drbg.t ->
+    mvk ->
+    claim list ->
+    (unit, Zkqac_util.Verify_error.t) result
+  (** The one signature check of every VO verifier. Without [batch],
+      {!verify_result} on each claim in order, the first rejection mapped
+      by its [blame]. With [batch], one {!verify_batch} per distinct policy
+      string; if any rejects, the fallback is counted
+      ([zkqac_batch_fallbacks_total], a [vo.batch_fallback] flight event)
+      and the sequential pass returns its error, or
+      [Bad_aps_signature "batched APS verification"] if it accepts. *)
+
   val relaxed_policy : Zkqac_policy.Attr.Set.t -> Zkqac_policy.Expr.t
   (** The super-policy shape [∨_{a∈keep} a] that relaxed signatures verify
       under (attributes in canonical order). *)

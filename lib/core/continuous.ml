@@ -138,83 +138,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       t.gaps;
     List.rev !out
 
-  let rec verify_range ?batch ~mvk ~t_universe ~user ~lo ~hi vo =
+  let verify_range ?batch ~mvk ~t_universe ~user ~lo ~hi vo =
     let ( let* ) = Result.bind in
     let super_policy = Universe.super_policy t_universe ~user in
-    (* Soundness of each entry (signatures deferred to one batch when a
-       batching DRBG is supplied). *)
-    let check entry =
-      match entry with
-      | Rec_accessible { record; app } ->
-        if record.Record.key.(0) < lo || record.Record.key.(0) > hi then
-          Error (Vo.Record_outside_query record.Record.key)
-        else if not (Expr.eval record.Record.policy user) then
-          Error (Vo.Policy_not_satisfied record.Record.key)
-        else if batch <> None then Ok ()
-        else if
-          Abs.verify mvk ~msg:(Record.message_of record) ~policy:record.Record.policy
-            app
-        then Ok ()
-        else Error (Vo.Bad_abs_signature "continuous record APP")
-      | Rec_inaccessible { key; value_hash; aps } ->
-        if batch <> None then Ok ()
-        else if
-          Abs.verify mvk
-            ~msg:(Record.message ~key:[| key |] ~value_hash)
-            ~policy:super_policy aps
-        then Ok ()
-        else Error (Vo.Bad_aps_signature "continuous record APS")
-      | Gap { lo = glo; hi = ghi; aps } ->
-        if batch <> None then Ok ()
-        else if
-          Abs.verify mvk ~msg:(gap_message ~lo:glo ~hi:ghi) ~policy:super_policy aps
-        then Ok ()
-        else Error (Vo.Bad_aps_signature "continuous gap APS")
-    in
-    let* () =
-      List.fold_left (fun acc e -> Result.bind acc (fun () -> check e)) (Ok ()) vo
-    in
-    let* () =
-      match batch with
-      | None -> Ok ()
-      | Some drbg ->
-        (* Accessible APPs batch per record policy; inaccessible-record and
-           gap APSes share the super-policy batch. On rejection, the
-           sequential pass names the culprit with its precise typed error. *)
-        let app_groups :
-            (string, Expr.t * (string * Abs.signature) list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let aps_entries = ref [] in
-        List.iter
-          (function
-            | Rec_accessible { record; app } ->
-              let key = Expr.to_string record.Record.policy in
-              let item = (Record.message_of record, app) in
-              (match Hashtbl.find_opt app_groups key with
-               | Some (_, l) -> l := item :: !l
-               | None ->
-                 Hashtbl.add app_groups key (record.Record.policy, ref [ item ]))
-            | Rec_inaccessible { key; value_hash; aps } ->
-              aps_entries :=
-                (Record.message ~key:[| key |] ~value_hash, aps) :: !aps_entries
-            | Gap { lo = glo; hi = ghi; aps } ->
-              aps_entries := (gap_message ~lo:glo ~hi:ghi, aps) :: !aps_entries)
-          vo;
-        let batches_ok =
-          Abs.verify_batch drbg mvk ~policy:super_policy (List.rev !aps_entries)
-          && Hashtbl.fold
-               (fun _ (policy, sigs) acc ->
-                 acc && Abs.verify_batch drbg mvk ~policy (List.rev !sigs))
-               app_groups true
-        in
-        if batches_ok then Ok ()
-        else begin
-          match verify_range ~mvk ~t_universe ~user ~lo ~hi vo with
-          | Error e -> Error e
-          | Ok _ -> Error (Vo.Bad_aps_signature "batched APS verification")
-        end
-    in
     (* Completeness: points and open gaps must cover every integer of
        [lo, hi]. Collect covered intervals and sweep. *)
     let intervals =
@@ -238,6 +164,33 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         else sweep (max pos (if b = max_int then b else b + 1)) rest
     in
     let* () = if sweep lo intervals then Ok () else Error Vo.Completeness_gap in
+    (* Soundness: structure first, signatures after, as in [Vo.verify]. *)
+    let claims = ref [] in
+    let claim what msg policy sigma =
+      claims := { Abs.msg; policy; sigma; blame = (fun _ -> what) } :: !claims;
+      Ok ()
+    in
+    let check entry =
+      match entry with
+      | Rec_accessible { record; app } ->
+        if record.Record.key.(0) < lo || record.Record.key.(0) > hi then
+          Error (Vo.Record_outside_query record.Record.key)
+        else if not (Expr.eval record.Record.policy user) then
+          Error (Vo.Policy_not_satisfied record.Record.key)
+        else
+          claim (Vo.Bad_abs_signature "continuous record APP")
+            (Record.message_of record) record.Record.policy app
+      | Rec_inaccessible { key; value_hash; aps } ->
+        claim (Vo.Bad_aps_signature "continuous record APS")
+          (Record.message ~key:[| key |] ~value_hash) super_policy aps
+      | Gap { lo = glo; hi = ghi; aps } ->
+        claim (Vo.Bad_aps_signature "continuous gap APS")
+          (gap_message ~lo:glo ~hi:ghi) super_policy aps
+    in
+    let* () =
+      List.fold_left (fun acc e -> Result.bind acc (fun () -> check e)) (Ok ()) vo
+    in
+    let* () = Abs.check ?batch mvk (List.rev !claims) in
     Ok
       (List.filter_map
          (function Rec_accessible { record; _ } -> Some record | _ -> None)

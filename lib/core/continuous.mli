@@ -55,6 +55,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     hi:int ->
     vo ->
     (Record.t list, Vo.Make(P).error) result
-  (** Soundness per entry plus gap-chain completeness: the returned records
-      and open gaps must jointly cover every integer of [lo, hi]. *)
+  (** Gap-chain completeness plus soundness per entry: the returned records
+      and open gaps must jointly cover every integer of [lo, hi]. Structure
+      is checked first, then every signature in one {!Abs.check} with
+      [batch] passed through. *)
 end

@@ -245,20 +245,17 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       if Box.covers_exactly query (group_regions @ List.map fst !cells) then Ok ()
       else Error Vo.Completeness_gap
     in
-    (* Inaccessible regions. *)
-    let* () =
-      List.fold_left
-        (fun acc (region, aps) ->
-          Result.bind acc (fun () ->
-              if
-                Abs.verify mvk ~msg:(Record.node_message region) ~policy:super_policy
-                  aps
-              then Ok ()
-              else Error (Vo.Bad_aps_signature "duplicate cell APS")))
-        (Ok ()) !cells
+    (* Soundness: structure first, signatures after, as in [Vo.verify]. *)
+    let claims = ref [] in
+    let claim what msg policy sigma =
+      claims := { Abs.msg; policy; sigma; blame = (fun _ -> what) } :: !claims
     in
-    (* Per-key duplicate groups: consistent counts, complete ids, valid
-       signatures. *)
+    List.iter
+      (fun (region, aps) ->
+        claim (Vo.Bad_aps_signature "duplicate cell APS") (Record.node_message region)
+          super_policy aps)
+      !cells;
+    (* Per-key duplicate groups: consistent counts, complete ids. *)
     let check_group _k entries acc =
       Result.bind acc (fun results ->
           let dup_nums =
@@ -294,24 +291,24 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                         else if not (Expr.eval policy user) then
                           Error (Vo.Policy_not_satisfied key)
                         else begin
-                          let msg =
-                            dup_message ~key ~value_hash:(Record.value_hash value)
-                              ~dup_num ~dup_id
-                          in
-                          if Abs.verify mvk ~msg ~policy app then
-                            Ok (Record.make ~key ~value ~policy :: results)
-                          else Error (Vo.Bad_abs_signature "duplicate APP")
+                          claim (Vo.Bad_abs_signature "duplicate APP")
+                            (dup_message ~key ~value_hash:(Record.value_hash value)
+                               ~dup_num ~dup_id)
+                            policy app;
+                          Ok (Record.make ~key ~value ~policy :: results)
                         end
                       | Dup_inaccessible { key; dup_num; dup_id; value_hash; aps } ->
-                        let msg = dup_message ~key ~value_hash ~dup_num ~dup_id in
-                        if Abs.verify mvk ~msg ~policy:super_policy aps then Ok results
-                        else Error (Vo.Bad_aps_signature "duplicate APS")
+                        claim (Vo.Bad_aps_signature "duplicate APS")
+                          (dup_message ~key ~value_hash ~dup_num ~dup_id)
+                          super_policy aps;
+                        Ok results
                       | Cell_inaccessible _ -> assert false))
                 (Ok results) entries
             end
           | _ -> Error (Vo.Invalid_shape "inconsistent duplicate counts"))
     in
     let* results = Hashtbl.fold check_group by_key (Ok []) in
+    let* () = Abs.check mvk (List.rev !claims) in
     Ok results
 
   let size vo =

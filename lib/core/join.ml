@@ -86,7 +86,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         sp_time = Clock.elapsed_since t0;
       } )
 
-  let rec verify ?batch ~mvk ~t_universe ~user ~query vo =
+  let verify ?batch ~mvk ~t_universe ~user ~query vo =
     Trace.with_span "client.verify"
       ~attrs:
         [ ("op", Trace.Str "join"); ("vo_entries", Trace.Int (List.length vo)) ]
@@ -123,6 +123,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       then Ok ()
       else fail (Vo.Invalid_shape "duplicate join pair key")
     in
+    (* Soundness: structure first, signatures after, as in [Vo.verify]. *)
+    let claims = ref [] in
+    let claim blame msg policy sigma =
+      claims := { Abs.msg; policy; sigma; blame } :: !claims;
+      Ok ()
+    in
+    let app_claim record app =
+      claim Fun.id (Record.message_of record) record.Record.policy app
+    in
+    let aps_claim msg aps =
+      claim Zkqac_util.Verify_error.as_aps msg super_policy aps
+    in
     let check_entry entry =
       match entry with
       | Pair { r_record; r_app; s_record; s_app } ->
@@ -135,19 +147,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             (Expr.eval r_record.Record.policy user
              && Expr.eval s_record.Record.policy user)
         then fail (Vo.Policy_not_satisfied r_record.Record.key)
-        else if batch <> None then Ok () (* checked below in one batch *)
-        else begin
-          let check record app =
-            Abs.verify_result mvk ~msg:(Record.message_of record)
-              ~policy:record.Record.policy app
-          in
-          match check r_record r_app with
-          | Error e -> fail e
-          | Ok () ->
-            (match check s_record s_app with
-             | Error e -> fail e
-             | Ok () -> Ok ())
-        end
+        else
+          let* () = app_claim r_record r_app in
+          app_claim s_record s_app
       | R_side e | S_side e ->
         (match e with
          | Vo.Accessible _ ->
@@ -161,21 +163,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
              fail
                (Vo.Bad_aps_policy
                   "inaccessible leaf region is not the key's unit cell")
-           else if batch <> None then Ok ()
-           else
-             let msg = Vo.leaf_message `Plain ~region ~key ~value_hash in
-             (match Abs.verify_result mvk ~msg ~policy:super_policy aps with
-              | Ok () -> Ok ()
-              | Error e -> fail (Zkqac_util.Verify_error.as_aps e))
+           else aps_claim (Vo.leaf_message `Plain ~region ~key ~value_hash) aps
          | Vo.Inaccessible_node { region; aps } ->
-           if batch <> None then Ok ()
-           else
-             (match
-                Abs.verify_result mvk ~msg:(Vo.node_aps_message ~region)
-                  ~policy:super_policy aps
-              with
-              | Ok () -> Ok ()
-              | Error e -> fail (Zkqac_util.Verify_error.as_aps e)))
+           aps_claim (Vo.node_aps_message ~region) aps)
     in
     let* () =
       List.fold_left
@@ -183,54 +173,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         (Ok ()) vo
     in
     let* () =
-      match batch with
-      | None -> Ok ()
-      | Some drbg ->
-        (* Pair APPs batch per record policy; side APSes batch under the
-           super-policy. On rejection, fall back to the sequential pass so
-           the caller sees the same precise typed error as unbatched. *)
-        let app_groups :
-            (string, Expr.t * (string * Abs.signature) list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let aps_entries = ref [] in
-        List.iter
-          (function
-            | Pair { r_record; r_app; s_record; s_app } ->
-              let add record app =
-                let key = Expr.to_string record.Record.policy in
-                let item = (Record.message_of record, app) in
-                match Hashtbl.find_opt app_groups key with
-                | Some (_, l) -> l := item :: !l
-                | None ->
-                  Hashtbl.add app_groups key (record.Record.policy, ref [ item ])
-              in
-              add r_record r_app;
-              add s_record s_app
-            | R_side e | S_side e ->
-              (match e with
-               | Vo.Accessible _ -> ()
-               | Vo.Inaccessible_leaf { region; key; value_hash; aps } ->
-                 aps_entries :=
-                   (Vo.leaf_message `Plain ~region ~key ~value_hash, aps)
-                   :: !aps_entries
-               | Vo.Inaccessible_node { region; aps } ->
-                 aps_entries :=
-                   (Vo.node_aps_message ~region, aps) :: !aps_entries))
-          vo;
-        let batches_ok =
-          Abs.verify_batch drbg mvk ~policy:super_policy (List.rev !aps_entries)
-          && Hashtbl.fold
-               (fun _ (policy, sigs) acc ->
-                 acc && Abs.verify_batch drbg mvk ~policy (List.rev !sigs))
-               app_groups true
-        in
-        if batches_ok then Ok ()
-        else begin
-          match verify ~mvk ~t_universe ~user ~query vo with
-          | Error e -> fail e
-          | Ok _ -> fail (Vo.Bad_aps_signature "batched APS verification")
-        end
+      match Abs.check ?batch mvk (List.rev !claims) with
+      | Ok () -> Ok ()
+      | Error e -> fail e
     in
     let pairs =
       List.filter_map

@@ -48,7 +48,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     ((Record.t * Record.t) list, Vo.error) result
   (** User-side soundness (signatures; matching keys; accessibility; no
       duplicated pair) and completeness (union coverage) checks; returns the
-      verified join pairs. *)
+      verified join pairs. Structure is checked first, then every signature
+      in one {!Abs.check} with [batch] passed through, as in {!Vo.verify}. *)
 
   val size : t -> int
   (** Serialized size in bytes, i.e. [String.length (to_bytes vo)]. *)

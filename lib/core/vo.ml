@@ -51,7 +51,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let node_aps_message ~region = Record.node_message region
 
-  let rec verify ?(clip = false) ?batch ~mvk ~binding ~super_policy ~user ~query vo =
+  let verify ?(clip = false) ?batch ~mvk ~binding ~super_policy ~user ~query vo =
     Trace.with_span "client.verify"
       ~attrs:[ ("vo_entries", Trace.Int (List.length vo)) ]
     @@ fun vctx ->
@@ -71,7 +71,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let* () =
       if Box.covers_exactly query regions then Ok () else fail Completeness_gap
     in
-    (* Soundness: each entry's signature. *)
+    (* Soundness. Every entry's structure is checked before any signature,
+       so the batched and unbatched paths stop at the same check; the
+       signature claims the entries make go to one [Abs.check] after. *)
+    let claims = ref [] in
+    let claim blame msg policy sigma =
+      claims := { Abs.msg; policy; sigma; blame } :: !claims;
+      Ok ()
+    in
     let check_entry entry =
       match entry with
       | Accessible { region; record; app } ->
@@ -83,36 +90,19 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           fail (Record_outside_query record.Record.key)
         else if not (Expr.eval record.Record.policy user) then
           fail (Policy_not_satisfied record.Record.key)
-        else if batch <> None then Ok () (* checked below in one batch *)
-        else begin
-          let msg =
-            leaf_message binding ~region ~key:record.Record.key
-              ~value_hash:(Record.value_hash record.Record.value)
-          in
-          match Abs.verify_result mvk ~msg ~policy:record.Record.policy app with
-          | Ok () -> Ok ()
-          | Error e -> fail e
-        end
+        else
+          claim Fun.id
+            (leaf_message binding ~region ~key:record.Record.key
+               ~value_hash:(Record.value_hash record.Record.value))
+            record.Record.policy app
       | Inaccessible_leaf { region; key; value_hash; aps } ->
         if binding = `Plain && not (Box.equal region (Box.of_point key)) then
           fail (Bad_aps_policy "inaccessible leaf region is not the key's unit cell")
-        else if batch <> None then Ok () (* checked below in one batch *)
-        else begin
-          let msg = leaf_message binding ~region ~key ~value_hash in
-          match Abs.verify_result mvk ~msg ~policy:super_policy aps with
-          | Ok () -> Ok ()
-          | Error e -> fail (Zkqac_util.Verify_error.as_aps e)
-        end
+        else
+          claim Zkqac_util.Verify_error.as_aps
+            (leaf_message binding ~region ~key ~value_hash) super_policy aps
       | Inaccessible_node { region; aps } ->
-        if batch <> None then Ok ()
-        else begin
-          match
-            Abs.verify_result mvk ~msg:(node_aps_message ~region)
-              ~policy:super_policy aps
-          with
-          | Ok () -> Ok ()
-          | Error e -> fail (Zkqac_util.Verify_error.as_aps e)
-        end
+        claim Zkqac_util.Verify_error.as_aps (node_aps_message ~region) super_policy aps
     in
     let* () =
       List.fold_left
@@ -120,60 +110,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         (Ok ()) vo
     in
     let* () =
-      match batch with
-      | None -> Ok ()
-      | Some drbg ->
-        let aps_entries =
-          List.filter_map
-            (function
-              | Inaccessible_leaf { region; key; value_hash; aps } ->
-                Some (leaf_message binding ~region ~key ~value_hash, aps)
-              | Inaccessible_node { region; aps } ->
-                Some (node_aps_message ~region, aps)
-              | Accessible _ -> None)
-            vo
-        in
-        (* Accessible APP signatures batch too, grouped by record policy:
-           [Abs.verify_batch] needs one shared span program per batch. *)
-        let app_groups :
-            (string, Expr.t * (string * Abs.signature) list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        List.iter
-          (function
-            | Accessible { region; record; app } ->
-              let msg =
-                leaf_message binding ~region ~key:record.Record.key
-                  ~value_hash:(Record.value_hash record.Record.value)
-              in
-              let key = Expr.to_string record.Record.policy in
-              (match Hashtbl.find_opt app_groups key with
-               | Some (_, l) -> l := (msg, app) :: !l
-               | None ->
-                 Hashtbl.add app_groups key (record.Record.policy, ref [ (msg, app) ]))
-            | Inaccessible_leaf _ | Inaccessible_node _ -> ())
-          vo;
-        let batches_ok =
-          Abs.verify_batch drbg mvk ~policy:super_policy aps_entries
-          && Hashtbl.fold
-               (fun _ (policy, sigs) acc ->
-                 acc && Abs.verify_batch drbg mvk ~policy (List.rev !sigs))
-               app_groups true
-        in
-        if batches_ok then Ok ()
-        else begin
-          (* A batch rejected: fall back to one-by-one verification to
-             locate the culprit, so callers get the same precise typed
-             error (and exit code) as the unbatched path. The blanket
-             error below is only reachable if the sequential pass accepts
-             what the batch rejected — a ~1/order coincidence. *)
-          Zkqac_telemetry.Metrics.batch_fallback ();
-          Zkqac_telemetry.Flight.record ~cat:"verdict" ~detail:"batch-rejected"
-            "vo.batch_fallback";
-          match verify ~clip ~mvk ~binding ~super_policy ~user ~query vo with
-          | Error e -> fail e
-          | Ok _ -> fail (Bad_aps_signature "batched APS verification")
-        end
+      match Abs.check ?batch mvk (List.rev !claims) with
+      | Ok () -> Ok ()
+      | Error e -> fail e
     in
     let records =
       List.filter_map

@@ -76,12 +76,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       exactly the user's super policy) and completeness (regions tile the
       query). Returns the accessible result records on success.
 
-      When [batch] supplies a DRBG, all APS signatures are verified in one
-      small-exponent batch and the accessible entries' APP signatures are
-      batched too, grouped by record policy (one shared span program per
-      batch). Structural checks are unchanged. If any batch rejects, the
-      verifier falls back to one-by-one verification, so the returned typed
-      error (and exit code) is identical to the unbatched path. *)
+      Every structural check runs over the whole VO before any signature;
+      the signatures then go to {!Abs.check} in one call, with [batch]
+      passed through (APS signatures batch under the super policy, APP
+      signatures by record policy). The returned typed error (and exit
+      code) is the same with and without [batch]. *)
 
   val size : t -> int
   (** Serialized size in bytes — the "VO size" metric of the paper. *)

@@ -352,6 +352,37 @@ let test_verify_entry_shape () =
          match List.assoc "outcome" fields with Json.Str s -> s | _ -> "?")
        (cli @ sys))
 
+(* `zkqac query --audit` records the SP side of the exchange, so a query
+   and the verify of its VO leave one two-entry chain. *)
+let test_cli_query_entry () =
+  let dir = Filename.temp_file "zkqac-query-audit" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let file name = Filename.concat dir name in
+  write_file (file "recs.txt") "1,2|alpha|RoleA\n3,4|bravo|RoleA & RoleB\n";
+  let query = [ "--user"; "RoleA"; "--range"; "0,0:7,7"; "--audit"; file "log" ] in
+  let ok code what = Alcotest.(check int) what 0 code in
+  ok (run_zkqac [ "setup"; "--records"; file "recs.txt"; "--roles"; "RoleA,RoleB";
+                  "-o"; file "ads" ]) "setup";
+  ok (run_zkqac ([ "query"; file "ads" ] @ query @ [ "-o"; file "vo" ])) "query";
+  ok (run_zkqac ([ "verify"; file "ads"; "--vo"; file "vo" ] @ query)) "verify";
+  match Audit.verify_file (file "log") with
+  | Error b -> Alcotest.failf "broken at %d: %s" b.Audit.entry b.Audit.reason
+  | Ok entries ->
+    Alcotest.(check (list string)) "kinds" [ "query"; "verify" ]
+      (List.map (fun (e : Audit.entry) -> e.Audit.kind) entries);
+    (match (List.hd entries).Audit.body with
+     | Json.Obj fields ->
+       Alcotest.(check (list string)) "query keys"
+         [ "query"; "relax_calls"; "roles"; "vo_bytes"; "vo_entries" ]
+         (List.sort compare (List.map fst fields));
+       Alcotest.(check bool) "roles" true
+         (List.assoc "roles" fields = Json.Arr [ Json.Str "RoleA" ]);
+       Alcotest.(check bool) "vo bytes" true
+         (List.assoc "vo_bytes" fields
+          = Json.Int (String.length (read_file (file "vo"))))
+     | _ -> Alcotest.fail "query entry body is not an object")
+
 let suite =
   [ ( "audit",
       [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -371,4 +402,6 @@ let suite =
         Alcotest.test_case "dur field recorded" `Quick test_dur_field_recorded;
         Alcotest.test_case "fsync seconds metric" `Quick test_fsync_metric;
         Alcotest.test_case "CLI and System verify entries share one shape" `Quick
-          test_verify_entry_shape ] ) ]
+          test_verify_entry_shape;
+        Alcotest.test_case "CLI query and verify share one chain" `Quick
+          test_cli_query_entry ] ) ]

@@ -183,6 +183,136 @@ let test_batched_vo_verify () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "batched verify must catch tampering"
 
+(* --- one signature check: batched and unbatched give one verdict --- *)
+
+module Join = Zkqac_core.Join.Make (Mock_backend)
+module Cont = Zkqac_core.Continuous.Make (Mock_backend)
+module T = Zkqac_telemetry.Telemetry
+module Metrics = Zkqac_telemetry.Metrics
+
+(* Both paths must return [expected]: every structural check runs before
+   any signature, so a later structural fault wins over an earlier bad
+   signature whether or not the signatures are batched. *)
+let check_same_error what expected verify =
+  List.iter
+    (fun (path, batch) ->
+      match verify ?batch () with
+      | Error e when e = expected -> ()
+      | Error e -> Alcotest.failf "%s %s: %s" what path (Vo.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s %s: accepted" what path)
+    [ ("unbatched", None); ("batched", Some (Drbg.create ~seed:"two-faults")) ]
+
+let unsatisfied = Expr.of_string "RoleD"
+
+(* An AP²G VO lists its accessible entries first; for RoleA there are two.
+   The first gets the second's APP, the second a policy RoleA does not
+   satisfy. *)
+let test_two_faults_range () =
+  let user = attrs [ "RoleA" ] in
+  let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
+  match fst (Ap2g.range_vo drbg ~mvk tree ~user query) with
+  | Vo.Accessible a :: Vo.Accessible b :: rest ->
+    let key = b.record.Record.key in
+    let vo =
+      Vo.Accessible { a with app = b.app }
+      :: Vo.Accessible { b with record = { b.record with Record.policy = unsatisfied } }
+      :: rest
+    in
+    check_same_error "range" (Vo.Policy_not_satisfied key) (fun ?batch () ->
+        Ap2g.verify ?batch ~mvk ~t_universe:universe ~user ~query vo)
+  | _ -> Alcotest.fail "expected two accessible entries first"
+
+let space1 = Keyspace.create ~dims:1 ~depth:4
+
+let tree_1d seed specs =
+  Ap2g.build drbg ~mvk ~sk ~space:space1 ~universe ~pseudo_seed:seed
+    (List.map
+       (fun (k, v, p) -> Record.make ~key:[| k |] ~value:v ~policy:(Expr.of_string p))
+       specs)
+
+let r_tree = tree_1d "r" [ (1, "r1", "RoleA"); (3, "r3", "RoleB"); (12, "r12", "RoleA") ]
+let s_tree = tree_1d "s" [ (1, "s1", "RoleA"); (5, "s5", "RoleC"); (12, "s12", "RoleA") ]
+let join_query = Box.of_range ~alpha:[| 0 |] ~beta:[| 15 |]
+
+let verify_join vo ?batch () =
+  Join.verify ?batch ~mvk ~t_universe:universe ~user:(attrs [ "RoleA" ])
+    ~query:join_query vo
+
+(* RoleA's join VO holds pairs at keys 1 and 12, in that order. The first
+   pair's R side gets its S side's APP; with [fault], the pair at 12 gets an
+   S record RoleA cannot read. *)
+let tampered_join ~fault =
+  let vo, _ =
+    Join.join_vo drbg ~mvk ~r:r_tree ~s:s_tree ~user:(attrs [ "RoleA" ]) join_query
+  in
+  List.map
+    (function
+      | Join.Pair p when p.r_record.Record.key = [| 1 |] -> Join.Pair { p with r_app = p.s_app }
+      | Join.Pair p when fault && p.r_record.Record.key = [| 12 |] ->
+        Join.Pair { p with s_record = { p.s_record with Record.policy = unsatisfied } }
+      | e -> e)
+    vo
+
+let test_two_faults_join () =
+  check_same_error "join" (Vo.Policy_not_satisfied [| 12 |])
+    (verify_join (tampered_join ~fault:true))
+
+let cont =
+  Cont.build drbg ~mvk ~sk ~universe
+    (List.map
+       (fun (k, p) -> Record.make ~key:[| k |] ~value:"v" ~policy:(Expr.of_string p))
+       [ (10, "RoleA"); (25, "RoleB"); (100, "RoleA") ])
+
+(* RoleA's [0, 200] VO lists records 10, 25 and 100, then the gaps; record
+   10 gets record 100's APP. *)
+let tampered_cont () =
+  match Cont.range_vo drbg ~mvk cont ~user:(attrs [ "RoleA" ]) ~lo:0 ~hi:200 with
+  | Cont.Rec_accessible r10 :: r25 :: (Cont.Rec_accessible r100 as e100) :: gaps ->
+    Cont.Rec_accessible { r10 with app = r100.app } :: r25 :: e100 :: gaps
+  | _ -> Alcotest.fail "unexpected continuous VO"
+
+let verify_cont ~hi vo ?batch () =
+  Cont.verify_range ?batch ~mvk ~t_universe:universe ~user:(attrs [ "RoleA" ]) ~lo:0 ~hi vo
+
+(* Checked against [0, 99], the [0, 200] VO still covers the range, but its
+   record 100 lies outside it. *)
+let test_two_faults_continuous () =
+  check_same_error "continuous" (Vo.Record_outside_query [| 100 |])
+    (verify_cont ~hi:99 (tampered_cont ()))
+
+(* Every batch rejection is counted once, whichever verifier saw it. *)
+let test_fallback_counted () =
+  let counted what verify =
+    let before = Metrics.batch_fallbacks () in
+    (match verify ?batch:(Some (Drbg.create ~seed:"fallback")) () with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.failf "%s: tampered VO accepted" what);
+    Alcotest.(check int) what 1 (Metrics.batch_fallbacks () - before)
+  in
+  counted "join" (verify_join (tampered_join ~fault:false));
+  counted "continuous" (verify_cont ~hi:200 (tampered_cont ()))
+
+(* One batch per span program: the APS entries share the super policy and
+   the APPs split into RoleA and RoleC, so three multi-pairings. *)
+let test_batches_per_policy () =
+  let user = attrs [ "RoleA"; "RoleC" ] in
+  let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
+  let vo, _ = Ap2g.range_vo drbg ~mvk tree ~user query in
+  Alcotest.(check (list string)) "APP policies" [ "RoleA"; "RoleC" ]
+    (List.sort_uniq compare
+       (List.filter_map
+          (function
+            | Vo.Accessible { record; _ } -> Some (Expr.to_string record.Record.policy)
+            | _ -> None)
+          vo));
+  T.with_enabled (fun () ->
+      let before = T.snapshot () in
+      (match Ap2g.verify ~batch:drbg ~mvk ~t_universe:universe ~user ~query vo with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "batched verify: %s" (Vo.error_to_string e));
+      let cost = T.diff ~earlier:before ~later:(T.snapshot ()) in
+      Alcotest.(check int) "multi-pairings" 3 (List.assoc T.Multi_pairing (T.ops cost)))
+
 (* --- aggregation --- *)
 
 let test_aggregate () =
@@ -369,6 +499,11 @@ let suite =
         Alcotest.test_case "batch verify accepts" `Quick test_batch_verify_accepts;
         Alcotest.test_case "batch verify rejects" `Quick test_batch_verify_rejects;
         Alcotest.test_case "batched VO verify" `Quick test_batched_vo_verify;
+        Alcotest.test_case "two faults: range" `Quick test_two_faults_range;
+        Alcotest.test_case "two faults: join" `Quick test_two_faults_join;
+        Alcotest.test_case "two faults: continuous" `Quick test_two_faults_continuous;
+        Alcotest.test_case "batch fallback counted" `Quick test_fallback_counted;
+        Alcotest.test_case "one batch per policy" `Quick test_batches_per_policy;
         Alcotest.test_case "aggregation" `Quick test_aggregate;
         Alcotest.test_case "ads bytes roundtrip" `Quick test_ads_roundtrip;
         Alcotest.test_case "ads file roundtrip" `Quick test_ads_file_roundtrip;
