@@ -455,29 +455,83 @@ end
 
 module Core_mock = Make_core_tests (Mock_backend)
 
-(* ADS goldens: the SHA-256 of [Ap2g.to_bytes] for a tree built from a
-   fixed seed. Signing draws its randomness in a fixed order, so any change
-   to how ABS.Sign computes its components must leave these bytes alone. *)
-let ads_digest (module P : Zkqac_group.Pairing_intf.PAIRING) ~depth =
-  let module Abs = Zkqac_abs.Abs.Make (P) in
-  let module Ap2g = Zkqac_core.Ap2g.Make (P) in
-  let drbg = Drbg.create ~seed:"ads-golden" in
-  let msk, mvk = Abs.setup drbg in
-  let universe = Universe.create [ "RoleA"; "RoleB"; "RoleC" ] in
-  let sk = Abs.keygen drbg msk (Universe.attrs universe) in
-  let space = Keyspace.create ~dims:1 ~depth in
+(* ADS and VO goldens share one tree: built from a fixed seed over a 1-D
+   key space with three records under RoleA/RoleB/RoleC policies. *)
+module Golden (P : Zkqac_group.Pairing_intf.PAIRING) (D : sig val depth : int end) =
+struct
+  module Abs = Zkqac_abs.Abs.Make (P)
+  module Vo = Zkqac_core.Vo.Make (P)
+  module Ap2g = Zkqac_core.Ap2g.Make (P)
+
+  let drbg = Drbg.create ~seed:"ads-golden"
+  let msk, mvk = Abs.setup drbg
+  let universe = Universe.create [ "RoleA"; "RoleB"; "RoleC" ]
+  let sk = Abs.keygen drbg msk (Universe.attrs universe)
+  let space = Keyspace.create ~dims:1 ~depth:D.depth
+
+  let records_of =
+    List.map (fun (k, v, p) ->
+        Record.make ~key:[| k |] ~value:v ~policy:(Expr.of_string p))
+
   let records =
-    List.map
-      (fun (k, v, p) -> Record.make ~key:[| k |] ~value:v ~policy:(Expr.of_string p))
+    records_of
       [ (0, "va", "RoleA"); (2, "vb", "RoleA & RoleB");
         (3, "vc", "RoleB | (RoleA & RoleC)") ]
-  in
-  let tree = Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"golden" records in
-  Zkqac_hashing.Sha256.hex (Zkqac_hashing.Sha256.digest (Ap2g.to_bytes tree))
+
+  let tree = Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"golden" records
+
+  (* The query side: a RoleA user over the whole key space, every VO drawn
+     from its own DRBG under one fixed seed. *)
+  let user = attrs [ "RoleA" ]
+  let query = Box.of_range ~alpha:[| 0 |] ~beta:[| Keyspace.side space - 1 |]
+  let query_drbg () = Drbg.create ~seed:"vo-golden"
+end
+
+let hex_digest s = Zkqac_hashing.Sha256.hex (Zkqac_hashing.Sha256.digest s)
+
+(* ADS goldens: the SHA-256 of [Ap2g.to_bytes] for the golden tree. Signing
+   draws its randomness in a fixed order, so any change to how ABS.Sign
+   computes its components must leave these bytes alone. *)
+let ads_digest (module P : Zkqac_group.Pairing_intf.PAIRING) ~depth =
+  let module G = Golden (P) (struct let depth = depth end) in
+  hex_digest (G.Ap2g.to_bytes G.tree)
 
 let test_ads_golden (kind, depth, expected) () =
   Alcotest.(check string) "ADS SHA-256" expected
     (ads_digest (Zkqac_group.Backend.instantiate kind) ~depth)
+
+(* VO goldens: the SHA-256 of the encoded VO each SP query builder returns
+   over the golden tree. Relax draws its randomness in a fixed order, so a
+   change to how the SP makes its APS entries must leave these bytes alone. *)
+let vo_digest (module P : Zkqac_group.Pairing_intf.PAIRING) ~depth which =
+  let module G = Golden (P) (struct let depth = depth end) in
+  let open G in
+  let q = query_drbg () in
+  match which with
+  | `Ap2g_range ->
+    hex_digest (Vo.to_bytes (fst (Ap2g.range_vo q ~mvk tree ~user query)))
+  | `Ap2kd_range ->
+    let module Ap2kd = Zkqac_core.Ap2kd.Make (P) in
+    let kd =
+      Ap2kd.build (Drbg.create ~seed:"kd-golden") ~mvk ~sk ~space ~universe records
+    in
+    hex_digest (Vo.to_bytes (fst (Ap2kd.range_vo q ~mvk kd ~user query)))
+  | `Join ->
+    let module Join = Zkqac_core.Join.Make (P) in
+    let s =
+      Ap2g.build (Drbg.create ~seed:"join-golden") ~mvk ~sk ~space ~universe
+        ~pseudo_seed:"golden-s"
+        (records_of [ (0, "wa", "RoleA"); (1, "wb", "RoleB"); (2, "wc", "RoleA") ])
+    in
+    hex_digest (Join.to_bytes (fst (Join.join_vo q ~mvk ~r:tree ~s ~user query)))
+  | `Equality_point ->
+    let module Equality = Zkqac_core.Equality.Make (P) in
+    let eq = Equality.of_ap2g tree in
+    hex_digest (Vo.to_bytes [ Equality.query_vo q ~mvk eq ~user [| 2 |] ])
+
+let test_vo_golden (kind, depth, which, expected) () =
+  Alcotest.(check string) "VO SHA-256" expected
+    (vo_digest (Zkqac_group.Backend.instantiate kind) ~depth which)
 
 let suite =
   [
@@ -496,5 +550,20 @@ let suite =
           Alcotest.test_case "typea-tiny ads golden" `Quick
             (test_ads_golden
                ( Zkqac_group.Backend.Typea_tiny, 2,
-                 "ab29712459cb1041716d7cda320c05bbc3074c996cbc83d3692eb79a0e49ddc6" )) ] );
+                 "ab29712459cb1041716d7cda320c05bbc3074c996cbc83d3692eb79a0e49ddc6" )) ]
+      @ List.map
+          (fun (name, kind, depth, which, expected) ->
+            Alcotest.test_case (name ^ " vo golden") `Quick
+              (test_vo_golden (kind, depth, which, expected)))
+          Zkqac_group.Backend.
+            [ ( "mock ap2g range", Mock, 3, `Ap2g_range,
+                "1cba4cab6bc3f6b29245947e3392d8b59f9e7c97b8e1ab4a6ca3173861d04886" );
+              ( "typea-tiny ap2g range", Typea_tiny, 2, `Ap2g_range,
+                "166842a1af644cbd18ae1523aa1f83f4ad962fa95bf46358538841c29cfe77c5" );
+              ( "mock ap2kd range", Mock, 3, `Ap2kd_range,
+                "7c8e314f152d1d47d656d2b541a66eefd8b4423b43825377b29485f3e20886c5" );
+              ( "mock join", Mock, 3, `Join,
+                "e85dae9f9465bc59a427088b03e4b0e95cf3cdc99892e5fdbd63da4787eeb1a2" );
+              ( "mock equality point", Mock, 3, `Equality_point,
+                "30fc2e2f61e6f771bfc16b664205cc3869b224e9643feb531740fec9e21eb5e7" ) ] );
   ]
