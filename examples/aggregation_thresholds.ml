@@ -55,7 +55,9 @@ let () =
     match
       Aggregate.sum ~batch:drbg ~mvk ~tree_universe:universe ~user ~query ~extract vo
     with
-    | Error e -> Printf.printf "%-28s VERIFY FAILED: %s\n" name (Vo.error_to_string e)
+    | Error e ->
+      Printf.printf "%-28s VERIFY FAILED: %s\n" name (Vo.error_to_string e);
+      exit 1
     | Ok { Aggregate.value = total; over } ->
       if over = 0 then Printf.printf "%-28s no accessible salaries\n" name
       else

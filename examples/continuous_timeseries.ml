@@ -52,7 +52,8 @@ let () =
     match Cont.verify_range ~mvk ~t_universe:universe ~user ~lo ~hi vo with
     | Error e ->
       Printf.printf "%-22s [%d, %d] VERIFY FAILED: %s\n" name lo hi
-        (Vo.error_to_string e)
+        (Vo.error_to_string e);
+      exit 1
     | Ok events ->
       let gaps =
         List.length (List.filter (function Cont.Gap _ -> true | _ -> false) vo)

@@ -65,7 +65,9 @@ let () =
         let vo, _ = Ap2g.range_vo drbg ~mvk tree ~user:attacker query in
         (match Ap2g.verify ~mvk ~t_universe:universe ~user:attacker ~query vo with
          | Ok _ -> ()
-         | Error e -> failwith (Vo.error_to_string e));
+         | Error e ->
+           Printf.printf "VERIFY FAILED: %s\n" (Vo.error_to_string e);
+           exit 1);
         (* Everything the attacker observes, minus the (randomized) group
            elements: entry kinds, regions, plaintext results. *)
         List.map

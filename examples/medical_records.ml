@@ -71,7 +71,9 @@ let () =
     let query = Box.of_range ~alpha:[| 0 |] ~beta:[| 31 |] in
     let vo, stats = Ap2g.range_vo drbg ~mvk tree ~user query in
     (match Ap2g.verify ~mvk ~t_universe:universe ~hierarchy ~user ~query vo with
-     | Error e -> Printf.printf "  VERIFY FAILED: %s\n" (Vo.error_to_string e)
+     | Error e ->
+       Printf.printf "  VERIFY FAILED: %s\n" (Vo.error_to_string e);
+       exit 1
      | Ok rs ->
        Printf.printf "  verified scan: %d accessible record(s), %d VO entries, %d relaxations\n"
          (List.length rs) (List.length vo) stats.Ap2g.relax_calls;
@@ -91,7 +93,9 @@ let () =
           Printf.printf "  patient %2d -> %s\n" id r.Record.value
         | Ok Equality.Denied ->
           Printf.printf "  patient %2d -> no accessible record (exists? cannot tell)\n" id
-        | Error e -> Printf.printf "  patient %2d -> VERIFY FAILED: %s\n" id (Vo.error_to_string e))
+        | Error e ->
+          Printf.printf "  patient %2d -> VERIFY FAILED: %s\n" id (Vo.error_to_string e);
+          exit 1)
       [ 3; 7; 13 (* non-existent *) ]
   in
   show_user "Dr. Chen, oncologist" (Attr.set_of_list [ "Doctor.Oncology" ]);

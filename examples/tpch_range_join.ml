@@ -62,10 +62,14 @@ let () =
            st_g.Ap2g.relax_calls st_g.Ap2g.sp_time (List.length vo_b)
            (float_of_int (Vo.size vo_b) /. 1024.)
            st_b.Ap2g.relax_calls st_b.Ap2g.sp_time
-       | Error e -> Printf.printf "VERIFY FAILED: %s\n" (Vo.error_to_string e));
+       | Error e ->
+         Printf.printf "VERIFY FAILED: %s\n" (Vo.error_to_string e);
+         exit 1);
       match Equality.verify_range ~mvk ~t_universe:universe ~user ~query vo_b with
       | Ok _ -> ()
-      | Error e -> Printf.printf "BASIC VERIFY FAILED: %s\n" (Vo.error_to_string e))
+      | Error e ->
+        Printf.printf "BASIC VERIFY FAILED: %s\n" (Vo.error_to_string e);
+        exit 1)
     [ 0.01; 0.05; 0.25 ];
 
   (* --- Q12-style join on orderkey --- *)
@@ -87,5 +91,7 @@ let () =
        (List.length pairs) (List.length jvo)
        (float_of_int (Join.size jvo) /. 1024.)
        jst.Join.relax_calls jst.Join.sp_time
-   | Error e -> Printf.printf "JOIN VERIFY FAILED: %s\n" (Vo.error_to_string e));
+   | Error e ->
+     Printf.printf "JOIN VERIFY FAILED: %s\n" (Vo.error_to_string e);
+     exit 1);
   print_endline "tpch_range_join OK"

@@ -55,7 +55,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let n = Array.length records in
     { records; levels; root_sig = Sig.sign drbg secret (signed_message ~root ~n); n }
 
-  let root_digest t = t.levels.(Array.length t.levels - 1).(0)
   let num_records t = t.n
 
   type vo = {

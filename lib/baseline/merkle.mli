@@ -15,7 +15,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val build : Zkqac_hashing.Drbg.t -> Sig.secret -> Zkqac_core.Record.t list -> t
   (** Records must have distinct 1-D keys. *)
 
-  val root_digest : t -> string
   val num_records : t -> int
 
   type vo

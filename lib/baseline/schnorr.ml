@@ -43,5 +43,4 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       else None
     end
 
-  let signature_size sigma = String.length (to_bytes sigma)
 end

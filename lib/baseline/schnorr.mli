@@ -12,7 +12,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val keygen : Zkqac_hashing.Drbg.t -> secret * public
   val sign : Zkqac_hashing.Drbg.t -> secret -> string -> signature
   val verify : public -> string -> signature -> bool
-  val signature_size : signature -> int
   val to_bytes : signature -> string
   val of_bytes : string -> signature option
 end

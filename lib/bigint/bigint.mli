@@ -18,8 +18,6 @@ val of_int : int -> t
 val to_int : t -> int
 (** @raise Failure if the value does not fit in an OCaml [int]. *)
 
-val to_int_opt : t -> int option
-
 val of_string : string -> t
 (** Decimal, with optional leading [-]; also accepts a [0x] prefix for
     hexadecimal. @raise Invalid_argument on malformed input. *)

@@ -24,7 +24,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Ap2g = Ap2g.Make (P)
   module Abs = Zkqac_abs.Abs.Make (P)
 
-  let file_magic_epochless = "ZKQAC-ADS-FILE-v1"
   let file_magic = "ZKQAC-ADS-FILE-v2"
 
   (* The commit footer is what makes a checkpoint self-certifying against
@@ -63,20 +62,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let module E = Zkqac_util.Verify_error in
     match
       let r = Wire.reader data in
-      let magic = Wire.rbytes r in
-      if String.equal magic file_magic_epochless then begin
-        (* v1 files predate epochs and the commit footer; treat as epoch 0. *)
-        match Abs.mvk_of_bytes (Wire.rbytes r) with
-        | None -> Error (E.Malformed { offset = Wire.pos r })
-        | Some mvk ->
-          let checksum = Wire.rbytes r in
-          let body = Wire.rbytes r in
-          if not (Wire.at_end r) then Error (E.Malformed { offset = Wire.pos r })
-          else if not (String.equal checksum (Sha256.digest body)) then
-            Error (E.Digest_mismatch "ADS body checksum")
-          else Result.map (fun tree -> (mvk, tree, 0)) (Ap2g.decode body)
-      end
-      else if String.equal magic file_magic then begin
+      if String.equal (Wire.rbytes r) file_magic then begin
         let epoch = Wire.ru32 r in
         match Abs.mvk_of_bytes (Wire.rbytes r) with
         | None -> Error (E.Malformed { offset = Wire.pos r })
@@ -102,13 +88,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | exception Wire.Limit { what; limit } -> Error (E.Limit_exceeded { what; limit })
     | exception _ -> Error (E.Malformed { offset = -1 })
 
+  (* The first [n] bytes of a file, or all of it when shorter. *)
+  let read_prefix path n =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (min n (in_channel_length ic)))
+
   let load_typed ~path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match read_prefix path max_int with
     | data -> Result.map_error (fun e -> `Bad e) (decode_typed data)
     | exception Sys_error e -> Error (`Io e)
     | exception End_of_file -> Error (`Io "unexpected end of file")
@@ -124,8 +112,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            (Zkqac_util.Verify_error.code e))
 
   (* --- epoch siblings: <path>.e<N> --- *)
-
-  let epoch_path path epoch = Printf.sprintf "%s.e%d" path epoch
 
   let epoch_files path =
     let dir = Filename.dirname path and base = Filename.basename path in
@@ -146,7 +132,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let keep_epochs = 2
 
   let save_epoch ~path ~mvk ~epoch tree =
-    let file = epoch_path path epoch in
+    let file = Printf.sprintf "%s.e%d" path epoch in
     (match Durable.replace ~path:file (encode ~mvk ~epoch tree) with
     | Ok () -> ()
     | Error e -> raise (Sys_error (Durable.error_to_string e)));
@@ -167,49 +153,46 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             io message) *)
   }
 
+  (* The epoch stamped in a checkpoint's header, read from the file's first
+     bytes only; [None] when the file or its header is unreadable. *)
+  let header_epoch path =
+    match
+      let r = Wire.reader (read_prefix path 64) in
+      if String.equal (Wire.rbytes r) file_magic then Some (Wire.ru32 r) else None
+    with
+    | epoch -> epoch
+    | exception (Sys_error _ | End_of_file | Wire.Malformed | Wire.Limit _) -> None
+
   (* Pick the newest valid epoch among the base checkpoint and its epoch
-     siblings. Candidates are decoded newest-first; every rejected candidate
-     that was newer than the chosen one is a fallback — flight-logged and
-     counted — because it means a checkpoint this process once claimed to
-     have written could not be read back. *)
+     siblings. Candidates are ranked by the epoch in their header (an
+     unreadable header ranks first, as it may be the newest; on a tie the
+     base file comes first) and decoded newest-first until one is valid.
+     Every rejected candidate ranked before the chosen one is a fallback —
+     flight-logged and counted — because it means a checkpoint this process
+     once claimed to have written could not be read back. *)
   let load_recover ~path =
-    let candidates =
-      (* The base file's epoch is only known after decoding; order it first
-         so a same-epoch sibling never shadows it, then newest siblings. *)
+    let ranked =
       (if Sys.file_exists path then [ path ] else [])
       @ List.map snd (epoch_files path)
+      |> List.map (fun p -> (Option.value (header_epoch p) ~default:max_int, p))
+      |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
     in
-    let decoded =
-      List.map
-        (fun p ->
-          match load_typed ~path:p with
-          | Ok (mvk, tree, epoch) -> (p, Ok (mvk, tree, epoch))
-          | Error (`Io m) -> (p, Error m)
-          | Error (`Bad e) -> (p, Error (Zkqac_util.Verify_error.code e)))
-        candidates
+    let rec pick skipped = function
+      | [] -> (None, List.rev skipped)
+      | (_, p) :: rest ->
+        (match load_typed ~path:p with
+         | Ok (mvk, tree, epoch) -> (Some (p, mvk, tree, epoch), List.rev skipped)
+         | Error (`Io m) -> pick ((p, m) :: skipped) rest
+         | Error (`Bad e) -> pick ((p, Zkqac_util.Verify_error.code e) :: skipped) rest)
     in
-    let best =
-      List.fold_left
-        (fun acc (p, r) ->
-          match (r, acc) with
-          | Ok (mvk, tree, epoch), None -> Some (p, mvk, tree, epoch)
-          | Ok (mvk, tree, epoch), Some (_, _, _, e) when epoch > e ->
-            Some (p, mvk, tree, epoch)
-          | _ -> acc)
-        None decoded
-    in
+    let best, skipped = pick [] ranked in
     match best with
     | None ->
       Metrics.recovery "checkpoint-failed";
       Error
         (Printf.sprintf "no valid ADS checkpoint at %s (%d candidate(s) rejected)"
-           path (List.length decoded))
+           path (List.length skipped))
     | Some (src, mvk, tree, epoch) ->
-      let skipped =
-        List.filter_map
-          (fun (p, r) -> match r with Error m -> Some (p, m) | Ok _ -> None)
-          decoded
-      in
       List.iter
         (fun (p, m) ->
           Flight.record ~cat:"recover" ~detail:(p ^ ": " ^ m) "checkpoint.fallback")

@@ -32,8 +32,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       bit flips map to typed errors ([Malformed], [Digest_mismatch],
       [Limit_exceeded], [Invalid_shape] for a wrong magic or a missing
       commit marker) and no exception escapes — including from parsers
-      embedded in the key and tree decoders. Returns the stamped epoch
-      (0 for v1 files, which are still accepted). *)
+      embedded in the key and tree decoders. Returns the stamped epoch. *)
 
   val load_typed :
     path:string ->
@@ -49,14 +48,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   (** {1 Epoch checkpoints and crash recovery} *)
 
-  val epoch_path : string -> int -> string
-  (** [epoch_path path e] is the sibling file ["<path>.e<e>"]. *)
-
-  val epoch_files : string -> (int * string) list
-  (** Existing epoch siblings of [path], newest epoch first. *)
-
   val save_epoch : path:string -> mvk:Abs.mvk -> epoch:int -> Ap2g.t -> unit
-  (** Atomically write the epoch sibling [epoch_path path epoch] and prune
+  (** Atomically write the epoch sibling ["<path>.e<epoch>"] and prune
       all but the newest two siblings (the base file is never pruned).
       Raises [Sys_error] on durable-replace failure. *)
 
@@ -72,7 +65,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   val load_recover : path:string -> (recovered, string) result
   (** Select the newest valid epoch among [path] and its epoch siblings.
-      Every rejected candidate is flight-logged; the outcome feeds
+      Candidates are ranked by the epoch in their header and decoded
+      newest-first until one is valid, so older ones are never decoded.
+      Every rejected candidate ranked before the chosen one is skipped and
+      flight-logged; the outcome feeds
       [zkqac_recoveries_total{outcome}] ([checkpoint-ok] when nothing was
       skipped, [checkpoint-fallback] otherwise, [checkpoint-failed] when no
       candidate decodes). *)

@@ -140,40 +140,19 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let keep_set t ~user = Expr.attrs (super_policy_for t ~user)
 
-  type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+  type query_stats = Vo.query_stats = {
+    relax_calls : int;
+    nodes_visited : int;
+    sp_time : float;
+  }
 
-  let relax_exn drbg ~mvk ~signature ~msg ~policy ~keep =
-    match Abs.relax drbg mvk signature ~msg ~policy ~keep with
-    | Some s -> s
-    | None ->
-      (* The tree invariant (node policy = OR of subtree policies) makes an
-         inaccessible node always relaxable; failure is a construction bug. *)
-      invalid_arg "Ap2g: relaxation failed on an inaccessible node"
-
-  let node_inaccessible_entry_job drbg ~mvk ~keep node =
-    (* Fork a per-job DRBG at job creation (sequential) so the thunks are
-       self-contained and can run on any domain (Section 8.2). *)
-    let job_drbg =
-      Zkqac_hashing.Drbg.create ~seed:(Zkqac_hashing.Drbg.generate drbg 32)
+  let aps_job drbg ~mvk ~keep node =
+    let shape =
+      match node.content with
+      | Leaf record -> Vo.Leaf { region = node.box; record }
+      | Children _ -> Vo.Node node.box
     in
-    match node.content with
-    | Leaf record ->
-      let key = record.Record.key in
-      let value_hash = Record.value_hash record.Record.value in
-      fun () ->
-        let aps =
-          relax_exn job_drbg ~mvk ~signature:node.signature
-            ~msg:(Record.message ~key ~value_hash)
-            ~policy:node.policy ~keep
-        in
-        Vo.Inaccessible_leaf { region = node.box; key; value_hash; aps }
-    | Children _ ->
-      fun () ->
-        let aps =
-          relax_exn job_drbg ~mvk ~signature:node.signature
-            ~msg:(Record.node_message node.box) ~policy:node.policy ~keep
-        in
-        Vo.Inaccessible_node { region = node.box; aps }
+    Vo.aps_job drbg ~mvk `Plain ~keep ~policy:node.policy node.signature shape
 
   let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
     Trace.with_span "sp.query"
@@ -205,10 +184,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             else
               (* Node accessible but this particular record is not: happens
                  only at leaves whose siblings make the parent accessible. *)
-              jobs := node_inaccessible_entry_job drbg ~mvk ~keep node :: !jobs
+              jobs := aps_job drbg ~mvk ~keep node :: !jobs
           | Children children -> List.iter (fun c -> Queue.add c queue) children
         end
-        else jobs := node_inaccessible_entry_job drbg ~mvk ~keep node :: !jobs
+        else jobs := aps_job drbg ~mvk ~keep node :: !jobs
       end
       else begin
         match Box.intersect query node.box with
@@ -222,21 +201,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
              assert false)
       end
     done;
-    let relax_jobs = List.rev !jobs in
-    let relaxed =
-      Trace.with_span "sp.relax" ~parent:ctx (fun _ -> pmap relax_jobs)
-    in
-    let vo = List.rev_append !direct relaxed in
-    Trace.set_attrs ctx
-      [ ("nodes_visited", Trace.Int !visited);
-        ("relax_calls", Trace.Int (List.length relax_jobs));
-        ("vo_entries", Trace.Int (List.length vo)) ];
-    ( vo,
-      {
-        relax_calls = List.length relax_jobs;
-        nodes_visited = !visited;
-        sp_time = Clock.elapsed_since t0;
-      } )
+    Vo.prove ~pmap ctx ~t0 ~visited:!visited ~direct:(List.rev !direct)
+      (List.rev !jobs)
 
   let verify ?batch ~mvk ~t_universe ?hierarchy ~user ~query vo =
     let super_policy =
@@ -257,8 +223,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let node_entry_inaccessible drbg ~mvk t ~user node =
     let user = effective_user t ~user in
-    let keep = keep_set t ~user in
-    node_inaccessible_entry_job drbg ~mvk ~keep node ()
+    aps_job drbg ~mvk ~keep:(keep_set t ~user) node ()
 
   let node_leaf_record n = match n.content with Leaf r -> Some r | Children _ -> None
 

@@ -47,7 +47,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       policy, or the hierarchy-reduced one when the tree was built with a
       hierarchy. *)
 
-  type query_stats = {
+  type query_stats = Vo.query_stats = {
     relax_calls : int;
     nodes_visited : int;
     sp_time : float;

@@ -166,35 +166,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let space t = t.space
   let universe t = t.universe
 
-  type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
-
-  let relax_exn drbg ~mvk ~signature ~msg ~policy ~keep =
-    match Abs.relax drbg mvk signature ~msg ~policy ~keep with
-    | Some s -> s
-    | None -> invalid_arg "Ap2kd: relaxation failed on an inaccessible node"
-
-  let inaccessible_job drbg ~mvk ~keep node =
-    let job_drbg =
-      Zkqac_hashing.Drbg.create ~seed:(Zkqac_hashing.Drbg.generate drbg 32)
-    in
-    match node.content with
-    | Record_leaf record ->
-      let key = record.Record.key in
-      let value_hash = Record.value_hash record.Record.value in
-      let msg = Vo.leaf_message `Boxed ~region:node.box ~key ~value_hash in
-      fun () ->
-        let aps =
-          relax_exn job_drbg ~mvk ~signature:node.signature ~msg ~policy:node.policy
-            ~keep
-        in
-        Vo.Inaccessible_leaf { region = node.box; key; value_hash; aps }
-    | Pseudo_region | Children _ ->
-      fun () ->
-        let aps =
-          relax_exn job_drbg ~mvk ~signature:node.signature
-            ~msg:(Record.node_message node.box) ~policy:node.policy ~keep
-        in
-        Vo.Inaccessible_node { region = node.box; aps }
+  type query_stats = Vo.query_stats = {
+    relax_calls : int;
+    nodes_visited : int;
+    sp_time : float;
+  }
 
   let range_vo drbg ~mvk t ~user query =
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "ap2kd.range") ]
@@ -209,11 +185,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let node = Queue.pop queue in
       incr visited;
       if Box.intersects query node.box then begin
-        let fully = Box.contains_box query node.box in
-        if not (Expr.eval node.policy user) then
+        if not (Expr.eval node.policy user) then begin
           (* Inaccessible region: one APS regardless of partial overlap (its
              region is clipped by the verifier). *)
-          jobs := inaccessible_job drbg ~mvk ~keep node :: !jobs
+          let shape =
+            match node.content with
+            | Record_leaf record -> Vo.Leaf { region = node.box; record }
+            | Pseudo_region | Children _ -> Vo.Node node.box
+          in
+          jobs :=
+            Vo.aps_job drbg ~mvk `Boxed ~keep ~policy:node.policy node.signature shape
+            :: !jobs
+        end
         else begin
           match node.content with
           | Children (l, r) ->
@@ -223,36 +206,17 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             (* Policy is Role_∅: unreachable in the accessible branch. *)
             assert false
           | Record_leaf record ->
-            if fully || Box.contains_point query record.Record.key then
-              direct :=
-                Vo.Accessible { region = node.box; record; app = node.signature }
-                :: !direct
-            else
-              (* The leaf's region overlaps the query but its record lies
-                 outside: still return it (accessible) as the region
-                 witness; the verifier excludes it from results. *)
-              direct :=
-                Vo.Accessible { region = node.box; record; app = node.signature }
-                :: !direct
+            (* Returned even when its record lies outside the query: the
+               leaf's region overlaps it, so the entry is the region's
+               witness; the verifier excludes the record from results. *)
+            direct :=
+              Vo.Accessible { region = node.box; record; app = node.signature }
+              :: !direct
         end
       end
     done;
-    let relax_jobs = List.rev !jobs in
-    let relaxed =
-      Trace.with_span "sp.relax" ~parent:ctx (fun _ ->
-          List.map (fun job -> job ()) relax_jobs)
-    in
-    let vo = List.rev_append !direct relaxed in
-    Trace.set_attrs ctx
-      [ ("nodes_visited", Trace.Int !visited);
-        ("relax_calls", Trace.Int (List.length relax_jobs));
-        ("vo_entries", Trace.Int (List.length vo)) ];
-    ( vo,
-      {
-        relax_calls = List.length relax_jobs;
-        nodes_visited = !visited;
-        sp_time = Clock.elapsed_since t0;
-      } )
+    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
+      ~direct:(List.rev !direct) (List.rev !jobs)
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in

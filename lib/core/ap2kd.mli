@@ -44,7 +44,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val space : t -> Keyspace.t
   val universe : t -> Zkqac_policy.Universe.t
 
-  type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+  type query_stats = Vo.query_stats = {
+    relax_calls : int;
+    nodes_visited : int;
+    sp_time : float;
+  }
 
   val range_vo :
     Zkqac_hashing.Drbg.t ->

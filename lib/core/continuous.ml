@@ -69,28 +69,23 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let keep_of t ~user = Expr.attrs (Universe.super_policy t.universe ~user)
 
-  let relax_exn drbg ~mvk ~signature ~msg ~policy ~keep =
-    match Abs.relax drbg mvk signature ~msg ~policy ~keep with
-    | Some s -> s
-    | None -> invalid_arg "Continuous: relaxation failed"
-
   let record_entry drbg ~mvk ~keep ~user (sr : signed_record) =
     let r = sr.record in
     if Expr.eval r.Record.policy user then Rec_accessible { record = r; app = sr.app }
     else begin
       let value_hash = Record.value_hash r.Record.value in
       let aps =
-        relax_exn drbg ~mvk ~signature:sr.app
+        Vo.relax drbg ~mvk ~keep
           ~msg:(Record.message ~key:r.Record.key ~value_hash)
-          ~policy:r.Record.policy ~keep
+          ~policy:r.Record.policy sr.app
       in
       Rec_inaccessible { key = r.Record.key.(0); value_hash; aps }
     end
 
   let gap_entry drbg ~mvk ~keep (g : signed_gap) =
     let aps =
-      relax_exn drbg ~mvk ~signature:g.gap_app
-        ~msg:(gap_message ~lo:g.lo ~hi:g.hi) ~policy:pseudo_policy ~keep
+      Vo.relax drbg ~mvk ~keep ~msg:(gap_message ~lo:g.lo ~hi:g.hi)
+        ~policy:pseudo_policy g.gap_app
     in
     Gap { lo = g.lo; hi = g.hi; aps }
 

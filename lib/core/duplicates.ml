@@ -8,7 +8,6 @@ module Clock = Zkqac_telemetry.Monotonic_clock
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
   module Vo = Vo.Make (P)
-  module Ap2g = Ap2g.Make (P)
 
   module Key_map = Map.Make (struct
     type t = int list
@@ -156,11 +155,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
     let visited = ref 0 and relaxed = ref 0 in
     let out = ref [] in
-    let relax_exn ~signature ~msg ~policy =
+    let relax ~msg ~policy sigma =
       incr relaxed;
-      match Abs.relax drbg mvk signature ~msg ~policy ~keep with
-      | Some s -> s
-      | None -> invalid_arg "Duplicates: relaxation failed"
+      Vo.relax drbg ~mvk ~keep ~msg ~policy sigma
     in
     let queue = Queue.create () in
     Queue.add t.root queue;
@@ -170,8 +167,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       if Box.contains_box query node.box then begin
         if not (Expr.eval node.policy user) then begin
           let aps =
-            relax_exn ~signature:node.agg_sig
-              ~msg:(Record.node_message node.box) ~policy:node.policy
+            relax ~msg:(Record.node_message node.box) ~policy:node.policy node.agg_sig
           in
           out := Cell_inaccessible { region = node.box; aps } :: !out
         end
@@ -201,7 +197,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                     dup_message ~key:r.Record.key ~value_hash ~dup_num
                       ~dup_id:d.dup_id
                   in
-                  let aps = relax_exn ~signature:d.app ~msg ~policy:r.Record.policy in
+                  let aps = relax ~msg ~policy:r.Record.policy d.app in
                   out :=
                     Dup_inaccessible
                       { key = r.Record.key; dup_num; dup_id = d.dup_id; value_hash; aps }
@@ -218,7 +214,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     done;
     ( List.rev !out,
       {
-        Ap2g.relax_calls = !relaxed;
+        Vo.relax_calls = !relaxed;
         nodes_visited = !visited;
         sp_time = Clock.elapsed_since t0;
       } )

@@ -61,9 +61,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   type vo = entry list
 
-  val dup_message :
-    key:int array -> value_hash:string -> dup_num:int -> dup_id:int -> string
-
   val build :
     Zkqac_hashing.Drbg.t ->
     mvk:Abs.mvk ->
@@ -81,7 +78,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     t ->
     user:Zkqac_policy.Attr.Set.t ->
     Box.t ->
-    vo * Ap2g.Make(P).query_stats
+    vo * Vo.Make(P).query_stats
 
   val verify :
     mvk:Abs.mvk ->

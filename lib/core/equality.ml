@@ -83,28 +83,16 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   type outcome = Result of Record.t | Denied
 
-  let entry_for drbg ~mvk t ~keep ~user (record, signature) =
-    let drbg =
-      Zkqac_hashing.Drbg.create ~seed:(Zkqac_hashing.Drbg.generate drbg 32)
-    in
+  (* A key's entry is direct when the user may read its record; otherwise
+     it is a job that relaxes the record's APP signature into an APS. *)
+  let entry_for drbg ~mvk ~keep ~user (record, signature) =
+    let region = Box.of_point record.Record.key in
     if Expr.eval record.Record.policy user then
-      Vo.Accessible
-        { region = Box.of_point record.Record.key; record; app = signature }
-    else begin
-      let key = record.Record.key in
-      let value_hash = Record.value_hash record.Record.value in
-      let aps =
-        match
-          Abs.relax drbg mvk signature
-            ~msg:(Record.message ~key ~value_hash)
-            ~policy:record.Record.policy ~keep
-        with
-        | Some s -> s
-        | None -> invalid_arg "Equality: relaxation failed on inaccessible record"
-      in
-      ignore t;
-      Vo.Inaccessible_leaf { region = Box.of_point key; key; value_hash; aps }
-    end
+      Either.Left (Vo.Accessible { region; record; app = signature })
+    else
+      Either.Right
+        (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:record.Record.policy signature
+           (Vo.Leaf { region; record }))
 
   let query_vo drbg ~mvk t ~user key =
     if not (Keyspace.valid_key t.space key) then
@@ -112,8 +100,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "equality.point") ]
     @@ fun _ ->
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
-    let record, signature = Key_map.find (Array.to_list key) t.entries in
-    entry_for drbg ~mvk t ~keep ~user (record, signature)
+    let entry = Key_map.find (Array.to_list key) t.entries in
+    match entry_for drbg ~mvk ~keep ~user entry with
+    | Either.Left entry -> entry
+    | Either.Right job -> job ()
 
   let verify_equality ?batch ~mvk ~t_universe ~user ~key entry =
     let super_policy = Universe.super_policy t_universe ~user in
@@ -129,44 +119,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     @@ fun ctx ->
     let t0 = Clock.now_ns () in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
-    let jobs = ref [] in
-    let count = ref 0 in
+    let visited = ref 0 and direct = ref [] and jobs = ref [] in
     Key_map.iter
       (fun klist entry ->
-        let key = Array.of_list klist in
-        if Box.contains_point query key then begin
-          incr count;
-          (* Fork the DRBG per job *now*, in key order, so the relax work
-             can run later under its own span. *)
-          let job_drbg =
-            Zkqac_hashing.Drbg.create ~seed:(Zkqac_hashing.Drbg.generate drbg 32)
-          in
-          jobs := (fun () -> entry_for job_drbg ~mvk t ~keep ~user entry) :: !jobs
+        if Box.contains_point query (Array.of_list klist) then begin
+          incr visited;
+          match entry_for drbg ~mvk ~keep ~user entry with
+          | Either.Left e -> direct := e :: !direct
+          | Either.Right job -> jobs := job :: !jobs
         end)
       t.entries;
-    let relax_calls =
-      List.length
-        (List.filter
-           (fun (r, _) -> not (Expr.eval r.Record.policy user))
-           (List.filter_map
-              (fun (k, e) ->
-                if Box.contains_point query (Array.of_list k) then Some e else None)
-              (Key_map.bindings t.entries)))
-    in
-    let vo =
-      Trace.with_span "sp.relax" ~parent:ctx (fun _ ->
-          List.map (fun job -> job ()) (List.rev !jobs))
-    in
-    Trace.set_attrs ctx
-      [ ("nodes_visited", Trace.Int !count);
-        ("relax_calls", Trace.Int relax_calls);
-        ("vo_entries", Trace.Int (List.length vo)) ];
-    ( vo,
-      {
-        Ap2g.relax_calls;
-        nodes_visited = !count;
-        sp_time = Clock.elapsed_since t0;
-      } )
+    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
+      ~direct:(List.rev !direct) (List.rev !jobs)
 
   let verify_range ?batch ~mvk ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in

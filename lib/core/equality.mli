@@ -62,7 +62,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     t ->
     user:Zkqac_policy.Attr.Set.t ->
     Box.t ->
-    Vo.t * Ap2g.query_stats
+    Vo.t * Vo.query_stats
   (** The Basic baseline: one entry per key in the box. *)
 
   val verify_range :

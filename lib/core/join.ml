@@ -21,7 +21,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   type t = entry list
 
-  type stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+  type stats = Vo.query_stats = {
+    relax_calls : int;
+    nodes_visited : int;
+    sp_time : float;
+  }
 
   (* The smallest node under [start] whose box still covers [box]. *)
   let rec smallest_covering start box =

@@ -25,7 +25,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   type t = entry list
 
-  type stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+  type stats = Vo.query_stats = {
+    relax_calls : int;
+    nodes_visited : int;
+    sp_time : float;
+  }
 
   val join_vo :
     Zkqac_hashing.Drbg.t ->

@@ -31,9 +31,6 @@ val message_of : t -> string
 val node_message : Box.t -> string
 (** [hash(gb_i)], the message of a non-leaf AP²G-tree node (Definition 6.1). *)
 
-val pseudo_value : seed:string -> key:int array -> string
-(** The random content of the pseudo record at [key], derived by PRF from
-    the data-owner seed. 32 bytes. *)
-
 val pseudo : seed:string -> key:int array -> t
-(** The full pseudo record: derived value, policy [Role_∅]. *)
+(** The pseudo record at [key]: a 32-byte value derived by PRF from the
+    data-owner seed, under policy [Role_∅]. *)

@@ -88,20 +88,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       whose [path] is [batch] or [batch-fallback]. [envelope_open_ms]
       adds the caller's envelope-open time to the entry's [stages_ms]. *)
 
-  val open_and_verify_v :
-    user ->
-    query:Box.t ->
-    response ->
-    (verified, Zkqac_util.Verify_error.t) result
+  val open_and_verify :
+    user -> query:Box.t -> response -> (verified, string) result
   (** User side: open the envelope (fails for impostors), verify the VO
       with {!verify_vo} (fails on any tampering or omission), decrypt
       accessible contents. A mismatched query or an envelope that does not
       open is recorded the same way as a VO rejection. The error code is
-      also recorded as a [verify_error] span attribute. *)
-
-  val open_and_verify :
-    user -> query:Box.t -> response -> (verified, string) result
-  (** {!open_and_verify_v} with errors rendered to strings. *)
+      also recorded as a [verify_error] span attribute; the returned error
+      is its rendering. *)
 
   val user_roles : user -> Zkqac_policy.Attr.Set.t
   val universe : owner -> Zkqac_policy.Universe.t

@@ -2,6 +2,8 @@ module Expr = Zkqac_policy.Expr
 module Wire = Zkqac_util.Wire
 module Attr = Zkqac_policy.Attr
 module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
+module Drbg = Zkqac_hashing.Drbg
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -50,6 +52,47 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | `Boxed -> Record.node_message region ^ base
 
   let node_aps_message ~region = Record.node_message region
+
+  (* --- the prover side: every APS entry of every query type --- *)
+
+  let relax drbg ~mvk ~keep ~msg ~policy sigma =
+    match Abs.relax drbg mvk sigma ~msg ~policy ~keep with
+    | Some s -> s
+    | None ->
+      (* The tree invariant (node policy = OR of subtree policies) makes an
+         inaccessible node always relaxable; failure is a construction bug. *)
+      invalid_arg "Vo.relax: relaxation failed on an inaccessible entry"
+
+  type shape = Leaf of { region : Box.t; record : Record.t } | Node of Box.t
+
+  let aps_job drbg ~mvk binding ~keep ~policy sigma shape =
+    (* Fork a per-job DRBG at job creation (sequential) so the thunks are
+       self-contained and can run on any domain (Section 8.2). *)
+    let drbg = Drbg.create ~seed:(Drbg.generate drbg 32) in
+    match shape with
+    | Leaf { region; record } ->
+      let key = record.Record.key in
+      let value_hash = Record.value_hash record.Record.value in
+      fun () ->
+        let msg = leaf_message binding ~region ~key ~value_hash in
+        Inaccessible_leaf
+          { region; key; value_hash; aps = relax drbg ~mvk ~keep ~msg ~policy sigma }
+    | Node region ->
+      fun () ->
+        let msg = node_aps_message ~region in
+        Inaccessible_node { region; aps = relax drbg ~mvk ~keep ~msg ~policy sigma }
+
+  type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+
+  let prove ~pmap ctx ~t0 ~visited ~direct jobs =
+    let relaxed = Trace.with_span "sp.relax" ~parent:ctx (fun _ -> pmap jobs) in
+    let vo = direct @ relaxed in
+    let relax_calls = List.length jobs in
+    Trace.set_attrs ctx
+      [ ("nodes_visited", Trace.Int visited);
+        ("relax_calls", Trace.Int relax_calls);
+        ("vo_entries", Trace.Int (List.length vo)) ];
+    (vo, { relax_calls; nodes_visited = visited; sp_time = Clock.elapsed_since t0 })
 
   let verify ?(clip = false) ?batch ~mvk ~binding ~super_policy ~user ~query vo =
     Trace.with_span "client.verify"

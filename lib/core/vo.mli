@@ -61,6 +61,58 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val leaf_message : binding -> region:Box.t -> key:int array -> value_hash:string -> string
   val node_aps_message : region:Box.t -> string
 
+  (** {2 The prover side}
+
+      Every SP query builder makes its APS entries here, so the message an
+      entry signs is chosen by the same module on both sides. *)
+
+  val relax :
+    Zkqac_hashing.Drbg.t ->
+    mvk:Abs.mvk ->
+    keep:Zkqac_policy.Attr.Set.t ->
+    msg:string ->
+    policy:Zkqac_policy.Expr.t ->
+    Abs.signature ->
+    Abs.signature
+  (** ABS.Relax of a signature over [msg] under [policy] to the super
+      policy over [keep]. Raises [Invalid_argument] when the relaxation is
+      impossible, which a well-formed ADS never asks for. *)
+
+  (** What an APS entry accounts for: one leaf (a real or pseudo record in
+      its region) or one whole subtree. *)
+  type shape = Leaf of { region : Box.t; record : Record.t } | Node of Box.t
+
+  val aps_job :
+    Zkqac_hashing.Drbg.t ->
+    mvk:Abs.mvk ->
+    binding ->
+    keep:Zkqac_policy.Attr.Set.t ->
+    policy:Zkqac_policy.Expr.t ->
+    Abs.signature ->
+    shape ->
+    unit ->
+    entry
+  (** [aps_job drbg ~mvk binding ~keep ~policy sigma shape] forks a job DRBG
+      from [drbg] at once (one 32-byte draw) and returns a thunk that relaxes
+      [sigma] over the message {!verify} checks for [shape]:
+      [leaf_message binding] for a leaf, [node_aps_message] for a node. The
+      thunk owns its randomness, so it may run on any domain. *)
+
+  type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
+
+  val prove :
+    pmap:((unit -> entry) list -> entry list) ->
+    Zkqac_telemetry.Trace.ctx ->
+    t0:int64 ->
+    visited:int ->
+    direct:entry list ->
+    (unit -> entry) list ->
+    t * query_stats
+  (** The common end of every index walk: runs the relax jobs under an
+      [sp.relax] span with [pmap], sets the [nodes_visited], [relax_calls]
+      and [vo_entries] attributes on [ctx], and returns the [direct] entries
+      followed by the relaxed ones. [sp_time] runs from [t0]. *)
+
   val verify :
     ?clip:bool ->
     ?batch:Zkqac_hashing.Drbg.t ->

@@ -33,7 +33,6 @@ module Mont : sig
   type fp2 := t
   type t = { re : Fp.Mont.t; im : Fp.Mont.t }
 
-  val of_fp2 : Fp.ctx -> fp2 -> t
   val to_fp2 : Fp.ctx -> t -> fp2
   val make : Fp.Mont.t -> Fp.Mont.t -> t
   val one : Fp.ctx -> t

@@ -1,8 +1,5 @@
 (** Hashing byte strings into Z_p with domain separation. *)
 
-val expand : domain:string -> string -> int -> string
-(** [expand ~domain msg n] is an [n]-byte pseudo-random expansion of [msg]. *)
-
 val to_zp :
   domain:string -> p:Zkqac_bigint.Bigint.t -> string -> Zkqac_bigint.Bigint.t
 (** Statistically-uniform element of [[0, p)]. *)

@@ -2,9 +2,6 @@ module B = Zkqac_bigint.Bigint
 
 type matrix = B.t array array
 
-let of_int_matrix ~p m =
-  Array.map (Array.map (fun x -> B.erem (B.of_int x) p)) m
-
 let mul_vec_mat ~p v m ~cols =
   let out = Array.make cols B.zero in
   Array.iteri

@@ -7,17 +7,6 @@
 type matrix = Zkqac_bigint.Bigint.t array array
 (** Row-major; all entries must be canonical residues mod p. *)
 
-val of_int_matrix : p:Zkqac_bigint.Bigint.t -> int array array -> matrix
-
-val solve_left :
-  p:Zkqac_bigint.Bigint.t ->
-  matrix ->
-  Zkqac_bigint.Bigint.t array ->
-  Zkqac_bigint.Bigint.t array option
-(** [solve_left ~p m target] finds [v] with [v * m = target] (a row vector
-    combination of the rows of [m]), or [None] if the target is not in the
-    row span. [m] is [l x t], [target] has length [t], [v] has length [l]. *)
-
 val spans_e1 : p:Zkqac_bigint.Bigint.t -> matrix -> cols:int -> bool
 (** Whether the rows span the target vector [(1, 0, ..., 0)] of width
     [cols]. An empty row set spans nothing. *)

@@ -31,10 +31,6 @@ val close_user : t -> Attr.Set.t -> Attr.Set.t
 val augment_policy : t -> Expr.t -> Expr.t
 (** DNF-normalize and extend every clause with the ancestors of its roles. *)
 
-val reduce_missing : t -> Attr.Set.t -> Attr.Set.t
-(** Keep only roles with no missing ancestor: the reduced inaccessible set
-    over which the super policy is formed. *)
-
 val super_policy : t -> Universe.t -> user:Attr.Set.t -> Expr.t
-(** The reduced super policy of Section 8.1: OR over
-    [reduce_missing (𝔸 ∖ close_user user)]. *)
+(** The reduced super policy of Section 8.1: OR over the roles missing from
+    [close_user user] that have no missing ancestor. *)

@@ -17,7 +17,6 @@
 module Box = Zkqac_core.Box
 
 val request_magic : string
-val response_magic : string
 
 val max_request_bytes : int
 (** Upper bound on an encoded request; bigger frames are refused before

@@ -33,7 +33,6 @@ val connect : host:string -> port:int -> timeout:float -> Unix.file_descr
     honored even for black-hole addresses). Sets TCP_NODELAY.
     @raise Fault on refusal, timeout, or resolution failure. *)
 
-val read_exact : Unix.file_descr -> deadline:int64 -> int -> string
 val write_all : Unix.file_descr -> deadline:int64 -> string -> unit
 
 val read_frame : Unix.file_descr -> deadline:int64 -> max_bytes:int -> string

@@ -19,7 +19,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 val to_file : string -> t -> unit

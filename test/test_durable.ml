@@ -290,14 +290,14 @@ let failing_save_leaves_old_checkpoint () =
       | Error e -> Alcotest.failf "old checkpoint no longer loads: %s" e);
       no_tmp_left dir)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* The recovery paths feed the exposition: epoch gauge and outcome counter. *)
 let recovery_metrics_exported () =
   let module Metrics = Zkqac_telemetry.Metrics in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   in_temp_dir (fun dir ->
       Metrics.reset ();
       Zkqac_core.Ads_io.reset_epoch_gauge ();
@@ -315,6 +315,77 @@ let recovery_metrics_exported () =
         (contains text "zkqac_recoveries_total{outcome=\"checkpoint-ok\"} 1");
       Metrics.reset ();
       Zkqac_core.Ads_io.reset_epoch_gauge ())
+
+(* Flip one byte in the middle of a checkpoint: its header, and so its
+   epoch, stays readable; its digests no longer match. *)
+let corrupt_body path =
+  let data = Bytes.of_string (read_all path) in
+  let i = Bytes.length data / 2 in
+  Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 0xff));
+  write_all path (Bytes.to_string data)
+
+(* Recovery with epoch siblings 4 and 5, one of them corrupt: the result,
+   its skipped candidates and the outcome counted. *)
+let recover_with_corrupt ~corrupt =
+  let module Metrics = Zkqac_telemetry.Metrics in
+  in_temp_dir (fun dir ->
+      Metrics.reset ();
+      Zkqac_core.Ads_io.reset_epoch_gauge ();
+      let path = Filename.concat dir "ads.zkqac" in
+      let mvk, tree = small_tree () in
+      Ads_io.save ~path ~mvk tree;
+      Ads_io.save_epoch ~path ~mvk ~epoch:4 tree;
+      Ads_io.save_epoch ~path ~mvk ~epoch:5 tree;
+      corrupt_body (Printf.sprintf "%s.e%d" path corrupt);
+      let r =
+        match Ads_io.load_recover ~path with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "load_recover: %s" e
+      in
+      let text = Metrics.to_prometheus () in
+      let outcome =
+        List.find
+          (fun o ->
+            contains text (Printf.sprintf "zkqac_recoveries_total{outcome=%S} 1" o))
+          [ "checkpoint-ok"; "checkpoint-fallback" ]
+      in
+      Metrics.reset ();
+      Zkqac_core.Ads_io.reset_epoch_gauge ();
+      ( r.Ads_io.r_epoch,
+        List.map (fun (p, _) -> Filename.basename p) r.Ads_io.r_skipped,
+        outcome ))
+
+(* A corrupt older sibling is never decoded: the newest valid epoch is read
+   first and recovery stops there. *)
+let recovery_stops_at_newest_valid () =
+  let epoch, skipped, outcome = recover_with_corrupt ~corrupt:4 in
+  Alcotest.(check int) "newest epoch" 5 epoch;
+  Alcotest.(check (list string)) "nothing skipped" [] skipped;
+  Alcotest.(check string) "outcome" "checkpoint-ok" outcome
+
+let recovery_falls_back_past_corrupt_newest () =
+  let epoch, skipped, outcome = recover_with_corrupt ~corrupt:5 in
+  Alcotest.(check int) "fallback epoch" 4 epoch;
+  Alcotest.(check (list string)) "newest skipped" [ "ads.zkqac.e5" ] skipped;
+  Alcotest.(check string) "outcome" "checkpoint-fallback" outcome
+
+(* The epoch-less v1 format is no longer read: such a file gets the same
+   typed error as any other non-checkpoint. *)
+let epochless_v1_rejected () =
+  let module Wire = Zkqac_util.Wire in
+  let mvk, tree = small_tree () in
+  let body = Ap2g.to_bytes tree in
+  let w = Wire.writer () in
+  Wire.bytes w "ZKQAC-ADS-FILE-v1";
+  Wire.bytes w (Abs.mvk_to_bytes mvk);
+  Wire.bytes w (Zkqac_hashing.Sha256.digest body);
+  Wire.bytes w body;
+  match Ads_io.decode_typed (Wire.contents w) with
+  | Error (Zkqac_util.Verify_error.Invalid_shape m) ->
+    Alcotest.(check string) "typed error" "not a zkqac ADS file" m
+  | Error e ->
+    Alcotest.failf "wrong error: %s" (Zkqac_util.Verify_error.to_string e)
+  | Ok _ -> Alcotest.fail "a v1 file loaded"
 
 let successful_save_roundtrips () =
   in_temp_dir (fun dir ->
@@ -350,5 +421,11 @@ let suite =
           recovery_metrics_exported;
         Alcotest.test_case "Ads_io.save epoch roundtrips" `Quick
           successful_save_roundtrips;
+        Alcotest.test_case "recovery stops at the newest valid epoch" `Quick
+          recovery_stops_at_newest_valid;
+        Alcotest.test_case "recovery falls back past a corrupt newest epoch"
+          `Quick recovery_falls_back_past_corrupt_newest;
+        Alcotest.test_case "epoch-less v1 checkpoint rejected" `Quick
+          epochless_v1_rejected;
       ] );
   ]
