@@ -512,8 +512,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       ]
     in
     let t =
-      Equality.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"eq-pseudo"
-        records
+      Equality.of_ap2g
+        (Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"eq-pseudo" records)
     in
     let query = Keyspace.whole space in
     let vo, _ = Equality.range_vo drbg ~mvk t ~user query in

@@ -3,7 +3,6 @@ module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Hierarchy = Zkqac_policy.Hierarchy
 
-module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
 module Clock = Zkqac_telemetry.Monotonic_clock
 
@@ -46,7 +45,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   end)
 
   let build drbg ~mvk ~sk ~space ~universe ?hierarchy ~pseudo_seed records =
-    T.span "ads.build" @@ fun () ->
+    Trace.with_span "ads.build" @@ fun _ ->
     let augment =
       match hierarchy with
       | None -> Fun.id
@@ -138,8 +137,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | None -> Universe.super_policy t.universe ~user
     | Some h -> Hierarchy.super_policy h t.universe ~user
 
-  let keep_set t ~user = Expr.attrs (super_policy_for t ~user)
-
   type query_stats = Vo.query_stats = {
     relax_calls : int;
     nodes_visited : int;
@@ -162,7 +159,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     @@ fun ctx ->
     let t0 = Clock.now_ns () in
     let user = effective_user t ~user in
-    let keep = keep_set t ~user in
+    let keep = Expr.attrs (super_policy_for t ~user) in
     let visited = ref 0 in
     let direct = ref [] in
     let jobs = ref [] in
@@ -201,8 +198,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
              assert false)
       end
     done;
-    Vo.prove ~pmap ctx ~t0 ~visited:!visited ~direct:(List.rev !direct)
-      (List.rev !jobs)
+    Vo.prove ~pmap ctx ~t0 ~visited:!visited
+      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
 
   let verify ?batch ~mvk ~t_universe ?hierarchy ~user ~query vo =
     let super_policy =
@@ -215,26 +212,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     Vo.verify ?batch ~mvk ~binding:`Plain ~super_policy ~user ~query vo
 
-  (* --- node access for the join algorithm --- *)
-
   let root t = t.root
-  let node_box n = n.box
-  let node_children n = match n.content with Leaf _ -> [] | Children c -> c
-
-  let node_entry_inaccessible drbg ~mvk t ~user node =
-    let user = effective_user t ~user in
-    aps_job drbg ~mvk ~keep:(keep_set t ~user) node ()
-
-  let node_leaf_record n = match n.content with Leaf r -> Some r | Children _ -> None
-
-  let node_leaf_app _t n =
-    match n.content with Leaf _ -> Some n.signature | Children _ -> None
-
-  let node_accessible t ~user n =
-    let user = effective_user t ~user in
-    match n.content with
-    | Leaf r -> Expr.eval r.Record.policy user
-    | Children _ -> Expr.eval n.policy user
 
   (* --- ADS serialization (the "outsource everything to the SP" step) --- *)
 

@@ -90,18 +90,30 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   (** As {!of_bytes}, with typed failures and reader resource limits (the
       recursive tree structure is depth-guarded). Rejects trailing bytes. *)
 
-  (** Internal access for the join algorithm. *)
-  type node
+  (** The tree itself, read-only: the join (Algorithm 4) walks two trees
+      at once, and {!Equality.of_ap2g} reads the leaves. *)
+  type node = private {
+    box : Box.t;
+    policy : Zkqac_policy.Expr.t;
+        (** the OR of the subtree's policies; a leaf's is its record's *)
+    signature : Abs.signature;  (** APP signature over the node's message *)
+    content : content;
+  }
+
+  and content =
+    | Leaf of Record.t  (** the real or pseudo record in this unit cell *)
+    | Children of node list
+
   val root : t -> node
-  val node_box : node -> Box.t
-  val node_children : node -> node list
-  (** Empty for leaves. *)
 
-  val node_entry_inaccessible :
-    Zkqac_hashing.Drbg.t -> mvk:Abs.mvk -> t -> user:Zkqac_policy.Attr.Set.t -> node -> Vo.entry
-  (** The APS entry proving this node's subtree (or leaf) is out of reach. *)
-
-  val node_leaf_record : node -> Record.t option
-  val node_leaf_app : t -> node -> Abs.signature option
-  val node_accessible : t -> user:Zkqac_policy.Attr.Set.t -> node -> bool
+  val aps_job :
+    Zkqac_hashing.Drbg.t ->
+    mvk:Abs.mvk ->
+    keep:Zkqac_policy.Attr.Set.t ->
+    node ->
+    unit ->
+    Vo.entry
+  (** {!Vo.aps_job} for [node]: one fork of [drbg] now, a thunk that proves
+      the node's subtree (or leaf) out of reach for the super policy over
+      [keep]. *)
 end

@@ -3,7 +3,6 @@ module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Kd_split = Zkqac_policy.Kd_split
 
-module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
 module Clock = Zkqac_telemetry.Monotonic_clock
 
@@ -80,7 +79,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     first 0
 
   let build drbg ~mvk ~sk ~space ~universe ?(split = `Clause_objective) records =
-    T.span "ads.build" @@ fun () ->
+    Trace.with_span "ads.build" @@ fun _ ->
     List.iter
       (fun (r : Record.t) ->
         if not (Keyspace.valid_key space r.Record.key) then
@@ -216,7 +215,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       end
     done;
     Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
-      ~direct:(List.rev !direct) (List.rev !jobs)
+      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in

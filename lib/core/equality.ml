@@ -2,7 +2,6 @@ module Expr = Zkqac_policy.Expr
 module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 
-module T = Zkqac_telemetry.Telemetry
 module Trace = Zkqac_telemetry.Trace
 module Clock = Zkqac_telemetry.Monotonic_clock
 
@@ -23,60 +22,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     entries : (Record.t * Abs.signature) Key_map.t;
   }
 
-  let build drbg ~mvk ~sk ~space ~universe ~pseudo_seed records =
-    T.span "ads.build" @@ fun () ->
-    let by_key =
-      List.fold_left
-        (fun acc (r : Record.t) ->
-          if not (Keyspace.valid_key space r.Record.key) then
-            invalid_arg "Equality.build: key outside space";
-          let k = Array.to_list r.Record.key in
-          if Key_map.mem k acc then invalid_arg "Equality.build: duplicate key";
-          Key_map.add k r acc)
-        Key_map.empty records
-    in
-    (* Enumerate every key of the space; non-existent ones become signed
-       pseudo records. *)
-    let dims = Keyspace.dims space in
-    let side = Keyspace.side space in
-    let entries = ref Key_map.empty in
-    let key = Array.make dims 0 in
-    let rec enumerate d =
-      if d = dims then begin
-        let k = Array.to_list key in
-        let record =
-          match Key_map.find_opt k by_key with
-          | Some r -> r
-          | None -> Record.pseudo ~seed:pseudo_seed ~key:(Array.copy key)
-        in
-        let signature =
-          Abs.sign drbg mvk sk ~msg:(Record.message_of record)
-            ~policy:record.Record.policy
-        in
-        entries := Key_map.add k (record, signature) !entries
-      end
-      else
-        for v = 0 to side - 1 do
-          key.(d) <- v;
-          enumerate (d + 1)
-        done
-    in
-    enumerate 0;
-    { space; universe; entries = !entries }
-
   let of_ap2g tree =
-    let entries = ref Key_map.empty in
-    let rec walk node =
-      match Ap2g.node_children node with
-      | [] ->
-        let record = Option.get (Ap2g.node_leaf_record node) in
-        let signature = Option.get (Ap2g.node_leaf_app tree node) in
-        entries :=
-          Key_map.add (Array.to_list record.Record.key) (record, signature) !entries
-      | children -> List.iter walk children
+    let rec walk entries (node : Ap2g.node) =
+      match node.content with
+      | Ap2g.Leaf record ->
+        Key_map.add (Array.to_list record.Record.key) (record, node.signature) entries
+      | Ap2g.Children children -> List.fold_left walk entries children
     in
-    walk (Ap2g.root tree);
-    { space = Ap2g.space tree; universe = Ap2g.universe tree; entries = !entries }
+    {
+      space = Ap2g.space tree;
+      universe = Ap2g.universe tree;
+      entries = walk Key_map.empty (Ap2g.root tree);
+    }
 
   let universe t = t.universe
   let space t = t.space
@@ -130,7 +87,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         end)
       t.entries;
     Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
-      ~direct:(List.rev !direct) (List.rev !jobs)
+      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
 
   let verify_range ?batch ~mvk ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in

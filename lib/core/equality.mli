@@ -15,20 +15,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   type t
 
-  val build :
-    Zkqac_hashing.Drbg.t ->
-    mvk:Abs.mvk ->
-    sk:Abs.signing_key ->
-    space:Keyspace.t ->
-    universe:Zkqac_policy.Universe.t ->
-    pseudo_seed:string ->
-    Record.t list ->
-    t
-  (** Sign every key of the space (Algorithm 1's ADS generation). *)
-
   val of_ap2g : Ap2g.t -> t
-  (** Reuse the leaf signatures of an AP²G-tree (they are the same ADS), so
-      benches comparing the two approaches pay the signing cost once. *)
+  (** The ADS of Algorithm 1 is exactly the leaf level of an AP²G-tree: one
+      APP signature per key of the space, over a real or pseudo record. *)
 
   val universe : t -> Zkqac_policy.Universe.t
   val space : t -> Keyspace.t

@@ -1,5 +1,6 @@
 module Expr = Zkqac_policy.Expr
 module Wire = Zkqac_util.Wire
+module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Trace = Zkqac_telemetry.Trace
 module Clock = Zkqac_telemetry.Monotonic_clock
@@ -28,67 +29,67 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   }
 
   (* The smallest node under [start] whose box still covers [box]. *)
-  let rec smallest_covering start box =
-    let covering_child =
-      List.find_opt
-        (fun c -> Box.contains_box (Ap2g.node_box c) box)
-        (Ap2g.node_children start)
-    in
-    match covering_child with
-    | Some c -> smallest_covering c box
-    | None -> start
+  let rec smallest_covering (start : Ap2g.node) box =
+    match start.content with
+    | Ap2g.Leaf _ -> start
+    | Ap2g.Children children -> (
+      match List.find_opt (fun (c : Ap2g.node) -> Box.contains_box c.box box) children with
+      | Some c -> smallest_covering c box
+      | None -> start)
 
   let join_vo drbg ~mvk ~r ~s ~user query =
-    if not (Keyspace.num_leaves (Ap2g.space r) = Keyspace.num_leaves (Ap2g.space s))
-    then invalid_arg "Join.join_vo: trees over different keyspaces";
+    (* [verify] knows only the user and one universe: it checks every APS
+       entry under the plain super policy, and pairs leaves by their boxes. *)
+    if Option.is_some (Ap2g.hierarchy r) || Option.is_some (Ap2g.hierarchy s) then
+      invalid_arg "Join.join_vo: tree built with a role hierarchy";
+    let same f = f (Ap2g.space r) = f (Ap2g.space s) in
+    if not (same Keyspace.dims && same Keyspace.depth) then
+      invalid_arg "Join.join_vo: trees over different keyspaces";
+    let universe = Ap2g.universe r in
+    if not (Attr.Set.equal (Universe.attrs universe) (Universe.attrs (Ap2g.universe s)))
+    then invalid_arg "Join.join_vo: trees over different universes";
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "join") ] @@ fun ctx ->
     let t0 = Clock.now_ns () in
-    let visited = ref 0 and relaxed = ref 0 in
-    let out = ref [] in
+    (* One universe and no hierarchy: both trees share the one keep set. *)
+    let keep = Expr.attrs (Universe.super_policy universe ~user) in
+    let aps_slot side (node : Ap2g.node) =
+      let job = Ap2g.aps_job drbg ~mvk ~keep node in
+      Either.Right (fun () -> side (job ()))
+    in
+    let visited = ref 0 in
+    let slots = ref [] in
     let queue = Queue.create () in
+    let descend (nr : Ap2g.node) ns =
+      match nr.content with
+      | Ap2g.Children children -> List.iter (fun c -> Queue.add (c, ns) queue) children
+      | Ap2g.Leaf _ -> ()
+    in
     Queue.add (Ap2g.root r, Ap2g.root s) queue;
     while not (Queue.is_empty queue) do
-      let nr, ns = Queue.pop queue in
+      let (nr : Ap2g.node), ns = Queue.pop queue in
       incr visited;
-      let rbox = Ap2g.node_box nr in
-      if Box.contains_box query rbox then begin
-        if Ap2g.node_accessible r ~user nr then begin
-          let ns = smallest_covering ns rbox in
-          if Ap2g.node_accessible s ~user ns then begin
-            match Ap2g.node_leaf_record nr with
-            | Some r_record ->
+      if Box.contains_box query nr.box then begin
+        if Expr.eval nr.policy user then begin
+          let ns = smallest_covering ns nr.box in
+          if Expr.eval ns.policy user then begin
+            match (nr.content, ns.content) with
+            | Ap2g.Leaf r_record, Ap2g.Leaf s_record ->
               (* nr is a unit cell, so the smallest covering accessible S
                  node is the matching unit leaf. *)
-              let s_record = Option.get (Ap2g.node_leaf_record ns) in
-              let r_app = Option.get (Ap2g.node_leaf_app r nr) in
-              let s_app = Option.get (Ap2g.node_leaf_app s ns) in
-              out := Pair { r_record; r_app; s_record; s_app } :: !out
-            | None ->
-              List.iter (fun c -> Queue.add (c, ns) queue) (Ap2g.node_children nr)
+              let pair =
+                Pair { r_record; r_app = nr.signature; s_record; s_app = ns.signature }
+              in
+              slots := Either.Left pair :: !slots
+            | _ -> descend nr ns
           end
-          else begin
-            incr relaxed;
-            out := S_side (Ap2g.node_entry_inaccessible drbg ~mvk s ~user ns) :: !out
-          end
+          else slots := aps_slot (fun e -> S_side e) ns :: !slots
         end
-        else begin
-          incr relaxed;
-          out := R_side (Ap2g.node_entry_inaccessible drbg ~mvk r ~user nr) :: !out
-        end
+        else slots := aps_slot (fun e -> R_side e) nr :: !slots
       end
-      else if Box.intersects query rbox then
-        List.iter (fun c -> Queue.add (c, ns) queue) (Ap2g.node_children nr)
+      else if Box.intersects query nr.box then descend nr ns
     done;
-    Trace.set_attrs ctx
-      [ ("nodes_visited", Trace.Int !visited);
-        ("relax_calls", Trace.Int !relaxed);
-        ("vo_entries", Trace.Int (List.length !out)) ];
-    ( List.rev !out,
-      {
-        relax_calls = !relaxed;
-        nodes_visited = !visited;
-        sp_time = Clock.elapsed_since t0;
-      } )
+    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
+      (List.rev !slots)
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =
     Trace.with_span "client.verify"
@@ -129,15 +130,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     (* Soundness: structure first, signatures after, as in [Vo.verify]. *)
     let claims = ref [] in
-    let claim blame msg policy sigma =
-      claims := { Abs.msg; policy; sigma; blame } :: !claims;
+    let push c =
+      claims := c :: !claims;
       Ok ()
     in
-    let app_claim record app =
-      claim Fun.id (Record.message_of record) record.Record.policy app
-    in
-    let aps_claim msg aps =
-      claim Zkqac_util.Verify_error.as_aps msg super_policy aps
+    let app_claim record sigma =
+      push
+        { Abs.msg = Record.message_of record; policy = record.Record.policy; sigma;
+          blame = Fun.id }
     in
     let check_entry entry =
       match entry with
@@ -155,21 +155,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           let* () = app_claim r_record r_app in
           app_claim s_record s_app
       | R_side e | S_side e ->
-        (match e with
-         | Vo.Accessible _ ->
-           fail (Vo.Invalid_shape "accessible entry in join APS slot")
-         | Vo.Inaccessible_leaf { region; key; value_hash; aps } ->
-           (* In [`Plain] binding the APS message does not include the
-              region, so the claimed region must be pinned structurally —
-              otherwise a widened region could mask dropped rows in the
-              coverage union above. *)
-           if not (Box.equal region (Box.of_point key)) then
-             fail
-               (Vo.Bad_aps_policy
-                  "inaccessible leaf region is not the key's unit cell")
-           else aps_claim (Vo.leaf_message `Plain ~region ~key ~value_hash) aps
-         | Vo.Inaccessible_node { region; aps } ->
-           aps_claim (Vo.node_aps_message ~region) aps)
+        Result.fold ~ok:push ~error:fail (Vo.aps_claim `Plain ~super_policy e)
     in
     let* () =
       List.fold_left
@@ -209,7 +195,24 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     Record.make ~key ~value ~policy
 
+  (* A side entry keeps the bytes of a one-entry VO (its length, the count
+     1, the entry), written and read by [Vo]'s entry codec in place. *)
+  let put_side w e =
+    let one = Wire.writer () in
+    Wire.u32 one 1;
+    Vo.put_entry one e;
+    Wire.bytes w (Wire.contents one)
+
+  let get_side r =
+    let len = Wire.ru32 r in
+    let stop = Wire.pos r + len in
+    if Wire.ru32 r <> 1 then raise Wire.Malformed;
+    let e = Vo.get_entry r in
+    if Wire.pos r <> stop then raise Wire.Malformed;
+    e
+
   let to_bytes vo =
+    Trace.with_span "vo.encode" @@ fun ctx ->
     let w = Wire.writer () in
     Wire.u32 w (List.length vo);
     List.iter
@@ -223,24 +226,24 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           Wire.bytes w (Abs.to_bytes s_app)
         | R_side e ->
           Wire.u8 w 1;
-          Wire.bytes w (Vo.to_bytes [ e ])
+          put_side w e
         | S_side e ->
           Wire.u8 w 2;
-          Wire.bytes w (Vo.to_bytes [ e ]))
+          put_side w e)
       vo;
-    Wire.contents w
+    let bytes = Wire.contents w in
+    Trace.set_attr ctx "vo_bytes" (Trace.Int (String.length bytes));
+    bytes
 
   let decode ?limits data =
+    Trace.with_span "vo.decode"
+      ~attrs:[ ("vo_bytes", Trace.Int (String.length data)) ]
+    @@ fun _ ->
     Wire.decode ?limits data @@ fun r ->
     let get_sig () =
       match Abs.of_bytes (Wire.rbytes r) with
       | Some s -> s
       | None -> raise Wire.Malformed
-    in
-    let get_side () =
-      match Vo.of_bytes (Wire.rbytes r) with
-      | Some [ e ] -> e
-      | Some _ | None -> raise Wire.Malformed
     in
     let n = Wire.rcount r in
     let rec go k acc =
@@ -254,8 +257,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             let s_record = get_record r in
             let s_app = get_sig () in
             Pair { r_record; r_app; s_record; s_app }
-          | 1 -> R_side (get_side ())
-          | 2 -> S_side (get_side ())
+          | 1 -> R_side (get_side r)
+          | 2 -> S_side (get_side r)
           | _ -> raise Wire.Malformed
         in
         go (k - 1) (entry :: acc)

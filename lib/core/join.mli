@@ -39,8 +39,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     user:Zkqac_policy.Attr.Set.t ->
     Box.t ->
     t * stats
-  (** SP-side construction (Algorithm 4). Both trees must share keyspace and
-      universe. *)
+  (** SP-side construction (Algorithm 4): the walk of Algorithm 3 over both
+      trees, ending in {!Vo.prove}. {!verify} checks every APS entry under
+      the plain super policy of one universe and pairs leaves cell by cell,
+      so the trees must share dims, depth and universe and neither may be
+      built with a role hierarchy; otherwise raises [Invalid_argument]. *)
 
   val verify :
     ?batch:Zkqac_hashing.Drbg.t ->

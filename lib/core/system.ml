@@ -54,7 +54,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   type plain_record = { key : int array; content : string; policy : Expr.t }
 
   let setup ~seed ~space ~roles ?hierarchy plain_records =
-    Zkqac_telemetry.Telemetry.span "do.setup" @@ fun () ->
+    Trace.with_span "do.setup" @@ fun _ ->
     let drbg = Drbg.create ~seed:("zkqac-system:" ^ seed) in
     let abs_msk, abs_mvk = Abs.setup drbg in
     let cpabe_mk, cpabe_pp = Cpabe.setup drbg in

@@ -84,15 +84,41 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 
-  let prove ~pmap ctx ~t0 ~visited ~direct jobs =
+  let prove ~pmap ctx ~t0 ~visited slots =
+    let jobs = List.filter_map Either.find_right slots in
     let relaxed = Trace.with_span "sp.relax" ~parent:ctx (fun _ -> pmap jobs) in
-    let vo = direct @ relaxed in
+    (* Put each relaxed entry back into its job's slot. *)
+    let vo, _ =
+      List.fold_left
+        (fun (vo, relaxed) -> function
+          | Either.Left e -> (e :: vo, relaxed)
+          | Either.Right _ -> (List.hd relaxed :: vo, List.tl relaxed))
+        ([], relaxed) slots
+    in
+    let vo = List.rev vo in
     let relax_calls = List.length jobs in
     Trace.set_attrs ctx
       [ ("nodes_visited", Trace.Int visited);
         ("relax_calls", Trace.Int relax_calls);
         ("vo_entries", Trace.Int (List.length vo)) ];
     (vo, { relax_calls; nodes_visited = visited; sp_time = Clock.elapsed_since t0 })
+
+  (* An APS entry's structure check and signature claim; [Vo.verify] and
+     [Join.verify] both check their inaccessible entries here. *)
+  let aps_claim binding ~super_policy entry =
+    let claim msg sigma =
+      Ok { Abs.msg; policy = super_policy; sigma; blame = Zkqac_util.Verify_error.as_aps }
+    in
+    match entry with
+    | Accessible _ -> Error (Invalid_shape "accessible entry in an APS slot")
+    | Inaccessible_leaf { region; key; value_hash; aps } ->
+      if binding = `Plain && not (Box.equal region (Box.of_point key)) then
+        (* Under [`Plain] the message does not bind the region, so the
+           region is pinned to the key's unit cell structurally: a widened
+           region could otherwise mask dropped rows in a coverage check. *)
+        Error (Bad_aps_policy "inaccessible leaf region is not the key's unit cell")
+      else claim (leaf_message binding ~region ~key ~value_hash) aps
+    | Inaccessible_node { region; aps } -> claim (node_aps_message ~region) aps
 
   let verify ?(clip = false) ?batch ~mvk ~binding ~super_policy ~user ~query vo =
     Trace.with_span "client.verify"
@@ -118,8 +144,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
        so the batched and unbatched paths stop at the same check; the
        signature claims the entries make go to one [Abs.check] after. *)
     let claims = ref [] in
-    let claim blame msg policy sigma =
-      claims := { Abs.msg; policy; sigma; blame } :: !claims;
+    let push c =
+      claims := c :: !claims;
       Ok ()
     in
     let check_entry entry =
@@ -134,18 +160,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         else if not (Expr.eval record.Record.policy user) then
           fail (Policy_not_satisfied record.Record.key)
         else
-          claim Fun.id
-            (leaf_message binding ~region ~key:record.Record.key
-               ~value_hash:(Record.value_hash record.Record.value))
-            record.Record.policy app
-      | Inaccessible_leaf { region; key; value_hash; aps } ->
-        if binding = `Plain && not (Box.equal region (Box.of_point key)) then
-          fail (Bad_aps_policy "inaccessible leaf region is not the key's unit cell")
-        else
-          claim Zkqac_util.Verify_error.as_aps
-            (leaf_message binding ~region ~key ~value_hash) super_policy aps
-      | Inaccessible_node { region; aps } ->
-        claim Zkqac_util.Verify_error.as_aps (node_aps_message ~region) super_policy aps
+          push
+            { Abs.msg =
+                leaf_message binding ~region ~key:record.Record.key
+                  ~value_hash:(Record.value_hash record.Record.value);
+              policy = record.Record.policy;
+              sigma = app;
+              blame = Fun.id }
+      | Inaccessible_leaf _ | Inaccessible_node _ ->
+        Result.fold ~ok:push ~error:fail (aps_claim binding ~super_policy entry)
     in
     let* () =
       List.fold_left

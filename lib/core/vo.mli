@@ -101,17 +101,24 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 
   val prove :
-    pmap:((unit -> entry) list -> entry list) ->
+    pmap:((unit -> 'e) list -> 'e list) ->
     Zkqac_telemetry.Trace.ctx ->
     t0:int64 ->
     visited:int ->
-    direct:entry list ->
-    (unit -> entry) list ->
-    t * query_stats
-  (** The common end of every index walk: runs the relax jobs under an
-      [sp.relax] span with [pmap], sets the [nodes_visited], [relax_calls]
-      and [vo_entries] attributes on [ctx], and returns the [direct] entries
-      followed by the relaxed ones. [sp_time] runs from [t0]. *)
+    ('e, unit -> 'e) Either.t list ->
+    'e list * query_stats
+  (** The common end of every index walk. The walk hands over its entries
+      in order, each slot a finished entry or a relax thunk; [prove] runs
+      the thunks under an [sp.relax] span with [pmap], sets the
+      [nodes_visited], [relax_calls] and [vo_entries] attributes on [ctx],
+      and returns the entries in slot order. [sp_time] runs from [t0]. *)
+
+  val aps_claim :
+    binding -> super_policy:Zkqac_policy.Expr.t -> entry -> (Abs.claim, error) result
+  (** The check {!verify} makes of an APS entry: under [`Plain] an
+      inaccessible leaf's region must be its key's unit cell; the claim is
+      the entry's message and signature under [super_policy]. An
+      [Accessible] entry is [Invalid_shape]. *)
 
   val verify :
     ?clip:bool ->
@@ -139,6 +146,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   val to_bytes : t -> string
   val of_bytes : string -> t option
+
+  val put_entry : Zkqac_util.Wire.writer -> entry -> unit
+  val get_entry : Zkqac_util.Wire.reader -> entry
+  (** One entry of {!to_bytes}, for codecs that embed VO entries. *)
 
   val decode :
     ?limits:Zkqac_util.Wire.limits ->

@@ -21,7 +21,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     (enc, mac)
 
   let seal drbg pp ~policy payload =
-    Zkqac_telemetry.Telemetry.span "envelope.seal" (fun () ->
+    Zkqac_telemetry.Trace.with_span "envelope.seal" (fun _ ->
         let m = C.random_message drbg pp in
         let kem = C.encrypt drbg pp m ~policy in
         let enc_key, mac_key = keys_of_element m in
@@ -31,7 +31,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         { kem; nonce; body; tag })
 
   let open_result pp sk sealed =
-    Zkqac_telemetry.Telemetry.span "envelope.open" (fun () ->
+    Zkqac_telemetry.Trace.with_span "envelope.open" (fun _ ->
         match C.decrypt pp sk sealed.kem with
         | None ->
           Error

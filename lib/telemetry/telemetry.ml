@@ -83,7 +83,6 @@ let get c = Atomic.get counters.(index c)
 type span_stat = { calls : int; seconds : float }
 
 let now_ns () = Monotonic_clock.now_ns ()
-let span name f = Trace.with_span name (fun _ -> f ())
 
 (* --- snapshots --- *)
 

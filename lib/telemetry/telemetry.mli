@@ -61,16 +61,6 @@ val bump : counter -> unit
 
 val bump_n : counter -> int -> unit
 
-val span : string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f], attributing its wall time (monotonic clock) to
-    [name]. Time is recorded even if [f] raises. Every close makes one
-    {!Stage.note}, so spans with the same name accumulate in the per-stage
-    table that {!snapshot} reports. [span] is implemented on
-    {!Trace.with_span}, so when tracing is enabled the same call
-    additionally records a hierarchical span (parented to the innermost
-    open span of this domain). When both telemetry and tracing are
-    disabled, [span] costs what a disabled {!Trace.with_span} costs. *)
-
 val now_ns : unit -> int64
 (** The monotonic clock used by spans, in nanoseconds. *)
 

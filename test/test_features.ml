@@ -257,6 +257,41 @@ let test_two_faults_join () =
   check_same_error "join" (Vo.Policy_not_satisfied [| 12 |])
     (verify_join (tampered_join ~fault:true))
 
+(* [Join.verify] checks every APS entry under the plain super policy of one
+   universe and pairs leaves cell by cell, so [join_vo] refuses trees it
+   could not answer for: a role hierarchy, a different keyspace shape with
+   the same number of leaves, a different universe. *)
+let test_join_preconditions () =
+  let drbg = Drbg.create ~seed:"join-preconditions" in
+  let universe_h = Universe.create [ "RoleA"; "RoleA.P"; "RoleA.S"; "RoleB" ] in
+  let sk_h = Abs.keygen drbg msk (Universe.attrs universe_h) in
+  let hierarchy = Zkqac_policy.Hierarchy.create [ ("RoleA.P", "RoleA"); ("RoleA.S", "RoleA") ] in
+  let records specs =
+    List.map
+      (fun (k, p) -> Record.make ~key:[| k |] ~value:"v" ~policy:(Expr.of_string p))
+      specs
+  in
+  let r_h =
+    Ap2g.build drbg ~mvk ~sk:sk_h ~space:space1 ~universe:universe_h ~hierarchy
+      ~pseudo_seed:"rh" (records [ (1, "RoleA.P"); (3, "RoleB"); (5, "RoleA") ])
+  in
+  let s_plain =
+    Ap2g.build drbg ~mvk ~sk:sk_h ~space:space1 ~universe:universe_h ~pseudo_seed:"sh"
+      (records [ (1, "RoleA.P"); (5, "RoleB") ])
+  in
+  let s_2d =
+    Ap2g.build drbg ~mvk ~sk ~space:(Keyspace.create ~dims:2 ~depth:2) ~universe
+      ~pseudo_seed:"s2" []
+  in
+  let rejects what ~r ~s =
+    Alcotest.check_raises what (Invalid_argument ("Join.join_vo: " ^ what)) (fun () ->
+        ignore (Join.join_vo drbg ~mvk ~r ~s ~user:(attrs [ "RoleA.P" ]) join_query))
+  in
+  rejects "tree built with a role hierarchy" ~r:r_h ~s:s_plain;
+  rejects "tree built with a role hierarchy" ~r:s_plain ~s:r_h;
+  rejects "trees over different keyspaces" ~r:r_tree ~s:s_2d;
+  rejects "trees over different universes" ~r:r_tree ~s:s_plain
+
 let cont =
   Cont.build drbg ~mvk ~sk ~universe
     (List.map
@@ -501,6 +536,8 @@ let suite =
         Alcotest.test_case "batched VO verify" `Quick test_batched_vo_verify;
         Alcotest.test_case "two faults: range" `Quick test_two_faults_range;
         Alcotest.test_case "two faults: join" `Quick test_two_faults_join;
+        Alcotest.test_case "join rejects trees it cannot verify" `Quick
+          test_join_preconditions;
         Alcotest.test_case "two faults: continuous" `Quick test_two_faults_continuous;
         Alcotest.test_case "batch fallback counted" `Quick test_fallback_counted;
         Alcotest.test_case "one batch per policy" `Quick test_batches_per_policy;

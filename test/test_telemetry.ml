@@ -3,6 +3,7 @@
    instrumented backend wrapper attributes group ops correctly. *)
 
 module T = Zkqac_telemetry.Telemetry
+module Trace = Zkqac_telemetry.Trace
 module Json = Zkqac_telemetry.Json
 module Drbg = Zkqac_hashing.Drbg
 
@@ -29,7 +30,7 @@ let test_span_accumulates () =
   T.with_enabled (fun () ->
       let before = T.snapshot () in
       for _ = 1 to 4 do
-        T.span "test.stage" (fun () -> ignore (Sys.opaque_identity 42))
+        Trace.with_span "test.stage" (fun _ -> ignore (Sys.opaque_identity 42))
       done;
       let cost = T.diff ~earlier:before ~later:(T.snapshot ()) in
       match List.assoc_opt "test.stage" (T.spans cost) with
@@ -41,7 +42,7 @@ let test_span_accumulates () =
 let test_span_on_exception () =
   T.with_enabled (fun () ->
       let before = T.snapshot () in
-      (try T.span "test.raise" (fun () -> failwith "x") with Failure _ -> ());
+      (try Trace.with_span "test.raise" (fun _ -> failwith "x") with Failure _ -> ());
       let cost = T.diff ~earlier:before ~later:(T.snapshot ()) in
       match List.assoc_opt "test.raise" (T.spans cost) with
       | None -> Alcotest.fail "span lost on exception"
@@ -70,7 +71,7 @@ let test_json_shape () =
   T.with_enabled (fun () ->
       let before = T.snapshot () in
       T.bump T.Abs_sign;
-      T.span "test.json" (fun () -> ());
+      Trace.with_span "test.json" (fun _ -> ());
       let cost = T.diff ~earlier:before ~later:(T.snapshot ()) in
       match T.to_json cost with
       | Json.Obj [ ("ops", Json.Obj ops); ("spans", Json.Obj spans) ] ->

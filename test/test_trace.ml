@@ -378,6 +378,92 @@ let test_root_and_close_hook () =
         o.Trace.span_id i.Trace.span_root)
     inners
 
+(* --- the join's prover path --- *)
+
+module Join = Zkqac_core.Join.Make (Backend)
+module Telemetry = Zkqac_telemetry.Telemetry
+
+let join_vo () =
+  let drbg = Drbg.create ~seed:"trace-join" in
+  let msk, mvk = Abs.setup drbg in
+  let universe = Universe.create [ "RoleA"; "RoleB" ] in
+  let sk = Abs.keygen drbg msk (Universe.attrs universe) in
+  let space = Keyspace.create ~dims:1 ~depth:3 in
+  let tree seed specs =
+    Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:seed
+      (List.map
+         (fun (k, p) -> Record.make ~key:[| k |] ~value:"v" ~policy:(Expr.of_string p))
+         specs)
+  in
+  let r = tree "r" [ (1, "RoleA"); (3, "RoleB"); (5, "RoleA") ] in
+  let s = tree "s" [ (1, "RoleA"); (5, "RoleB") ] in
+  Join.join_vo drbg ~mvk ~r ~s ~user:(Attr.set_of_list [ "RoleA" ]) (Keyspace.whole space)
+
+(* A join relaxes inside one [sp.relax] under its [sp.query], like every
+   other query type. *)
+let test_join_relax_span () =
+  Trace.enable ();
+  Fun.protect ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let _, st = join_vo () in
+  Trace.disable ();
+  Alcotest.(check bool) "join relaxed something" true (st.Join.relax_calls > 0);
+  let spans = Trace.spans () in
+  let named name = List.filter (fun (s : Trace.info) -> s.Trace.span_name = name) spans in
+  let query =
+    match named "sp.query" with
+    | [ q ] -> q
+    | l -> Alcotest.failf "expected one sp.query, got %d" (List.length l)
+  in
+  let relax =
+    match
+      List.filter (fun (s : Trace.info) -> s.Trace.span_parent = query.Trace.span_id)
+        (named "sp.relax")
+    with
+    | [ r ] -> r
+    | l -> Alcotest.failf "expected one sp.relax under sp.query, got %d" (List.length l)
+  in
+  let rec under (s : Trace.info) =
+    s.Trace.span_parent = relax.Trace.span_id
+    || (s.Trace.span_parent <> 0
+        && under (List.find (fun (p : Trace.info) -> p.Trace.span_id = s.Trace.span_parent) spans))
+  in
+  Alcotest.(check (option int)) "relax_calls attribute" (Some st.Join.relax_calls)
+    (match List.assoc_opt "relax_calls" query.Trace.span_attrs with
+     | Some (Trace.Int n) -> Some n
+     | _ -> None);
+  Alcotest.(check int) "abs.relax spans under sp.relax" st.Join.relax_calls
+    (List.length (List.filter under (named "abs.relax")))
+
+(* Encoding or decoding a join VO is one [vo.encode] or [vo.decode], however
+   many side entries it embeds. *)
+let test_join_codec_one_span () =
+  let vo, _ = join_vo () in
+  let sides =
+    List.length
+      (List.filter (function Join.R_side _ | Join.S_side _ -> true | Join.Pair _ -> false) vo)
+  in
+  Alcotest.(check bool) "at least two side entries" true (sides >= 2);
+  Telemetry.with_enabled @@ fun () ->
+  let calls name f =
+    let before = Telemetry.snapshot () in
+    let v = f () in
+    let cost = Telemetry.diff ~earlier:before ~later:(Telemetry.snapshot ()) in
+    ( v,
+      match List.assoc_opt name (Telemetry.spans cost) with
+      | Some st -> st.Telemetry.calls
+      | None -> 0 )
+  in
+  let bytes, encodes = calls "vo.encode" (fun () -> Join.to_bytes vo) in
+  Alcotest.(check int) "one vo.encode" 1 encodes;
+  let decoded, decodes = calls "vo.decode" (fun () -> Join.decode bytes) in
+  Alcotest.(check int) "one vo.decode" 1 decodes;
+  match decoded with
+  | Ok vo' -> Alcotest.(check string) "round trip" bytes (Join.to_bytes vo')
+  | Error e -> Alcotest.failf "decode: %s" (Zkqac_util.Verify_error.to_string e)
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "histogram bucket boundaries" `Quick
@@ -390,6 +476,8 @@ let suite =
         Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "ZKQAC_DOMAINS validation" `Quick test_pool_size_env;
         Alcotest.test_case "golden query trace" `Quick test_query_trace;
+        Alcotest.test_case "join relaxes under one sp.relax" `Quick test_join_relax_span;
+        Alcotest.test_case "join codec is one span" `Quick test_join_codec_one_span;
         Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;
         Alcotest.test_case "span_root and close hook" `Quick
           test_root_and_close_hook ] )
