@@ -656,7 +656,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     let vo_n, st_n = Dup.range_vo drbg ~mvk n_tree ~user query in
     let res_n, u_n = Pool.time (fun () ->
-        Dup.verify ~mvk ~t_universe:universe ~user ~query vo_n) in
+        Dup.verify ~mvk ~space ~t_universe:universe ~user ~query vo_n) in
     (* Basic on the lifted space. *)
     let flat = Equality.of_ap2g z_tree in
     let vo_b, st_b = Equality.range_vo drbg ~mvk flat ~user z_query in
@@ -676,7 +676,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           Report.mb (z_stats.Ap2g.structure_bytes + z_stats.Ap2g.signature_bytes);
           Report.ms st_z.Ap2g.sp_time; Report.ms u_z; Report.kb (Vo.size vo_z) ];
         [ "AP2G (non-ZK, embedded)"; Report.s n_build; "-";
-          Report.ms st_n.Ap2g.sp_time; Report.ms u_n; Report.kb (Dup.size vo_n) ];
+          Report.ms st_n.Ap2g.sp_time; Report.ms u_n; Report.kb (Vo.size vo_n) ];
         [ "Basic (ZK)"; Report.s z_build; "-";
           Report.ms st_b.Ap2g.sp_time; Report.ms u_b; Report.kb (Vo.size vo_b) ];
       ]

@@ -48,7 +48,7 @@ let () =
 
   let scan name user lo hi =
     let user = Attr.set_of_list user in
-    let vo = Cont.range_vo drbg ~mvk log ~user ~lo ~hi in
+    let vo, _ = Cont.range_vo drbg ~mvk log ~user ~lo ~hi in
     match Cont.verify_range ~mvk ~t_universe:universe ~user ~lo ~hi vo with
     | Error e ->
       Printf.printf "%-22s [%d, %d] VERIFY FAILED: %s\n" name lo hi
@@ -56,7 +56,8 @@ let () =
       exit 1
     | Ok events ->
       let gaps =
-        List.length (List.filter (function Cont.Gap _ -> true | _ -> false) vo)
+        List.length
+          (List.filter (function Vo.Inaccessible_node _ -> true | _ -> false) vo)
       in
       Printf.printf "%-22s [%d, %d]: %d readable event(s), %d entries (%d gap proofs)\n"
         name lo hi (List.length events) (List.length vo) gaps;
@@ -72,9 +73,9 @@ let () =
   (* Equality probe in a gap: the signed region proves "no event here". *)
   let user = Attr.Set.singleton "Operator" in
   (match Cont.equality_vo drbg ~mvk log ~user 1_700_005_000 with
-   | Cont.Gap { lo = Some lo; hi = Some hi; _ } ->
+   | Vo.Inaccessible_node { region; _ } ->
      Printf.printf
        "\npoint lookup t=1700005000: proven empty, gap (%d, %d) disclosed (relaxed model)\n"
-       lo hi
+       (region.lo.(0) - 1) region.hi.(0)
    | _ -> failwith "expected a gap proof");
   print_endline "continuous_timeseries OK"

@@ -1,7 +1,9 @@
 module Expr = Zkqac_policy.Expr
 module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
-module Sha256 = Zkqac_hashing.Sha256
+module Trace = Zkqac_telemetry.Trace
+module Clock = Zkqac_telemetry.Monotonic_clock
+module Wire = Zkqac_util.Wire
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -9,13 +11,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let pseudo_policy = Expr.Leaf Attr.pseudo_role
 
-  let bound_str = function None -> "inf" | Some v -> string_of_int v
-
-  let gap_message ~lo ~hi =
-    Sha256.digest_list [ "zkqac-gap"; bound_str lo; bound_str hi ]
-
   type signed_record = { record : Record.t; app : Abs.signature }
-  type signed_gap = { lo : int option; hi : int option; gap_app : Abs.signature }
+  type signed_gap = { region : Box.t; gap_app : Abs.signature }
 
   type t = {
     universe : Universe.t;
@@ -23,18 +20,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     gaps : signed_gap array;        (* gaps.(i) precedes records.(i); last gap after *)
   }
 
-  type entry =
-    | Rec_accessible of { record : Record.t; app : Abs.signature }
-    | Rec_inaccessible of { key : int; value_hash : string; aps : Abs.signature }
-    | Gap of { lo : int option; hi : int option; aps : Abs.signature }
-
-  type vo = entry list
+  let key_of sr = sr.record.Record.key.(0)
 
   let build drbg ~mvk ~sk ~universe records =
     List.iter
       (fun (r : Record.t) ->
         if Array.length r.Record.key <> 1 then
-          invalid_arg "Continuous.build: need 1-D keys")
+          invalid_arg "Continuous.build: need 1-D keys";
+        if r.Record.key.(0) < 0 || r.Record.key.(0) >= Wire.max_u32 then
+          invalid_arg "Continuous.build: key outside [0, 2^32 - 1)")
       records;
     let sorted =
       List.sort_uniq
@@ -52,142 +46,77 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            sorted)
     in
     let n = Array.length signed in
-    let gap_bounds i =
-      let lo = if i = 0 then None else Some signed.(i - 1).record.Record.key.(0) in
-      let hi = if i = n then None else Some signed.(i).record.Record.key.(0) in
-      (lo, hi)
-    in
+    (* Gap i is the half-open box [key(i-1) + 1, key(i)). The VO codec
+       writes coordinates as u32, so 0 and [Wire.max_u32] stand for the
+       infinite ends. *)
     let gaps =
       Array.init (n + 1) (fun i ->
-          let lo, hi = gap_bounds i in
-          { lo; hi;
-            gap_app = Abs.sign drbg mvk sk ~msg:(gap_message ~lo ~hi) ~policy:pseudo_policy })
+          let lo = if i = 0 then 0 else key_of signed.(i - 1) + 1 in
+          let hi = if i = n then Wire.max_u32 else key_of signed.(i) in
+          let region = Box.make ~lo:[| lo |] ~hi:[| hi |] in
+          let msg = Record.node_message region in
+          { region; gap_app = Abs.sign drbg mvk sk ~msg ~policy:pseudo_policy })
     in
     { universe; records = signed; gaps }
 
   let num_signatures t = Array.length t.records + Array.length t.gaps
 
-  let keep_of t ~user = Expr.attrs (Universe.super_policy t.universe ~user)
-
-  let record_entry drbg ~mvk ~keep ~user (sr : signed_record) =
-    let r = sr.record in
-    if Expr.eval r.Record.policy user then Rec_accessible { record = r; app = sr.app }
-    else begin
-      let value_hash = Record.value_hash r.Record.value in
-      let aps =
-        Vo.relax drbg ~mvk ~keep
-          ~msg:(Record.message ~key:r.Record.key ~value_hash)
-          ~policy:r.Record.policy sr.app
-      in
-      Rec_inaccessible { key = r.Record.key.(0); value_hash; aps }
-    end
-
-  let gap_entry drbg ~mvk ~keep (g : signed_gap) =
-    let aps =
-      Vo.relax drbg ~mvk ~keep ~msg:(gap_message ~lo:g.lo ~hi:g.hi)
-        ~policy:pseudo_policy g.gap_app
+  (* The entries [query] meets, as [Vo.prove] slots: its records in key
+     order, then its non-empty gaps. Records i0 .. i1 - 1 lie in the query,
+     and only gaps i0 .. i1 can meet it. *)
+  let walk drbg ~mvk t ~user query =
+    let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
+    (* The first record from [a] on whose key is at least [k]. *)
+    let rec first k a b =
+      if a >= b then a
+      else
+        let mid = (a + b) / 2 in
+        if key_of t.records.(mid) < k then first k (mid + 1) b else first k a mid
     in
-    Gap { lo = g.lo; hi = g.hi; aps }
+    let n = Array.length t.records in
+    let i0 = first query.Box.lo.(0) 0 n in
+    let i1 = first query.Box.hi.(0) i0 n in
+    let record_slot { record; app } =
+      let region = Box.of_point record.Record.key in
+      if Expr.eval record.Record.policy user then
+        Either.Left (Vo.Accessible { region; record; app })
+      else
+        Either.Right
+          (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:record.Record.policy app
+             (Vo.Leaf { region; record }))
+    in
+    let records = List.init (i1 - i0) (fun k -> record_slot t.records.(i0 + k)) in
+    let gaps =
+      List.filter_map
+        (fun { region; gap_app } ->
+          if Box.intersects query region then
+            Some
+              (Either.Right
+                 (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:pseudo_policy gap_app
+                    (Vo.Node region)))
+          else None)
+        (Array.to_list (Array.sub t.gaps i0 (i1 - i0 + 1)))
+    in
+    records @ gaps
 
   let equality_vo drbg ~mvk t ~user key =
-    let keep = keep_of t ~user in
-    let n = Array.length t.records in
-    let rec bsearch lo hi =
-      if lo >= hi then None
-      else begin
-        let mid = (lo + hi) / 2 in
-        let k = t.records.(mid).record.Record.key.(0) in
-        if k = key then Some mid
-        else if k < key then bsearch (mid + 1) hi
-        else bsearch lo mid
-      end
-    in
-    match bsearch 0 n with
-    | Some i -> record_entry drbg ~mvk ~keep ~user t.records.(i)
-    | None ->
-      (* Find the gap containing the key. *)
-      let idx = ref 0 in
-      while
-        !idx < n && t.records.(!idx).record.Record.key.(0) < key
-      do
-        incr idx
-      done;
-      gap_entry drbg ~mvk ~keep t.gaps.(!idx)
+    (* A key in the domain is either a record or inside exactly one gap. *)
+    match walk drbg ~mvk t ~user (Box.of_point [| key |]) with
+    | [ Either.Left entry ] -> entry
+    | [ Either.Right job ] -> job ()
+    | _ -> invalid_arg "Continuous.equality_vo: key outside [0, 2^32 - 1)"
 
   let range_vo drbg ~mvk t ~user ~lo ~hi =
-    let keep = keep_of t ~user in
-    let out = ref [] in
-    Array.iter
-      (fun (sr : signed_record) ->
-        let k = sr.record.Record.key.(0) in
-        if k >= lo && k <= hi then
-          out := record_entry drbg ~mvk ~keep ~user sr :: !out)
-      t.records;
-    Array.iter
-      (fun (g : signed_gap) ->
-        (* The open interval (g.lo, g.hi) intersects [lo, hi]? *)
-        let glo = match g.lo with None -> min_int | Some v -> v in
-        let ghi = match g.hi with None -> max_int | Some v -> v in
-        if glo < hi && ghi > lo && glo + 1 <= ghi - 1 && glo + 1 <= hi && ghi - 1 >= lo
-        then out := gap_entry drbg ~mvk ~keep g :: !out)
-      t.gaps;
-    List.rev !out
+    Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "continuous.range") ]
+    @@ fun ctx ->
+    let t0 = Clock.now_ns () in
+    let slots = walk drbg ~mvk t ~user (Box.of_range ~alpha:[| lo |] ~beta:[| hi |]) in
+    let visited = List.length slots in
+    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited slots
 
   let verify_range ?batch ~mvk ~t_universe ~user ~lo ~hi vo =
-    let ( let* ) = Result.bind in
     let super_policy = Universe.super_policy t_universe ~user in
-    (* Completeness: points and open gaps must cover every integer of
-       [lo, hi]. Collect covered intervals and sweep. *)
-    let intervals =
-      List.filter_map
-        (fun e ->
-          match e with
-          | Rec_accessible { record; _ } ->
-            Some (record.Record.key.(0), record.Record.key.(0))
-          | Rec_inaccessible { key; _ } -> Some (key, key)
-          | Gap { lo = glo; hi = ghi; _ } ->
-            let a = match glo with None -> min_int / 2 | Some v -> v + 1 in
-            let b = match ghi with None -> max_int / 2 | Some v -> v - 1 in
-            if a > b then None else Some (a, b))
-        vo
-      |> List.sort compare
-    in
-    let rec sweep pos = function
-      | [] -> pos > hi
-      | (a, b) :: rest ->
-        if a > pos then false
-        else sweep (max pos (if b = max_int then b else b + 1)) rest
-    in
-    let* () = if sweep lo intervals then Ok () else Error Vo.Completeness_gap in
-    (* Soundness: structure first, signatures after, as in [Vo.verify]. *)
-    let claims = ref [] in
-    let claim what msg policy sigma =
-      claims := { Abs.msg; policy; sigma; blame = (fun _ -> what) } :: !claims;
-      Ok ()
-    in
-    let check entry =
-      match entry with
-      | Rec_accessible { record; app } ->
-        if record.Record.key.(0) < lo || record.Record.key.(0) > hi then
-          Error (Vo.Record_outside_query record.Record.key)
-        else if not (Expr.eval record.Record.policy user) then
-          Error (Vo.Policy_not_satisfied record.Record.key)
-        else
-          claim (Vo.Bad_abs_signature "continuous record APP")
-            (Record.message_of record) record.Record.policy app
-      | Rec_inaccessible { key; value_hash; aps } ->
-        claim (Vo.Bad_aps_signature "continuous record APS")
-          (Record.message ~key:[| key |] ~value_hash) super_policy aps
-      | Gap { lo = glo; hi = ghi; aps } ->
-        claim (Vo.Bad_aps_signature "continuous gap APS")
-          (gap_message ~lo:glo ~hi:ghi) super_policy aps
-    in
-    let* () =
-      List.fold_left (fun acc e -> Result.bind acc (fun () -> check e)) (Ok ()) vo
-    in
-    let* () = Abs.check ?batch mvk (List.rev !claims) in
-    Ok
-      (List.filter_map
-         (function Rec_accessible { record; _ } -> Some record | _ -> None)
-         vo)
+    Vo.verify ~clip:true ?batch ~mvk ~binding:`Plain ~super_policy ~user
+      ~query:(Box.of_range ~alpha:[| lo |] ~beta:[| hi |])
+      vo
 end

@@ -8,10 +8,10 @@
       the whole virtual axis. Everything then runs on the ordinary AP²G-tree
       with distinct keys, and nothing about the duplicate distribution
       leaks.
-    - {b non-ZK} ([`embedded`]): keep the base keyspace and embed
-      [dup_num | dup_id] into every APP message, so completeness per key is
-      checked against the authenticated duplicate count. Cheaper, but the
-      duplicate distribution is disclosed. *)
+    - {b non-ZK} ([`embedded`]): keep a grid tree over the base keyspace
+      whose leaves hold each key's duplicates, and authenticate the
+      duplicate count per key. Cheaper, but the duplicate distribution is
+      disclosed. *)
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   module Abs : module type of Zkqac_abs.Abs.Make (P)
@@ -37,29 +37,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val strip_key : int array -> int array
   (** Drop the virtual coordinate of a result key. *)
 
-  (** {1 Non-ZK treatment: embedded duplicate counts} *)
+  (** {1 Non-ZK treatment: embedded duplicate counts}
+
+      The VO is a {!Vo.Make.t} under [`Boxed] binding over the lifted
+      space. Duplicate [id] of a key with [n] duplicates is the leaf at
+      key ++ [id] on its unit cell, except that the last one's region runs
+      [n - 1, side) along the virtual axis. Each leaf message binds its
+      region, so a key's regions tile the virtual axis only when no
+      duplicate is missing or added; the regions disclose the count per
+      key, as dup_num | dup_id would. Tree nodes sign the message of their
+      lifted box. *)
 
   type t
-
-  type entry =
-    | Dup_accessible of {
-        key : int array;
-        dup_num : int;
-        dup_id : int;
-        value : string;
-        policy : Zkqac_policy.Expr.t;
-        app : Abs.signature;
-      }
-    | Dup_inaccessible of {
-        key : int array;
-        dup_num : int;
-        dup_id : int;
-        value_hash : string;
-        aps : Abs.signature;
-      }
-    | Cell_inaccessible of { region : Box.t; aps : Abs.signature }
-
-  type vo = entry list
 
   val build :
     Zkqac_hashing.Drbg.t ->
@@ -70,7 +59,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     pseudo_seed:string ->
     Record.t list ->
     t
-  (** Grid tree over the base space whose leaves hold duplicate groups. *)
+  (** Grid tree over the base space whose leaves hold duplicate groups.
+      @raise Invalid_argument if some key has more duplicates than the
+      virtual axis can hold ([Keyspace.side space]). *)
 
   val range_vo :
     Zkqac_hashing.Drbg.t ->
@@ -78,15 +69,18 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     t ->
     user:Zkqac_policy.Attr.Set.t ->
     Box.t ->
-    vo * Vo.Make(P).query_stats
+    Vo.Make(P).t * Vo.Make(P).query_stats
+  (** The VO for a base-space query box. *)
 
   val verify :
     mvk:Abs.mvk ->
+    space:Keyspace.t ->
     t_universe:Zkqac_policy.Universe.t ->
     user:Zkqac_policy.Attr.Set.t ->
     query:Box.t ->
-    vo ->
+    Vo.Make(P).t ->
     (Record.t list, Vo.Make(P).error) result
-
-  val size : vo -> int
+  (** {!Vo.Make.verify} over the base-space [query] lifted over the virtual
+      axis of [space] (the base keyspace [build] took); result keys are
+      stripped back to the base space. *)
 end

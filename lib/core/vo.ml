@@ -155,8 +155,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         then fail (Bad_abs_signature "accessible region is not the record's unit cell")
         else if not (Box.contains_point region record.Record.key) then
           fail (Bad_abs_signature "accessible key outside its region")
-        else if (not clip) && not (Box.contains_point query record.Record.key) then
-          fail (Record_outside_query record.Record.key)
+        else if
+          not
+            (if clip then Box.intersects query region
+             else Box.contains_point query record.Record.key)
+        then fail (Record_outside_query record.Record.key)
         else if not (Expr.eval record.Record.policy user) then
           fail (Policy_not_satisfied record.Record.key)
         else

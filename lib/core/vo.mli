@@ -66,18 +66,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       Every SP query builder makes its APS entries here, so the message an
       entry signs is chosen by the same module on both sides. *)
 
-  val relax :
-    Zkqac_hashing.Drbg.t ->
-    mvk:Abs.mvk ->
-    keep:Zkqac_policy.Attr.Set.t ->
-    msg:string ->
-    policy:Zkqac_policy.Expr.t ->
-    Abs.signature ->
-    Abs.signature
-  (** ABS.Relax of a signature over [msg] under [policy] to the super
-      policy over [keep]. Raises [Invalid_argument] when the relaxation is
-      impossible, which a well-formed ADS never asks for. *)
-
   (** What an APS entry accounts for: one leaf (a real or pseudo record in
       its region) or one whole subtree. *)
   type shape = Leaf of { region : Box.t; record : Record.t } | Node of Box.t
@@ -139,7 +127,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       the signatures then go to {!Abs.check} in one call, with [batch]
       passed through (APS signatures batch under the super policy, APP
       signatures by record policy). The returned typed error (and exit
-      code) is the same with and without [batch]. *)
+      code) is the same with and without [batch].
+
+      With [clip] (default [false]) the regions are first intersected with
+      the query, for trees whose regions are data-dependent and may spill
+      outside it; an [Accessible] entry must then meet the query, and only
+      its records inside the query are returned. Without [clip] every
+      accessible record must lie inside the query. Either way a violation
+      is [Record_outside_query]. *)
 
   val size : t -> int
   (** Serialized size in bytes — the "VO size" metric of the paper. *)

@@ -528,6 +528,19 @@ let vo_digest (module P : Zkqac_group.Pairing_intf.PAIRING) ~depth which =
     let module Equality = Zkqac_core.Equality.Make (P) in
     let eq = Equality.of_ap2g tree in
     hex_digest (Vo.to_bytes [ Equality.query_vo q ~mvk eq ~user [| 2 |] ])
+  | `Continuous_range ->
+    let module Cont = Zkqac_core.Continuous.Make (P) in
+    let c = Cont.build (Drbg.create ~seed:"cont-golden") ~mvk ~sk ~universe records in
+    let hi = Keyspace.side space - 1 in
+    hex_digest (Vo.to_bytes (fst (Cont.range_vo q ~mvk c ~user ~lo:0 ~hi)))
+  | `Duplicates_range ->
+    let module Dup = Zkqac_core.Duplicates.Make (P) in
+    let d =
+      Dup.build (Drbg.create ~seed:"dup-golden") ~mvk ~sk ~space ~universe
+        ~pseudo_seed:"golden-d"
+        (records @ records_of [ (0, "vd", "RoleB"); (3, "ve", "RoleA") ])
+    in
+    hex_digest (Vo.to_bytes (fst (Dup.range_vo q ~mvk d ~user query)))
 
 let test_vo_golden (kind, depth, which, expected) () =
   Alcotest.(check string) "VO SHA-256" expected
@@ -565,5 +578,9 @@ let suite =
               ( "mock join", Mock, 3, `Join,
                 "e85dae9f9465bc59a427088b03e4b0e95cf3cdc99892e5fdbd63da4787eeb1a2" );
               ( "mock equality point", Mock, 3, `Equality_point,
-                "30fc2e2f61e6f771bfc16b664205cc3869b224e9643feb531740fec9e21eb5e7" ) ] );
+                "30fc2e2f61e6f771bfc16b664205cc3869b224e9643feb531740fec9e21eb5e7" );
+              ( "mock continuous range", Mock, 3, `Continuous_range,
+                "27686317b747fbf8ac776a8752dd2d45063e926154f6c34f4d00ea568ff31acf" );
+              ( "mock duplicates range", Mock, 3, `Duplicates_range,
+                "c93e19e35a7af7da7110458cab9b58e35f4970e741959e3f527da5d643bca771" ) ] );
   ]

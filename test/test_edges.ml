@@ -62,7 +62,9 @@ let test_build_validation () =
       Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"x" [ r [| 1 |] ]);
   expect_invalid "continuous duplicate" (fun () ->
       ignore
-        (Cont.build drbg ~mvk ~sk ~universe [ r [| 1 |]; r [| 1 |] ]))
+        (Cont.build drbg ~mvk ~sk ~universe [ r [| 1 |]; r [| 1 |] ]));
+  expect_invalid "continuous key outside the domain" (fun () ->
+      ignore (Cont.build drbg ~mvk ~sk ~universe [ r [| -1 |] ]))
 
 (* --- degenerate queries --- *)
 

@@ -89,13 +89,13 @@ let test_dup_nonzk () =
   List.iter
     (fun (user, expected) ->
       let vo, _ = Dup.range_vo drbg ~mvk t ~user query in
-      match Dup.verify ~mvk ~t_universe:universe ~user ~query vo with
+      match Dup.verify ~mvk ~space ~t_universe:universe ~user ~query vo with
       | Error e -> Alcotest.failf "dup verify: %s" (Vo.error_to_string e)
       | Ok results -> Alcotest.(check int) "dup results" expected (List.length results))
     [ (attrs [ "RoleA" ], 3) (* a0, a1, d0 *); (attrs [ "RoleB" ], 1);
       (attrs [ "RoleC" ], 1); (attrs [], 0) ];
   Alcotest.(check bool) "vo size positive" true
-    (Dup.size (fst (Dup.range_vo drbg ~mvk t ~user:(attrs [ "RoleA" ]) query)) > 0)
+    (Vo.size (fst (Dup.range_vo drbg ~mvk t ~user:(attrs [ "RoleA" ]) query)) > 0)
 
 let test_dup_nonzk_omission () =
   let space = Keyspace.create ~dims:2 ~depth:3 in
@@ -109,17 +109,46 @@ let test_dup_nonzk_omission () =
     List.filter
       (fun e ->
         match e with
-        | Dup.Dup_accessible { dup_num; _ } when dup_num > 1 && not !dropped ->
+        (* A unit-cell region is a duplicate that is not its key's last. *)
+        | Vo.Accessible { region; _ } when Box.volume region = 1 && not !dropped ->
           dropped := true;
           false
-        | Dup.Dup_accessible _ | Dup.Dup_inaccessible _ | Dup.Cell_inaccessible _ ->
-          true)
+        | Vo.Accessible _ | Vo.Inaccessible_leaf _ | Vo.Inaccessible_node _ -> true)
       vo
   in
   Alcotest.(check bool) "something dropped" true !dropped;
-  (match Dup.verify ~mvk ~t_universe:universe ~user ~query vo' with
+  (match Dup.verify ~mvk ~space ~t_universe:universe ~user ~query vo' with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "duplicate omission must be detected")
+
+(* A duplicate's region is bound in its leaf message. Stretching the first
+   duplicate at (1, 1) over the whole virtual axis and dropping the later
+   two still tiles the query, but its APP no longer verifies. *)
+let test_dup_nonzk_stretched () =
+  let space = Keyspace.create ~dims:2 ~depth:3 in
+  let t = Dup.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"dup4" dup_records in
+  let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
+  let user = attrs [ "RoleA" ] in
+  let at_11 e =
+    let region = Vo.entry_region e in
+    region.Box.lo.(0) = 1 && region.Box.lo.(1) = 1
+  in
+  let vo =
+    List.filter_map
+      (fun e ->
+        match e with
+        | Vo.Accessible ({ region; _ } as a) when at_11 e && region.Box.lo.(2) = 0 ->
+          let hi = [| 2; 2; Keyspace.side space |] in
+          Some (Vo.Accessible { a with region = Box.make ~lo:region.Box.lo ~hi })
+        | _ when at_11 e -> None
+        | _ -> Some e)
+      (fst (Dup.range_vo drbg ~mvk t ~user query))
+  in
+  Alcotest.(check int) "one entry left at (1, 1)" 1 (List.length (List.filter at_11 vo));
+  match Dup.verify ~mvk ~space ~t_universe:universe ~user ~query vo with
+  | Error (Vo.Bad_abs_signature _) -> ()
+  | Error e -> Alcotest.failf "unexpected: %s" (Vo.error_to_string e)
+  | Ok _ -> Alcotest.fail "stretched duplicate accepted"
 
 (* --- continuous attributes --- *)
 
@@ -137,7 +166,7 @@ let test_continuous_build () =
 let test_continuous_range () =
   List.iter
     (fun (user, lo, hi, expected) ->
-      let vo = Cont.range_vo drbg ~mvk cont ~user ~lo ~hi in
+      let vo, _ = Cont.range_vo drbg ~mvk cont ~user ~lo ~hi in
       match Cont.verify_range ~mvk ~t_universe:universe ~user ~lo ~hi vo with
       | Error e -> Alcotest.failf "cont verify [%d,%d]: %s" lo hi (Vo.error_to_string e)
       | Ok results ->
@@ -150,8 +179,8 @@ let test_continuous_range () =
 
 let test_continuous_omission () =
   let user = attrs [ "RoleA" ] in
-  let vo = Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:200 in
-  let dropped = List.filter (function Cont.Rec_accessible _ -> false | _ -> true) vo in
+  let vo, _ = Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:200 in
+  let dropped = List.filter (function Vo.Accessible _ -> false | _ -> true) vo in
   (match Cont.verify_range ~mvk ~t_universe:universe ~user ~lo:0 ~hi:200 dropped with
    | Error Vo.Completeness_gap -> ()
    | Error e -> Alcotest.failf "unexpected: %s" (Vo.error_to_string e)
@@ -160,18 +189,45 @@ let test_continuous_omission () =
 let test_continuous_equality () =
   let user = attrs [ "RoleA" ] in
   (match Cont.equality_vo drbg ~mvk cont ~user 10 with
-   | Cont.Rec_accessible { record; _ } ->
+   | Vo.Accessible { record; _ } ->
      Alcotest.(check string) "value" "x10" record.Record.value
    | _ -> Alcotest.fail "expected accessible");
   (match Cont.equality_vo drbg ~mvk cont ~user 25 with
-   | Cont.Rec_inaccessible _ -> ()
+   | Vo.Inaccessible_leaf _ -> ()
    | _ -> Alcotest.fail "expected inaccessible");
   (match Cont.equality_vo drbg ~mvk cont ~user 26 with
-   | Cont.Gap { lo = Some 25; hi = Some 30; _ } -> ()
+   | Vo.Inaccessible_node { region; _ }
+     when Box.equal region (Box.make ~lo:[| 26 |] ~hi:[| 30 |]) -> ()
    | _ -> Alcotest.fail "expected the (25,30) gap");
   match Cont.equality_vo drbg ~mvk cont ~user 1000 with
-  | Cont.Gap { lo = Some 100; hi = None; _ } -> ()
+  | Vo.Inaccessible_node { region; _ }
+    when Box.equal region (Box.make ~lo:[| 101 |] ~hi:[| Wire.max_u32 |]) -> ()
   | _ -> Alcotest.fail "expected the trailing gap"
+
+(* Continuous and embedded-duplicate VOs are [Vo.t]s: they round-trip
+   through the VO codec and still verify. *)
+let test_vo_codec_roundtrip () =
+  let roundtrip what vo verify =
+    let bytes = Vo.to_bytes vo in
+    match Vo.decode bytes with
+    | Error e -> Alcotest.failf "%s decode: %s" what (Vo.error_to_string e)
+    | Ok decoded ->
+      Alcotest.(check string) (what ^ " re-encodes") bytes (Vo.to_bytes decoded);
+      (match (verify vo, verify decoded) with
+       | Ok a, Ok b ->
+         Alcotest.(check int) (what ^ " results") (List.length a) (List.length b)
+       | _ -> Alcotest.failf "%s: verify failed" what)
+  in
+  let user = attrs [ "RoleA" ] in
+  roundtrip "continuous"
+    (fst (Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:200))
+    (Cont.verify_range ~mvk ~t_universe:universe ~user ~lo:0 ~hi:200);
+  let space = Keyspace.create ~dims:2 ~depth:3 in
+  let t = Dup.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"dup5" dup_records in
+  let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
+  roundtrip "duplicates"
+    (fst (Dup.range_vo drbg ~mvk t ~user query))
+    (Dup.verify ~mvk ~space ~t_universe:universe ~user ~query)
 
 (* --- parallel pool --- *)
 
@@ -310,10 +366,13 @@ let suite =
         Alcotest.test_case "dup lift (ZK)" `Quick test_dup_lift_roundtrip;
         Alcotest.test_case "dup non-ZK" `Quick test_dup_nonzk;
         Alcotest.test_case "dup non-ZK omission" `Quick test_dup_nonzk_omission;
+        Alcotest.test_case "dup non-ZK stretched region" `Quick test_dup_nonzk_stretched;
         Alcotest.test_case "continuous build" `Quick test_continuous_build;
         Alcotest.test_case "continuous range" `Quick test_continuous_range;
         Alcotest.test_case "continuous omission" `Quick test_continuous_omission;
         Alcotest.test_case "continuous equality" `Quick test_continuous_equality;
+        Alcotest.test_case "continuous and duplicate VO codec" `Quick
+          test_vo_codec_roundtrip;
         Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
         Alcotest.test_case "pool parallel relax" `Quick test_pool_parallel_relax;
         Alcotest.test_case "workload policies" `Quick test_workload_policies;

@@ -301,9 +301,9 @@ let cont =
 (* RoleA's [0, 200] VO lists records 10, 25 and 100, then the gaps; record
    10 gets record 100's APP. *)
 let tampered_cont () =
-  match Cont.range_vo drbg ~mvk cont ~user:(attrs [ "RoleA" ]) ~lo:0 ~hi:200 with
-  | Cont.Rec_accessible r10 :: r25 :: (Cont.Rec_accessible r100 as e100) :: gaps ->
-    Cont.Rec_accessible { r10 with app = r100.app } :: r25 :: e100 :: gaps
+  match fst (Cont.range_vo drbg ~mvk cont ~user:(attrs [ "RoleA" ]) ~lo:0 ~hi:200) with
+  | Vo.Accessible r10 :: r25 :: (Vo.Accessible r100 as e100) :: gaps ->
+    Vo.Accessible { r10 with app = r100.app } :: r25 :: e100 :: gaps
   | _ -> Alcotest.fail "unexpected continuous VO"
 
 let verify_cont ~hi vo ?batch () =
@@ -314,6 +314,45 @@ let verify_cont ~hi vo ?batch () =
 let test_two_faults_continuous () =
   check_same_error "continuous" (Vo.Record_outside_query [| 100 |])
     (verify_cont ~hi:99 (tampered_cont ()))
+
+(* A copy of the first entry of RoleA's honest [0, 30] VO overlaps the
+   original: the tiling rejects the VO rather than return record 10 twice. *)
+let test_continuous_duplicated_entry () =
+  let user = attrs [ "RoleA" ] in
+  let verify vo = Cont.verify_range ~mvk ~t_universe:universe ~user ~lo:0 ~hi:30 vo in
+  let vo = fst (Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:30) in
+  (match verify vo with
+   | Ok records -> Alcotest.(check int) "honest records" 1 (List.length records)
+   | Error e -> Alcotest.failf "honest VO: %s" (Vo.error_to_string e));
+  match verify (List.hd vo :: vo) with
+  | Error Vo.Completeness_gap -> ()
+  | Error e -> Alcotest.failf "unexpected: %s" (Vo.error_to_string e)
+  | Ok records -> Alcotest.failf "accepted with %d records" (List.length records)
+
+(* A gap's region is bound in its node message. Dropping record 10 and the
+   gap after it, and widening the gap before it to [0, 25), still
+   tiles [0, 200], but the widened gap's APS no longer verifies. *)
+let test_continuous_widened_gap () =
+  let user = attrs [ "RoleA" ] in
+  let vo =
+    List.filter_map
+      (function
+        | Vo.Accessible { record; _ } when record.Record.key = [| 10 |] -> None
+        | Vo.Inaccessible_node { region; _ } when region.Box.lo = [| 11 |] -> None
+        | Vo.Inaccessible_node ({ region; _ } as gap) when region.Box.hi = [| 10 |] ->
+          let region = Box.make ~lo:region.Box.lo ~hi:[| 25 |] in
+          Some (Vo.Inaccessible_node { gap with region })
+        | e -> Some e)
+      (fst (Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:200))
+  in
+  Alcotest.(check int) "two of seven entries dropped" 5 (List.length vo);
+  List.iter
+    (fun batch ->
+      match verify_cont ~hi:200 vo ?batch () with
+      | Error (Vo.Bad_aps_signature _) -> ()
+      | Error e -> Alcotest.failf "unexpected: %s" (Vo.error_to_string e)
+      | Ok _ -> Alcotest.fail "widened gap accepted")
+    [ None; Some (Drbg.create ~seed:"widened-gap") ]
 
 (* Every batch rejection is counted once, whichever verifier saw it. *)
 let test_fallback_counted () =
@@ -539,6 +578,10 @@ let suite =
         Alcotest.test_case "join rejects trees it cannot verify" `Quick
           test_join_preconditions;
         Alcotest.test_case "two faults: continuous" `Quick test_two_faults_continuous;
+        Alcotest.test_case "continuous duplicated entry rejected" `Quick
+          test_continuous_duplicated_entry;
+        Alcotest.test_case "continuous widened gap rejected" `Quick
+          test_continuous_widened_gap;
         Alcotest.test_case "batch fallback counted" `Quick test_fallback_counted;
         Alcotest.test_case "one batch per policy" `Quick test_batches_per_policy;
         Alcotest.test_case "aggregation" `Quick test_aggregate;
