@@ -16,6 +16,7 @@ module Expr = Zkqac_policy.Expr
 module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Drbg = Zkqac_hashing.Drbg
+module Htf = Zkqac_hashing.Hash_to_field
 
 (* Seconds to run [run iters]. *)
 let block run iters = snd (Pool.time (fun () -> run iters))
@@ -61,6 +62,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         ("g-exp", fun () -> ignore (P.G.pow g1 k));
         ("g-exp-table", fun () -> ignore (P.G.pow_prod [ (t1, k) ]));
         ("g-decode", fun () -> ignore (P.G.of_bytes enc));
+        ("drbg-scalar", fun () -> ignore (P.rand_scalar drbg));
+        ("hash-to-field", fun () -> ignore (Htf.to_zp ~domain:"micro" ~p:P.order msg));
         ("abs-sign", fun () -> ignore (Abs.sign drbg mvk sk ~msg ~policy));
         ("abs-verify", fun () -> ignore (Abs.verify mvk ~msg ~policy sigma));
         ( "abs-relax",

@@ -355,7 +355,11 @@ let key_seed = function
 
 let setup records_file roles dims depth seed out =
   let universe = Universe.create (parse_roles roles) in
-  let space = Keyspace.create ~dims ~depth in
+  let space =
+    match Keyspace.create ~dims ~depth with
+    | space -> space
+    | exception Invalid_argument msg -> die "--dims %d --depth %d: %s" dims depth msg
+  in
   let records = read_records ~space ~universe records_file in
   let seed = key_seed seed in
   let drbg = Drbg.create ~seed:("zkqac-cli:" ^ seed) in
@@ -391,7 +395,14 @@ let setup_cmd =
   in
   let out = Arg.(value & opt string "ads.zkqac" & info [ "o"; "out" ] ~doc:"Output ADS file.") in
   Cmd.v
-    (Cmd.info "setup" ~doc:"Data-owner setup: sign a database into an ADS file.")
+    (Cmd.info "setup" ~doc:"Data-owner setup: sign a database into an ADS file."
+       ~man:
+         [ `S Manpage.s_description;
+           `P "Builds the AP2G-tree over a grid of DIMS dimensions and side \
+               2^DEPTH (the $(b,--dims) and $(b,--depth) options) and signs every \
+               one of its 2^(DIMS*DEPTH) unit cells, pseudo records included, plus \
+               every inner node. Set-up time and the ADS size grow with that count, \
+               not with the number of records. DEPTH must be below 32." ])
     Term.(const (fun obs records roles dims depth seed out ->
               with_obs obs (fun () ->
                   setup records roles dims depth seed out))

@@ -420,31 +420,61 @@ let to_hex t =
     Buffer.contents buf
   end
 
+(* Byte import and export pack and unpack limbs directly: one pass over the
+   bytes, one allocation for the result. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
-
-let to_bytes_be t =
-  let t = abs t in
-  if is_zero t then ""
+  let n = String.length s in
+  let rec first i = if i < n && String.unsafe_get s i = '\000' then first (i + 1) else i in
+  let i0 = first 0 in
+  if i0 = n then zero
   else begin
-    let nb = (num_bits t + 7) / 8 in
-    let b = Bytes.create nb in
-    let v = ref t in
-    for i = nb - 1 downto 0 do
-      let limb = if Array.length !v.mag = 0 then 0 else !v.mag.(0) in
-      Bytes.set b i (Char.chr (limb land 0xff));
-      v := shift_right !v 8
+    let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
+    let nbits = (8 * (n - 1 - i0)) + bits (Char.code s.[i0]) 0 in
+    let mag = Array.make ((nbits + limb_bits - 1) / limb_bits) 0 in
+    let acc = ref 0 and acc_bits = ref 0 and k = ref 0 in
+    for i = n - 1 downto i0 do
+      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
+      acc_bits := !acc_bits + 8;
+      if !acc_bits >= limb_bits then begin
+        mag.(!k) <- !acc land mask;
+        acc := !acc lsr limb_bits;
+        acc_bits := !acc_bits - limb_bits;
+        incr k
+      end
     done;
-    Bytes.to_string b
+    if !acc <> 0 then mag.(!k) <- !acc;
+    { sign = 1; mag }
   end
 
+(* Write the low [nb] bytes of magnitude [mag] big-endian into [b], ending
+   at index [last]. *)
+let blit_be mag b ~last nb =
+  let acc = ref 0 and acc_bits = ref 0 and k = ref 0 in
+  for i = 0 to nb - 1 do
+    if !acc_bits < 8 && !k < Array.length mag then begin
+      acc := !acc lor (mag.(!k) lsl !acc_bits);
+      acc_bits := !acc_bits + limb_bits;
+      incr k
+    end;
+    Bytes.unsafe_set b (last - i) (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    acc_bits := !acc_bits - 8
+  done
+
+let byte_length t = (num_bits t + 7) / 8
+
+let to_bytes_be t =
+  let nb = byte_length t in
+  let b = Bytes.create nb in
+  blit_be t.mag b ~last:(nb - 1) nb;
+  Bytes.unsafe_to_string b
+
 let to_bytes_be_pad len t =
-  let s = to_bytes_be t in
-  let n = String.length s in
-  if n > len then invalid_arg "Bigint.to_bytes_be_pad: too large"
-  else String.make (len - n) '\000' ^ s
+  let nb = byte_length t in
+  if nb > len then invalid_arg "Bigint.to_bytes_be_pad: too large";
+  let b = Bytes.make len '\000' in
+  blit_be t.mag b ~last:(len - 1) nb;
+  Bytes.unsafe_to_string b
 
 (* Fixed-width limb import and export for the Montgomery field kernel,
    which keeps residues as exactly [n] limbs of [limb_bits] bits. *)

@@ -57,7 +57,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
      hostile-input case the wire layer guards against, and a raw exception
      escaping here would crash a server that restarts from checkpoints. The
      final catch-all covers parsers embedded in [mvk_of_bytes]/[Ap2g.decode]
-     whose exceptions are not already translated. *)
+     whose exceptions are not already translated. The payload and the body
+     are digested, and the body decoded, as slices of [data]: a checkpoint
+     is never copied. *)
   let decode_typed data : (_, Zkqac_util.Verify_error.t) result =
     let module E = Zkqac_util.Verify_error in
     match
@@ -68,18 +70,21 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         | None -> Error (E.Malformed { offset = Wire.pos r })
         | Some mvk ->
           let checksum = Wire.rbytes r in
-          let body = Wire.rbytes r in
+          let body_off, body_len = Wire.rslice r in
           let payload_end = Wire.pos r in
           let footer = Wire.rbytes r in
           let marker = Wire.rbytes r in
           if not (Wire.at_end r) then Error (E.Malformed { offset = Wire.pos r })
           else if not (String.equal marker commit_magic) then
             Error (E.Invalid_shape "checkpoint commit marker missing (torn write)")
-          else if not (String.equal footer (Sha256.digest (String.sub data 0 payload_end)))
+          else if not (String.equal footer (Sha256.digest_sub data 0 payload_end))
           then Error (E.Digest_mismatch "checkpoint payload digest")
-          else if not (String.equal checksum (Sha256.digest body)) then
-            Error (E.Digest_mismatch "ADS body checksum")
-          else Result.map (fun tree -> (mvk, tree, epoch)) (Ap2g.decode body)
+          else if not (String.equal checksum (Sha256.digest_sub data body_off body_len))
+          then Error (E.Digest_mismatch "ADS body checksum")
+          else
+            Result.map
+              (fun tree -> (mvk, tree, epoch))
+              (Ap2g.decode ~off:body_off ~len:body_len data)
       end
       else Error (E.Invalid_shape "not a zkqac ADS file")
     with

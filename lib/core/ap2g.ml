@@ -257,8 +257,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     put_node t.root;
     Wire.contents w
 
-  let decode ?limits data =
-    Wire.decode ?limits data @@ fun r ->
+  let decode ?limits ?off ?len data =
+    Wire.decode ?limits ?off ?len data @@ fun r ->
     if not (String.equal (Wire.rbytes r) magic) then raise Wire.Malformed;
     let dims = Wire.ru8 r in
     let depth = Wire.ru8 r in
@@ -284,13 +284,25 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let num_records = Wire.ru32 r in
     let sig_bytes = ref 0 and struct_bytes = ref 0 in
     let leaf_sigs = ref 0 and node_sigs = ref 0 in
+    (* Every box of the tree encodes to the same length. *)
+    let box_bytes = String.length (Box.encode (Keyspace.whole space)) in
+    (* One policy value per distinct policy string: a tree repeats a few
+       hundred policies over thousands of nodes. *)
+    let policies = Hashtbl.create 64 in
     let rec get_node box =
       Wire.nested r @@ fun () ->
+      let s = Wire.rbytes r in
       let policy =
-        let s = Wire.rbytes r in
-        match Expr.of_string s with
-        | p -> p
-        | exception (Invalid_argument _ | Failure _) -> raise Wire.Malformed
+        match Hashtbl.find_opt policies s with
+        | Some p -> p
+        | None ->
+          let p =
+            match Expr.of_string s with
+            | p -> p
+            | exception (Invalid_argument _ | Failure _) -> raise Wire.Malformed
+          in
+          Hashtbl.add policies s p;
+          p
       in
       let sig_data = Wire.rbytes r in
       let signature =
@@ -299,9 +311,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         | None -> raise Wire.Malformed
       in
       sig_bytes := !sig_bytes + String.length sig_data;
-      struct_bytes :=
-        !struct_bytes + String.length (Box.encode box)
-        + String.length (Expr.to_string policy);
+      struct_bytes := !struct_bytes + box_bytes + String.length s;
       match Wire.ru8 r with
       | 0 ->
         let value = Wire.rbytes r in

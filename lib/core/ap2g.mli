@@ -85,10 +85,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   val decode :
     ?limits:Zkqac_util.Wire.limits ->
+    ?off:int ->
+    ?len:int ->
     string ->
     (t, Zkqac_util.Verify_error.t) result
   (** As {!of_bytes}, with typed failures and reader resource limits (the
-      recursive tree structure is depth-guarded). Rejects trailing bytes. *)
+      recursive tree structure is depth-guarded). Rejects trailing bytes.
+      [off]/[len] decode that slice of the string in place (default: all
+      of it), never reading outside it. Nodes with the same policy string
+      share one physical {!Zkqac_policy.Expr.t}. *)
 
   (** The tree itself, read-only: the join (Algorithm 4) walks two trees
       at once, and {!Equality.of_ap2g} reads the leaves. *)

@@ -3,6 +3,9 @@ type t = { dims : int; depth : int }
 let create ~dims ~depth =
   if dims < 1 then invalid_arg "Keyspace.create: dims < 1";
   if depth < 0 then invalid_arg "Keyspace.create: depth < 0";
+  (* The codecs write each coordinate as a u32, the whole space's upper
+     corner (2^depth) included. *)
+  if depth >= 32 then invalid_arg "Keyspace.create: depth >= 32 (coordinates are u32)";
   if dims * depth > 60 then invalid_arg "Keyspace.create: space too large";
   { dims; depth }
 

@@ -10,7 +10,8 @@
 type t
 
 val create : dims:int -> depth:int -> t
-(** @raise Invalid_argument if [dims < 1], [depth < 0], or the total leaf
+(** @raise Invalid_argument if [dims < 1], [depth < 0], [depth >= 32] (the
+    side [2^depth] must fit the codecs' u32 coordinates), or the total leaf
     count overflows. *)
 
 val dims : t -> int

@@ -6,30 +6,35 @@
 
 module B = Zkqac_bigint.Bigint
 
-type t = { mutable key : string; mutable v : string }
+(* [key] is the current HMAC key, held with its pad states prepared
+   (SP 800-90A's K); the output bytes are those of the plain RFC 2104 MAC. *)
+type t = { mutable key : Hmac.key; mutable v : string }
 
 let create ~seed =
-  let t = { key = String.make 32 '\000'; v = String.make 32 '\x01' } in
+  let t = { key = Hmac.prepare (String.make 32 '\000'); v = String.make 32 '\x01' } in
   let update provided =
-    t.key <- Hmac.mac ~key:t.key (t.v ^ "\x00" ^ provided);
-    t.v <- Hmac.mac ~key:t.key t.v;
+    t.key <- Hmac.prepare (Hmac.mac_with t.key (t.v ^ "\x00" ^ provided));
+    t.v <- Hmac.mac_with t.key t.v;
     if provided <> "" then begin
-      t.key <- Hmac.mac ~key:t.key (t.v ^ "\x01" ^ provided);
-      t.v <- Hmac.mac ~key:t.key t.v
+      t.key <- Hmac.prepare (Hmac.mac_with t.key (t.v ^ "\x01" ^ provided));
+      t.v <- Hmac.mac_with t.key t.v
     end
   in
   update seed;
   t
 
 let generate t n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    t.v <- Hmac.mac ~key:t.key t.v;
-    Buffer.add_string buf t.v
+  let buf = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    t.v <- Hmac.mac_with t.key t.v;
+    let take = min 32 (n - !pos) in
+    Bytes.blit_string t.v 0 buf !pos take;
+    pos := !pos + take
   done;
-  t.key <- Hmac.mac ~key:t.key (t.v ^ "\x00");
-  t.v <- Hmac.mac ~key:t.key t.v;
-  String.sub (Buffer.contents buf) 0 n
+  t.key <- Hmac.prepare (Hmac.mac_with t.key (t.v ^ "\x00"));
+  t.v <- Hmac.mac_with t.key t.v;
+  Bytes.unsafe_to_string buf
 
 let bigint t bound =
   if B.compare bound B.zero <= 0 then invalid_arg "Drbg.bigint";
@@ -40,7 +45,7 @@ let bigint t bound =
     let s = Bytes.of_string (generate t nbytes) in
     let m = (1 lsl topbits) - 1 in
     Bytes.set s 0 (Char.chr (Char.code (Bytes.get s 0) land m));
-    let v = B.of_bytes_be (Bytes.to_string s) in
+    let v = B.of_bytes_be (Bytes.unsafe_to_string s) in
     if B.compare v bound < 0 then v else draw ()
   in
   draw ()

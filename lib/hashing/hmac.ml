@@ -1,13 +1,32 @@
 (* HMAC-SHA256 (RFC 2104). Used by the DRBG and by keyed derivation of
-   pseudo-record contents. *)
+   pseudo-record contents.
+
+   A key's ipad and opad blocks are hashed once, into two SHA-256 states;
+   each MAC under the key copies them, so it compresses only its message and
+   the outer digest. The prepared states are never mutated. *)
 
 let block_size = 64
 
-let mac ~key msg =
+type key = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+let prepare key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let key = key ^ String.make (block_size - String.length key) '\000' in
-  let xor_pad byte =
-    String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor byte))
+  let pad byte =
+    let ctx = Sha256.init () in
+    Sha256.update ctx
+      (String.init block_size (fun i ->
+           let k = if i < String.length key then Char.code key.[i] else 0 in
+           Char.chr (k lxor byte)));
+    ctx
   in
-  let inner = Sha256.digest (xor_pad 0x36 ^ msg) in
-  Sha256.digest (xor_pad 0x5c ^ inner)
+  { inner = pad 0x36; outer = pad 0x5c }
+
+let mac_with k msg =
+  let ctx = Sha256.copy k.inner in
+  Sha256.update ctx msg;
+  let inner = Sha256.finalize ctx in
+  let ctx = Sha256.copy k.outer in
+  Sha256.update ctx inner;
+  Sha256.finalize ctx
+
+let mac ~key msg = mac_with (prepare key) msg

@@ -83,31 +83,43 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land m32;
   h.(7) <- (h.(7) + !hh) land m32
 
-let update ctx s =
+let copy ctx =
+  {
+    h = Array.copy ctx.h;
+    buf = Bytes.copy ctx.buf;
+    buf_len = ctx.buf_len;
+    total = ctx.total;
+    w = Array.make 64 0;
+    finished = ctx.finished;
+  }
+
+let update_sub ctx s off n =
   if ctx.finished then invalid_arg "Sha256.update: finalized context";
-  let n = String.length s in
+  if off < 0 || n < 0 || off > String.length s - n then invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + n;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + n in
   (* Fill a partial block first. *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) n in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
-  while n - !pos >= 64 do
+  while stop - !pos >= 64 do
     Bytes.blit_string s !pos ctx.buf 0 64;
     compress ctx ctx.buf 0;
     pos := !pos + 64
   done;
-  if !pos < n then begin
-    Bytes.blit_string s !pos ctx.buf 0 (n - !pos);
-    ctx.buf_len <- n - !pos
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
+
+let update ctx s = update_sub ctx s 0 (String.length s)
 
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: already finalized";
@@ -135,10 +147,12 @@ let finalize ctx =
   done;
   Bytes.to_string out
 
-let digest s =
+let digest_sub s off n =
   let ctx = init () in
-  update ctx s;
+  update_sub ctx s off n;
   finalize ctx
+
+let digest s = digest_sub s 0 (String.length s)
 
 let hex s =
   let d = digest s in

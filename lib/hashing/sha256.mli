@@ -8,11 +8,19 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> string -> unit
+val copy : ctx -> ctx
+(** An independent context in the same state, with its own block buffer and
+    scratch: the copy and the original may be used from different domains. *)
+
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)
 
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
+
+val digest_sub : string -> int -> int -> string
+(** [digest_sub s off n] is [digest (String.sub s off n)], without the copy.
+    @raise Invalid_argument if the bytes are not within [s]. *)
 
 val hex : string -> string
 (** One-shot digest rendered as 64 lowercase hex characters. *)

@@ -75,9 +75,13 @@ let limits_of_env () =
    can be tightened without a rebuild. *)
 let default_limits = limits_of_env ()
 
+(* A reader covers the slice [pos, stop) of [data] and never reads past
+   [stop]: a checkpoint's body is decoded in place, inside the file it came
+   in. *)
 type reader = {
   data : string;
   mutable pos : int;
+  stop : int;
   limits : limits;
   mutable depth : int;
 }
@@ -91,22 +95,23 @@ let limit_hit what limit =
   Zkqac_telemetry.Flight.record ~cat:"wire" ~detail:what ~v:limit "wire.limit";
   raise (Limit { what; limit })
 
-let reader ?(limits = default_limits) data =
-  if String.length data > limits.max_bytes then
-    limit_hit "input bytes" limits.max_bytes;
-  { data; pos = 0; limits; depth = 0 }
+let reader ?(limits = default_limits) ?(off = 0) ?len data =
+  let len = Option.value len ~default:(String.length data - off) in
+  if off < 0 || len < 0 || off > String.length data - len then invalid_arg "Wire.reader";
+  if len > limits.max_bytes then limit_hit "input bytes" limits.max_bytes;
+  { data; pos = off; stop = off + len; limits; depth = 0 }
 
 let pos r = r.pos
-let remaining r = String.length r.data - r.pos
+let remaining r = r.stop - r.pos
 
 let ru8 r =
-  if r.pos + 1 > String.length r.data then raise Malformed;
+  if r.pos + 1 > r.stop then raise Malformed;
   let v = Char.code r.data.[r.pos] in
   r.pos <- r.pos + 1;
   v
 
 let ru32 r =
-  if r.pos + 4 > String.length r.data then raise Malformed;
+  if r.pos + 4 > r.stop then raise Malformed;
   let v = ref 0 in
   for _ = 1 to 4 do
     v := (!v lsl 8) lor Char.code r.data.[r.pos];
@@ -115,7 +120,7 @@ let ru32 r =
   !v
 
 let ru64 r =
-  if r.pos + 8 > String.length r.data then raise Malformed;
+  if r.pos + 8 > r.stop then raise Malformed;
   let v = ref 0L in
   for _ = 1 to 8 do
     v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.pos]));
@@ -123,12 +128,18 @@ let ru64 r =
   done;
   !v
 
-let rbytes r =
+(* The offset and length of the next length-prefixed field, skipped
+   without copying it. *)
+let rslice r =
   let n = ru32 r in
-  if r.pos + n > String.length r.data then raise Malformed;
-  let s = String.sub r.data r.pos n in
+  if n > r.stop - r.pos then raise Malformed;
+  let off = r.pos in
   r.pos <- r.pos + n;
-  s
+  (off, n)
+
+let rbytes r =
+  let off, n = rslice r in
+  String.sub r.data off n
 
 let rint_array r =
   let n = ru8 r in
@@ -154,23 +165,25 @@ let nested r f =
   r.depth <- r.depth - 1;
   v
 
-let at_end r = r.pos = String.length r.data
+let at_end r = r.pos = r.stop
 
 (* Run a decoding function over hostile bytes, translating every failure
    mode into a typed {!Verify_error.t}: resource bounds to [Limit_exceeded],
    anything else (including exceptions escaping embedded parsers) to
    [Malformed] at the current read position. Trailing bytes are rejected —
-   every top-level decoder built on [decode] gets that check for free. *)
-let decode ?limits data f =
-  match reader ?limits data with
+   every top-level decoder built on [decode] gets that check for free.
+   [off]/[len] pick a slice of [data] to decode; error offsets are relative
+   to its start. *)
+let decode ?limits ?(off = 0) ?len data f =
+  match reader ?limits ~off ?len data with
   | exception Limit { what; limit } ->
     Error (Verify_error.Limit_exceeded { what; limit })
   | r -> (
     match f r with
     | v ->
       if at_end r then Ok v
-      else Error (Verify_error.Malformed { offset = r.pos })
+      else Error (Verify_error.Malformed { offset = r.pos - off })
     | exception Limit { what; limit } ->
       Error (Verify_error.Limit_exceeded { what; limit })
     | exception (Malformed | Invalid_argument _ | Failure _) ->
-      Error (Verify_error.Malformed { offset = r.pos }))
+      Error (Verify_error.Malformed { offset = r.pos - off }))

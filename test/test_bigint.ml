@@ -106,6 +106,44 @@ let test_bytes () =
     (B.to_bytes_be_pad 8 a);
   check_b "empty" B.zero (B.of_bytes_be "")
 
+(* Reference import, one byte at a time through [add] and [shift_left]:
+   slow, but plainly right. *)
+let reference_of_bytes_be s =
+  let acc = ref B.zero in
+  String.iter (fun c -> acc := B.add (B.shift_left !acc 8) (bi (Char.code c))) s;
+  !acc
+
+let test_bytes_oracle () =
+  let rng = Random.State.make [| 33 |] in
+  for n = 0 to 130 do
+    let random = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let inputs =
+      [ ("random", random);
+        ("all 0xff", String.make n '\xff');
+        ("zeros", String.make n '\000');
+        ("leading zeros", String.make (n / 2) '\000' ^ String.sub random 0 (n - (n / 2)));
+        ("one", (if n = 0 then "" else String.make (n - 1) '\000' ^ "\001")) ]
+    in
+    List.iter
+      (fun (what, s) ->
+        let name = Printf.sprintf "%s, %d bytes" what n in
+        let v = B.of_bytes_be s in
+        check_b name (reference_of_bytes_be s) v;
+        (* Minimal encoding drops exactly the leading zero bytes. *)
+        let rec lead i = if i < n && s.[i] = '\000' then lead (i + 1) else i in
+        let i0 = lead 0 in
+        Alcotest.(check string) (name ^ " to_bytes_be") (String.sub s i0 (n - i0))
+          (B.to_bytes_be v);
+        Alcotest.(check string) (name ^ " to_bytes_be_pad") s (B.to_bytes_be_pad n v);
+        check_b (name ^ " negative magnitude") v
+          (B.of_bytes_be (B.to_bytes_be (B.neg v)));
+        if i0 < n then
+          Alcotest.check_raises (name ^ " too wide")
+            (Invalid_argument "Bigint.to_bytes_be_pad: too large") (fun () ->
+              ignore (B.to_bytes_be_pad (n - i0 - 1) v)))
+      inputs
+  done
+
 (* Property tests against OCaml's native int arithmetic on small values. *)
 let small_pair =
   QCheck2.Gen.(pair (int_range (-1000000) 1000000) (int_range (-1000000) 1000000))
@@ -163,6 +201,7 @@ let suite =
         Alcotest.test_case "invmod gcd from extended Euclid" `Quick test_invmod_gcd;
         Alcotest.test_case "gcd" `Quick test_gcd;
         Alcotest.test_case "bytes" `Quick test_bytes;
+        Alcotest.test_case "bytes against byte-at-a-time import" `Quick test_bytes_oracle;
       ]
       @ props );
   ]

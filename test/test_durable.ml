@@ -398,6 +398,100 @@ let successful_save_roundtrips () =
       | Error (`Bad e) ->
         Alcotest.failf "reload failed: %s" (Zkqac_util.Verify_error.to_string e))
 
+(* A checkpoint's body is decoded in place, as a slice of the file: a
+   body-length field that reaches into the footer is malformed, and the
+   body's decoder stops at the end of its slice even when the footer's
+   bytes follow it. *)
+let body_length_into_footer () =
+  let module Wire = Zkqac_util.Wire in
+  let module E = Zkqac_util.Verify_error in
+  let data =
+    in_temp_dir (fun dir ->
+        let path = Filename.concat dir "ads.zkqac" in
+        let mvk, tree = small_tree () in
+        Ads_io.save ~path ~mvk tree;
+        read_all path)
+  in
+  let r = Wire.reader data in
+  ignore (Wire.rbytes r);
+  ignore (Wire.ru32 r);
+  ignore (Wire.rbytes r);
+  ignore (Wire.rbytes r);
+  let len_at = Wire.pos r in
+  let body_off, body_len = Wire.rslice r in
+  let with_body_len n =
+    let w = Wire.writer () in
+    Wire.u32 w n;
+    let b = Bytes.of_string data in
+    Bytes.blit_string (Wire.contents w) 0 b len_at 4;
+    Bytes.to_string b
+  in
+  (* 36 bytes: the footer's whole digest field. *)
+  List.iter
+    (fun extra ->
+      match Ads_io.decode_typed (with_body_len (body_len + extra)) with
+      | Error (E.Malformed _) -> ()
+      | Error e -> Alcotest.failf "+%d: wrong error %s" extra (E.to_string e)
+      | Ok _ -> Alcotest.failf "+%d: a body reaching into the footer loaded" extra)
+    [ 1; 36 ];
+  let decode len =
+    Result.map Ap2g.to_bytes (Ap2g.decode ~off:body_off ~len data)
+  in
+  Alcotest.(check bool) "the slice decodes in place" true
+    (decode body_len = Ok (String.sub data body_off body_len));
+  List.iter
+    (fun len ->
+      match decode len with
+      | Error (E.Malformed _) -> ()
+      | _ -> Alcotest.failf "a %d-byte slice of a %d-byte body decoded" len body_len)
+    [ body_len - 1; body_len + 1 ]
+
+(* A tree with several records per policy, one of them nested. *)
+let policy_tree () =
+  let drbg = Drbg.create ~seed:"test-durable-policies" in
+  let msk, mvk = Abs.setup drbg in
+  let universe = Universe.create [ "RoleA"; "RoleB" ] in
+  let sk = Abs.keygen drbg msk (Universe.attrs universe) in
+  let space = Keyspace.create ~dims:2 ~depth:2 in
+  let records =
+    List.mapi
+      (fun i policy ->
+        Record.make ~key:[| i; i |] ~value:(string_of_int i) ~policy:(Expr.of_string policy))
+      [ "RoleA"; "RoleB"; "RoleA"; "RoleA & RoleB" ]
+  in
+  Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"p" records
+
+let rec nodes (n : Ap2g.node) =
+  n :: (match n.Ap2g.content with Ap2g.Leaf _ -> [] | Ap2g.Children c -> List.concat_map nodes c)
+
+(* Nodes whose policies print alike share one policy value, and a leaf's
+   record holds that same value. *)
+let decoded_policies_shared () =
+  let tree = policy_tree () in
+  let decoded = Result.get_ok (Ap2g.decode (Ap2g.to_bytes tree)) in
+  let all = nodes (Ap2g.root decoded) in
+  let first = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Ap2g.node) ->
+      let s = Expr.to_string n.Ap2g.policy in
+      (match Hashtbl.find_opt first s with
+       | None -> Hashtbl.add first s n.Ap2g.policy
+       | Some p -> Alcotest.(check bool) ("one value for " ^ s) true (p == n.Ap2g.policy));
+      match n.Ap2g.content with
+      | Ap2g.Leaf r ->
+        Alcotest.(check bool) "record shares its leaf's policy" true
+          (r.Record.policy == n.Ap2g.policy)
+      | Ap2g.Children _ -> ())
+    all;
+  Alcotest.(check bool) "policies repeat" true (Hashtbl.length first < List.length all)
+
+let decoded_stats_match () =
+  let tree = policy_tree () in
+  let st = Ap2g.stats tree in
+  let st' = Ap2g.stats (Result.get_ok (Ap2g.decode (Ap2g.to_bytes tree))) in
+  Alcotest.(check bool) "stats but sign_time" true
+    ({ st' with Ap2g.sign_time = st.Ap2g.sign_time } = st)
+
 let suite =
   [
     ( "durable",
@@ -427,5 +521,11 @@ let suite =
           `Quick recovery_falls_back_past_corrupt_newest;
         Alcotest.test_case "epoch-less v1 checkpoint rejected" `Quick
           epochless_v1_rejected;
+        Alcotest.test_case "body length reaching into the footer is malformed"
+          `Quick body_length_into_footer;
+        Alcotest.test_case "decoded tree shares one policy per string" `Quick
+          decoded_policies_shared;
+        Alcotest.test_case "decoded tree stats match the built tree's" `Quick
+          decoded_stats_match;
       ] );
   ]

@@ -64,7 +64,15 @@ let test_build_validation () =
       ignore
         (Cont.build drbg ~mvk ~sk ~universe [ r [| 1 |]; r [| 1 |] ]));
   expect_invalid "continuous key outside the domain" (fun () ->
-      ignore (Cont.build drbg ~mvk ~sk ~universe [ r [| -1 |] ]))
+      ignore (Cont.build drbg ~mvk ~sk ~universe [ r [| -1 |] ]));
+  (* A side of 2^32 or more cannot be written as the u32 coordinates of the
+     VO and ADS codecs: the whole-space box's corner would be 2^32. *)
+  List.iter
+    (fun depth ->
+      expect_invalid (Printf.sprintf "depth %d" depth) (fun () ->
+          Keyspace.create ~dims:1 ~depth))
+    [ 32; 40 ];
+  ignore (Keyspace.create ~dims:1 ~depth:31)
 
 (* --- degenerate queries --- *)
 

@@ -46,15 +46,73 @@ let test_digest_list_unambiguous () =
   let d2 = Sha256.digest_list [ "a"; "bc" ] in
   Alcotest.(check bool) "different" false (String.equal d1 d2)
 
-(* RFC 4231 test case 2. *)
+(* RFC 4231 cases 1-4, 6 and 7 (case 5 truncates the tag); 6 and 7 use a
+   131-byte key, longer than a block. Each also runs through one prepared
+   key used twice, which must not disturb its pad states. *)
+let rfc4231 =
+  let big_key = String.make 131 '\xaa' in
+  [ ("tc1", String.make 20 '\x0b', "Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    ("tc2", "Jefe", "what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    ("tc3", String.make 20 '\xaa', String.make 50 '\xdd',
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+    ("tc4", Hex.decode "0102030405060708090a0b0c0d0e0f10111213141516171819",
+     String.make 50 '\xcd',
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+    ("tc6", big_key, "Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+    ("tc7", big_key,
+     "This is a test using a larger than block-size key and a larger than \
+      block-size data. The key needs to be hashed before being used by the \
+      HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2") ]
+
 let test_hmac_vector () =
-  Alcotest.(check string) "rfc4231 tc2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hex.encode (Hmac.mac ~key:"Jefe" "what do ya want for nothing?"));
-  (* RFC 4231 test case 1. *)
-  Alcotest.(check string) "rfc4231 tc1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hex.encode (Hmac.mac ~key:(String.make 20 '\x0b') "Hi There"))
+  List.iter
+    (fun (name, key, msg, tag) ->
+      Alcotest.(check string) ("rfc4231 " ^ name) tag (Hex.encode (Hmac.mac ~key msg));
+      let k = Hmac.prepare key in
+      Alcotest.(check string) (name ^ " prepared") tag (Hex.encode (Hmac.mac_with k msg));
+      Alcotest.(check string) (name ^ " prepared, again") tag
+        (Hex.encode (Hmac.mac_with k msg)))
+    rfc4231
+
+(* Known answers recorded from a DRBG that padded its key afresh for every
+   HMAC: preparing the pad states once per key must not move a byte. *)
+let test_drbg_known_answers () =
+  let stream =
+    [ ("zkqac-kat-seed-a",
+       "c9cd0302c9a1546f5c2e59380ba4a282dc938de7772b2b073c45b8a85e3ae0d8a9b7e38f\
+        1240422af46a97ac2c973f03ecf2e5409328a438e8322c5eb1a89cf95bdc9d1ae612df4b\
+        8edbcbd1d9b1aa0eb3be636d90f7fbade40fb77e2a4635a6e3ebbdb6",
+       [ "c9cd0302c9a1546f5c2e59380ba4a282dc938de7772b2b073c45b8a85e3ae0d8";
+         "b43d328f5ad0bf76980a8ee60658bc00e69a8bd1bf6425e37d9236144485e5f0"; "a37b3" ]);
+      ("",
+       "b44299907e4e42aa4fded5d6153e8bac3f35987bbe5fa08865c45339214784a2b1abb053\
+        5a59d96a5f096954a5bc670995a4e2e5c3b8fa00c981cf0efcfa7842f78d28e03a27e9e8\
+        875738cf79412b1815eda0565a86400d83f8a883441860655409c178",
+       [ "b44299907e4e42aa4fded5d6153e8bac3f35987bbe5fa08865c45339214784a2";
+         "9571c7e4a5eba0bc5be56f977b719a590a502da6560ce858a7964af22c147e13"; "6633d" ]) ]
+  in
+  let p = B.of_string "0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff13" in
+  List.iter
+    (fun (seed, hex100, draws) ->
+      (* A fresh instance per length: the first n bytes of one stream. *)
+      List.iter
+        (fun n ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %S, %d bytes" seed n)
+            (String.sub hex100 0 (2 * n))
+            (Hex.encode (Drbg.generate (Drbg.create ~seed) n)))
+        [ 1; 32; 33; 100 ];
+      let d = Drbg.create ~seed in
+      let first = Drbg.nonzero_bigint d p in
+      let second = Drbg.nonzero_bigint d p in
+      let small = Drbg.nonzero_bigint d (B.of_int 1000003) in
+      let got = List.map B.to_hex [ first; second; small ] in
+      Alcotest.(check (list string)) (Printf.sprintf "seed %S, scalars" seed) draws got)
+    stream
 
 let test_drbg_deterministic () =
   let d1 = Drbg.create ~seed:"seed" in
@@ -107,6 +165,7 @@ let suite =
         Alcotest.test_case "sha256 block boundaries" `Quick test_sha256_block_boundaries;
         Alcotest.test_case "digest_list unambiguous" `Quick test_digest_list_unambiguous;
         Alcotest.test_case "hmac RFC4231" `Quick test_hmac_vector;
+        Alcotest.test_case "drbg known answers" `Quick test_drbg_known_answers;
         Alcotest.test_case "drbg deterministic" `Quick test_drbg_deterministic;
         Alcotest.test_case "drbg bigint bounds" `Quick test_drbg_bigint_bounds;
         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;

@@ -56,6 +56,21 @@ let test_malformed_reads () =
   raises_malformed "rbytes huge" (fun () ->
       Wire.rbytes (Wire.reader "\xff\xff\xff\xffabc"))
 
+(* A reader over a slice stops at the slice's end, whatever follows it. *)
+let test_slice_reads () =
+  let data = "xx\x00\x00\x00\x02abcd" in
+  let r = Wire.reader ~off:2 ~len:6 data in
+  Alcotest.(check string) "field" "ab" (Wire.rbytes r);
+  Alcotest.(check bool) "at the slice end" true (Wire.at_end r);
+  (match Wire.ru8 r with
+   | _ -> Alcotest.fail "read past the slice"
+   | exception Wire.Malformed -> ());
+  (match Wire.rbytes (Wire.reader ~off:2 ~len:7 "xx\x00\x00\x00\x04abcd") with
+   | _ -> Alcotest.fail "a field ran past the slice"
+   | exception Wire.Malformed -> ());
+  Alcotest.(check bool) "trailing byte in the slice" true
+    (Wire.decode ~off:2 ~len:7 data Wire.rbytes = Error (Zkqac_util.Verify_error.Malformed { offset = 6 }))
+
 (* --- VO codec fuzzing --- *)
 
 let drbg = Drbg.create ~seed:"wire-fuzz"
@@ -192,6 +207,7 @@ let suite =
       [ Alcotest.test_case "u32 round-trip" `Quick test_u32_roundtrip;
         Alcotest.test_case "u32 out of range" `Quick test_u32_out_of_range;
         Alcotest.test_case "malformed reads" `Quick test_malformed_reads;
+        Alcotest.test_case "slice reads" `Quick test_slice_reads;
         Alcotest.test_case "vo truncation" `Quick test_vo_truncation;
         Alcotest.test_case "vo bit flips" `Quick test_vo_bitflips;
         Alcotest.test_case "vo inflation" `Quick test_vo_inflation;
