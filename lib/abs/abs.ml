@@ -202,6 +202,23 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let drbg = Drbg.create ~seed in
     Array.init n (fun _ -> P.rand_scalar drbg)
 
+  (* A signature fits a span program when it has one S per row and one P
+     per column. *)
+  let fits msp sigma =
+    Array.length sigma.s = msp.Msp.rows && Array.length sigma.p = msp.Msp.cols
+
+  (* The column weights folded into one exponent per row:
+     c_i = sum_j M_ij z_j. *)
+  let row_weights msp z =
+    Array.map
+      (fun row ->
+        let c = ref B.zero in
+        Array.iteri
+          (fun j mij -> if mij <> 0 then c := B.erem (B.add !c (B.mul (B.of_int mij) z.(j))) order)
+          row;
+        !c)
+      msp.Msp.matrix
+
   (* Typed verification: each way ABS.Verify can fail is a distinct
      [Bad_abs_signature] payload, so a client rejection is attributable.
 
@@ -221,7 +238,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     T.bump T.Abs_verify;
     let fail what = Error (Zkqac_util.Verify_error.Bad_abs_signature what) in
     let msp = Msp.build policy in
-    if Array.length sigma.s <> msp.Msp.rows || Array.length sigma.p <> msp.Msp.cols
+    if not (fits msp sigma)
     then fail "component count does not match the policy's span program"
     else if G.is_one sigma.y then fail "degenerate Y component"
     else begin
@@ -230,17 +247,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let bases = Array.map (fun u -> attr_base mvk u) msp.Msp.labels in
       let ws = verify_weights ~msg ~policy sigma (msp.Msp.cols + 1) in
       let zkb = ws.(msp.Msp.cols) in
-      let row_terms = ref [] in
-      for i = msp.Msp.rows - 1 downto 0 do
-        let c = ref B.zero in
-        for j = 0 to msp.Msp.cols - 1 do
-          let mij = msp.Msp.matrix.(i).(j) in
-          if mij <> 0 then
-            c := B.erem (B.add !c (B.mul (B.of_int mij) ws.(j))) order
-        done;
-        if not (B.is_zero !c) then
-          row_terms := (sigma.s.(i), G.pow bases.(i) !c) :: !row_terms
-      done;
+      let cs = row_weights msp ws in
+      let row_terms =
+        List.filter_map
+          (fun i -> if B.is_zero cs.(i) then None else Some (sigma.s.(i), G.pow bases.(i) cs.(i)))
+          (List.init msp.Msp.rows Fun.id)
+      in
       let col_terms =
         List.init msp.Msp.cols (fun j ->
             (G.pow base_c (B.neg ws.(j)), sigma.p.(j)))
@@ -248,7 +260,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let terms =
         (G.pow sigma.w zkb, mvk.cap_a0)
         :: (G.inv sigma.y, G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h ws.(0)))
-        :: (!row_terms @ col_terms)
+        :: (row_terms @ col_terms)
       in
       if P.Gt.is_one (P.e_prod terms) then Ok ()
       else if not (P.Gt.equal (P.e sigma.w mvk.cap_a0) (P.e sigma.y mvk.h0))
@@ -281,107 +293,85 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let verify mvk ~msg ~policy sigma =
     Result.is_ok (verify_result mvk ~msg ~policy sigma)
 
-  (* Batch verification with random exponents. All signatures share one
-     policy (hence one span program), so every equation of every signature
-     folds into a single product-of-pairings-equals-one check: with
-     per-signature weights d_m, per-column weights z_j and a key-binding
-     weight z_kb,
-
-       e(prod_m W_m^{d_m z_kb}, A0)
-         * e((prod_m Y_m^{d_m})^{-1}, h0^{z_kb} h^{z_0})
-         * prod_i e(prod_m S_{m,i}^{d_m}, (AB^{u(i)})^{sum_j M_ij z_j})
-         * prod_h e((C g^h)^{-1}, prod_{m : h_m = h} prod_j P_{m,j}^{z_j d_m})
-       = 1
-
-     -- k row pairings regardless of the batch size, plus one pairing per
-     *distinct* message hash: batches that re-sign the same message (the
-     common case for APS entries sharing a region) collapse their C-side
-     terms into one Miller loop (the "same-message fast path"), all under
-     one shared accumulator and a single final exponentiation. *)
-  let verify_batch drbg mvk ~policy sigs =
-    Trace.with_span "abs.verify_batch"
-      ~attrs:[ ("batch", Trace.Int (List.length sigs)) ]
-    @@ fun _ ->
-    T.bump T.Abs_verify;
-    match sigs with
-    | [] -> true
-    | [ (msg, sigma) ] -> verify mvk ~msg ~policy sigma
-    | _ ->
-      let msp = Msp.build policy in
-      let shape_ok =
-        List.for_all
-          (fun (_, s) ->
-            Array.length s.s = msp.Msp.rows
-            && Array.length s.p = msp.Msp.cols
-            && not (G.is_one s.y))
-          sigs
-      in
-      if not shape_ok then false
-      else begin
-        let weights =
-          List.map (fun (msg, s) -> (msg, s, P.rand_scalar drbg)) sigs
-        in
-        let zs = Array.init msp.Msp.cols (fun _ -> P.rand_scalar drbg) in
-        let zkb = P.rand_scalar drbg in
-        let w_acc =
-          List.fold_left (fun acc (_, s, d) -> G.mul acc (G.pow s.w d)) G.one weights
-        in
-        let y_acc =
-          List.fold_left (fun acc (_, s, d) -> G.mul acc (G.pow s.y d)) G.one weights
-        in
-        let bases = Array.map (fun u -> attr_base mvk u) msp.Msp.labels in
-        (* Row terms: the column weights collapse each row's per-column
-           entries into one exponent c_i = sum_j M_ij z_j. *)
-        let row_terms = ref [] in
-        for i = msp.Msp.rows - 1 downto 0 do
-          let c = ref B.zero in
-          for j = 0 to msp.Msp.cols - 1 do
-            let mij = msp.Msp.matrix.(i).(j) in
-            if mij <> 0 then
-              c := B.erem (B.add !c (B.mul (B.of_int mij) zs.(j))) order
-          done;
-          if not (B.is_zero !c) then begin
-            let s_acc =
-              List.fold_left
-                (fun acc (_, s, d) -> G.mul acc (G.pow s.s.(i) d))
-                G.one weights
-            in
-            row_terms := (s_acc, G.pow bases.(i) !c) :: !row_terms
-          end
-        done;
-        (* C-side terms, grouped by message hash (same-message fast path). *)
-        let groups : (string, B.t * G.t ref) Hashtbl.t = Hashtbl.create 8 in
-        List.iter
-          (fun (msg, s, d) ->
-            let hash = msg_scalar s.tau msg in
-            let q = ref G.one in
-            for j = 0 to msp.Msp.cols - 1 do
-              q := G.mul !q (G.pow s.p.(j) (B.erem (B.mul zs.(j) d) order))
-            done;
-            let key = B.to_string hash in
-            match Hashtbl.find_opt groups key with
-            | Some (_, acc) -> acc := G.mul !acc !q
-            | None -> Hashtbl.add groups key (hash, ref !q))
-          weights;
-        let msg_terms =
-          Hashtbl.fold
-            (fun _ (hash, acc) l -> (G.inv (msg_base mvk hash), !acc) :: l)
-            groups []
-        in
-        let terms =
-          (G.pow w_acc zkb, mvk.cap_a0)
-          :: (G.inv y_acc, G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h zs.(0)))
-          :: (!row_terms @ msg_terms)
-        in
-        P.Gt.is_one (P.e_prod terms)
-      end
-
   type claim = {
     msg : string;
     policy : Expr.t;
     sigma : signature;
     blame : Zkqac_util.Verify_error.t -> Zkqac_util.Verify_error.t;
   }
+
+  (* Every claim of a VO in one small-exponent product: with a weight d_m
+     per claim, and column weights z_j and a key-binding weight z_kb shared
+     by all,
+
+       e(prod_m W_m^{d_m z_kb}, A0)
+         * e((prod_m Y_m^{d_m})^{-1}, h0^{z_kb} h^{z_0})
+         * prod_u e(prod_{u(m,i) = u} S_{m,i}^{d_m c_{m,i}}, AB^u)
+         * prod_h e((C g^h)^{-1}, prod_{h_m = h} prod_j P_{m,j}^{z_j d_m})
+       = 1
+
+     where c_{m,i} is row i's weight in claim m's span program. Row terms
+     merge by attribute, whatever policy the row came from, and message
+     terms by message hash (the same-message fast path): 2 + distinct
+     attributes + distinct hashes Miller loops, one final exponentiation.
+     The product is the exponent sum_m d_m L_m(z), where L_m is claim m's
+     equations weighted by the z's; a bad equation makes it a nonzero
+     polynomial of degree 2 in the weights, so it vanishes with
+     probability at most 2/order (Schwartz-Zippel). *)
+  let batch_holds drbg mvk claims =
+    Trace.with_span "abs.verify_batch"
+      ~attrs:[ ("batch", Trace.Int (List.length claims)) ]
+    @@ fun _ ->
+    T.bump T.Abs_verify;
+    let programs = Hashtbl.create 8 in
+    let claims =
+      List.map
+        (fun c ->
+          let key = Expr.to_string c.policy in
+          if not (Hashtbl.mem programs key) then Hashtbl.add programs key (Msp.build c.policy);
+          (c, key, Hashtbl.find programs key))
+        claims
+    in
+    List.for_all (fun (c, _, msp) -> fits msp c.sigma && not (G.is_one c.sigma.y)) claims
+    && begin
+      let zs =
+        Array.init (Hashtbl.fold (fun _ msp n -> max n msp.Msp.cols) programs 1) (fun _ ->
+            P.rand_scalar drbg)
+      in
+      let zkb = P.rand_scalar drbg in
+      let cs = Hashtbl.create 8 in
+      Hashtbl.iter (fun key msp -> Hashtbl.add cs key (row_weights msp zs)) programs;
+      let rows = Hashtbl.create 16 and msgs = Hashtbl.create 16 in
+      let add tbl key x =
+        Hashtbl.replace tbl key
+          (match Hashtbl.find_opt tbl key with Some acc -> G.mul acc x | None -> x)
+      in
+      let w_acc = ref G.one and y_acc = ref G.one in
+      List.iter
+        (fun (c, key, msp) ->
+          let s = c.sigma and d = P.rand_scalar drbg in
+          w_acc := G.mul !w_acc (G.pow s.w d);
+          y_acc := G.mul !y_acc (G.pow s.y d);
+          Array.iteri
+            (fun i ci ->
+              if not (B.is_zero ci) then
+                add rows msp.Msp.labels.(i) (G.pow s.s.(i) (B.erem (B.mul d ci) order)))
+            (Hashtbl.find cs key);
+          (* (tau, msg) fixes the message hash h_m. *)
+          add msgs (s.tau, c.msg)
+            (Array.fold_left G.mul G.one
+               (Array.mapi (fun j pj -> G.pow pj (B.erem (B.mul zs.(j) d) order)) s.p)))
+        claims;
+      let terms =
+        (G.pow !w_acc zkb, mvk.cap_a0)
+        :: (G.inv !y_acc, G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h zs.(0)))
+        :: Hashtbl.fold (fun u acc l -> (acc, attr_base mvk u) :: l) rows []
+        @ Hashtbl.fold
+            (fun (tau, msg) acc l -> (G.inv (msg_base mvk (msg_scalar tau msg)), acc) :: l)
+            msgs []
+      in
+      P.Gt.is_one (P.e_prod terms)
+    end
 
   let rec check_each mvk = function
     | [] -> Ok ()
@@ -390,31 +380,22 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
        | Ok () -> check_each mvk rest
        | Error e -> Error (c.blame e))
 
-  (* One batch per span program, keyed by policy string. A rejected batch
-     only says that some claim is bad, so the sequential pass names it. *)
+  (* A rejected product only says that some claim is bad, so the
+     sequential pass names it. *)
   let check ?batch mvk claims =
     match batch with
     | None -> check_each mvk claims
-    | Some drbg ->
-      let keyed = List.map (fun c -> (Expr.to_string c.policy, c)) claims in
-      let batch_ok key =
-        let cs = List.filter_map (fun (k, c) -> if k = key then Some c else None) keyed in
-        verify_batch drbg mvk ~policy:(List.hd cs).policy
-          (List.map (fun c -> (c.msg, c.sigma)) cs)
-      in
-      if List.for_all batch_ok (List.sort_uniq String.compare (List.map fst keyed))
-      then Ok ()
-      else begin
-        Zkqac_telemetry.Metrics.batch_fallback ();
-        Zkqac_telemetry.Flight.record ~cat:"verdict" ~detail:"batch-rejected"
-          "vo.batch_fallback";
-        match check_each mvk claims with
-        | Error e -> Error e
-        | Ok () ->
-          (* Sequential accepts what the batch rejected: a ~1/order
-             coincidence in the weights. The batch is authoritative. *)
-          Error (Zkqac_util.Verify_error.Bad_aps_signature "batched APS verification")
-      end
+    | Some drbg when batch_holds drbg mvk claims -> Ok ()
+    | Some _ ->
+      Zkqac_telemetry.Metrics.batch_fallback ();
+      Zkqac_telemetry.Flight.record ~cat:"verdict" ~detail:"batch-rejected"
+        "vo.batch_fallback";
+      (match check_each mvk claims with
+       | Error e -> Error e
+       | Ok () ->
+         (* Sequential accepts what the product rejected: a ~2/order
+            coincidence in the weights. The product is authoritative. *)
+         Error (Zkqac_util.Verify_error.Bad_aps_signature "batched APS verification"))
 
   let relaxed_policy keep = Expr.of_attrs_or (Attr.Set.elements keep)
 
@@ -425,8 +406,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | None -> None
     | Some { Msp.kept_rows; kept_cols } ->
       let msp = Msp.build policy in
-      if Array.length sigma.s <> msp.Msp.rows || Array.length sigma.p <> msp.Msp.cols
-      then None
+      if not (fits msp sigma) then None
       else begin
         let hash = msg_scalar sigma.tau msg in
         let base_c = msg_base mvk hash in

@@ -79,21 +79,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       required for perfect privacy — it is distributed identically to a
       fresh signature on the relaxed predicate. *)
 
-  val verify_batch :
-    Zkqac_hashing.Drbg.t ->
-    mvk ->
-    policy:Zkqac_policy.Expr.t ->
-    (string * signature) list ->
-    bool
-  (** Small-exponent batch verification of several signatures under the
-      *same* policy — the shape of a VO's APS entries, which all verify
-      under the user's one super policy. Each signature is weighted by a
-      random scalar so forging any one of them breaks the combined equation
-      except with probability ~1/order; shared attribute bases collapse,
-      cutting the pairing count from k·(ℓ+2) to about k + ℓ + 2. Returns
-      the conjunction of all individual verdicts (sound for accepting; on
-      [false], fall back to one-by-one verification to locate the culprit). *)
-
   type claim = {
     msg : string;
     policy : Zkqac_policy.Expr.t;
@@ -109,11 +94,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     (unit, Zkqac_util.Verify_error.t) result
   (** The one signature check of every VO verifier. Without [batch],
       {!verify_result} on each claim in order, the first rejection mapped
-      by its [blame]. With [batch], one {!verify_batch} per distinct policy
-      string; if any rejects, the fallback is counted
-      ([zkqac_batch_fallbacks_total], a [vo.batch_fallback] flight event)
-      and the sequential pass returns its error, or
-      [Bad_aps_signature "batched APS verification"] if it accepts. *)
+      by its [blame]. With [batch], one small-exponent pairing product over
+      every claim, whatever its policy: one weight per claim and shared
+      column and key-binding weights, all drawn from [batch], so a bad
+      claim survives with probability about 2/order. If it rejects, the
+      fallback is counted ([zkqac_batch_fallbacks_total], a
+      [vo.batch_fallback] flight event) and the sequential pass returns its
+      error, or [Bad_aps_signature "batched APS verification"] if it
+      accepts. *)
 
   val relaxed_policy : Zkqac_policy.Attr.Set.t -> Zkqac_policy.Expr.t
   (** The super-policy shape [∨_{a∈keep} a] that relaxed signatures verify

@@ -32,7 +32,9 @@ type counter =
   | Gt_mul  (** multiplications (and inversions) in Gt *)
   | Sha256_compress  (** SHA-256 compression-function invocations *)
   | Abs_sign  (** ABS.Sign calls *)
-  | Abs_verify  (** ABS.Verify / ABS.VerifyBatch calls *)
+  | Abs_verify
+      (** ABS verifications: one per single-signature check and one per
+          batched pairing product, however many signatures it holds *)
   | Abs_relax  (** ABS.Relax calls *)
   | Cpabe_encrypt  (** CP-ABE encryptions *)
   | Cpabe_decrypt  (** CP-ABE decryption attempts *)

@@ -129,28 +129,72 @@ let batch_fixture () =
   in
   (super, sigs)
 
+let claim ?(blame = Fun.id) policy (msg, sigma) = { Abs.msg; policy; sigma; blame }
+
+let batch_check claims = Abs.check ~batch:drbg mvk claims
+
 let test_batch_verify_accepts () =
   let super, sigs = batch_fixture () in
-  Alcotest.(check bool) "batch accepts" true
-    (Abs.verify_batch drbg mvk ~policy:super sigs);
-  Alcotest.(check bool) "empty batch" true (Abs.verify_batch drbg mvk ~policy:super []);
-  Alcotest.(check bool) "singleton batch" true
-    (Abs.verify_batch drbg mvk ~policy:super [ List.hd sigs ])
+  let ok = Alcotest.(check (result unit reject)) in
+  ok "batch accepts" (Ok ()) (batch_check (List.map (claim super) sigs));
+  ok "empty batch" (Ok ()) (batch_check []);
+  ok "singleton batch" (Ok ()) (batch_check [ claim super (List.hd sigs) ])
 
 let test_batch_verify_rejects () =
   let super, sigs = batch_fixture () in
-  (* Corrupt one message: the whole batch must fail. *)
-  let corrupted =
-    List.mapi (fun i (m, s) -> if i = 3 then (m ^ "!", s) else (m, s)) sigs
+  let rejects what claims =
+    Alcotest.(check bool) what true (Result.is_error (batch_check claims))
   in
-  Alcotest.(check bool) "batch rejects corruption" false
-    (Abs.verify_batch drbg mvk ~policy:super corrupted);
+  (* Corrupt one message: the whole batch must fail. *)
+  rejects "batch rejects corruption"
+    (List.mapi (fun i (m, s) -> claim super (if i = 3 then (m ^ "!", s) else (m, s))) sigs);
   (* Swap two signatures' messages: also caught. *)
-  (match sigs with
-   | (m1, s1) :: (m2, s2) :: rest ->
-     Alcotest.(check bool) "batch rejects swap" false
-       (Abs.verify_batch drbg mvk ~policy:super ((m1, s2) :: (m2, s1) :: rest))
-   | _ -> assert false)
+  match sigs with
+  | (m1, s1) :: (m2, s2) :: rest ->
+    rejects "batch rejects swap" (List.map (claim super) ((m1, s2) :: (m2, s1) :: rest))
+  | _ -> assert false
+
+(* The encoding is tau (u16 length, bytes), Y, W, then the S components
+   (u16 count, elements) and the P components. [swap_part off] exchanges
+   the element [off] bytes past tau between two signatures. *)
+let g_size = String.length (Mock_backend.G.to_bytes Mock_backend.G.g)
+let w_at = g_size
+let s0_at = (2 * g_size) + 2
+
+let swap_part off s1 s2 =
+  let b1 = Abs.to_bytes s1 and b2 = Abs.to_bytes s2 in
+  let at b = 2 + ((Char.code b.[0] lsl 8) lor Char.code b.[1]) + off in
+  let splice b from =
+    String.sub b 0 (at b) ^ String.sub from (at from) g_size
+    ^ String.sub b (at b + g_size) (String.length b - at b - g_size)
+  in
+  (Option.get (Abs.of_bytes (splice b1 b2)), Option.get (Abs.of_bytes (splice b2 b1)))
+
+(* An APP under RoleA and an APS under the super policy trade W: the two
+   claims sit in one product only through their own weights. *)
+let test_batch_swapped_w () =
+  let super, sigs = batch_fixture () in
+  let app = Abs.sign drbg mvk sk ~msg:"app" ~policy:(Expr.of_string "RoleA") in
+  let msg, aps = List.hd sigs in
+  let app', aps' = swap_part w_at app aps in
+  let claims =
+    [ claim (Expr.of_string "RoleA") ("app", app');
+      claim ~blame:Zkqac_util.Verify_error.as_aps super (msg, aps') ]
+  in
+  let sequential = Abs.check mvk claims in
+  Alcotest.(check bool) "sequential rejects" true (Result.is_error sequential);
+  Alcotest.(check bool) "batched gives the sequential error" true
+    (batch_check claims = sequential)
+
+(* Two APS claims under the one super policy trade their first S row. *)
+let test_batch_swapped_row () =
+  let super, sigs = batch_fixture () in
+  match sigs with
+  | (m1, s1) :: (m2, s2) :: rest ->
+    let s1', s2' = swap_part s0_at s1 s2 in
+    Alcotest.(check bool) "batch rejects row swap" true
+      (Result.is_error (batch_check (List.map (claim super) ((m1, s1') :: (m2, s2') :: rest))))
+  | _ -> assert false
 
 let space = Keyspace.create ~dims:2 ~depth:3
 
@@ -366,9 +410,20 @@ let test_fallback_counted () =
   counted "join" (verify_join (tampered_join ~fault:false));
   counted "continuous" (verify_cont ~hi:200 (tampered_cont ()))
 
-(* One batch per span program: the APS entries share the super policy and
-   the APPs split into RoleA and RoleC, so three multi-pairings. *)
-let test_batches_per_policy () =
+(* One product and one ABS verification per VO. In the AP²G VO the APS
+   entries share the super policy and the APPs split into RoleA and RoleC;
+   the join's and the continuous query's VOs hold APP and APS entries too. *)
+let test_one_product_per_vo () =
+  let one what verify =
+    T.with_enabled (fun () ->
+        let before = T.snapshot () in
+        (match verify () with
+         | Ok _ -> ()
+         | Error e -> Alcotest.failf "%s: %s" what (Vo.error_to_string e));
+        let ops = T.ops (T.diff ~earlier:before ~later:(T.snapshot ())) in
+        Alcotest.(check (pair int int)) (what ^ ": products, ABS verifications") (1, 1)
+          (List.assoc T.Multi_pairing ops, List.assoc T.Abs_verify ops))
+  in
   let user = attrs [ "RoleA"; "RoleC" ] in
   let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in
   let vo, _ = Ap2g.range_vo drbg ~mvk tree ~user query in
@@ -379,13 +434,15 @@ let test_batches_per_policy () =
             | Vo.Accessible { record; _ } -> Some (Expr.to_string record.Record.policy)
             | _ -> None)
           vo));
-  T.with_enabled (fun () ->
-      let before = T.snapshot () in
-      (match Ap2g.verify ~batch:drbg ~mvk ~t_universe:universe ~user ~query vo with
-       | Ok _ -> ()
-       | Error e -> Alcotest.failf "batched verify: %s" (Vo.error_to_string e));
-      let cost = T.diff ~earlier:before ~later:(T.snapshot ()) in
-      Alcotest.(check int) "multi-pairings" 3 (List.assoc T.Multi_pairing (T.ops cost)))
+  one "range" (fun () -> Ap2g.verify ~batch:drbg ~mvk ~t_universe:universe ~user ~query vo);
+  let user = attrs [ "RoleA" ] in
+  let join, _ = Join.join_vo drbg ~mvk ~r:r_tree ~s:s_tree ~user join_query in
+  one "join" (verify_join join ~batch:(Drbg.create ~seed:"join-cost"));
+  let cont_vo, _ = Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi:200 in
+  Alcotest.(check bool) "continuous APP and APS entries" true
+    (List.exists (function Vo.Accessible _ -> true | _ -> false) cont_vo
+     && List.exists (function Vo.Accessible _ -> false | _ -> true) cont_vo);
+  one "continuous" (verify_cont ~hi:200 cont_vo ~batch:(Drbg.create ~seed:"cont-cost"))
 
 (* --- aggregation --- *)
 
@@ -572,6 +629,8 @@ let suite =
         Alcotest.test_case "threshold CP-ABE" `Quick test_threshold_cpabe;
         Alcotest.test_case "batch verify accepts" `Quick test_batch_verify_accepts;
         Alcotest.test_case "batch verify rejects" `Quick test_batch_verify_rejects;
+        Alcotest.test_case "batch rejects swapped W across policies" `Quick test_batch_swapped_w;
+        Alcotest.test_case "batch rejects swapped S row" `Quick test_batch_swapped_row;
         Alcotest.test_case "batched VO verify" `Quick test_batched_vo_verify;
         Alcotest.test_case "two faults: range" `Quick test_two_faults_range;
         Alcotest.test_case "two faults: join" `Quick test_two_faults_join;
@@ -583,7 +642,7 @@ let suite =
         Alcotest.test_case "continuous widened gap rejected" `Quick
           test_continuous_widened_gap;
         Alcotest.test_case "batch fallback counted" `Quick test_fallback_counted;
-        Alcotest.test_case "one batch per policy" `Quick test_batches_per_policy;
+        Alcotest.test_case "one pairing product per VO" `Quick test_one_product_per_vo;
         Alcotest.test_case "aggregation" `Quick test_aggregate;
         Alcotest.test_case "ads bytes roundtrip" `Quick test_ads_roundtrip;
         Alcotest.test_case "ads file roundtrip" `Quick test_ads_file_roundtrip;
