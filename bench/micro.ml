@@ -54,6 +54,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let g1 = P.rand_g drbg and g2 = P.rand_g drbg in
     let k = P.rand_scalar drbg in
     let t1 = P.G.precompute g1 in
+    let z1 = P.e g1 g2 and z2 = P.e g2 g2 in
     let enc = P.G.to_bytes g1 in
     List.map
       (fun (op, f) -> (P.name, op, per_op f))
@@ -61,6 +62,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         ("pairing", fun () -> ignore (P.e g1 g2));
         ("g-exp", fun () -> ignore (P.G.pow g1 k));
         ("g-exp-table", fun () -> ignore (P.G.pow_prod [ (t1, k) ]));
+        ("g-mul", fun () -> ignore (P.G.mul g1 g2));
+        ("gt-mul", fun () -> ignore (P.Gt.mul z1 z2));
         ("g-decode", fun () -> ignore (P.G.of_bytes enc));
         ("drbg-scalar", fun () -> ignore (P.rand_scalar drbg));
         ("hash-to-field", fun () -> ignore (Htf.to_zp ~domain:"micro" ~p:P.order msg));

@@ -1,56 +1,44 @@
 module B = Zkqac_bigint.Bigint
+module M = Fp.Mont
 
-type point = Infinity | Affine of B.t * B.t
+type point = Infinity | Affine of M.t * M.t
 
 let equal a b =
   match (a, b) with
   | Infinity, Infinity -> true
-  | Affine (x1, y1), Affine (x2, y2) -> B.equal x1 x2 && B.equal y1 y2
+  | Affine (x1, y1), Affine (x2, y2) -> M.equal x1 x2 && M.equal y1 y2
   | Infinity, Affine _ | Affine _, Infinity -> false
 
 let is_infinity = function Infinity -> true | Affine _ -> false
 
 let neg c = function
   | Infinity -> Infinity
-  | Affine (x, y) -> Affine (x, Fp.neg c y)
+  | Affine (x, y) -> Affine (x, M.neg c y)
+
+(* x³ + x, the right-hand side of the curve equation. *)
+let rhs c x = M.add c (M.mul c (M.sqr c x) x) x
 
 let is_on_curve c = function
   | Infinity -> true
-  | Affine (x, y) ->
-    let lhs = Fp.sqr c y in
-    let rhs = Fp.add c (Fp.mul c (Fp.sqr c x) x) x in
-    Fp.equal lhs rhs
+  | Affine (x, y) -> M.equal (M.sqr c y) (rhs c x)
 
-(* Jacobian coordinates over Montgomery-form residues: (X, Y, Z) stands
-   for the affine point (X / Z², Y / Z³), and Z = 0 for infinity. Doubling
-   and adding need no inversion; [to_affine] pays the one inversion a
-   result costs and converts it back to canonical coordinates. *)
-module M = Fp.Mont
-
+(* Jacobian coordinates: (X, Y, Z) stands for the affine point
+   (X / Z², Y / Z³), and Z = 0 for infinity. Doubling and adding need no
+   inversion; [to_affine] pays the one inversion a result costs. *)
 type jacobian = { x : M.t; y : M.t; z : M.t }
-
-(* Affine points in Montgomery form: table entries and the fixed operand of
-   a mixed addition. *)
-type maffine = Inf | Aff of M.t * M.t
 
 let jinfinity c = { x = M.one c; y = M.one c; z = M.zero c }
 
-let to_mont c = function
-  | Infinity -> Inf
-  | Affine (x, y) -> Aff (M.of_fp c x, M.of_fp c y)
-
-let of_maffine c = function
-  | Inf -> jinfinity c
-  | Aff (x, y) -> { x; y; z = M.one c }
-
-let of_affine c p = of_maffine c (to_mont c p)
+let of_affine c = function
+  | Infinity -> jinfinity c
+  | Affine (x, y) -> { x; y; z = M.one c }
 
 let to_affine c v =
   if M.is_zero v.z then Infinity
   else begin
     let zi = M.inv c v.z in
     let zi2 = M.sqr c zi in
-    Affine (M.to_fp c (M.mul c v.x zi2), M.to_fp c (M.mul c v.y (M.mul c zi2 zi)))
+    Affine (M.mul c v.x zi2, M.mul c v.y (M.mul c zi2 zi))
   end
 
 let jdouble c v =
@@ -79,9 +67,9 @@ let jadd c v xp yp =
 (* V + P for Jacobian V and affine P, every case included. *)
 let add_affine c v p =
   match p with
-  | Inf -> v
-  | Aff (xp, yp) ->
-    if M.is_zero v.z then of_maffine c p
+  | Infinity -> v
+  | Affine (xp, yp) ->
+    if M.is_zero v.z then of_affine c p
     else begin
       match jadd c v xp yp with
       | `Sum (s, _) -> s
@@ -90,14 +78,13 @@ let add_affine c v p =
     end
 
 let double c p = to_affine c (fst (jdouble c (of_affine c p)))
-let add c p q = to_affine c (add_affine c (of_affine c p) (to_mont c q))
+let add c p q = to_affine c (add_affine c (of_affine c p) q)
 
 (* Left-to-right double-and-add in Jacobian coordinates with mixed
    additions of the affine [p], from its top bit. *)
 let mul_jacobian c k p =
   if B.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
-  let p = to_mont c p in
-  let v = ref (if B.is_zero k then jinfinity c else of_maffine c p) in
+  let v = ref (if B.is_zero k then jinfinity c else of_affine c p) in
   for i = B.num_bits k - 2 downto 0 do
     v := fst (jdouble c !v);
     if B.testbit k i then v := add_affine c !v p
@@ -139,14 +126,14 @@ let batch_to_affine c vs =
       if not (M.is_zero v.z) then acc := M.mul c !acc v.z)
     vs;
   let inv = ref (M.inv c !acc) in
-  let out = Array.make n Inf in
+  let out = Array.make n Infinity in
   for i = n - 1 downto 0 do
     let v = vs.(i) in
     if not (M.is_zero v.z) then begin
       let zi = M.mul c !inv prefix.(i) in
       inv := M.mul c !inv v.z;
       let zi2 = M.sqr c zi in
-      out.(i) <- Aff (M.mul c v.x zi2, M.mul c v.y (M.mul c zi2 zi))
+      out.(i) <- Affine (M.mul c v.x zi2, M.mul c v.y (M.mul c zi2 zi))
     end
   done;
   out
@@ -155,7 +142,7 @@ let batch_to_affine c vs =
    for d = 1..15, all affine and in Montgomery form. A scalar of at most
    [4 * windows] bits then costs one mixed addition per non-zero nibble and
    no doubling. *)
-type table = maffine array
+type table = point array
 
 let window = 4
 let digits = (1 lsl window) - 1
@@ -191,10 +178,11 @@ let mul_prod c terms =
     terms;
   to_affine c !acc
 
-(* A canonical y with y² = x³ + x for the canonical [x], if there is one. *)
+(* A y with y² = x³ + x for the canonical [x], if there is one, and [x]
+   in Montgomery form. *)
 let y_of_x c x =
   let x = M.of_fp c x in
-  Option.map (M.to_fp c) (M.sqrt c (M.add c (M.mul c (M.sqr c x) x) x))
+  Option.map (fun y -> (x, y)) (M.sqrt c (rhs c x))
 
 let hash_to_point c ~domain msg =
   let p = Fp.modulus c in
@@ -204,10 +192,9 @@ let hash_to_point c ~domain msg =
         (msg ^ ":" ^ string_of_int ctr)
     in
     match y_of_x c x with
-    | Some y ->
+    | Some (xm, y) ->
       (* Deterministic sign choice keyed on the counter stream. *)
-      let y = if B.testbit x 0 then y else Fp.neg c y in
-      Affine (x, y)
+      Affine (xm, if B.testbit x 0 then y else M.neg c y)
     | None -> try_ctr (ctr + 1)
   in
   try_ctr 0
@@ -217,8 +204,8 @@ let to_bytes c pt =
   match pt with
   | Infinity -> String.make (w + 1) '\000'
   | Affine (x, y) ->
-    let tag = if B.testbit y 0 then '\003' else '\002' in
-    String.make 1 tag ^ B.to_bytes_be_pad w x
+    let tag = if B.testbit (M.to_fp c y) 0 then '\003' else '\002' in
+    String.make 1 tag ^ B.to_bytes_be_pad w (M.to_fp c x)
 
 let of_bytes c s =
   let w = (B.num_bits (Fp.modulus c) + 7) / 8 in
@@ -235,10 +222,9 @@ let of_bytes c s =
       else begin
         match y_of_x c x with
         | None -> None
-        | Some y ->
+        | Some (xm, y) ->
           let want_odd = tag = '\003' in
-          let y = if B.testbit y 0 = want_odd then y else Fp.neg c y in
-          Some (Affine (x, y))
+          Some (Affine (xm, if B.testbit (M.to_fp c y) 0 = want_odd then y else M.neg c y))
       end
     | _ -> None
   end

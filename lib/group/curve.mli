@@ -2,9 +2,13 @@
 
     With p ≡ 3 (mod 4), E is supersingular with #E(F_p) = p + 1 and embedding
     degree 2 — the same curve family as the PBC library's "type a" pairing
-    parameters used by the paper's implementation. *)
+    parameters used by the paper's implementation.
 
-type point = Infinity | Affine of Zkqac_bigint.Bigint.t * Zkqac_bigint.Bigint.t
+    Coordinates are in Montgomery form ({!Fp.Mont}) everywhere: affine
+    points, Jacobian points and table entries. Canonical residues appear
+    only in {!to_bytes}, {!of_bytes} and {!hash_to_point}. *)
+
+type point = Infinity | Affine of Fp.Mont.t * Fp.Mont.t
 
 val equal : point -> point -> bool
 val is_infinity : point -> bool
@@ -15,8 +19,7 @@ val double : Fp.ctx -> point -> point
 
 val mul : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> point
 (** Scalar multiplication; scalar must be >= 0. Runs in Jacobian
-    coordinates over {!Fp.Mont} and inverts once, to return the affine
-    result. *)
+    coordinates and inverts once, to return the affine result. *)
 
 val mul_is_infinity : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> bool
 (** [mul_is_infinity c k p] is [is_infinity (mul c k p)], without the
@@ -24,9 +27,8 @@ val mul_is_infinity : Fp.ctx -> Zkqac_bigint.Bigint.t -> point -> bool
 
 (** {2 Jacobian coordinates}
 
-    [{x; y; z}] stands for the affine point (x / z², y / z³), every
-    coordinate in Montgomery form; z = 0 is infinity. The Miller loop keeps
-    its running point in this form. *)
+    [{x; y; z}] stands for the affine point (x / z², y / z³); z = 0 is
+    infinity. The Miller loop keeps its running point in this form. *)
 
 type jacobian = { x : Fp.Mont.t; y : Fp.Mont.t; z : Fp.Mont.t }
 
@@ -48,8 +50,8 @@ val jadd :
 (** {2 Fixed-base tables} *)
 
 type table
-(** Affine multiples of one base for 4-bit windows, in Montgomery form: 15
-    entries per window, [d·16^i·P] for each digit d of window i. *)
+(** Affine multiples of one base for 4-bit windows: 15 entries per window,
+    [d·16^i·P] for each digit d of window i. *)
 
 val precompute : Fp.ctx -> bits:int -> point -> table
 (** The table of [P] for scalars of at most [bits] bits. Built in Jacobian
@@ -67,7 +69,7 @@ val hash_to_point : Fp.ctx -> domain:string -> string -> point
     in the prime-order subgroup. *)
 
 val to_bytes : Fp.ctx -> point -> string
-(** Compressed encoding: one tag byte (0 = infinity, 2/3 = sign of y) plus
-    the x-coordinate, fixed width. *)
+(** Compressed encoding: one tag byte (0 = infinity, 2/3 = parity of the
+    canonical y) plus the canonical x-coordinate, fixed width. *)
 
 val of_bytes : Fp.ctx -> string -> point option

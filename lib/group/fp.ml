@@ -170,17 +170,6 @@ module Mont = struct
 end
 
 let modulus c = c.p
-let zero = B.zero
-let one = B.one
-let of_bigint c x = B.erem x c.p
-let of_int c x = B.erem (B.of_int x) c.p
-
-let add c a b =
-  let s = B.add a b in
-  if B.compare s c.p >= 0 then B.sub s c.p else s
-
-let sub c a b = if B.compare a b >= 0 then B.sub a b else B.add (B.sub a b) c.p
-let neg c a = if B.is_zero a then B.zero else B.sub c.p a
 
 (* mont(a, b) = a·b·R⁻¹, and mont(a·b·R⁻¹, R²) = a·b: two Montgomery
    products and no conversion into the form. *)
@@ -188,10 +177,4 @@ let mul c a b =
   let n = c.n in
   B.of_limbs (Mont.mul c (Mont.mul c (B.to_limbs n a) (B.to_limbs n b)) c.r2)
 
-let sqr c a = mul c a a
 let inv c a = B.invmod a c.p
-let div c a b = mul c a (inv c b)
-let pow c a e = Mont.to_fp c (Mont.pow c (Mont.of_fp c a) e)
-let sqrt c a = Option.map (Mont.to_fp c) (Mont.sqrt c (Mont.of_fp c a))
-let equal = B.equal
-let is_zero = B.is_zero

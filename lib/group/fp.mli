@@ -1,8 +1,8 @@
-(** The prime field F_p, as a context of operations over canonical residues.
-
-    Elements are {!Zkqac_bigint.Bigint.t} values in [[0, p)]; all operations
-    assume (and preserve) canonical form. Products, squares and powers run
-    on the fixed-width Montgomery kernel {!Mont}. *)
+(** The prime field F_p. Elements live in Montgomery form ({!Mont}) from
+    decode to encode: a curve coordinate or an F_p² component is a
+    {!Mont.t}, and only the byte codecs and hash-to-point see canonical
+    {!Zkqac_bigint.Bigint.t} residues, through {!Mont.of_fp} and
+    {!Mont.to_fp}. *)
 
 type ctx
 (** The modulus and its Montgomery constants. Read-only once created, so one
@@ -12,31 +12,24 @@ val create : Zkqac_bigint.Bigint.t -> ctx
 (** @raise Invalid_argument unless the modulus is odd and > 2. *)
 
 val modulus : ctx -> Zkqac_bigint.Bigint.t
-val zero : Zkqac_bigint.Bigint.t
-val one : Zkqac_bigint.Bigint.t
-val of_bigint : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val of_int : ctx -> int -> Zkqac_bigint.Bigint.t
-val add : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val sub : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val neg : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
+
+(** {1 Canonical residues}
+
+    A product and an inverse of residues in [[0, p)], for callers that
+    time one field operation from outside the library. No type-A path
+    calls them. *)
+
 val mul : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val sqr : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
+(** Two kernel products; no conversion into Montgomery form. *)
+
 val inv : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
 (** @raise Division_by_zero on 0. *)
 
-val div : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val pow : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-val sqrt : ctx -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t option
-val equal : Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> bool
-val is_zero : Zkqac_bigint.Bigint.t -> bool
-
 (** {1 Montgomery form}
 
-    The kernel every product runs on. A residue a is held as a·R mod p in
-    a fixed number of 26-bit limbs, R = 2^(26·limbs). Scalar
-    multiplications, tables, decodes and pairings convert into this form
-    when they start and out of it when they end. Every operation returns a
-    fresh value. *)
+    A residue a is held as a·R mod p in a fixed number of 26-bit limbs,
+    R = 2^(26·limbs), always reduced below p, so equal residues have equal
+    limbs. Every operation returns a fresh value. *)
 
 module Mont : sig
   type t
@@ -64,5 +57,5 @@ module Mont : sig
   (** @raise Invalid_argument on a negative exponent. *)
 
   val sqrt : ctx -> t -> t option
-  (** The same root {!val-sqrt} returns, in Montgomery form. *)
+  (** a^((p+1)/4) when p ≡ 3 (mod 4), Tonelli–Shanks otherwise. *)
 end

@@ -23,22 +23,20 @@ module B = Zkqac_bigint.Bigint
    (a + b*(-xq), c*yq). *)
 let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
   let module M = Fp.Mont in
-  let module F2 = Fp2.Mont in
   let infinity = Curve.of_affine fp Curve.Infinity in
   let pairs =
     List.filter_map
       (fun pair ->
         match pair with
         | Curve.Infinity, _ | _, Curve.Infinity -> None
-        | (Curve.Affine _ as p), Curve.Affine (xq, yq) ->
-          let v = Curve.of_affine fp p in
-          Some (v.x, v.y, M.neg fp (M.of_fp fp xq), M.of_fp fp yq, ref v))
+        | (Curve.Affine (xp, yp) as p), Curve.Affine (xq, yq) ->
+          Some (xp, yp, M.neg fp xq, yq, ref (Curve.of_affine fp p)))
       pairs
   in
-  if pairs = [] then Fp2.one
+  if pairs = [] then Fp2.one fp
   else begin
-    let f = ref (F2.one fp) in
-    let line re im = f := F2.mul fp !f (F2.make re im) in
+    let f = ref (Fp2.one fp) in
+    let line re im = f := Fp2.mul fp !f (Fp2.make re im) in
     (* V := 2V, times the tangent at V scaled by 2YZ^3:
        -2Y^2 - M*(xq'*Z^2 - X) + 2YZ^3*yq*i. At Y = 0 the tangent is
        vertical and V becomes infinity. *)
@@ -56,7 +54,7 @@ let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
       end
     in
     for i = B.num_bits r - 2 downto 0 do
-      f := F2.sqr fp !f;
+      f := Fp2.sqr fp !f;
       List.iter
         (fun (xp, yp, xq', yq, v) ->
           if not (M.is_zero !v.Curve.z) then tangent v xq' yq;
@@ -75,8 +73,8 @@ let e_prod { Typea_params.r; cofactor; fp; _ } pairs =
     done;
     (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
        raise to the cofactor (p+1)/r. *)
-    let f1 = F2.mul fp (F2.conj fp !f) (F2.inv fp !f) in
-    F2.to_fp2 fp (F2.pow fp f1 cofactor)
+    let f1 = Fp2.mul fp (Fp2.conj fp !f) (Fp2.inv fp !f) in
+    Fp2.pow fp f1 cofactor
   end
 
 let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
@@ -120,12 +118,12 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
     module Gt = struct
       type t = Fp2.t
 
-      let one = Fp2.one
+      let one = Fp2.one fp
       let mul = Fp2.mul fp
       let inv = Fp2.inv fp
       let pow a k = Fp2.pow fp a (B.erem k r)
       let equal = Fp2.equal
-      let is_one = Fp2.is_one
+      let is_one = Fp2.is_one fp
       let to_bytes = Fp2.to_bytes fp
 
       (* Membership in the order-r subgroup of F_p2* must be checked on
@@ -135,7 +133,7 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
          arbitrary in-range field elements. *)
       let of_bytes s =
         match Fp2.of_bytes fp s with
-        | Some x when Fp2.is_one (Fp2.pow fp x r) -> Some x
+        | Some x when Fp2.is_one fp (Fp2.pow fp x r) -> Some x
         | Some _ | None -> None
     end
 

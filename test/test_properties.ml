@@ -14,6 +14,7 @@ module Keyspace = Zkqac_core.Keyspace
 module Record = Zkqac_core.Record
 module Aes = Zkqac_symmetric.Aes128
 module Fp = Zkqac_group.Fp
+module M = Zkqac_group.Fp.Mont
 module Fp2 = Zkqac_group.Fp2
 
 module Mock_backend = (val Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
@@ -116,9 +117,10 @@ let gen_fp =
   QCheck2.Gen.(
     let* v = int_range 0 1_000_000_000 in
     let* w = int_range 0 1_000_000_000 in
-    return (Fp.of_bigint fp_ctx (B.add (B.mul (B.of_int v) (B.of_int 1_000_000_007)) (B.of_int w))))
+    return (M.of_fp fp_ctx (B.erem (B.add (B.mul (B.of_int v) (B.of_int 1_000_000_007)) (B.of_int w)) p61)))
 
 let gen_fp2 = QCheck2.Gen.(map (fun (a, b) -> Fp2.make a b) (pair gen_fp gen_fp))
+let fp2_add (x : Fp2.t) (y : Fp2.t) = Fp2.make (M.add fp_ctx x.re y.re) (M.add fp_ctx x.im y.im)
 
 let field_props =
   [
@@ -130,10 +132,10 @@ let field_props =
     qtest "fp2 distributes" (QCheck2.Gen.triple gen_fp2 gen_fp2 gen_fp2)
       (fun (x, y, z) ->
         Fp2.equal
-          (Fp2.mul fp_ctx x (Fp2.add fp_ctx y z))
-          (Fp2.add fp_ctx (Fp2.mul fp_ctx x y) (Fp2.mul fp_ctx x z)));
+          (Fp2.mul fp_ctx x (fp2_add y z))
+          (fp2_add (Fp2.mul fp_ctx x y) (Fp2.mul fp_ctx x z)));
     qtest "fp2 inverse" gen_fp2 (fun x ->
-        Fp2.is_zero x || Fp2.is_one (Fp2.mul fp_ctx x (Fp2.inv fp_ctx x)));
+        (M.is_zero x.re && M.is_zero x.im) || Fp2.is_one fp_ctx (Fp2.mul fp_ctx x (Fp2.inv fp_ctx x)));
     qtest "fp2 sqr = mul self" gen_fp2 (fun x ->
         Fp2.equal (Fp2.sqr fp_ctx x) (Fp2.mul fp_ctx x x));
     qtest "fp2 conj multiplicative" (QCheck2.Gen.pair gen_fp2 gen_fp2) (fun (x, y) ->
@@ -141,9 +143,9 @@ let field_props =
           (Fp2.conj fp_ctx (Fp2.mul fp_ctx x y))
           (Fp2.mul fp_ctx (Fp2.conj fp_ctx x) (Fp2.conj fp_ctx y)));
     qtest "fp sqrt squares back" gen_fp (fun x ->
-        match Fp.sqrt fp_ctx x with
+        match M.sqrt fp_ctx x with
         | None -> true
-        | Some r -> Fp.equal (Fp.sqr fp_ctx r) x);
+        | Some r -> M.equal (M.sqr fp_ctx r) x);
   ]
 
 (* --- AES / envelope properties --- *)
