@@ -17,6 +17,7 @@ module Attr = Zkqac_policy.Attr
 module Universe = Zkqac_policy.Universe
 module Drbg = Zkqac_hashing.Drbg
 module Htf = Zkqac_hashing.Hash_to_field
+module Sha256 = Zkqac_hashing.Sha256
 
 (* Seconds to run [run iters]. *)
 let block run iters = snd (Pool.time (fun () -> run iters))
@@ -56,6 +57,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let t1 = P.G.precompute g1 in
     let z1 = P.e g1 g2 and z2 = P.e g2 g2 in
     let enc = P.G.to_bytes g1 in
+    let bulk = Drbg.generate drbg 65536 in
     List.map
       (fun (op, f) -> (P.name, op, per_op f))
       [
@@ -66,6 +68,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         ("gt-mul", fun () -> ignore (P.Gt.mul z1 z2));
         ("g-decode", fun () -> ignore (P.G.of_bytes enc));
         ("drbg-scalar", fun () -> ignore (P.rand_scalar drbg));
+        ("sha256-64k", fun () -> ignore (Sha256.digest bulk));
         ("hash-to-field", fun () -> ignore (Htf.to_zp ~domain:"micro" ~p:P.order msg));
         ("abs-sign", fun () -> ignore (Abs.sign drbg mvk sk ~msg ~policy));
         ("abs-verify", fun () -> ignore (Abs.verify mvk ~msg ~policy sigma));

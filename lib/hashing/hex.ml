@@ -1,7 +1,11 @@
+let digits = "0123456789abcdef"
+
 let encode s =
-  let buf = Buffer.create (String.length s * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  String.init
+    (2 * String.length s)
+    (fun i ->
+      let b = Char.code s.[i / 2] in
+      digits.[if i land 1 = 0 then b lsr 4 else b land 15])
 
 let decode s =
   let n = String.length s in

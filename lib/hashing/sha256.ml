@@ -1,27 +1,42 @@
-(* SHA-256 per FIPS 180-4. 32-bit words are kept in native ints and masked;
-   on a 64-bit OCaml this avoids Int32 boxing in the compression loop. *)
+(* SHA-256 per FIPS 180-4. The compression function is the C kernel in
+   sha256_stubs.c; this module keeps the chaining words, buffers a partial
+   block and pads. *)
 
-let m32 = 0xFFFFFFFF
+(* Eight 32-bit chaining words, one per int. *)
+type state = int array
 
-let k =
-  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-     0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-     0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-     0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-     0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-     0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-     0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-     0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+(* [blocks h s off n] compresses the [n] whole 64-byte blocks of [s] from
+   [off] into [h]. The kernel trusts its arguments: [compress] below is the
+   only caller, and every block it passes has been bounds-checked. *)
+external blocks : state -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "zkqac_sha256_blocks_bytecode" "zkqac_sha256_blocks"
+  [@@noalloc]
+
+(* Blocks per kernel call: 4 KiB, a few tens of microseconds. A noalloc
+   call holds no poll point, so one call over a whole checkpoint would hold
+   up every other domain's stop-the-world minor collection until it
+   returned. *)
+let max_blocks = 64
+
+let compress h s off n =
+  Zkqac_telemetry.Telemetry.(bump_n Sha256_compress n);
+  let rec go off n =
+    if n > 0 then begin
+      let c = min n max_blocks in
+      blocks h s off c;
+      go (off + (64 * c)) (n - c)
+    end
+  in
+  go off n
+
+(* The block buffer, read by the kernel during the call and never kept. *)
+let compress_buf h buf = compress h (Bytes.unsafe_to_string buf) 0 1
 
 type ctx = {
-  h : int array;           (* 8 chaining words *)
+  h : state;
   buf : Bytes.t;           (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int;     (* total bytes hashed *)
-  w : int array;           (* message schedule scratch *)
   mutable finished : bool;
 }
 
@@ -33,90 +48,33 @@ let init () =
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
     finished = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-
-let compress ctx block off =
-  Zkqac_telemetry.Telemetry.(bump Sha256_compress);
-  let w = ctx.w in
-  for t = 0 to 15 do
-    let i = off + (t * 4) in
-    w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
-  done;
-  for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land m32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land m32
-  done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
-
-let copy ctx =
-  {
-    h = Array.copy ctx.h;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total = ctx.total;
-    w = Array.make 64 0;
-    finished = ctx.finished;
-  }
+let copy ctx = { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf }
 
 let update_sub ctx s off n =
   if ctx.finished then invalid_arg "Sha256.update: finalized context";
   if off < 0 || n < 0 || off > String.length s - n then invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + n;
-  let pos = ref off and stop = off + n in
   (* Fill a partial block first. *)
-  if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) n in
+  let take = if ctx.buf_len = 0 then 0 else min (64 - ctx.buf_len) n in
+  if take > 0 then begin
     Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := off + take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_buf ctx.h ctx.buf;
       ctx.buf_len <- 0
     end
   end;
-  while stop - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf 0;
-    pos := !pos + 64
-  done;
-  if !pos < stop then begin
-    Bytes.blit_string s !pos ctx.buf 0 (stop - !pos);
-    ctx.buf_len <- stop - !pos
+  (* Then whole blocks straight from [s], and buffer the tail. *)
+  if ctx.buf_len = 0 then begin
+    let off = off + take and n = n - take in
+    let whole = n / 64 in
+    compress ctx.h s off whole;
+    let rest = n - (64 * whole) in
+    Bytes.blit_string s (off + (64 * whole)) ctx.buf 0 rest;
+    ctx.buf_len <- rest
   end
 
 let update ctx s = update_sub ctx s 0 (String.length s)
@@ -124,26 +82,19 @@ let update ctx s = update_sub ctx s 0 (String.length s)
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: already finalized";
   ctx.finished <- true;
-  let total_bits = ctx.total * 8 in
-  let pad_len =
-    let r = (ctx.total + 1 + 8) mod 64 in
-    if r = 0 then 1 + 8 else 1 + 8 + (64 - r)
-  in
-  let pad = Bytes.make pad_len '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len - 1 - i) (Char.chr ((total_bits lsr (8 * i)) land 0xff))
-  done;
-  ctx.finished <- false;
-  update ctx (Bytes.to_string pad);
-  ctx.finished <- true;
+  let buf = ctx.buf and len = ctx.buf_len in
+  Bytes.set buf len '\x80';
+  Bytes.fill buf (len + 1) (63 - len) '\000';
+  (* No room for the 8-byte length: it goes in one more block. *)
+  if len >= 56 then begin
+    compress_buf ctx.h buf;
+    Bytes.fill buf 0 56 '\000'
+  end;
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx.h buf;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.to_string out
 
@@ -154,21 +105,14 @@ let digest_sub s off n =
 
 let digest s = digest_sub s 0 (String.length s)
 
-let hex s =
-  let d = digest s in
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+let hex s = Hex.encode (digest s)
 
 let digest_list parts =
   let ctx = init () in
+  let len = Bytes.create 4 in
   List.iter
     (fun p ->
-      let n = String.length p in
-      let len = Bytes.create 4 in
-      for i = 0 to 3 do
-        Bytes.set len i (Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-      done;
+      Bytes.set_int32_be len 0 (Int32.of_int (String.length p));
       update ctx (Bytes.to_string len);
       update ctx p)
     parts;

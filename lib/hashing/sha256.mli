@@ -9,8 +9,9 @@ type ctx
 val init : unit -> ctx
 val update : ctx -> string -> unit
 val copy : ctx -> ctx
-(** An independent context in the same state, with its own block buffer and
-    scratch: the copy and the original may be used from different domains. *)
+(** An independent context in the same state, with its own chaining words
+    and block buffer: the copy and the original may be used from different
+    domains. *)
 
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)

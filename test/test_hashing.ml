@@ -41,6 +41,80 @@ let test_sha256_block_boundaries () =
         (Hex.encode (Sha256.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 128; 1000 ]
 
+(* Random bytes from a seeded state, so a failure names its input. *)
+let random_string st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let check_ref name s got =
+  Alcotest.(check string) name (Hex.encode (Sha256_ref.digest s)) (Hex.encode got)
+
+(* Against the independent reference: one-shot digests of random lengths,
+   [digest_sub] at unaligned offsets, incremental updates split at random
+   points, and a copy taken mid-stream that must not disturb its original. *)
+let test_sha256_reference () =
+  let st = Random.State.make [| 36 |] in
+  for i = 1 to 200 do
+    let n = if i <= 130 then i - 1 else Random.State.int st 2101 in
+    let s = random_string st n in
+    check_ref (Printf.sprintf "digest, %d bytes" n) s (Sha256.digest s);
+    let pre = Random.State.int st 70 and post = Random.State.int st 70 in
+    let framed = random_string st pre ^ s ^ random_string st post in
+    check_ref (Printf.sprintf "digest_sub at %d, %d bytes" pre n) s
+      (Sha256.digest_sub framed pre n);
+    let ctx = Sha256.init () in
+    let pos = ref 0 and fork = ref None in
+    while !pos < n do
+      let step = min (n - !pos) (Random.State.int st 150) in
+      Sha256.update ctx (String.sub s !pos step);
+      pos := !pos + step;
+      if !fork = None && Random.State.bool st then fork := Some (Sha256.copy ctx, !pos)
+    done;
+    (match !fork with
+     | Some (c, at) ->
+       Sha256.update c "fork";
+       check_ref (Printf.sprintf "copy at %d of %d" at n)
+         (String.sub s 0 at ^ "fork") (Sha256.finalize c)
+     | None -> ());
+    check_ref (Printf.sprintf "incremental, %d bytes" n) s (Sha256.finalize ctx)
+  done
+
+(* Inputs that cross the kernel's 64-block (4 KiB) call boundary, whole and
+   split, from unaligned offsets. *)
+let test_sha256_reference_chunks () =
+  let st = Random.State.make [| 4096 |] in
+  List.iter
+    (fun n ->
+      let s = random_string st n in
+      check_ref (Printf.sprintf "digest, %d bytes" n) s (Sha256.digest s);
+      check_ref (Printf.sprintf "digest_sub at 3, %d bytes" n) s
+        (Sha256.digest_sub ("abc" ^ s ^ "z") 3 n);
+      let cut = Random.State.int st (n + 1) in
+      let ctx = Sha256.init () in
+      Sha256.update ctx (String.sub s 0 cut);
+      Sha256.update ctx (String.sub s cut (n - cut));
+      check_ref (Printf.sprintf "split at %d of %d" cut n) s (Sha256.finalize ctx))
+    [ 4032; 4095; 4096; 4097; 4159; 4160; 8191; 8192; 8255; 12_345; 20_000 ]
+
+(* Bad bounds raise before the kernel runs: no compression is counted. *)
+let test_sha256_bounds () =
+  let module T = Zkqac_telemetry.Telemetry in
+  T.with_enabled @@ fun () ->
+  let s = String.make 200 'b' in
+  let before = T.get T.Sha256_compress in
+  List.iter
+    (fun (off, n) ->
+      Alcotest.check_raises
+        (Printf.sprintf "digest_sub %d %d" off n)
+        (Invalid_argument "Sha256.update_sub")
+        (fun () -> ignore (Sha256.digest_sub s off n)))
+    [ (-1, 10); (0, -1); (0, 201); (136, 65); (201, 0); (-64, 128); (1, max_int);
+      (max_int, 1) ];
+  Alcotest.(check int) "no compression" before (T.get T.Sha256_compress);
+  let ctx = Sha256.init () in
+  ignore (Sha256.finalize ctx);
+  Alcotest.check_raises "update after finalize"
+    (Invalid_argument "Sha256.update: finalized context")
+    (fun () -> Sha256.update ctx s)
+
 let test_digest_list_unambiguous () =
   let d1 = Sha256.digest_list [ "ab"; "c" ] in
   let d2 = Sha256.digest_list [ "a"; "bc" ] in
@@ -163,6 +237,10 @@ let suite =
         Alcotest.test_case "sha256 NIST vectors" `Quick test_sha256_vectors;
         Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
         Alcotest.test_case "sha256 block boundaries" `Quick test_sha256_block_boundaries;
+        Alcotest.test_case "sha256 vs reference" `Quick test_sha256_reference;
+        Alcotest.test_case "sha256 vs reference, 4 KiB calls" `Quick
+          test_sha256_reference_chunks;
+        Alcotest.test_case "sha256 bounds" `Quick test_sha256_bounds;
         Alcotest.test_case "digest_list unambiguous" `Quick test_digest_list_unambiguous;
         Alcotest.test_case "hmac RFC4231" `Quick test_hmac_vector;
         Alcotest.test_case "drbg known answers" `Quick test_drbg_known_answers;
