@@ -10,17 +10,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
   module Vo = Vo.Make (P)
 
-  type node = {
-    box : Box.t;
-    policy : Expr.t;
-    signature : Abs.signature;
-    content : content;
-  }
-
-  and content =
-    | Leaf of Record.t  (* real or pseudo record in this unit cell *)
-    | Children of node list
-
   type build_stats = {
     leaf_signatures : int;
     node_signatures : int;
@@ -33,7 +22,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     space : Keyspace.t;
     universe : Universe.t;
     hierarchy : Hierarchy.t option;
-    root : node;
+    root : Vo.node;
     num_records : int;
     stats : build_stats;
   }
@@ -86,7 +75,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         let signature =
           timed_sign ~msg:(Record.message_of record) ~policy:record.Record.policy
         in
-        { box; policy = record.Record.policy; signature; content = Leaf record }
+        { Vo.box; policy = record.Record.policy; signature; content = Leaf record }
       end
       else begin
         let children = List.map build_node (Keyspace.children_boxes space box) in
@@ -95,13 +84,13 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            the (common) all-pseudo subtrees. *)
         let distinct =
           List.sort_uniq Expr.compare
-            (List.map (fun c -> Expr.canonical c.policy) children)
+            (List.map (fun (c : Vo.node) -> Expr.canonical c.policy) children)
         in
         let policy = Expr.disj distinct in
         incr node_sigs;
         structure_bytes := !structure_bytes + String.length (Expr.to_string policy);
         let signature = timed_sign ~msg:(Record.node_message box) ~policy in
-        { box; policy; signature; content = Children children }
+        { Vo.box; policy; signature; content = Children children }
       end
     in
     let root = build_node (Keyspace.whole space) in
@@ -143,14 +132,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     sp_time : float;
   }
 
-  let aps_job drbg ~mvk ~keep node =
-    let shape =
-      match node.content with
-      | Leaf record -> Vo.Leaf { region = node.box; record }
-      | Children _ -> Vo.Node node.box
-    in
-    Vo.aps_job drbg ~mvk `Plain ~keep ~policy:node.policy node.signature shape
-
   let range_vo ?(pmap = List.map (fun job -> job ())) drbg ~mvk t ~user query =
     Trace.with_span "sp.query"
       ~attrs:
@@ -160,46 +141,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let t0 = Clock.now_ns () in
     let user = effective_user t ~user in
     let keep = Expr.attrs (super_policy_for t ~user) in
-    let visited = ref 0 in
-    let direct = ref [] in
-    let jobs = ref [] in
-    (* Breadth-first search of Algorithm 3 (a queue; recursion order does not
-       affect the result set, only traversal bookkeeping). *)
-    let queue = Queue.create () in
-    Queue.add t.root queue;
-    while not (Queue.is_empty queue) do
-      let node = Queue.pop queue in
-      incr visited;
-      if Box.contains_box query node.box then begin
-        if Expr.eval node.policy user then begin
-          match node.content with
-          | Leaf record ->
-            if Expr.eval record.Record.policy user then
-              direct :=
-                Vo.Accessible { region = node.box; record; app = node.signature }
-                :: !direct
-            else
-              (* Node accessible but this particular record is not: happens
-                 only at leaves whose siblings make the parent accessible. *)
-              jobs := aps_job drbg ~mvk ~keep node :: !jobs
-          | Children children -> List.iter (fun c -> Queue.add c queue) children
-        end
-        else jobs := aps_job drbg ~mvk ~keep node :: !jobs
-      end
-      else begin
-        match Box.intersect query node.box with
-        | None -> ()
-        | Some _ ->
-          (match node.content with
-           | Children children -> List.iter (fun c -> Queue.add c queue) children
-           | Leaf _ ->
-             (* A unit cell partially intersecting an aligned query cannot
-                happen: unit cells are atomic. *)
-             assert false)
-      end
-    done;
-    Vo.prove ~pmap ctx ~t0 ~visited:!visited
-      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
+    Vo.walk ~pmap drbg ~mvk `Plain ~keep ~user ctx ~t0 query t.root
 
   let verify ?batch ~mvk ~t_universe ?hierarchy ~user ~query vo =
     let super_policy =
@@ -243,7 +185,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            Wire.bytes w p)
          edges);
     Wire.u32 w t.num_records;
-    let rec put_node node =
+    let rec put_node (node : Vo.node) =
       Wire.bytes w (Expr.to_string node.policy);
       Wire.bytes w (Abs.to_bytes node.signature);
       match node.content with
@@ -253,6 +195,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       | Children children ->
         Wire.u8 w 1;
         List.iter put_node children
+      | Pseudo | Group _ -> invalid_arg "Ap2g.to_bytes: not an AP²G node"
     in
     put_node t.root;
     Wire.contents w
@@ -318,11 +261,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         if not (Keyspace.is_unit box) then raise Wire.Malformed;
         incr leaf_sigs;
         let record = Record.make ~key:(Keyspace.key_of_unit box) ~value ~policy in
-        { box; policy; signature; content = Leaf record }
+        { Vo.box; policy; signature; content = Leaf record }
       | 1 ->
         incr node_sigs;
         let children = List.map get_node (Keyspace.children_boxes space box) in
-        { box; policy; signature; content = Children children }
+        { Vo.box; policy; signature; content = Children children }
       | _ -> raise Wire.Malformed
     in
     let root = get_node (Keyspace.whole space) in

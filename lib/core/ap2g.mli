@@ -61,9 +61,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     user:Zkqac_policy.Attr.Set.t ->
     Box.t ->
     Vo.t * query_stats
-  (** SP-side VO construction (the BFS of Algorithm 3). [pmap] lets the
-      caller parallelize the ABS.Relax jobs (Section 8.2); the default runs
-      them sequentially. *)
+  (** SP-side VO construction: {!Vo.Make.walk} over the tree. An
+      inaccessible node that meets the query is one APS entry, even where
+      it reaches past the query. [pmap] lets the caller parallelize the
+      ABS.Relax jobs (Section 8.2); the default runs them sequentially. *)
 
   val verify :
     ?batch:Zkqac_hashing.Drbg.t ->
@@ -95,30 +96,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       of it), never reading outside it. Nodes with the same policy string
       share one physical {!Zkqac_policy.Expr.t}. *)
 
+  val root : t -> Vo.node
   (** The tree itself, read-only: the join (Algorithm 4) walks two trees
-      at once, and {!Equality.of_ap2g} reads the leaves. *)
-  type node = private {
-    box : Box.t;
-    policy : Zkqac_policy.Expr.t;
-        (** the OR of the subtree's policies; a leaf's is its record's *)
-    signature : Abs.signature;  (** APP signature over the node's message *)
-    content : content;
-  }
-
-  and content =
-    | Leaf of Record.t  (** the real or pseudo record in this unit cell *)
-    | Children of node list
-
-  val root : t -> node
-
-  val aps_job :
-    Zkqac_hashing.Drbg.t ->
-    mvk:Abs.mvk ->
-    keep:Zkqac_policy.Attr.Set.t ->
-    node ->
-    unit ->
-    Vo.entry
-  (** {!Vo.aps_job} for [node]: one fork of [drbg] now, a thunk that proves
-      the node's subtree (or leaf) out of reach for the super policy over
-      [keep]. *)
+      at once, and {!Equality.of_ap2g} reads the leaves. Its nodes are
+      [Leaf] (a unit cell's real or pseudo record, under that record's
+      policy) and [Children]. *)
 end

@@ -10,18 +10,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
   module Vo = Vo.Make (P)
 
-  type node = {
-    box : Box.t;
-    policy : Expr.t;
-    signature : Abs.signature;
-    content : content;
-  }
-
-  and content =
-    | Record_leaf of Record.t
-    | Pseudo_region  (* an empty region: policy Role_∅, one signature *)
-    | Children of node * node
-
   type build_stats = {
     leaf_signatures : int;
     node_signatures : int;
@@ -34,7 +22,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   type t = {
     space : Keyspace.t;
     universe : Universe.t;
-    root : node;
+    root : Vo.node;
     stats : build_stats;
   }
 
@@ -103,7 +91,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       | [] ->
         incr pseudo;
         let signature = timed_sign ~msg:(Record.node_message box) ~policy:pseudo_policy in
-        { box; policy = pseudo_policy; signature; content = Pseudo_region }
+        { Vo.box; policy = pseudo_policy; signature; content = Pseudo }
       | [ record ] ->
         incr leaf_sigs;
         let msg =
@@ -113,7 +101,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         let signature = timed_sign ~msg ~policy:record.Record.policy in
         structure_bytes :=
           !structure_bytes + String.length (Expr.to_string record.Record.policy);
-        { box; policy = record.Record.policy; signature; content = Record_leaf record }
+        { Vo.box; policy = record.Record.policy; signature; content = Leaf record }
       | _ ->
         (match choose_split ~strategy:split ~depth_bound box depth records with
          | None ->
@@ -143,7 +131,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            incr node_sigs;
            structure_bytes := !structure_bytes + String.length (Expr.to_string policy);
            let signature = timed_sign ~msg:(Record.node_message box) ~policy in
-           { box; policy; signature; content = Children (left, right) })
+           { Vo.box; policy; signature; content = Children [ left; right ] })
     in
     let root = build_node (Keyspace.whole space) 0 records in
     {
@@ -176,48 +164,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     @@ fun ctx ->
     let t0 = Clock.now_ns () in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
-    let visited = ref 0 in
-    let direct = ref [] and jobs = ref [] in
-    let queue = Queue.create () in
-    Queue.add t.root queue;
-    while not (Queue.is_empty queue) do
-      let node = Queue.pop queue in
-      incr visited;
-      if Box.intersects query node.box then begin
-        if not (Expr.eval node.policy user) then begin
-          (* Inaccessible region: one APS regardless of partial overlap (its
-             region is clipped by the verifier). *)
-          let shape =
-            match node.content with
-            | Record_leaf record -> Vo.Leaf { region = node.box; record }
-            | Pseudo_region | Children _ -> Vo.Node node.box
-          in
-          jobs :=
-            Vo.aps_job drbg ~mvk `Boxed ~keep ~policy:node.policy node.signature shape
-            :: !jobs
-        end
-        else begin
-          match node.content with
-          | Children (l, r) ->
-            Queue.add l queue;
-            Queue.add r queue
-          | Pseudo_region ->
-            (* Policy is Role_∅: unreachable in the accessible branch. *)
-            assert false
-          | Record_leaf record ->
-            (* Returned even when its record lies outside the query: the
-               leaf's region overlaps it, so the entry is the region's
-               witness; the verifier excludes the record from results. *)
-            direct :=
-              Vo.Accessible { region = node.box; record; app = node.signature }
-              :: !direct
-        end
-      end
-    done;
-    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
-      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
+    Vo.walk ~pmap:(List.map (fun job -> job ())) drbg ~mvk `Boxed ~keep ~user ctx ~t0
+      query t.root
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in
-    Vo.verify ~clip:true ?batch ~mvk ~binding:`Boxed ~super_policy ~user ~query vo
+    Vo.verify ?batch ~mvk ~binding:`Boxed ~super_policy ~user ~query vo
 end

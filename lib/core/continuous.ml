@@ -11,16 +11,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let pseudo_policy = Expr.Leaf Attr.pseudo_role
 
-  type signed_record = { record : Record.t; app : Abs.signature }
-  type signed_gap = { region : Box.t; gap_app : Abs.signature }
-
+  (* Records are [Leaf] nodes on their unit cells, gaps [Pseudo] nodes. *)
   type t = {
     universe : Universe.t;
-    records : signed_record array;  (* sorted by key *)
-    gaps : signed_gap array;        (* gaps.(i) precedes records.(i); last gap after *)
+    records : Vo.node array;  (* sorted by key *)
+    gaps : Vo.node array;     (* gaps.(i) precedes records.(i); last gap after *)
   }
 
-  let key_of sr = sr.record.Record.key.(0)
+  let key_of (n : Vo.node) = n.box.Box.lo.(0)
 
   let build drbg ~mvk ~sk ~universe records =
     List.iter
@@ -41,8 +39,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       Array.of_list
         (List.map
            (fun (r : Record.t) ->
-             { record = r;
-               app = Abs.sign drbg mvk sk ~msg:(Record.message_of r) ~policy:r.Record.policy })
+             let msg = Record.message_of r in
+             { Vo.box = Box.of_point r.Record.key;
+               policy = r.Record.policy;
+               signature = Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy;
+               content = Leaf r })
            sorted)
     in
     let n = Array.length signed in
@@ -53,9 +54,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       Array.init (n + 1) (fun i ->
           let lo = if i = 0 then 0 else key_of signed.(i - 1) + 1 in
           let hi = if i = n then Wire.max_u32 else key_of signed.(i) in
-          let region = Box.make ~lo:[| lo |] ~hi:[| hi |] in
-          let msg = Record.node_message region in
-          { region; gap_app = Abs.sign drbg mvk sk ~msg ~policy:pseudo_policy })
+          let box = Box.make ~lo:[| lo |] ~hi:[| hi |] in
+          let msg = Record.node_message box in
+          { Vo.box;
+            policy = pseudo_policy;
+            signature = Abs.sign drbg mvk sk ~msg ~policy:pseudo_policy;
+            content = Pseudo })
     in
     { universe; records = signed; gaps }
 
@@ -76,25 +80,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let n = Array.length t.records in
     let i0 = first query.Box.lo.(0) 0 n in
     let i1 = first query.Box.hi.(0) i0 n in
-    let record_slot { record; app } =
-      let region = Box.of_point record.Record.key in
-      if Expr.eval record.Record.policy user then
-        Either.Left (Vo.Accessible { region; record; app })
-      else
-        Either.Right
-          (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:record.Record.policy app
-             (Vo.Leaf { region; record }))
-    in
-    let records = List.init (i1 - i0) (fun k -> record_slot t.records.(i0 + k)) in
+    let slot = Vo.answer drbg ~mvk `Plain ~keep ~user in
+    let records = List.init (i1 - i0) (fun k -> slot t.records.(i0 + k)) in
     let gaps =
       List.filter_map
-        (fun { region; gap_app } ->
-          if Box.intersects query region then
-            Some
-              (Either.Right
-                 (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:pseudo_policy gap_app
-                    (Vo.Node region)))
-          else None)
+        (fun (gap : Vo.node) ->
+          if Box.intersects query gap.box then Some (slot gap) else None)
         (Array.to_list (Array.sub t.gaps i0 (i1 - i0 + 1)))
     in
     records @ gaps
@@ -116,7 +107,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let verify_range ?batch ~mvk ~t_universe ~user ~lo ~hi vo =
     let super_policy = Universe.super_policy t_universe ~user in
-    Vo.verify ~clip:true ?batch ~mvk ~binding:`Plain ~super_policy ~user
+    Vo.verify ?batch ~mvk ~binding:`Plain ~super_policy ~user
       ~query:(Box.of_range ~alpha:[| lo |] ~beta:[| hi |])
       vo
 end

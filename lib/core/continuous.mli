@@ -65,6 +65,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     hi:int ->
     Vo.Make(P).t ->
     (Record.t list, Vo.Make(P).error) result
-  (** {!Vo.Make.verify} with [clip] over [lo, hi]: the gaps spill outside
-      the query. *)
+  (** {!Vo.Make.verify} over [lo, hi]. The gaps reach past the query and
+      are clipped to it like any region; an entry that misses the query is
+      refused. *)
 end

@@ -61,23 +61,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   (* --- non-ZK treatment --- *)
 
-  (* Duplicate [id] of a key with [n] duplicates is the leaf at key ++ [id],
-     on its unit cell of the lifted space; the last one's region runs to the
-     end of the virtual axis. [`Boxed] binds the region into the leaf
-     message, so a group's regions tile the axis only when none of its
-     duplicates is missing or added. *)
-  type dup = { region : Box.t; record : Record.t; app : Abs.signature }
-
-  type node = {
-    box : Box.t;  (* lifted: the base box times the whole virtual axis *)
-    policy : Expr.t;
-    signature : Abs.signature;  (* over [Record.node_message box] *)
-    content : content;
-  }
-
-  and content = Group of dup list | Children of node list
-
-  type t = { space : Keyspace.t; universe : Universe.t; root : node }
+  (* Tree nodes carry lifted boxes: the base box times the whole virtual
+     axis, signed over [Record.node_message]. A base unit cell is a [Group]
+     of its duplicates. Duplicate [id] of a key with [n] duplicates is the
+     leaf at key ++ [id], on its unit cell of the lifted space; the last
+     one's region runs to the end of the virtual axis. [`Boxed] binds the
+     region into the leaf message, so a group's regions tile the axis only
+     when none of its duplicates is missing or added. *)
+  type t = { space : Keyspace.t; universe : Universe.t; root : Vo.node }
 
   let build drbg ~mvk ~sk ~space ~universe ~pseudo_seed records =
     let lifted_space = lifted_space space in
@@ -99,7 +90,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         Expr.disj (List.sort_uniq Expr.compare (List.map Expr.canonical policies))
       in
       let signature = Abs.sign drbg mvk sk ~msg:(Record.node_message box) ~policy in
-      { box; policy; signature; content }
+      { Vo.box; policy; signature; content }
     in
     let rec build_node box =
       if Keyspace.is_unit box then begin
@@ -122,15 +113,16 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                 Vo.leaf_message `Boxed ~region ~key
                   ~value_hash:(Record.value_hash r.Record.value)
               in
-              { region; record = { r with Record.key };
-                app = Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy })
+              { Vo.box = region; policy = r.Record.policy;
+                signature = Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy;
+                content = Leaf { r with Record.key } })
             group
         in
-        node box (List.map (fun d -> d.record.Record.policy) dups) (Group dups)
+        node box (List.map (fun (d : Vo.node) -> d.policy) dups) (Group dups)
       end
       else begin
         let children = List.map build_node (Keyspace.children_boxes space box) in
-        node box (List.map (fun c -> c.policy) children) (Children children)
+        node box (List.map (fun (c : Vo.node) -> c.policy) children) (Children children)
       end
     in
     { space; universe; root = build_node (Keyspace.whole space) }
@@ -141,35 +133,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let t0 = Clock.now_ns () in
     let query = lift_query ~lifted_space:(lifted_space t.space) query in
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
-    let job ~policy sigma shape =
-      Either.Right (Vo.aps_job drbg ~mvk `Boxed ~keep ~policy sigma shape)
-    in
-    let visited = ref 0 and slots = ref [] in
-    let queue = Queue.create () in
-    Queue.add t.root queue;
-    while not (Queue.is_empty queue) do
-      let node = Queue.pop queue in
-      incr visited;
-      if Box.contains_box query node.box && not (Expr.eval node.policy user) then
-        slots := job ~policy:node.policy node.signature (Vo.Node node.box) :: !slots
-      else if Box.intersects query node.box then begin
-        (* A group is a base unit cell: met by the query only when inside it. *)
-        match node.content with
-        | Children children -> List.iter (fun c -> Queue.add c queue) children
-        | Group dups ->
-          List.iter
-            (fun { region; record; app } ->
-              let slot =
-                if Expr.eval record.Record.policy user then
-                  Either.Left (Vo.Accessible { region; record; app })
-                else job ~policy:record.Record.policy app (Vo.Leaf { region; record })
-              in
-              slots := slot :: !slots)
-            dups
-      end
-    done;
-    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
-      (List.rev !slots)
+    Vo.walk ~pmap:(List.map (fun job -> job ())) drbg ~mvk `Boxed ~keep ~user ctx ~t0
+      query t.root
 
   let verify ~mvk ~space ~t_universe ~user ~query vo =
     let super_policy = Universe.super_policy t_universe ~user in

@@ -19,15 +19,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   type t = {
     space : Keyspace.t;
     universe : Universe.t;
-    entries : (Record.t * Abs.signature) Key_map.t;
+    entries : Vo.node Key_map.t;  (* the tree's leaves, by key *)
   }
 
   let of_ap2g tree =
-    let rec walk entries (node : Ap2g.node) =
+    let rec walk entries (node : Vo.node) =
       match node.content with
-      | Ap2g.Leaf record ->
-        Key_map.add (Array.to_list record.Record.key) (record, node.signature) entries
-      | Ap2g.Children children -> List.fold_left walk entries children
+      | Leaf record -> Key_map.add (Array.to_list record.Record.key) node entries
+      | Children children | Group children -> List.fold_left walk entries children
+      | Pseudo -> entries
     in
     {
       space = Ap2g.space tree;
@@ -40,25 +40,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   type outcome = Result of Record.t | Denied
 
-  (* A key's entry is direct when the user may read its record; otherwise
-     it is a job that relaxes the record's APP signature into an APS. *)
-  let entry_for drbg ~mvk ~keep ~user (record, signature) =
-    let region = Box.of_point record.Record.key in
-    if Expr.eval record.Record.policy user then
-      Either.Left (Vo.Accessible { region; record; app = signature })
-    else
-      Either.Right
-        (Vo.aps_job drbg ~mvk `Plain ~keep ~policy:record.Record.policy signature
-           (Vo.Leaf { region; record }))
-
   let query_vo drbg ~mvk t ~user key =
     if not (Keyspace.valid_key t.space key) then
       invalid_arg "Equality.query_vo: key outside space";
     Trace.with_span "sp.query" ~attrs:[ ("op", Trace.Str "equality.point") ]
     @@ fun _ ->
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
-    let entry = Key_map.find (Array.to_list key) t.entries in
-    match entry_for drbg ~mvk ~keep ~user entry with
+    let leaf = Key_map.find (Array.to_list key) t.entries in
+    match Vo.answer drbg ~mvk `Plain ~keep ~user leaf with
     | Either.Left entry -> entry
     | Either.Right job -> job ()
 
@@ -78,10 +67,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let keep = Expr.attrs (Universe.super_policy t.universe ~user) in
     let visited = ref 0 and direct = ref [] and jobs = ref [] in
     Key_map.iter
-      (fun klist entry ->
+      (fun klist leaf ->
         if Box.contains_point query (Array.of_list klist) then begin
           incr visited;
-          match entry_for drbg ~mvk ~keep ~user entry with
+          match Vo.answer drbg ~mvk `Plain ~keep ~user leaf with
           | Either.Left e -> direct := e :: !direct
           | Either.Right job -> jobs := job :: !jobs
         end)

@@ -29,13 +29,13 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   }
 
   (* The smallest node under [start] whose box still covers [box]. *)
-  let rec smallest_covering (start : Ap2g.node) box =
+  let rec smallest_covering (start : Vo.node) box =
     match start.content with
-    | Ap2g.Leaf _ -> start
-    | Ap2g.Children children -> (
-      match List.find_opt (fun (c : Ap2g.node) -> Box.contains_box c.box box) children with
+    | Children children -> (
+      match List.find_opt (fun (c : Vo.node) -> Box.contains_box c.box box) children with
       | Some c -> smallest_covering c box
       | None -> start)
+    | Leaf _ | Pseudo | Group _ -> start
 
   let join_vo drbg ~mvk ~r ~s ~user query =
     (* [verify] knows only the user and one universe: it checks every APS
@@ -52,44 +52,35 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let t0 = Clock.now_ns () in
     (* One universe and no hierarchy: both trees share the one keep set. *)
     let keep = Expr.attrs (Universe.super_policy universe ~user) in
-    let aps_slot side (node : Ap2g.node) =
-      let job = Ap2g.aps_job drbg ~mvk ~keep node in
-      Either.Right (fun () -> side (job ()))
-    in
-    let visited = ref 0 in
     let slots = ref [] in
-    let queue = Queue.create () in
-    let descend (nr : Ap2g.node) ns =
-      match nr.content with
-      | Ap2g.Children children -> List.iter (fun c -> Queue.add (c, ns) queue) children
-      | Ap2g.Leaf _ -> ()
+    let aps side node =
+      let job = Vo.aps_job drbg ~mvk `Plain ~keep node in
+      slots := Either.Right (fun () -> side (job ())) :: !slots
     in
-    Queue.add (Ap2g.root r, Ap2g.root s) queue;
-    while not (Queue.is_empty queue) do
-      let (nr : Ap2g.node), ns = Queue.pop queue in
-      incr visited;
-      if Box.contains_box query nr.box then begin
-        if Expr.eval nr.policy user then begin
+    (* [Vo.walk]'s rule over an R node and the S node that covers it: skip
+       an R node that misses the query; answer an inaccessible R node, or
+       else an inaccessible covering S node, with one APS entry; pair two
+       accessible leaves; descend otherwise. *)
+    let visit ((nr : Vo.node), ns) push =
+      if Box.intersects query nr.box then
+        if not (Expr.eval nr.policy user) then aps (fun e -> R_side e) nr
+        else
           let ns = smallest_covering ns nr.box in
-          if Expr.eval ns.policy user then begin
+          if not (Expr.eval ns.policy user) then aps (fun e -> S_side e) ns
+          else
             match (nr.content, ns.content) with
-            | Ap2g.Leaf r_record, Ap2g.Leaf s_record ->
+            | Leaf r_record, Leaf s_record ->
               (* nr is a unit cell, so the smallest covering accessible S
                  node is the matching unit leaf. *)
               let pair =
                 Pair { r_record; r_app = nr.signature; s_record; s_app = ns.signature }
               in
               slots := Either.Left pair :: !slots
-            | _ -> descend nr ns
-          end
-          else slots := aps_slot (fun e -> S_side e) ns :: !slots
-        end
-        else slots := aps_slot (fun e -> R_side e) nr :: !slots
-      end
-      else if Box.intersects query nr.box then descend nr ns
-    done;
-    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited:!visited
-      (List.rev !slots)
+            | Children children, _ -> List.iter (fun c -> push (c, ns)) children
+            | (Leaf _ | Pseudo | Group _), _ -> ()
+    in
+    let visited = Vo.bfs (Ap2g.root r, Ap2g.root s) visit in
+    Vo.prove ~pmap:(List.map (fun job -> job ())) ctx ~t0 ~visited (List.rev !slots)
 
   let verify ?batch ~mvk ~t_universe ~user ~query vo =
     Trace.with_span "client.verify"
@@ -155,7 +146,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           let* () = app_claim r_record r_app in
           app_claim s_record s_app
       | R_side e | S_side e ->
-        Result.fold ~ok:push ~error:fail (Vo.aps_claim `Plain ~super_policy e)
+        Result.fold ~ok:push ~error:fail (Vo.aps_claim `Plain ~super_policy ~query e)
     in
     let* () =
       List.fold_left

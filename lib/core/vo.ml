@@ -51,9 +51,16 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     | `Plain -> base
     | `Boxed -> Record.node_message region ^ base
 
-  let node_aps_message ~region = Record.node_message region
-
   (* --- the prover side: every APS entry of every query type --- *)
+
+  type node = {
+    box : Box.t;
+    policy : Expr.t;
+    signature : Abs.signature;
+    content : content;
+  }
+
+  and content = Leaf of Record.t | Pseudo | Children of node list | Group of node list
 
   let relax drbg ~mvk ~keep ~msg ~policy sigma =
     match Abs.relax drbg mvk sigma ~msg ~policy ~keep with
@@ -63,24 +70,29 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
          inaccessible node always relaxable; failure is a construction bug. *)
       invalid_arg "Vo.relax: relaxation failed on an inaccessible entry"
 
-  type shape = Leaf of { region : Box.t; record : Record.t } | Node of Box.t
-
-  let aps_job drbg ~mvk binding ~keep ~policy sigma shape =
+  let aps_job drbg ~mvk binding ~keep { box = region; policy; signature; content } =
     (* Fork a per-job DRBG at job creation (sequential) so the thunks are
        self-contained and can run on any domain (Section 8.2). *)
     let drbg = Drbg.create ~seed:(Drbg.generate drbg 32) in
-    match shape with
-    | Leaf { region; record } ->
+    match content with
+    | Leaf record ->
       let key = record.Record.key in
       let value_hash = Record.value_hash record.Record.value in
       fun () ->
         let msg = leaf_message binding ~region ~key ~value_hash in
         Inaccessible_leaf
-          { region; key; value_hash; aps = relax drbg ~mvk ~keep ~msg ~policy sigma }
-    | Node region ->
+          { region; key; value_hash; aps = relax drbg ~mvk ~keep ~msg ~policy signature }
+    | Pseudo | Children _ | Group _ ->
       fun () ->
-        let msg = node_aps_message ~region in
-        Inaccessible_node { region; aps = relax drbg ~mvk ~keep ~msg ~policy sigma }
+        let msg = Record.node_message region in
+        Inaccessible_node { region; aps = relax drbg ~mvk ~keep ~msg ~policy signature }
+
+  let answer drbg ~mvk binding ~keep ~user node =
+    match node.content with
+    | Leaf record when Expr.eval node.policy user ->
+      Either.Left (Accessible { region = node.box; record; app = node.signature })
+    | Leaf _ | Pseudo | Children _ | Group _ ->
+      Either.Right (aps_job drbg ~mvk binding ~keep node)
 
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 
@@ -103,14 +115,49 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         ("vo_entries", Trace.Int (List.length vo)) ];
     (vo, { relax_calls; nodes_visited = visited; sp_time = Clock.elapsed_since t0 })
 
+  let bfs root visit =
+    let queue = Queue.create () in
+    Queue.add root queue;
+    let visited = ref 0 in
+    while not (Queue.is_empty queue) do
+      incr visited;
+      visit (Queue.pop queue) (fun child -> Queue.add child queue)
+    done;
+    !visited
+
+  let walk ~pmap drbg ~mvk binding ~keep ~user ctx ~t0 query root =
+    let direct = ref [] and jobs = ref [] in
+    (* The one walk rule: skip a node that misses the query, descend into an
+       accessible inner node, answer any other node with one entry. *)
+    let rec visit node push =
+      if Box.intersects query node.box then
+        match node.content with
+        | Children kids when Expr.eval node.policy user -> List.iter push kids
+        | Group members when Expr.eval node.policy user ->
+          List.iter (fun m -> visit m push) members
+        | Leaf _ | Pseudo | Children _ | Group _ -> (
+          match answer drbg ~mvk binding ~keep ~user node with
+          | Either.Left e -> direct := e :: !direct
+          | Either.Right job -> jobs := job :: !jobs)
+    in
+    let visited = bfs root visit in
+    prove ~pmap ctx ~t0 ~visited
+      (List.rev_map Either.left !direct @ List.rev_map Either.right !jobs)
+
   (* An APS entry's structure check and signature claim; [Vo.verify] and
      [Join.verify] both check their inaccessible entries here. *)
-  let aps_claim binding ~super_policy entry =
+  let aps_claim binding ~super_policy ~query entry =
     let claim msg sigma =
       Ok { Abs.msg; policy = super_policy; sigma; blame = Zkqac_util.Verify_error.as_aps }
     in
     match entry with
     | Accessible _ -> Error (Invalid_shape "accessible entry in an APS slot")
+    | (Inaccessible_leaf { region; _ } | Inaccessible_node { region; _ })
+      when not (Box.intersects query region) ->
+      (* The tiling sees regions clipped to the query, where this entry
+         vanishes; an entry that accounts for nothing of the query is refused
+         here, or a VO for a larger query would verify for a smaller one. *)
+      Error Completeness_gap
     | Inaccessible_leaf { region; key; value_hash; aps } ->
       if binding = `Plain && not (Box.equal region (Box.of_point key)) then
         (* Under [`Plain] the message does not bind the region, so the
@@ -118,20 +165,16 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            region could otherwise mask dropped rows in a coverage check. *)
         Error (Bad_aps_policy "inaccessible leaf region is not the key's unit cell")
       else claim (leaf_message binding ~region ~key ~value_hash) aps
-    | Inaccessible_node { region; aps } -> claim (node_aps_message ~region) aps
+    | Inaccessible_node { region; aps } -> claim (Record.node_message region) aps
 
-  let verify ?(clip = false) ?batch ~mvk ~binding ~super_policy ~user ~query vo =
+  let verify ?batch ~mvk ~binding ~super_policy ~user ~query vo =
     Trace.with_span "client.verify"
       ~attrs:[ ("vo_entries", Trace.Int (List.length vo)) ]
     @@ fun vctx ->
     let ( let* ) = Result.bind in
-    (* Completeness: the regions tile the query box exactly (clipped to the
-       query first in kd-tree mode, where leaf regions are data-dependent and
-       may spill outside). *)
-    let regions = List.map entry_region vo in
-    let regions =
-      if clip then List.filter_map (Box.intersect query) regions else regions
-    in
+    (* Completeness: the regions, clipped to the query (a node answered
+       whole may reach past it), tile the query box exactly. *)
+    let regions = List.filter_map (fun e -> Box.intersect query (entry_region e)) vo in
     let fail e =
       Trace.set_attr vctx "verify_error"
         (Trace.Str (Zkqac_util.Verify_error.code e));
@@ -155,11 +198,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         then fail (Bad_abs_signature "accessible region is not the record's unit cell")
         else if not (Box.contains_point region record.Record.key) then
           fail (Bad_abs_signature "accessible key outside its region")
-        else if
-          not
-            (if clip then Box.intersects query region
-             else Box.contains_point query record.Record.key)
-        then fail (Record_outside_query record.Record.key)
+        else if not (Box.intersects query region) then
+          fail (Record_outside_query record.Record.key)
         else if not (Expr.eval record.Record.policy user) then
           fail (Policy_not_satisfied record.Record.key)
         else
@@ -171,7 +211,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               sigma = app;
               blame = Fun.id }
       | Inaccessible_leaf _ | Inaccessible_node _ ->
-        Result.fold ~ok:push ~error:fail (aps_claim binding ~super_policy entry)
+        Result.fold ~ok:push ~error:fail (aps_claim binding ~super_policy ~query entry)
     in
     let* () =
       List.fold_left

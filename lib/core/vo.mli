@@ -4,8 +4,9 @@
     A VO is the complete query response: accessible records travel inside it
     together with their APP signatures; inaccessible leaves and pruned
     subtrees travel as APS signatures. Every entry carries the region of key
-    space it accounts for, and verification checks that the regions tile the
-    query box exactly ("one and only one entry per indexing space"). *)
+    space it accounts for, and verification checks that the regions, clipped
+    to the query, tile the query box exactly ("one and only one entry per
+    indexing space"). *)
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   module Abs : module type of Zkqac_abs.Abs.Make (P)
@@ -59,32 +60,56 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val error_to_string : error -> string
 
   val leaf_message : binding -> region:Box.t -> key:int array -> value_hash:string -> string
-  val node_aps_message : region:Box.t -> string
 
   (** {2 The prover side}
 
       Every SP query builder makes its APS entries here, so the message an
       entry signs is chosen by the same module on both sides. *)
 
-  (** What an APS entry accounts for: one leaf (a real or pseudo record in
-      its region) or one whole subtree. *)
-  type shape = Leaf of { region : Box.t; record : Record.t } | Node of Box.t
+  (** A node of an index tree: its region, the OR of the policies below it,
+      the DO's APP signature and what it holds. A [Leaf]'s policy is its
+      record's and its signature is over [leaf_message] of its box; any
+      other node is signed over {!Record.node_message} of its box. *)
+  type node = {
+    box : Box.t;
+    policy : Zkqac_policy.Expr.t;
+    signature : Abs.signature;
+    content : content;
+  }
+
+  and content =
+    | Leaf of Record.t  (** one record, real or pseudo *)
+    | Pseudo  (** an empty region, under Role_∅ *)
+    | Children of node list  (** visited breadth-first *)
+    | Group of node list
+        (** leaves visited with their node, not queued: a cell of
+            embedded duplicates, whose relax jobs keep the cell's turn *)
 
   val aps_job :
     Zkqac_hashing.Drbg.t ->
     mvk:Abs.mvk ->
     binding ->
     keep:Zkqac_policy.Attr.Set.t ->
-    policy:Zkqac_policy.Expr.t ->
-    Abs.signature ->
-    shape ->
+    node ->
     unit ->
     entry
-  (** [aps_job drbg ~mvk binding ~keep ~policy sigma shape] forks a job DRBG
-      from [drbg] at once (one 32-byte draw) and returns a thunk that relaxes
-      [sigma] over the message {!verify} checks for [shape]:
-      [leaf_message binding] for a leaf, [node_aps_message] for a node. The
-      thunk owns its randomness, so it may run on any domain. *)
+  (** [aps_job drbg ~mvk binding ~keep node] forks a job DRBG from [drbg] at
+      once (one 32-byte draw) and returns a thunk that relaxes the node's
+      signature over the message {!verify} checks: [leaf_message binding]
+      for a [Leaf] (an [Inaccessible_leaf] entry), the node message
+      otherwise (an [Inaccessible_node]). The thunk owns its randomness,
+      so it may run on any domain. *)
+
+  val answer :
+    Zkqac_hashing.Drbg.t ->
+    mvk:Abs.mvk ->
+    binding ->
+    keep:Zkqac_policy.Attr.Set.t ->
+    user:Zkqac_policy.Attr.Set.t ->
+    node ->
+    (entry, unit -> entry) Either.t
+  (** One entry for [node]: [Accessible] for a leaf [user] may read, an
+      {!aps_job} for anything else. *)
 
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 
@@ -95,21 +120,51 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     visited:int ->
     ('e, unit -> 'e) Either.t list ->
     'e list * query_stats
-  (** The common end of every index walk. The walk hands over its entries
-      in order, each slot a finished entry or a relax thunk; [prove] runs
-      the thunks under an [sp.relax] span with [pmap], sets the
+  (** The common end of every query builder. It hands over its entries in
+      order, each slot a finished entry or a relax thunk; [prove] runs the
+      thunks under an [sp.relax] span with [pmap], sets the
       [nodes_visited], [relax_calls] and [vo_entries] attributes on [ctx],
       and returns the entries in slot order. [sp_time] runs from [t0]. *)
 
+  val bfs : 'n -> ('n -> ('n -> unit) -> unit) -> int
+  (** [bfs root visit] is the breadth-first search of Algorithm 3: it
+      calls [visit n push] on each node in turn, from [root] on, where
+      [push] queues a child. Returns the number of nodes visited. *)
+
+  val walk :
+    pmap:((unit -> entry) list -> entry list) ->
+    Zkqac_hashing.Drbg.t ->
+    mvk:Abs.mvk ->
+    binding ->
+    keep:Zkqac_policy.Attr.Set.t ->
+    user:Zkqac_policy.Attr.Set.t ->
+    Zkqac_telemetry.Trace.ctx ->
+    t0:int64 ->
+    Box.t ->
+    node ->
+    t * query_stats
+  (** [walk drbg ~mvk binding ~keep ~user ctx ~t0 query root] is the SP's
+      tree walk (the BFS of Algorithm 3), for every tree. One rule: a node
+      that misses [query] is skipped; an accessible [Children] or [Group]
+      node is descended; any other node is {!answer}ed with one entry, so
+      an inaccessible node that meets the query is one APS entry, even
+      where it reaches past the query. Relax jobs are created in visit
+      order. The VO lists the accessible entries, then the APS entries,
+      each in visit order; it ends in {!prove} with [pmap]. *)
+
   val aps_claim :
-    binding -> super_policy:Zkqac_policy.Expr.t -> entry -> (Abs.claim, error) result
-  (** The check {!verify} makes of an APS entry: under [`Plain] an
+    binding ->
+    super_policy:Zkqac_policy.Expr.t ->
+    query:Box.t ->
+    entry ->
+    (Abs.claim, error) result
+  (** The check {!verify} makes of an APS entry: its region must meet
+      [query] ([Completeness_gap] otherwise); under [`Plain] an
       inaccessible leaf's region must be its key's unit cell; the claim is
       the entry's message and signature under [super_policy]. An
       [Accessible] entry is [Invalid_shape]. *)
 
   val verify :
-    ?clip:bool ->
     ?batch:Zkqac_hashing.Drbg.t ->
     mvk:Abs.mvk ->
     binding:binding ->
@@ -120,8 +175,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     (Record.t list, error) result
   (** The user-side check: soundness (every signature valid, results inside
       the query and readable by the user, inaccessibility proven under
-      exactly the user's super policy) and completeness (regions tile the
-      query). Returns the accessible result records on success.
+      exactly the user's super policy) and completeness (the regions,
+      clipped to the query, tile it). Returns the accessible result
+      records on success.
 
       Every structural check runs over the whole VO before any signature;
       the signatures then go to {!Abs.check} in one call, with [batch]
@@ -129,12 +185,12 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       signatures by record policy). The returned typed error (and exit
       code) is the same with and without [batch].
 
-      With [clip] (default [false]) the regions are first intersected with
-      the query, for trees whose regions are data-dependent and may spill
-      outside it; an [Accessible] entry must then meet the query, and only
-      its records inside the query are returned. Without [clip] every
-      accessible record must lie inside the query. Either way a violation
-      is [Record_outside_query]. *)
+      A region may reach past the query: the walk answers a whole node
+      that meets it, and AP²kd leaves and continuous gaps are
+      data-dependent. Every entry must meet the query, in VO order: an
+      [Accessible] one that misses it is [Record_outside_query], an APS
+      one {!aps_claim}'s [Completeness_gap]. Only the accessible records
+      inside the query are returned. *)
 
   val size : t -> int
   (** Serialized size in bytes — the "VO size" metric of the paper. *)

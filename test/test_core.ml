@@ -487,6 +487,142 @@ struct
   let query_drbg () = Drbg.create ~seed:"vo-golden"
 end
 
+(* One walk rule: an inaccessible node that meets the query is one APS
+   entry, even where the query cuts it. Over a 1-D key space of eight cells,
+   RoleA reads records 0 and 3 and not 4 and 6 (RoleB), so the node [4, 8)
+   is inaccessible, and the query [3, 6] cuts it. Each tree answers [4, 8)
+   with one APS entry, which reaches past the query, and returns record 3
+   with one relaxation in all. *)
+module Walk_rule (P : Zkqac_group.Pairing_intf.PAIRING) = struct
+  module Abs = Zkqac_abs.Abs.Make (P)
+  module Vo = Zkqac_core.Vo.Make (P)
+  module Ap2g = Zkqac_core.Ap2g.Make (P)
+  module Join = Zkqac_core.Join.Make (P)
+  module Dup = Zkqac_core.Duplicates.Make (P)
+
+  let drbg = Drbg.create ~seed:"walk-rule"
+  let msk, mvk = Abs.setup drbg
+  let universe = Universe.create [ "RoleA"; "RoleB" ]
+  let sk = Abs.keygen drbg msk (Universe.attrs universe)
+  let space = Keyspace.create ~dims:1 ~depth:3
+
+  let records_of =
+    List.map (fun (k, p) ->
+        Record.make ~key:[| k |] ~value:(string_of_int k) ~policy:(Expr.of_string p))
+
+  let records = records_of [ (0, "RoleA"); (3, "RoleA"); (4, "RoleB"); (6, "RoleB") ]
+  let user = attrs [ "RoleA" ]
+  let query = Box.of_range ~alpha:[| 3 |] ~beta:[| 6 |]
+  let cut = Box.make ~lo:[| 4 |] ~hi:[| 8 |]
+
+  let check_aps what (st : Vo.query_stats) aps =
+    Alcotest.(check int) (what ^ ": one relaxation") 1 st.relax_calls;
+    match aps with
+    | [ Vo.Inaccessible_node { region; _ } ] ->
+      Alcotest.(check bool) (what ^ ": the APS reaches past the query") false
+        (Box.contains_box query region);
+      region
+    | _ -> Alcotest.failf "%s: expected one APS entry, got %d" what (List.length aps)
+
+  let check_keys what records =
+    Alcotest.(check (list (list int))) (what ^ ": records") [ [ 3 ] ]
+      (List.map (fun (r : Record.t) -> Array.to_list r.Record.key) records)
+
+  let split vo =
+    List.partition (function Vo.Accessible _ -> false | _ -> true) vo
+
+  let test_ap2g () =
+    let tree = Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"w" records in
+    let vo, st = Ap2g.range_vo drbg ~mvk tree ~user query in
+    let aps, _ = split vo in
+    Alcotest.(check bool) "ap2g: the APS is the cut node" true
+      (Box.equal cut (check_aps "ap2g" st aps));
+    match Ap2g.verify ~mvk ~t_universe:universe ~user ~query vo with
+    | Ok records -> check_keys "ap2g" records
+    | Error e -> Alcotest.failf "ap2g: %s" (Vo.error_to_string e)
+
+  let test_duplicates () =
+    let tree = Dup.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"w" records in
+    let vo, st = Dup.range_vo drbg ~mvk tree ~user query in
+    let aps, _ = split vo in
+    let region = check_aps "duplicates" st aps in
+    Alcotest.(check (list int)) "duplicates: the APS is the cut node, lifted" [ 4; 8 ]
+      [ region.Box.lo.(0); region.Box.hi.(0) ];
+    match Dup.verify ~mvk ~space ~t_universe:universe ~user ~query vo with
+    | Ok records -> check_keys "duplicates" records
+    | Error e -> Alcotest.failf "duplicates: %s" (Vo.error_to_string e)
+
+  let test_join () =
+    let r = Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"w" records in
+    let s =
+      Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"ws"
+        (records_of [ (3, "RoleA"); (5, "RoleA") ])
+    in
+    let vo, st = Join.join_vo drbg ~mvk ~r ~s ~user query in
+    let aps =
+      List.filter_map
+        (function Join.R_side e | Join.S_side e -> Some e | Join.Pair _ -> None)
+        vo
+    in
+    Alcotest.(check bool) "join: the APS is the cut node" true
+      (Box.equal cut (check_aps "join" st aps));
+    match Join.verify ~mvk ~t_universe:universe ~user ~query vo with
+    | Ok pairs -> check_keys "join" (List.map fst pairs)
+    | Error e -> Alcotest.failf "join: %s" (Vo.error_to_string e)
+
+  let suite name =
+    [ Alcotest.test_case (name ^ " walk rule: ap2g") `Quick test_ap2g;
+      Alcotest.test_case (name ^ " walk rule: duplicates") `Quick test_duplicates;
+      Alcotest.test_case (name ^ " walk rule: join") `Quick test_join ]
+end
+
+module Walk_mock = Walk_rule (Mock_backend)
+module Typea_backend =
+  (val Zkqac_group.Backend.instantiate Zkqac_group.Backend.Typea_tiny)
+
+module Walk_typea = Walk_rule (Typea_backend)
+
+(* An honest APS entry from a larger query's VO, lying wholly outside the
+   query, accounts for none of it: appended to an honest AP²kd or
+   continuous VO, whose regions the verifier clips to the query, it makes
+   the VO a completeness gap on the batched and the unbatched path. *)
+let test_aps_outside_query () =
+  let open Walk_mock in
+  let module Ap2kd = Zkqac_core.Ap2kd.Make (Mock_backend) in
+  let module Cont = Zkqac_core.Continuous.Make (Mock_backend) in
+  let small = Box.of_range ~alpha:[| 0 |] ~beta:[| 3 |] in
+  let outside vo =
+    match
+      List.find_opt
+        (function
+          | Vo.Accessible _ -> false
+          | e -> not (Box.intersects small (Vo.entry_region e)))
+        vo
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "the larger VO has no APS entry outside the query"
+  in
+  let rejects what verify vo =
+    List.iter
+      (fun batch ->
+        match verify ?batch vo with
+        | Error Vo.Completeness_gap -> ()
+        | Error e -> Alcotest.failf "%s: %s" what (Vo.error_to_string e)
+        | Ok _ -> Alcotest.failf "%s: accepted" what)
+      [ None; Some (Drbg.create ~seed:"aps-outside") ]
+  in
+  let kd = Ap2kd.build drbg ~mvk ~sk ~space ~universe records in
+  let kd_vo q = fst (Ap2kd.range_vo drbg ~mvk kd ~user q) in
+  rejects "ap2kd"
+    (fun ?batch vo -> Ap2kd.verify ?batch ~mvk ~t_universe:universe ~user ~query:small vo)
+    (kd_vo small @ [ outside (kd_vo (Keyspace.whole space)) ]);
+  let cont = Cont.build drbg ~mvk ~sk ~universe records in
+  let cont_vo hi = fst (Cont.range_vo drbg ~mvk cont ~user ~lo:0 ~hi) in
+  rejects "continuous"
+    (fun ?batch vo ->
+      Cont.verify_range ?batch ~mvk ~t_universe:universe ~user ~lo:0 ~hi:3 vo)
+    (cont_vo 3 @ [ outside (cont_vo 200) ])
+
 let hex_digest s = Zkqac_hashing.Sha256.hex (Zkqac_hashing.Sha256.digest s)
 
 (* ADS goldens: the SHA-256 of [Ap2g.to_bytes] for the golden tree. Signing
@@ -556,7 +692,10 @@ let suite =
       ] );
     ( "core",
       Core_mock.suite "mock"
-      @ [ Alcotest.test_case "mock ads golden" `Quick
+      @ Walk_mock.suite "mock" @ Walk_typea.suite "typea-tiny"
+      @ [ Alcotest.test_case "APS entry outside the query rejected" `Quick
+            test_aps_outside_query;
+          Alcotest.test_case "mock ads golden" `Quick
             (test_ads_golden
                ( Zkqac_group.Backend.Mock, 3,
                  "705123508f6dc276ebf6480149168871792d06e37adb78558de3ab8bebde7c21" ));
@@ -582,5 +721,5 @@ let suite =
               ( "mock continuous range", Mock, 3, `Continuous_range,
                 "27686317b747fbf8ac776a8752dd2d45063e926154f6c34f4d00ea568ff31acf" );
               ( "mock duplicates range", Mock, 3, `Duplicates_range,
-                "c93e19e35a7af7da7110458cab9b58e35f4970e741959e3f527da5d643bca771" ) ] );
+                "279c69a546cd557f5082682d1e9b1f8a6299fae819721a9ae608819e56268f16" ) ] );
   ]

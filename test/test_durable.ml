@@ -461,8 +461,8 @@ let policy_tree () =
   in
   Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:"p" records
 
-let rec nodes (n : Ap2g.node) =
-  n :: (match n.Ap2g.content with Ap2g.Leaf _ -> [] | Ap2g.Children c -> List.concat_map nodes c)
+let rec nodes (n : Ap2g.Vo.node) =
+  n :: (match n.content with Children c -> List.concat_map nodes c | _ -> [])
 
 (* Nodes whose policies print alike share one policy value, and a leaf's
    record holds that same value. *)
@@ -472,16 +472,16 @@ let decoded_policies_shared () =
   let all = nodes (Ap2g.root decoded) in
   let first = Hashtbl.create 16 in
   List.iter
-    (fun (n : Ap2g.node) ->
-      let s = Expr.to_string n.Ap2g.policy in
+    (fun (n : Ap2g.Vo.node) ->
+      let s = Expr.to_string n.policy in
       (match Hashtbl.find_opt first s with
-       | None -> Hashtbl.add first s n.Ap2g.policy
-       | Some p -> Alcotest.(check bool) ("one value for " ^ s) true (p == n.Ap2g.policy));
-      match n.Ap2g.content with
-      | Ap2g.Leaf r ->
+       | None -> Hashtbl.add first s n.policy
+       | Some p -> Alcotest.(check bool) ("one value for " ^ s) true (p == n.policy));
+      match n.content with
+      | Leaf r ->
         Alcotest.(check bool) "record shares its leaf's policy" true
-          (r.Record.policy == n.Ap2g.policy)
-      | Ap2g.Children _ -> ())
+          (r.Record.policy == n.policy)
+      | _ -> ())
     all;
   Alcotest.(check bool) "policies repeat" true (Hashtbl.length first < List.length all)
 
