@@ -57,6 +57,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let t1 = P.G.precompute g1 in
     let z1 = P.e g1 g2 and z2 = P.e g2 g2 in
     let enc = P.G.to_bytes g1 in
+    let sigma_bytes = Abs.to_bytes sigma and stored = Abs.store sigma in
     let bulk = Drbg.generate drbg 65536 in
     List.map
       (fun (op, f) -> (P.name, op, per_op f))
@@ -67,6 +68,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         ("g-mul", fun () -> ignore (P.G.mul g1 g2));
         ("gt-mul", fun () -> ignore (P.Gt.mul z1 z2));
         ("g-decode", fun () -> ignore (P.G.of_bytes enc));
+        ("abs-decode", fun () -> ignore (Abs.of_bytes sigma_bytes));
+        ("abs-decode-stored", fun () -> ignore (Abs.of_stored stored));
         ("drbg-scalar", fun () -> ignore (P.rand_scalar drbg));
         ("sha256-64k", fun () -> ignore (Sha256.digest bulk));
         ("hash-to-field", fun () -> ignore (Htf.to_zp ~domain:"micro" ~p:P.order msg));

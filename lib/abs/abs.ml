@@ -447,22 +447,26 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let g_size = String.length (G.to_bytes G.g)
 
-  let decode data =
-    let pos = ref 0 in
-    let len = String.length data in
-    let u16 () =
-      if !pos + 2 > len then raise Exit;
-      let v = (Char.code data.[!pos] lsl 8) lor Char.code data.[!pos + 1] in
-      pos := !pos + 2;
-      v
-    in
+  (* The one parser of an encoded signature, the [len] bytes of [data] from
+     [off]: a u16 tau length and tau, Y, W, a u16 count of S elements and
+     the elements, the same for P, and nothing after. Every length is
+     checked before the bytes under it are read. [elt data pos] decodes the
+     element at [pos] and raises [Exit] if it cannot: the client's decode
+     and the SP's stored decode differ only in it, and the frame check
+     passes [G.one] for every element. *)
+  let parse elt data ~off ~len =
+    let stop = off + len and pos = ref off in
     let take n =
-      if !pos + n > len then raise Exit;
-      let s = String.sub data !pos n in
-      pos := !pos + n;
-      s
+      if n > stop - !pos then raise Exit;
+      let at = !pos in
+      pos := at + n;
+      at
     in
-    let elt () = match G.of_bytes (take g_size) with Some e -> e | None -> raise Exit in
+    let u16 () =
+      let at = take 2 in
+      (Char.code data.[at] lsl 8) lor Char.code data.[at + 1]
+    in
+    let elt () = elt data (take g_size) in
     let elts n =
       (* Explicit loop: Array.init has no specified evaluation order. *)
       let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (elt () :: acc) in
@@ -470,18 +474,40 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     in
     match
       let tl = u16 () in
-      let tau = take tl in
+      let tau = String.sub data (take tl) tl in
       let y = elt () in
       let w = elt () in
       let s = elts (u16 ()) in
       let p = elts (u16 ()) in
-      if !pos <> len then raise Exit;
+      if !pos <> stop then raise Exit;
       { tau; y; w; s; p }
     with
-    | sigma -> Ok sigma
-    | exception Exit -> Error (Zkqac_util.Verify_error.Malformed { offset = !pos })
+    | sigma -> Some sigma
+    | exception Exit -> None
 
-  let of_bytes data = Result.to_option (decode data)
+  let element of_bytes data at =
+    match of_bytes (String.sub data at g_size) with Some e -> e | None -> raise Exit
+
+  let of_bytes data = parse (element G.of_bytes) data ~off:0 ~len:(String.length data)
+
+  (* --- the stored form: the SP's signatures stay encoded --- *)
+
+  type stored = { data : string; off : int; len : int }
+
+  let store sigma =
+    let data = to_bytes sigma in
+    { data; off = 0; len = String.length data }
+
+  let stored_of_slice data ~off ~len =
+    Option.map (fun _ -> { data; off; len }) (parse (fun _ _ -> G.one) data ~off ~len)
+
+  let of_stored { data; off; len } =
+    match parse (element G.of_bytes_unchecked) data ~off ~len with
+    | Some sigma -> sigma
+    | None -> invalid_arg "Abs.of_stored: an element of the signature does not decode"
+
+  let stored_size st = st.len
+  let put_stored w st = Zkqac_util.Wire.bytes_sub w st.data ~off:st.off ~len:st.len
 
   let size sigma = String.length (to_bytes sigma)
 

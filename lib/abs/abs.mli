@@ -108,11 +108,40 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       under (attributes in canonical order). *)
 
   val to_bytes : signature -> string
-  val of_bytes : string -> signature option
 
-  val decode : string -> (signature, Zkqac_util.Verify_error.t) result
-  (** As {!of_bytes}, but a failure carries the byte offset where decoding
-      stopped. Trailing bytes are rejected. *)
+  val of_bytes : string -> signature option
+  (** The client's decode: every element canonical and in the group.
+      Trailing bytes are rejected. *)
+
+  (** {2 The stored form}
+
+      The SP keeps each APP signature of its index trees as its encoding,
+      a slice of the string it was read from, and decodes it only where it
+      relaxes or answers it (DESIGN.md §9). *)
+
+  type stored
+
+  val store : signature -> stored
+  (** The signature's {!to_bytes}. *)
+
+  val stored_of_slice : string -> off:int -> len:int -> stored option
+  (** The [len] bytes of the string from [off], kept in place, not copied,
+      if they are framed as a signature (the tau length, the element
+      counts and the exact length); no element is decoded. *)
+
+  val of_stored : stored -> signature
+  (** The SP's decode: the frame of {!of_bytes}, and each element by
+      [G.of_bytes_unchecked], so canonical and on the curve but not
+      checked for the subgroup (DESIGN.md §7). Every call decodes afresh:
+      nothing is memoized, so any domain may call it on any [stored].
+      @raise Invalid_argument if an element does not decode. *)
+
+  val stored_size : stored -> int
+  (** The length of the encoding. *)
+
+  val put_stored : Zkqac_util.Wire.writer -> stored -> unit
+  (** Writes the encoding as one length-prefixed field, as
+      [Wire.bytes w (to_bytes sigma)] would, without decoding it. *)
 
   val size : signature -> int
   (** Serialized size in bytes (the VO-size unit of the paper's

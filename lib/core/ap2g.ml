@@ -57,9 +57,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let t0 = Clock.now_ns () in
       let s = Abs.sign drbg mvk sk ~msg ~policy in
       sign_time := !sign_time +. Clock.elapsed_since t0;
-      signature_bytes := !signature_bytes + Abs.size s;
+      let s = Abs.store s in
+      signature_bytes := !signature_bytes + Abs.stored_size s;
       s
     in
+    let pseudo = Record.pseudo ~seed:pseudo_seed in
     let rec build_node box =
       structure_bytes := !structure_bytes + String.length (Box.encode box);
       if Keyspace.is_unit box then begin
@@ -67,7 +69,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         let record =
           match Key_map.find_opt (Array.to_list key) by_key with
           | Some r -> r
-          | None -> Record.pseudo ~seed:pseudo_seed ~key
+          | None -> pseudo ~key
         in
         incr leaf_sigs;
         structure_bytes :=
@@ -187,7 +189,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     Wire.u32 w t.num_records;
     let rec put_node (node : Vo.node) =
       Wire.bytes w (Expr.to_string node.policy);
-      Wire.bytes w (Abs.to_bytes node.signature);
+      Abs.put_stored w node.signature;
       match node.content with
       | Leaf record ->
         Wire.u8 w 0;
@@ -247,13 +249,15 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           Hashtbl.add policies s p;
           p
       in
-      let sig_data = Wire.rbytes r in
+      (* The signature stays where it is in [data]: only its frame is
+         checked here, and the SP decodes it when it answers the node. *)
+      let off, len = Wire.rslice r in
       let signature =
-        match Abs.of_bytes sig_data with
+        match Abs.stored_of_slice data ~off ~len with
         | Some s -> s
         | None -> raise Wire.Malformed
       in
-      sig_bytes := !sig_bytes + String.length sig_data;
+      sig_bytes := !sig_bytes + len;
       struct_bytes := !struct_bytes + box_bytes + String.length s;
       match Wire.ru8 r with
       | 0 ->

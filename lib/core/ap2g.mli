@@ -94,7 +94,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       recursive tree structure is depth-guarded). Rejects trailing bytes.
       [off]/[len] decode that slice of the string in place (default: all
       of it), never reading outside it. Nodes with the same policy string
-      share one physical {!Zkqac_policy.Expr.t}. *)
+      share one physical {!Zkqac_policy.Expr.t}. Each node's signature is
+      kept as a slice of [data] ({!Abs.stored_of_slice}): its frame is
+      checked here, its elements only when the SP answers the node. *)
 
   val root : t -> Vo.node
   (** The tree itself, read-only: the join (Algorithm 4) walks two trees

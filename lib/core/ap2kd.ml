@@ -80,7 +80,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let t0 = Clock.now_ns () in
       let s = Abs.sign drbg mvk sk ~msg ~policy in
       sign_time := !sign_time +. Clock.elapsed_since t0;
-      signature_bytes := !signature_bytes + Abs.size s;
+      let s = Abs.store s in
+      signature_bytes := !signature_bytes + Abs.stored_size s;
       s
     in
     let depth_bound = Keyspace.dims space * Keyspace.depth space in

@@ -42,7 +42,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
              let msg = Record.message_of r in
              { Vo.box = Box.of_point r.Record.key;
                policy = r.Record.policy;
-               signature = Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy;
+               signature = Abs.store (Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy);
                content = Leaf r })
            sorted)
     in
@@ -58,7 +58,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           let msg = Record.node_message box in
           { Vo.box;
             policy = pseudo_policy;
-            signature = Abs.sign drbg mvk sk ~msg ~policy:pseudo_policy;
+            signature = Abs.store (Abs.sign drbg mvk sk ~msg ~policy:pseudo_policy);
             content = Pseudo })
     in
     { universe; records = signed; gaps }

@@ -90,15 +90,16 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         Expr.disj (List.sort_uniq Expr.compare (List.map Expr.canonical policies))
       in
       let signature = Abs.sign drbg mvk sk ~msg:(Record.node_message box) ~policy in
-      { Vo.box; policy; signature; content }
+      { Vo.box; policy; signature = Abs.store signature; content }
     in
+    let pseudo = Record.pseudo ~seed:pseudo_seed in
     let rec build_node box =
       if Keyspace.is_unit box then begin
         let key = Keyspace.key_of_unit box in
         let group =
           match Key_map.find_opt (Array.to_list key) groups with
           | Some rs -> List.rev rs
-          | None -> [ Record.pseudo ~seed:pseudo_seed ~key ]
+          | None -> [ pseudo ~key ]
         in
         let n = List.length group in
         if n > side then
@@ -114,7 +115,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
                   ~value_hash:(Record.value_hash r.Record.value)
               in
               { Vo.box = region; policy = r.Record.policy;
-                signature = Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy;
+                signature = Abs.store (Abs.sign drbg mvk sk ~msg ~policy:r.Record.policy);
                 content = Leaf { r with Record.key } })
             group
         in

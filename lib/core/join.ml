@@ -73,7 +73,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
               (* nr is a unit cell, so the smallest covering accessible S
                  node is the matching unit leaf. *)
               let pair =
-                Pair { r_record; r_app = nr.signature; s_record; s_app = ns.signature }
+                Pair
+                  { r_record; r_app = Abs.of_stored nr.signature; s_record;
+                    s_app = Abs.of_stored ns.signature }
               in
               slots := Either.Left pair :: !slots
             | Children children, _ -> List.iter (fun c -> push (c, ns)) children

@@ -26,8 +26,6 @@ let message_of r = message ~key:r.key ~value_hash:(value_hash r.value)
 
 let node_message box = Sha256.digest_list [ "zkqac-node"; Box.encode box ]
 
-let pseudo_value ~seed ~key =
-  Zkqac_hashing.Hmac.mac ~key:("zkqac-pseudo:" ^ seed) (key_bytes key)
-
-let pseudo ~seed ~key =
-  { key; value = pseudo_value ~seed ~key; policy = Expr.Leaf Attr.pseudo_role }
+let pseudo ~seed =
+  let mac = Zkqac_hashing.Hmac.(mac_with (prepare ("zkqac-pseudo:" ^ seed))) in
+  fun ~key -> { key; value = mac (key_bytes key); policy = Expr.Leaf Attr.pseudo_role }

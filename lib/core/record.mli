@@ -33,4 +33,5 @@ val node_message : Box.t -> string
 
 val pseudo : seed:string -> key:int array -> t
 (** The pseudo record at [key]: a 32-byte value derived by PRF from the
-    data-owner seed, under policy [Role_∅]. *)
+    data-owner seed, under policy [Role_∅]. [pseudo ~seed] prepares the
+    PRF's key, so a build applies it once and calls the result per key. *)

@@ -56,7 +56,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   type node = {
     box : Box.t;
     policy : Expr.t;
-    signature : Abs.signature;
+    signature : Abs.stored;
     content : content;
   }
 
@@ -72,25 +72,26 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let aps_job drbg ~mvk binding ~keep { box = region; policy; signature; content } =
     (* Fork a per-job DRBG at job creation (sequential) so the thunks are
-       self-contained and can run on any domain (Section 8.2). *)
+       self-contained and can run on any domain (Section 8.2). The stored
+       signature is decoded inside the thunk, on the domain that relaxes
+       it, into values of its own. *)
     let drbg = Drbg.create ~seed:(Drbg.generate drbg 32) in
+    let relaxed ~msg = relax drbg ~mvk ~keep ~msg ~policy (Abs.of_stored signature) in
     match content with
     | Leaf record ->
       let key = record.Record.key in
       let value_hash = Record.value_hash record.Record.value in
       fun () ->
         let msg = leaf_message binding ~region ~key ~value_hash in
-        Inaccessible_leaf
-          { region; key; value_hash; aps = relax drbg ~mvk ~keep ~msg ~policy signature }
+        Inaccessible_leaf { region; key; value_hash; aps = relaxed ~msg }
     | Pseudo | Children _ | Group _ ->
-      fun () ->
-        let msg = Record.node_message region in
-        Inaccessible_node { region; aps = relax drbg ~mvk ~keep ~msg ~policy signature }
+      fun () -> Inaccessible_node { region; aps = relaxed ~msg:(Record.node_message region) }
 
   let answer drbg ~mvk binding ~keep ~user node =
     match node.content with
     | Leaf record when Expr.eval node.policy user ->
-      Either.Left (Accessible { region = node.box; record; app = node.signature })
+      Either.Left
+        (Accessible { region = node.box; record; app = Abs.of_stored node.signature })
     | Leaf _ | Pseudo | Children _ | Group _ ->
       Either.Right (aps_job drbg ~mvk binding ~keep node)
 

@@ -67,13 +67,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       entry signs is chosen by the same module on both sides. *)
 
   (** A node of an index tree: its region, the OR of the policies below it,
-      the DO's APP signature and what it holds. A [Leaf]'s policy is its
-      record's and its signature is over [leaf_message] of its box; any
-      other node is signed over {!Record.node_message} of its box. *)
+      the DO's APP signature, kept encoded, and what it holds. A [Leaf]'s
+      policy is its record's and its signature is over [leaf_message] of
+      its box; any other node is signed over {!Record.node_message} of its
+      box. *)
   type node = {
     box : Box.t;
     policy : Zkqac_policy.Expr.t;
-    signature : Abs.signature;
+    signature : Abs.stored;
     content : content;
   }
 
@@ -97,8 +98,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
       once (one 32-byte draw) and returns a thunk that relaxes the node's
       signature over the message {!verify} checks: [leaf_message binding]
       for a [Leaf] (an [Inaccessible_leaf] entry), the node message
-      otherwise (an [Inaccessible_node]). The thunk owns its randomness,
-      so it may run on any domain. *)
+      otherwise (an [Inaccessible_node]). The thunk owns its randomness
+      and decodes the stored signature itself, so it may run on any
+      domain. @raise Invalid_argument from the thunk if the signature does
+      not decode. *)
 
   val answer :
     Zkqac_hashing.Drbg.t ->
@@ -108,8 +111,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     user:Zkqac_policy.Attr.Set.t ->
     node ->
     (entry, unit -> entry) Either.t
-  (** One entry for [node]: [Accessible] for a leaf [user] may read, an
-      {!aps_job} for anything else. *)
+  (** One entry for [node]: [Accessible] for a leaf [user] may read, with
+      its signature decoded, an {!aps_job} for anything else. *)
 
   type query_stats = { relax_calls : int; nodes_visited : int; sp_time : float }
 

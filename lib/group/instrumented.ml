@@ -35,6 +35,7 @@ module Make (P : Pairing_intf.PAIRING) : Pairing_intf.PAIRING = struct
     let is_one = P.G.is_one
     let to_bytes = P.G.to_bytes
     let of_bytes = P.G.of_bytes
+    let of_bytes_unchecked = P.G.of_bytes_unchecked
     let hash_to = P.G.hash_to
 
     type table = P.G.table

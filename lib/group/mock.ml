@@ -54,6 +54,9 @@ let create ?(order = default_order) () : (module Pairing_intf.PAIRING) =
           if B.compare v order < 0 then Some v else None
         end
 
+      (* Every canonical log is in the group. *)
+      let of_bytes_unchecked = of_bytes
+
       let hash_to msg =
         let v = Zkqac_hashing.Hash_to_field.to_zp ~domain:"mock-g" ~p:order msg in
         if B.is_zero v then B.one else v

@@ -37,6 +37,14 @@ module type PAIRING = sig
 
     val of_bytes : string -> t option
 
+    val of_bytes_unchecked : string -> t option
+    (** As {!of_bytes} but without the subgroup check: the encoding must
+        be canonical and, on a curve, name a point of the curve, which may
+        lie outside the order-[order] subgroup. Only for bytes whose group
+        membership no verifier relies on: the SP decodes its own
+        checkpoint's signatures with it, and the client's decode checks
+        every element it is sent (DESIGN.md §7). *)
+
     val hash_to : string -> t
     (** Hash arbitrary bytes to a group element of full order. *)
 

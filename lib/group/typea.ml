@@ -101,6 +101,8 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
           Some pt
         | Some _ | None -> None
 
+      let of_bytes_unchecked = Curve.of_bytes fp
+
       let hash_to msg =
         let rec go ctr =
           let pt = Curve.hash_to_point fp ~domain:"typea-g" (msg ^ "#" ^ string_of_int ctr) in

@@ -31,9 +31,11 @@ let u64 buf (v : int64) =
       (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
   done
 
-let bytes buf s =
-  u32 buf (String.length s);
-  Buffer.add_string buf s
+let bytes_sub buf s ~off ~len =
+  u32 buf len;
+  Buffer.add_substring buf s off len
+
+let bytes buf s = bytes_sub buf s ~off:0 ~len:(String.length s)
 
 let int_array buf a =
   u8 buf (Array.length a);

@@ -585,6 +585,135 @@ let test_ads_typed_decode () =
          [ "malformed"; "malformed-vo"; "digest-mismatch"; "limit-exceeded" ])
   | Ok _ -> Alcotest.fail "truncated body decoded"
 
+(* --- signature frames at load: checked there, elements decoded later --- *)
+
+(* A checkpoint around [body] with both digests right, as [Ads_io.save]
+   writes it. *)
+let seal ~mvk body =
+  let module Wire = Zkqac_util.Wire in
+  let digest = Zkqac_hashing.Sha256.digest in
+  let w = Wire.writer () in
+  Wire.bytes w "ZKQAC-ADS-FILE-v2";
+  Wire.u32 w 0;
+  Wire.bytes w (Abs.mvk_to_bytes mvk);
+  Wire.bytes w (digest body);
+  Wire.bytes w body;
+  let payload = Wire.contents w in
+  let f = Wire.writer () in
+  Wire.bytes f (digest payload);
+  Wire.bytes f "ZKQAC-ADS-COMMIT-v2";
+  payload ^ Wire.contents f
+
+let index_of hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then Alcotest.fail "needle not found"
+    else if String.sub hay i nn = needle then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The fixture's body, and the offset in it of the APP signature of the
+   leaf at [key] (its tau makes the encoding unique). *)
+let body_and_leaf_signature key =
+  let _, _, tree = Lazy.force fixture in
+  let rec leaf (n : Ap2g.Vo.node) =
+    match n.content with
+    | Leaf r when r.Record.key = key -> Some n
+    | Children c -> List.find_map leaf c
+    | _ -> None
+  in
+  let node = Option.get (leaf (Ap2g.root tree)) in
+  let body = Ap2g.to_bytes tree in
+  let sigma = Abs.to_bytes (Abs.of_stored node.signature) in
+  (body, index_of body sigma, sigma)
+
+let g_size = String.length (Backend.G.to_bytes Backend.G.g)
+
+let u16_at s i = (Char.code s.[i] lsl 8) lor Char.code s.[i + 1]
+
+let patched s at bytes =
+  let b = Bytes.of_string s in
+  Bytes.blit_string bytes 0 b at (String.length bytes);
+  Bytes.to_string b
+
+let u16_bytes n = String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xff))
+
+(* A frame that does not add up stays [Malformed] at load, though both
+   digests hold: a tau or an S run past the signature's end, one P too
+   many, or a byte after the last P. *)
+let test_ads_bad_signature_frame () =
+  let _, mvk, _ = Lazy.force fixture in
+  let body, at, sigma = body_and_leaf_signature [| 0; 1 |] in
+  let n = String.length sigma in
+  let s_at = 2 + u16_at sigma 0 + (2 * g_size) in
+  let p_at = s_at + 2 + (u16_at sigma s_at * g_size) in
+  let count off v = patched body (at + off) (u16_bytes v) in
+  let trailing =
+    let w = Zkqac_util.Wire.writer () in
+    Zkqac_util.Wire.bytes w (sigma ^ "\000");
+    String.sub body 0 (at - 4) ^ Zkqac_util.Wire.contents w
+    ^ String.sub body (at + n) (String.length body - at - n)
+  in
+  List.iter
+    (fun (what, body) ->
+      match Ads_io.decode_typed (seal ~mvk body) with
+      | Error (VE.Malformed _) -> ()
+      | Error e -> Alcotest.failf "%s: wrong error %s" what (VE.to_string e)
+      | Ok _ -> Alcotest.failf "%s: a bad frame loaded" what)
+    [ ("tau length", count 0 0xffff);
+      ("S count", count s_at 0xffff);
+      ("P count", count p_at (u16_at sigma p_at + 1));
+      ("trailing byte", trailing) ]
+
+(* Framed garbage: an element that does not decode loads, since the SP
+   decodes a signature only when it answers its node. A query that
+   answers the node gets [Server_error]; one that does not is served and
+   verifies, and the server keeps serving. *)
+let test_ads_garbage_element_served () =
+  let _, mvk, _ = Lazy.force fixture in
+  let body, at, sigma = body_and_leaf_signature [| 0; 1 |] in
+  (* Y's last byte is mock padding, which must be zero. *)
+  let y_last = at + 2 + u16_at sigma 0 + g_size - 1 in
+  let path = Filename.temp_file "zkqac-test-garbage" ".zkqac" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      write_file path (seal ~mvk (patched body y_last "\001"));
+      (match Ads_io.load ~path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "framed garbage refused at load: %s" e);
+      with_server ~ads:path base_server_cfg @@ fun t ->
+      let ask box =
+        let fd = Sockio.connect ~host:"127.0.0.1" ~port:(Server.port t) ~timeout:2.0 in
+        Fun.protect
+          ~finally:(fun () -> Sockio.close_noerr fd)
+          (fun () ->
+            let dl = Sockio.deadline_after 5.0 in
+            Sockio.write_frame fd ~deadline:dl
+              (Proto.encode_request { Proto.req_id = 0L; roles = [ "RoleA" ]; query = box });
+            match Proto.decode_response (Sockio.read_frame fd ~deadline:dl ~max_bytes:(1 lsl 24)) with
+            | Ok (r, _) -> r
+            | Error e -> Alcotest.failf "undecodable response: %s" (VE.to_string e))
+      in
+      let elsewhere = Box.make ~lo:[| 2; 2 |] ~hi:[| 4; 4 |] in
+      let check_elsewhere () =
+        match ask elsewhere with
+        | Proto.Vo vo ->
+          let _, _, tree = Lazy.force fixture in
+          let vo = Result.get_ok (Ap2g.Vo.decode vo) in
+          Alcotest.(check bool) "the other query verifies" true
+            (Result.is_ok
+               (Ap2g.verify ~mvk ~t_universe:(Ap2g.universe tree) ~user:user_a
+                  ~query:elsewhere vo))
+        | r -> Alcotest.failf "the other query got %s" (Proto.response_code r)
+      in
+      check_elsewhere ();
+      (match ask (Box.make ~lo:[| 0; 0 |] ~hi:[| 2; 2 |]) with
+      | Proto.Server_error _ -> ()
+      | r -> Alcotest.failf "the garbled node got %s" (Proto.response_code r));
+      check_elsewhere ())
+
 (* --- already-expired Sockio deadlines (fail fast, never block) --- *)
 
 let test_sockio_expired_deadline () =
@@ -1056,6 +1185,10 @@ let suite =
         Alcotest.test_case "ads truncation" `Quick test_ads_truncation;
         Alcotest.test_case "ads byte flips" `Quick test_ads_byte_flips;
         Alcotest.test_case "ads typed decode" `Quick test_ads_typed_decode;
+        Alcotest.test_case "ads bad signature frame malformed" `Quick
+          test_ads_bad_signature_frame;
+        Alcotest.test_case "ads garbage element loads, its node errs" `Quick
+          test_ads_garbage_element_served;
         Alcotest.test_case "expired sockio deadlines fail fast" `Quick
           test_sockio_expired_deadline;
         Alcotest.test_case "drain audit entry despite expired budget" `Quick
