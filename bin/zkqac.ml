@@ -302,8 +302,12 @@ let parse_range ~space s =
       |> Array.of_list
     in
     let alpha = point a and beta = point b in
-    if Array.length alpha <> dims || Array.length beta <> dims then
-      die "range has %d dims, ADS has %d" (Array.length alpha) dims;
+    List.iter
+      (fun (corner, p) ->
+        if Array.length p <> dims then
+          die "range %s: %s corner has %d dims, ADS has %d" s corner
+            (Array.length p) dims)
+      [ ("lower", alpha); ("upper", beta) ];
     if Array.exists2 ( > ) alpha beta then
       die "range %s has a lower corner above its upper corner" s;
     let box = Box.of_range ~alpha ~beta in
@@ -328,10 +332,13 @@ let load_ads path =
   match Ads_io.load ~path with Error e -> die "%s" e | Ok loaded -> loaded
 
 (* The ADS at [path], the claimed roles, and the range as a box inside the
-   ADS key space. *)
+   ADS key space. A role the ADS does not know (or the pseudo role) gets a
+   [zkqac:] error here; the server refuses it as [unknown-role]. *)
 let load_query path roles range =
   let mvk, tree = load_ads path in
   let user = Attr.set_of_list (parse_roles roles) in
+  Option.iter (die "--user: unknown role %s")
+    (Universe.bad_role (Ap2g.universe tree) user);
   (mvk, tree, user, parse_range ~space:(Ap2g.space tree) range)
 
 let print_records =
@@ -354,7 +361,11 @@ let key_seed = function
       die "cannot read 32 bytes of entropy from /dev/urandom")
 
 let setup records_file roles dims depth seed out =
-  let universe = Universe.create (parse_roles roles) in
+  let universe =
+    match Universe.create (parse_roles roles) with
+    | universe -> universe
+    | exception Invalid_argument msg -> die "--roles %s: %s" roles msg
+  in
   let space =
     match Keyspace.create ~dims ~depth with
     | space -> space

@@ -511,14 +511,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
 
   let size sigma = String.length (to_bytes sigma)
 
-  let equal_signature s1 s2 =
-    String.equal s1.tau s2.tau
-    && G.equal s1.y s2.y && G.equal s1.w s2.w
-    && Array.length s1.s = Array.length s2.s
-    && Array.length s1.p = Array.length s2.p
-    && Array.for_all2 G.equal s1.s s2.s
-    && Array.for_all2 G.equal s1.p s2.p
-
   let mvk_to_bytes mvk =
     String.concat "" (List.map G.to_bytes (mvk_elements mvk))
 

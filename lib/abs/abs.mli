@@ -51,18 +51,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   val verify : mvk -> msg:string -> policy:Zkqac_policy.Expr.t -> signature -> bool
   (** ABS.Verify: checks Y ≠ 1, the key-binding pairing equation, and the
-      span-program equations for every column. Thin wrapper over
-      {!verify_result}. *)
-
-  val verify_result :
-    mvk ->
-    msg:string ->
-    policy:Zkqac_policy.Expr.t ->
-    signature ->
-    (unit, Zkqac_util.Verify_error.t) result
-  (** As {!verify}, but a failure names the check that rejected the
-      signature (shape mismatch, degenerate Y, key binding, or the first
-      failing span-program column) as [Bad_abs_signature]. *)
+      span-program equations for every column. *)
 
   val relax :
     Zkqac_hashing.Drbg.t ->
@@ -93,8 +82,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     claim list ->
     (unit, Zkqac_util.Verify_error.t) result
   (** The one signature check of every VO verifier. Without [batch],
-      {!verify_result} on each claim in order, the first rejection mapped
-      by its [blame]. With [batch], one small-exponent pairing product over
+      {!verify} on each claim in order, the first rejection — named by the
+      check that failed (shape mismatch, degenerate Y, key binding, or the
+      first failing span-program column) as [Bad_abs_signature] — mapped by
+      its [blame]. With [batch], one small-exponent pairing product over
       every claim, whatever its policy: one weight per claim and shared
       column and key-binding weights, all drawn from [batch], so a bad
       claim survives with probability about 2/order. If it rejects, the
@@ -146,11 +137,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   val size : signature -> int
   (** Serialized size in bytes (the VO-size unit of the paper's
       experiments). *)
-
-  val equal_signature : signature -> signature -> bool
-  (** Structural equality of components (used by privacy tests; two honest
-      signatures of the same statement are almost surely unequal because of
-      re-randomization). *)
 
   val mvk_to_bytes : mvk -> string
   val mvk_of_bytes : string -> mvk option

@@ -11,7 +11,6 @@
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
   type kind = Equality_q | Range_q | Kd_q | Join_q | Envelope_q
 
-  val all_kinds : kind list
   val kind_name : kind -> string
 
   type outcome =

@@ -1,12 +1,5 @@
 type category = Soundness | Completeness | Format | Transport | Crash
 
-let category_name = function
-  | Soundness -> "soundness"
-  | Completeness -> "completeness"
-  | Format -> "format"
-  | Transport -> "transport"
-  | Crash -> "crash"
-
 type t = { name : string; category : category; description : string }
 
 let all =

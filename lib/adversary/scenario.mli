@@ -8,8 +8,6 @@
 
 type category = Soundness | Completeness | Format | Transport | Crash
 
-val category_name : category -> string
-
 type t = { name : string; category : category; description : string }
 
 val all : t list

@@ -463,12 +463,6 @@ let blit_be mag b ~last nb =
 
 let byte_length t = (num_bits t + 7) / 8
 
-let to_bytes_be t =
-  let nb = byte_length t in
-  let b = Bytes.create nb in
-  blit_be t.mag b ~last:(nb - 1) nb;
-  Bytes.unsafe_to_string b
-
 let to_bytes_be_pad len t =
   let nb = byte_length t in
   if nb > len then invalid_arg "Bigint.to_bytes_be_pad: too large";

@@ -31,12 +31,10 @@ val to_hex : t -> string
 val of_bytes_be : string -> t
 (** Big-endian unsigned magnitude. The empty string is [zero]. *)
 
-val to_bytes_be : t -> string
-(** Minimal-length big-endian magnitude of [abs t]; [zero] is [""]. *)
-
 val to_bytes_be_pad : int -> t -> string
-(** Like {!to_bytes_be} but left-padded with zero bytes to exactly the given
-    length. @raise Invalid_argument if the magnitude does not fit. *)
+(** Big-endian magnitude of [abs t], left-padded with zero bytes to exactly
+    the given length. @raise Invalid_argument if the magnitude does not
+    fit. *)
 
 (** {1 Predicates and comparison} *)
 
@@ -55,15 +53,14 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 
-val divmod : t -> t -> t * t
-(** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < |b|] (Euclidean
-    remainder: [r] is always non-negative). @raise Division_by_zero. *)
-
 val div : t -> t -> t
 val rem : t -> t -> t
+(** [div a b] and [rem a b] are [q] and [r] with [a = q*b + r] and
+    [0 <= r < |b|] (Euclidean remainder: [r] is always non-negative).
+    @raise Division_by_zero. *)
 
 val erem : t -> t -> t
-(** Euclidean remainder, always in [0, |b|). Alias of [snd (divmod a b)]. *)
+(** Euclidean remainder, always in [0, |b|). Alias of {!rem}. *)
 
 (** {1 Bit operations} *)
 

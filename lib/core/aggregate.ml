@@ -29,12 +29,4 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   let sum ?batch ~mvk ~tree_universe ?hierarchy ~user ~query ~extract vo =
     fold ?batch ~mvk ~tree_universe ?hierarchy ~user ~query ~extract
       ~combine:( +. ) ~init:0.0 vo
-
-  let min_max ?batch ~mvk ~tree_universe ?hierarchy ~user ~query ~extract vo =
-    fold ?batch ~mvk ~tree_universe ?hierarchy ~user ~query ~extract
-      ~combine:(fun acc v ->
-        match acc with
-        | None -> Some (v, v)
-        | Some (lo, hi) -> Some (Float.min lo v, Float.max hi v))
-      ~init:None vo
 end

@@ -51,15 +51,4 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
     extract:(Record.t -> float option) ->
     Vo.t ->
     (float verified, Vo.error) result
-
-  val min_max :
-    ?batch:Zkqac_hashing.Drbg.t ->
-    mvk:Ap2g.Abs.mvk ->
-    tree_universe:Zkqac_policy.Universe.t ->
-    ?hierarchy:Zkqac_policy.Hierarchy.t ->
-    user:Zkqac_policy.Attr.Set.t ->
-    query:Box.t ->
-    extract:(Record.t -> float option) ->
-    Vo.t ->
-    ((float * float) option verified, Vo.error) result
 end

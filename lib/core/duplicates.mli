@@ -18,24 +18,19 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) : sig
 
   (** {1 Zero-knowledge treatment: the virtual dimension} *)
 
-  val merge_same_policy : Record.t list -> Record.t list
-  (** Merge records sharing both key and (canonical) policy into
-      super-records with concatenated values. *)
-
   val lift :
     space:Keyspace.t ->
     Record.t list ->
     Keyspace.t * Record.t list
-  (** Append the virtual dimension (same depth as the base dimensions) and
-      assign distinct virtual coordinates within each key group.
+  (** Merge records sharing both key and (canonical) policy into
+      super-records with newline-joined values, then append the virtual
+      dimension (same depth as the base dimensions) and assign distinct
+      virtual coordinates within each key group.
       @raise Invalid_argument if some key has more duplicates than the
       virtual axis can hold. *)
 
   val lift_query : lifted_space:Keyspace.t -> Box.t -> Box.t
   (** Extend a base-space query over the whole virtual axis. *)
-
-  val strip_key : int array -> int array
-  (** Drop the virtual coordinate of a result key. *)
 
   (** {1 Non-ZK treatment: embedded duplicate counts}
 

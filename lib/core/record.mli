@@ -18,9 +18,6 @@ val make : key:int array -> value:string -> policy:Zkqac_policy.Expr.t -> t
 val value_hash : string -> string
 (** hash(v_i). *)
 
-val key_bytes : int array -> string
-(** Canonical encoding of a key. *)
-
 val message : key:int array -> value_hash:string -> string
 (** The signed message [hash(o_i) | hash(v_i)]: reconstructible by a verifier
     who knows the key and is given only the value hash — exactly what the

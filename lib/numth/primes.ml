@@ -66,12 +66,6 @@ let random_prime rng ~bits =
   in
   go ()
 
-let next_prime n =
-  let n = if B.compare n B.two <= 0 then B.two else n in
-  let start = if B.is_even n then B.add n B.one else n in
-  let rec go v = if is_probable_prime v then v else go (B.add v B.two) in
-  if B.equal n B.two then B.two else go start
-
 let legendre a p =
   let a = B.erem a p in
   if B.is_zero a then 0

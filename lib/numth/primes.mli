@@ -7,9 +7,6 @@ val is_probable_prime : ?rounds:int -> Zkqac_bigint.Bigint.t -> bool
 val random_prime : Zkqac_rng.Prng.t -> bits:int -> Zkqac_bigint.Bigint.t
 (** Random prime with exactly [bits] significant bits. *)
 
-val next_prime : Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
-(** Smallest probable prime >= the argument. *)
-
 val sqrt_mod :
   Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t option
 (** [sqrt_mod a p] is a square root of [a] modulo an odd prime [p], if one

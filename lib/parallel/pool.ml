@@ -221,13 +221,12 @@ let create ?threads () =
   p.workers <- List.init threads (fun _ -> Domain.spawn (spawn_worker p));
   p
 
-let pool_size p = p.threads
 let respawns p = p.respawned
 
 let submit ?ctx ?(attrs = []) p f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
   (* With a caller context, the job runs under a [pool.worker] span parented
-     on it — the same shape [map_results] produces — so per-request spans
+     on it — the same shape [map] produces — so per-request spans
      recorded inside the job (sp.query, sp.relax, ...) attach to the
      submitting request's trace even though they run on a worker domain. *)
   let f =

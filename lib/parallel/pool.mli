@@ -18,26 +18,18 @@ val size : unit -> int
       if [ZKQAC_DOMAINS] is set to something that is not an integer in
       [1..1024]. *)
 
-val map_results :
-  threads:int ->
-  (unit -> 'a) list ->
-  ('a, exn * Printexc.raw_backtrace) result list
+val map : threads:int -> (unit -> 'a) list -> 'a list
 (** Run the thunks on [threads] domains (static block partitioning, like an
-    OpenMP static schedule) and collect every job's outcome in input order.
-    [threads <= 1] runs inline. A raising job becomes [Error (e, bt)] in its
-    slot and does not stop the other jobs — callers that need partial
-    results (or a full failure report) get all of them.
+    OpenMP static schedule) and return their results in input order.
+    [threads <= 1] runs inline. A raising job does not stop the other jobs;
+    once all have run, the failure with the lowest job index is re-raised in
+    the caller as [Job_failed e] with the worker's backtrace — deterministic
+    even when several jobs fail on different domains.
 
     When tracing is enabled ([Zkqac_telemetry.Trace]), the parallel branch
     records a [pool.map] span and each worker domain a [pool.worker] span
     parented on it, so spans recorded inside jobs attach to the calling
     query's trace even though they run on other domains. *)
-
-val map : threads:int -> (unit -> 'a) list -> 'a list
-(** {!map_results} with failures re-raised: if any job raised, the failure
-    with the lowest job index is re-raised in the caller as [Job_failed e]
-    with the worker's backtrace — deterministic even when several jobs fail
-    on different domains. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** Timing helper for benches. Durations come from {!Monotonic_clock}, so
@@ -65,10 +57,6 @@ val create : ?threads:int -> unit -> pool
 (** Spawn a pool of [threads] worker domains (default {!size}).
     @raise Invalid_argument if [threads < 1]. *)
 
-val pool_size : pool -> int
-(** The configured worker count (live workers, once retirements are
-    replaced, always converge back to this). *)
-
 val respawns : pool -> int
 (** Worker domains retired after a job exception and replaced so far. *)
 
@@ -81,8 +69,8 @@ val submit :
 (** Enqueue a job; it runs on the first free worker. When [ctx] is given,
     the job runs inside a [pool.worker] span (with [attrs]) parented on it,
     so spans the job records attach to the submitting request's trace
-    across the domain boundary — the {!map_results} behaviour for
-    individually submitted jobs.
+    across the domain boundary — the {!map} behaviour for individually
+    submitted jobs.
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a future -> 'a outcome

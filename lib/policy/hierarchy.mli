@@ -22,9 +22,6 @@ val flat : t
 val edges : t -> (Attr.t * Attr.t) list
 (** The [(child, parent)] edges, in deterministic order (for serialization). *)
 
-val parents : t -> Attr.t -> Attr.t list
-(** Ancestor chain, nearest first (empty for roots). *)
-
 val close_user : t -> Attr.Set.t -> Attr.Set.t
 (** Add all implied ancestors to a user's role set. *)
 

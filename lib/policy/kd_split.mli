@@ -15,5 +15,5 @@ val split : Expr.t array -> int
     2 policies. *)
 
 val split_exhaustive : Expr.t array -> int
-(** Brute-force argmin of the objective, used to evaluate how close the
-    paper's linear-time recursion gets (ablation bench). *)
+(** Brute-force argmin of {!objective}: the optimum the paper's
+    linear-time recursion approximates (a test reference). *)

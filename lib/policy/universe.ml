@@ -14,14 +14,16 @@ let mem t a = Attr.Set.mem a t.set
 let size t = Attr.Set.cardinal t.set
 let to_list t = Attr.Set.elements t.set
 
+let bad_role t user =
+  if Attr.Set.mem Attr.pseudo_role user then Some Attr.pseudo_role
+  else Attr.Set.min_elt_opt (Attr.Set.diff user t.set)
+
 let validate_user t user =
-  if Attr.Set.mem Attr.pseudo_role user then
-    invalid_arg "Universe.validate_user: no user holds the pseudo role";
-  Attr.Set.iter
-    (fun a ->
-      if not (Attr.Set.mem a t.set) then
-        invalid_arg ("Universe.validate_user: unknown role " ^ a))
-    user
+  match bad_role t user with
+  | None -> ()
+  | Some a when Attr.equal a Attr.pseudo_role ->
+    invalid_arg "Universe.validate_user: no user holds the pseudo role"
+  | Some a -> invalid_arg ("Universe.validate_user: unknown role " ^ a)
 
 let missing t ~user =
   validate_user t user;

@@ -16,9 +16,12 @@ val mem : t -> Attr.t -> bool
 val size : t -> int
 val to_list : t -> Attr.t list
 
+val bad_role : t -> Attr.Set.t -> Attr.t option
+(** A role of the set that no user may hold — the pseudo role, else the
+    least role outside the universe — if there is one. *)
+
 val validate_user : t -> Attr.Set.t -> unit
-(** @raise Invalid_argument if the set contains the pseudo role or roles
-    outside the universe — no user may hold either. *)
+(** @raise Invalid_argument if {!bad_role} finds one. *)
 
 val missing : t -> user:Attr.Set.t -> Attr.Set.t
 (** 𝔸 ∖ A: the roles the user does not hold (always contains Role_∅). *)

@@ -276,48 +276,51 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           Attr.Set.remove Attr.pseudo_role (Universe.attrs universe)
         | roles -> Attr.set_of_list roles
       in
-      let t0 = Monotonic_clock.now_ns () in
-      let stop_at =
-        Int64.add t0 (Int64.of_float (cfg.duration *. 1e9))
-      in
-      let sent_total = Atomic.make 0 in
-      let tallies = Array.init (max 1 cfg.users) (fun _ -> fresh_tally ()) in
-      let threads =
-        Array.mapi
-          (fun uid tally ->
-            Thread.create
-              (fun () ->
-                user_loop cfg ~mvk ~universe ~hierarchy ~space ~user ~stop_at
-                  ~sent_total ~uid tally)
-              ())
-          tallies
-      in
-      Array.iter Thread.join threads;
-      let wall =
-        Int64.to_float (Int64.sub (Monotonic_clock.now_ns ()) t0) /. 1e9
-      in
-      let merged f =
-        Array.fold_left
-          (fun acc t -> Histogram.merge acc (f t))
-          (Histogram.create ()) tallies
-      in
-      let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-      Ok
-        {
-          wall;
-          sent = sum (fun t -> t.u_sent);
-          ok = sum (fun t -> t.u_ok);
-          rejected = sum (fun t -> t.u_rejected);
-          bad_request = sum (fun t -> t.u_bad_request);
-          exhausted = sum (fun t -> t.u_exhausted);
-          retries = sum (fun t -> t.u_retries);
-          records = sum (fun t -> t.u_records);
-          latency = merged (fun t -> t.hist);
-          server_lat = merged (fun t -> t.server_hist);
-          network_lat = merged (fun t -> t.network_hist);
-          verify_lat = merged (fun t -> t.verify_hist);
-          slowest =
-            top_slow
-              (Array.fold_left (fun acc t -> t.u_slow @ acc) [] tallies);
-        }
+      match Universe.bad_role universe user with
+      | Some a -> Error ("unknown role " ^ a)
+      | None ->
+        let t0 = Monotonic_clock.now_ns () in
+        let stop_at =
+          Int64.add t0 (Int64.of_float (cfg.duration *. 1e9))
+        in
+        let sent_total = Atomic.make 0 in
+        let tallies = Array.init (max 1 cfg.users) (fun _ -> fresh_tally ()) in
+        let threads =
+          Array.mapi
+            (fun uid tally ->
+              Thread.create
+                (fun () ->
+                  user_loop cfg ~mvk ~universe ~hierarchy ~space ~user ~stop_at
+                    ~sent_total ~uid tally)
+                ())
+            tallies
+        in
+        Array.iter Thread.join threads;
+        let wall =
+          Int64.to_float (Int64.sub (Monotonic_clock.now_ns ()) t0) /. 1e9
+        in
+        let merged f =
+          Array.fold_left
+            (fun acc t -> Histogram.merge acc (f t))
+            (Histogram.create ()) tallies
+        in
+        let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
+        Ok
+          {
+            wall;
+            sent = sum (fun t -> t.u_sent);
+            ok = sum (fun t -> t.u_ok);
+            rejected = sum (fun t -> t.u_rejected);
+            bad_request = sum (fun t -> t.u_bad_request);
+            exhausted = sum (fun t -> t.u_exhausted);
+            retries = sum (fun t -> t.u_retries);
+            records = sum (fun t -> t.u_records);
+            latency = merged (fun t -> t.hist);
+            server_lat = merged (fun t -> t.server_hist);
+            network_lat = merged (fun t -> t.network_hist);
+            verify_lat = merged (fun t -> t.verify_hist);
+            slowest =
+              top_slow
+                (Array.fold_left (fun acc t -> t.u_slow @ acc) [] tallies);
+          }
 end

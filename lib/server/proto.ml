@@ -29,13 +29,6 @@ let max_request_bytes = 1 lsl 16
 
 let req_id_hex id = Printf.sprintf "%016Lx" id
 
-let req_id_of_hex s =
-  if String.length s <> 16 then None
-  else
-    match Int64.of_string_opt ("0x" ^ s) with
-    | Some v -> Some v
-    | None -> None
-
 (* Minting: a splitmix64 step over a per-process random base plus an atomic
    counter — unique within a process run and collision-unlikely across
    processes, which is all a correlation id needs (it carries no authority

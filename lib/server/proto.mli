@@ -16,8 +16,6 @@
 
 module Box = Zkqac_core.Box
 
-val request_magic : string
-
 val max_request_bytes : int
 (** Upper bound on an encoded request; bigger frames are refused before
     allocation. *)
@@ -33,10 +31,6 @@ val req_id_hex : int64 -> string
 (** Canonical textual form: exactly 16 lowercase hex digits — what audit
     entries, flight dumps, the slowlog and loadgen reports all print, so
     one grep joins them. *)
-
-val req_id_of_hex : string -> int64 option
-(** Inverse of {!req_id_hex}; [None] unless the string is exactly 16 hex
-    digits. *)
 
 (** {1 Requests} *)
 

@@ -21,6 +21,7 @@
 module Wire = Zkqac_util.Wire
 module VE = Zkqac_util.Verify_error
 module Attr = Zkqac_policy.Attr
+module Universe = Zkqac_policy.Universe
 module Drbg = Zkqac_hashing.Drbg
 module Pool = Zkqac_parallel.Pool
 module Monotonic_clock = Zkqac_parallel.Monotonic_clock
@@ -287,6 +288,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
           in
           if not (Box.contains_box (Keyspace.whole t.space) query) then
             Proto.Bad_request "query-outside-space"
+          else if
+            Universe.bad_role (Ap2g.universe t.tree) (Attr.set_of_list roles) <> None
+          then Proto.Bad_request "unknown-role"
           else if t.cfg.query_deadline <= 0.0 then
             (* No budget: answer Deadline without racing a worker for it. *)
             deadline_expired "no-budget"

@@ -19,14 +19,6 @@ type fault =
 
 exception Fault of fault
 
-let fault_to_string = function
-  | Timeout -> "deadline expired"
-  | Closed -> "connection closed by peer"
-  | Refused -> "connection refused"
-  | Too_large { length; limit } ->
-    Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" length limit
-  | Io msg -> "i/o error: " ^ msg
-
 let fault_code = function
   | Timeout -> "timeout"
   | Closed -> "closed"

@@ -16,8 +16,6 @@ type fault =
 
 exception Fault of fault
 
-val fault_to_string : fault -> string
-
 val fault_code : fault -> string
 (** Stable kebab-case tag for metrics labels and flight-recorder details. *)
 

@@ -81,7 +81,6 @@ let record ?(v = 0) ?(req_id = 0L) ?(detail = "") ~cat name =
 let recorded () = Atomic.get next_seq - 1
 let dropped () = Atomic.get overwritten
 let trips () = Atomic.get trips_ctr
-let dumps_written () = Atomic.get dumps_ctr
 
 let events () =
   Mutex.lock reg_lock;

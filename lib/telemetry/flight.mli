@@ -54,9 +54,6 @@ val dropped : unit -> int
 val trips : unit -> int
 (** Number of {!trip}/{!emergency} calls. *)
 
-val dumps_written : unit -> int
-(** Dump file pairs written so far (at most four). *)
-
 val events : unit -> event list
 (** Merged view of all domain rings, sorted by sequence number. *)
 

@@ -24,11 +24,6 @@ val sum_ns : t -> float
 
 val mean_ns : t -> float
 
-val min_ns : t -> float
-(** Lower bound of the smallest nonempty bucket — the minimum recorded
-    value to bucket resolution (~6%); 0 on an empty histogram. Derived
-    from the counts, so it remains correct under {!merge} and {!sub}. *)
-
 val max_ns : t -> float
 (** Lower bound of the largest nonempty bucket — the maximum recorded
     value to bucket resolution; 0 on an empty histogram. *)
@@ -50,10 +45,11 @@ val bucket_bounds : int -> float * float
 (** [(lo, hi)] bounds of a bucket in ns: values [v] with
     [lo <= v < hi] land in it (exposed for tests). *)
 
-val buckets : t -> (int * int) list
-(** Sparse bucket view: [(bucket index, count)] for every nonempty
-    bucket, in index order — the form BENCH.json carries. *)
-
 val to_json : t -> Json.t
 (** [{"count": n, "mean_ms": ..., "min_ms": ..., "max_ms": ...,
-     "p50_ms": ..., "p95_ms": ..., "p99_ms": ..., "buckets": [[b,c],...]}] *)
+     "p50_ms": ..., "p95_ms": ..., "p99_ms": ..., "buckets": [[b,c],...]}].
+    [min_ms] is the lower bound of the smallest nonempty bucket (the
+    minimum to bucket resolution, ~6%), derived from the counts so it stays
+    correct under {!merge} and {!sub}; [buckets] is the sparse
+    [(bucket index, count)] view of every nonempty bucket, in index order —
+    the form BENCH.json carries. *)

@@ -4,7 +4,7 @@
     ({!Telemetry}), the per-stage table ({!Stage}: latency histograms,
     per-stage and per-domain allocation words, GC pauses), trace health
     ({!Trace.dropped}) and verification-rejection counts are exposed as one
-    registry of named metrics, scraped all at once by {!collect}. Metrics
+    registry of named metrics, scraped all at once by each export. Metrics
     appear in registration order and label sets are sorted, so the
     Prometheus exposition is byte-stable for a given set of recorded
     values — golden tests rely on that.
@@ -60,12 +60,10 @@ val get : family -> labels -> int
 val finc : ?by:float -> family -> labels -> unit
 (** Fractional increment, for durations. *)
 
-val fget : family -> labels -> float
-
 (** {1 Pull collectors} *)
 
 val register : (unit -> metric list) -> unit
-(** Add a source; it is invoked on every {!collect}, after all earlier
+(** Add a source; every export invokes it, after all earlier
     registrations. *)
 
 val register_gauge :
@@ -94,9 +92,6 @@ val recovery : string -> unit
     [Audit.recover] (feeds [zkqac_recoveries_total{outcome}]). *)
 
 (** {1 Export} *)
-
-val collect : unit -> metric list
-(** Pull every registered source once, in registration order. *)
 
 val to_prometheus : unit -> string
 (** Prometheus text exposition (format 0.0.4): [# HELP] / [# TYPE] header

@@ -87,13 +87,6 @@ let push d sp =
 
 (* --- recording --- *)
 
-let current () : ctx =
-  let d = Domain.DLS.get dls in
-  Mutex.lock d.dm;
-  let c = match d.stack with s :: _ -> Some s | [] -> None in
-  Mutex.unlock d.dm;
-  c
-
 let set_attrs (ctx : ctx) kvs =
   match ctx with None -> () | Some sp -> sp.attrs <- sp.attrs @ kvs
 

@@ -68,10 +68,6 @@ val set_attr : ctx -> string -> value -> unit
 
 val set_attrs : ctx -> (string * value) list -> unit
 
-val current : unit -> ctx
-(** The innermost open span of the calling domain ({!none} if no span is
-    open) — capture this before spawning work on other domains. *)
-
 (** {1 Inspection and export} *)
 
 val span_count : unit -> int
@@ -102,23 +98,21 @@ val spans : unit -> info list
 (** All recorded spans merged across domains, sorted by start time. Take at
     a quiet point (no worker domains recording). *)
 
-val chrome_json : unit -> Json.t
-(** The trace as Chrome trace-event JSON — loadable in Perfetto
-    (https://ui.perfetto.dev) or chrome://tracing. One complete ("X") event
-    per span with [ts]/[dur] in microseconds and [tid] = domain id; span ids
-    and parent links are in [args]; {!Rte} GC slices ride along as
-    [cat = "gc"] tracks. [otherData.dropped_gc_slices] counts slices the
-    {!Rte} ring overwrote since its reset (some may predate this trace),
-    and [otherData.lost_runtime_events] the runtime events it never read
-    ({!Rte.lost_events}). *)
-
 val chrome_json_of_spans : info list -> Json.t
 (** Chrome trace-event JSON for just the given spans — the per-incident
     export used by the server's slow-query log (one Perfetto file per
-    sampled request). GC slices are not included. *)
+    sampled request). GC slices are not included; {!write_chrome} adds
+    them. *)
 
 val write_chrome : string -> unit
-(** Write {!chrome_json} to a file. *)
+(** Write the trace to a file as Chrome trace-event JSON — loadable in
+    Perfetto (https://ui.perfetto.dev) or chrome://tracing. One complete
+    ("X") event per span with [ts]/[dur] in microseconds and [tid] = domain
+    id; span ids and parent links are in [args]; {!Rte} GC slices ride
+    along as [cat = "gc"] tracks. [otherData.dropped_gc_slices] counts
+    slices the {!Rte} ring overwrote since its reset (some may predate this
+    trace), and [otherData.lost_runtime_events] the runtime events it never
+    read ({!Rte.lost_events}). *)
 
 val print_tree : out_channel -> unit
 (** Plain-text rendering of the span forest, children indented under

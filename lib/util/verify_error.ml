@@ -62,19 +62,4 @@ let exit_code = function
   | Query_mismatch -> 20
   | Invalid_shape _ -> 21
 
-let all_codes =
-  List.map code
-    [ Completeness_gap;
-      Bad_abs_signature "";
-      Bad_aps_signature "";
-      Bad_aps_policy "";
-      Record_outside_query [||];
-      Policy_not_satisfied [||];
-      Malformed { offset = 0 };
-      Limit_exceeded { what = ""; limit = 0 };
-      Digest_mismatch "";
-      Envelope_open_failed "";
-      Query_mismatch;
-      Invalid_shape "" ]
-
 let as_aps = function Bad_abs_signature w -> Bad_aps_signature w | e -> e

@@ -57,11 +57,8 @@ val exit_code : t -> int
     exits with this on rejection; codes below 10 keep their usual CLI
     meanings. *)
 
-val all_codes : string list
-(** Every {!code} value, for exhaustiveness tests and documentation. *)
-
 val as_aps : t -> t
 (** Reinterpret a signature failure in APS position:
     [Bad_abs_signature w] becomes [Bad_aps_signature w] (other errors pass
-    through) — used by verifiers that share [Abs.verify_result] between APP
-    and APS checks. *)
+    through) — used by verifiers that share one signature check between APP
+    and APS claims. *)

@@ -46,7 +46,7 @@ let gen_timing =
 
 let prop_hex_roundtrip =
   qprop "req_id_hex round-trips" QCheck2.Gen.int64 (fun id ->
-      Proto.req_id_of_hex (Proto.req_id_hex id) = Some id)
+      Int64.of_string_opt ("0x" ^ Proto.req_id_hex id) = Some id)
 
 let prop_hex_canonical =
   qprop "req_id_hex is 16 lowercase hex digits" QCheck2.Gen.int64 (fun id ->
@@ -70,7 +70,7 @@ let prop_request_one_magic =
      magic, and the id follows it — never dropped or remapped. *)
   qprop "requests carry the one magic" gen_request (fun r ->
       let rd = Wire.reader (Proto.encode_request r) in
-      String.equal (Wire.rbytes rd) Proto.request_magic
+      String.equal (Wire.rbytes rd) "ZKQAC-REQ-2"
       && Wire.ru64 rd = r.Proto.req_id)
 
 let prop_footer_roundtrip =

@@ -359,9 +359,9 @@ let registry_is_complete () =
     (fun n ->
       match Scenario.find n with
       | Some s ->
-        Alcotest.(check string)
-          "category" "crash"
-          (Scenario.category_name s.Scenario.category)
+        Alcotest.(check bool)
+          "category is crash" true
+          (s.Scenario.category = Scenario.Crash)
       | None -> Alcotest.failf "Scenario.find %s = None" n)
     names
 

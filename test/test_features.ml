@@ -1,6 +1,6 @@
 (* Tests for the extension features: threshold gates, batch verification,
    verified aggregation, ADS persistence, the CLI-facing codecs, and the
-   Figure-1 baselines (Schnorr, signature chaining, Merkle hash tree). *)
+   Figure-1 leakage a no-access user must not see. *)
 
 module Attr = Zkqac_policy.Attr
 module Expr = Zkqac_policy.Expr
@@ -21,9 +21,6 @@ module Ap2g = Zkqac_core.Ap2g.Make (Mock_backend)
 module Vo = Zkqac_core.Vo.Make (Mock_backend)
 module Aggregate = Zkqac_core.Aggregate.Make (Mock_backend)
 module Ads_io = Zkqac_core.Ads_io.Make (Mock_backend)
-module Schnorr = Zkqac_baseline.Schnorr.Make (Mock_backend)
-module Merkle = Zkqac_baseline.Merkle.Make (Mock_backend)
-module Sigchain = Zkqac_baseline.Sigchain.Make (Mock_backend)
 
 let drbg = Drbg.create ~seed:"features"
 let msk, mvk = Abs.setup drbg
@@ -458,12 +455,6 @@ let test_aggregate () =
   (match Aggregate.sum ~mvk ~tree_universe:universe ~user ~query ~extract vo with
    | Ok s -> Alcotest.(check (float 0.001)) "sum" 18.0 s.Aggregate.value
    | Error e -> Alcotest.failf "sum: %s" (Vo.error_to_string e));
-  (match Aggregate.min_max ~mvk ~tree_universe:universe ~user ~query ~extract vo with
-   | Ok { Aggregate.value = Some (lo, hi); _ } ->
-     Alcotest.(check (float 0.001)) "min" 7.5 lo;
-     Alcotest.(check (float 0.001)) "max" 10.5 hi
-   | Ok { Aggregate.value = None; _ } -> Alcotest.fail "expected min/max"
-   | Error e -> Alcotest.failf "minmax: %s" (Vo.error_to_string e));
   (* Aggregation refuses unverifiable input. *)
   let dropped = List.filter (function Vo.Accessible _ -> false | _ -> true) vo in
   match Aggregate.count ~mvk ~tree_universe:universe ~user ~query dropped with
@@ -511,95 +502,22 @@ let test_ads_file_roundtrip () =
    | Ok _ -> Alcotest.fail "corrupted ADS must be rejected");
   Sys.remove path
 
-(* --- Schnorr --- *)
-
-let test_schnorr () =
-  let secret, public = Schnorr.keygen drbg in
-  let sigma = Schnorr.sign drbg secret "hello" in
-  Alcotest.(check bool) "verifies" true (Schnorr.verify public "hello" sigma);
-  Alcotest.(check bool) "wrong msg" false (Schnorr.verify public "hell0" sigma);
-  let _, public2 = Schnorr.keygen drbg in
-  Alcotest.(check bool) "wrong key" false (Schnorr.verify public2 "hello" sigma);
-  (match Schnorr.of_bytes (Schnorr.to_bytes sigma) with
-   | Some sigma' -> Alcotest.(check bool) "roundtrip" true (Schnorr.verify public "hello" sigma')
-   | None -> Alcotest.fail "codec roundtrip")
-
-(* --- Merkle baseline --- *)
+(* --- the leakage the paper's Figure 1 motivates --- *)
 
 let records_1d =
   [ (3, "a"); (7, "b"); (12, "c"); (20, "d"); (28, "e"); (40, "f"); (55, "g") ]
   |> List.map (fun (k, v) ->
          Record.make ~key:[| k |] ~value:v ~policy:(Expr.of_string "RoleA"))
 
-let test_merkle () =
-  let secret, public = Schnorr.keygen drbg in
-  let mht = Merkle.build drbg secret records_1d in
-  Alcotest.(check int) "records" 7 (Merkle.num_records mht);
-  List.iter
-    (fun (lo, hi, expected) ->
-      let vo = Merkle.range_vo mht ~lo ~hi in
-      match Merkle.verify ~public ~lo ~hi vo with
-      | Ok rs ->
-        Alcotest.(check int) (Printf.sprintf "mht [%d,%d]" lo hi) expected
-          (List.length rs);
-        Alcotest.(check bool) "vo size" true (Merkle.vo_size vo > 0)
-      | Error e -> Alcotest.failf "mht [%d,%d]: %s" lo hi e)
-    [ (0, 100, 7); (5, 25, 3); (8, 11, 0); (0, 2, 0); (56, 99, 0); (3, 3, 1);
-      (28, 55, 3) ]
-
-let test_merkle_omission_detected () =
-  let secret, public = Schnorr.keygen drbg in
-  let mht = Merkle.build drbg secret records_1d in
-  (* Build a VO for a smaller range and try to pass it off for a bigger one:
-     the boundary checks must catch it. *)
-  let vo_small = Merkle.range_vo mht ~lo:5 ~hi:25 in
-  (match Merkle.verify ~public ~lo:5 ~hi:45 vo_small with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "MHT range substitution must be detected")
-
-let test_sigchain () =
-  let secret, public = Schnorr.keygen drbg in
-  let chain = Sigchain.build drbg secret records_1d in
-  Alcotest.(check int) "one signature per record" 7 (Sigchain.num_signatures chain);
-  List.iter
-    (fun (lo, hi, expected) ->
-      let vo = Sigchain.range_vo chain ~lo ~hi in
-      match Sigchain.verify ~public ~lo ~hi vo with
-      | Ok rs ->
-        Alcotest.(check int) (Printf.sprintf "chain [%d,%d]" lo hi) expected
-          (List.length rs)
-      | Error e -> Alcotest.failf "chain [%d,%d]: %s" lo hi e)
-    [ (0, 100, 7); (5, 25, 3); (8, 11, 0); (0, 2, 0); (56, 99, 0) ]
-
-let test_sigchain_gap_detected () =
-  let secret, public = Schnorr.keygen drbg in
-  let chain = Sigchain.build drbg secret records_1d in
-  let vo = Sigchain.range_vo chain ~lo:0 ~hi:100 in
-  (* Splice out a middle record: discontinuity detected. *)
-  let vo_small = Sigchain.range_vo chain ~lo:0 ~hi:10 in
-  ignore vo_small;
-  match Sigchain.verify ~public ~lo:0 ~hi:100 (Sigchain.range_vo chain ~lo:20 ~hi:40) with
-  | Error _ -> ignore vo
-  | Ok _ -> Alcotest.fail "sigchain range substitution must be detected"
-
-(* --- the leakage contrast the paper motivates --- *)
-
-let test_baselines_leak_what_zkqac_hides () =
-  (* Same database, a user who can access nothing: the MHT VO necessarily
-     contains every record in range (their existence leaks); the AP2G VO
-     shows only opaque region proofs. *)
-  let secret, public = Schnorr.keygen drbg in
+let test_no_access_vo_exposes_nothing () =
+  (* A user who can access nothing queries the whole 1-D space: the AP2G VO
+     shows only opaque region proofs, where a signature chain or a Merkle
+     hash tree would have to hand over every record in range. *)
   let hidden =
     List.map
       (fun (r : Record.t) -> { r with Record.policy = Expr.of_string "RoleD" })
       records_1d
   in
-  let mht = Merkle.build drbg secret hidden in
-  let mvo = Merkle.range_vo mht ~lo:0 ~hi:63 in
-  (* MHT verification succeeds and hands the user all 7 hidden records. *)
-  (match Merkle.verify ~public ~lo:0 ~hi:63 mvo with
-   | Ok rs -> Alcotest.(check int) "mht leaks all" 7 (List.length rs)
-   | Error e -> Alcotest.failf "mht: %s" e);
   let space1 = Keyspace.create ~dims:1 ~depth:6 in
   let ztree = Ap2g.build drbg ~mvk ~sk ~space:space1 ~universe ~pseudo_seed:"z" hidden in
   let user = attrs [ "RoleA" ] in
@@ -646,12 +564,7 @@ let suite =
         Alcotest.test_case "aggregation" `Quick test_aggregate;
         Alcotest.test_case "ads bytes roundtrip" `Quick test_ads_roundtrip;
         Alcotest.test_case "ads file roundtrip" `Quick test_ads_file_roundtrip;
-        Alcotest.test_case "schnorr" `Quick test_schnorr;
-        Alcotest.test_case "merkle baseline" `Quick test_merkle;
-        Alcotest.test_case "merkle omission" `Quick test_merkle_omission_detected;
-        Alcotest.test_case "sigchain baseline" `Quick test_sigchain;
-        Alcotest.test_case "sigchain gap" `Quick test_sigchain_gap_detected;
-        Alcotest.test_case "baselines leak, zkqac hides" `Quick
-          test_baselines_leak_what_zkqac_hides;
+        Alcotest.test_case "no-access user's VO exposes no record" `Quick
+          test_no_access_vo_exposes_nothing;
       ] );
   ]

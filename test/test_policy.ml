@@ -8,10 +8,8 @@ module Kd_split = Zkqac_policy.Kd_split
 module Linalg = Zkqac_numth.Zp_linalg
 module Prng = Zkqac_rng.Prng
 
-let p_test = B.of_string "0xffffffffffffffffffffffffffffff61" (* any prime-ish large modulus works for span tests *)
-
-(* Use a real prime so field inverses exist. *)
-let p_test = Zkqac_numth.Primes.next_prime p_test
+(* 2^128 - 159, a prime, so field inverses exist. *)
+let p_test = B.of_string "0xffffffffffffffffffffffffffffff61"
 
 let attrs l = Attr.set_of_list l
 

@@ -110,7 +110,7 @@ let policy_props =
 
 (* --- field/group properties --- *)
 
-let p61 = Zkqac_numth.Primes.next_prime (B.of_string "2305843009213693951")
+let p61 = B.of_string "2305843009213693951" (* 2^61 - 1, a Mersenne prime *)
 let fp_ctx = Fp.create p61
 
 let gen_fp =

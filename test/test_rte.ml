@@ -107,7 +107,7 @@ let test_gc_attribution () =
       Alcotest.(check bool) "slice extent" true (s.Rte.sl_t1 >= s.Rte.sl_t0))
     slices;
   (* Perfetto export: GC slices become their own tracks. *)
-  let chrome = Json.to_string (Trace.chrome_json ()) in
+  let chrome = Json.to_string (Test_trace.chrome_json ()) in
   Alcotest.(check bool) "gc.minor track event" true
     (contains chrome "gc.minor");
   Alcotest.(check bool) "gc thread metadata" true (contains chrome "\"gc (tid");
@@ -185,7 +185,7 @@ let test_gc_slices_keep_newest () =
   Trace.reset ();
   collect 50;
   let gc_events =
-    match Trace.chrome_json () with
+    match Test_trace.chrome_json () with
     | Json.Obj fields -> (
       match List.assoc_opt "traceEvents" fields with
       | Some (Json.Arr evs) ->
@@ -288,7 +288,7 @@ let test_lost_events_counted () =
        (fun (d : Rte.dom_stats) -> d.Rte.label = string_of_int dom)
        (Rte.domain_snapshot ()));
   let other =
-    match Trace.chrome_json () with
+    match Test_trace.chrome_json () with
     | Json.Obj fields -> List.assoc_opt "otherData" fields
     | _ -> None
   in

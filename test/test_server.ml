@@ -381,7 +381,7 @@ let test_serve_bad_request () =
   (match exchange "complete garbage" with
   | `Resp (Proto.Bad_request _) -> ()
   | `Resp r -> Alcotest.failf "garbage got %s" (Proto.response_code r)
-  | `Fault f -> Alcotest.failf "garbage: %s" (Sockio.fault_to_string f));
+  | `Fault f -> Alcotest.failf "garbage: %s" (Sockio.fault_code f));
   (* Oversized frame: refused before the payload is even read. The refusal
      may close the connection while we are still writing our 64K, so a
      typed transport fault is as acceptable as reading the Bad_request. *)
@@ -398,7 +398,7 @@ let test_serve_bad_request () =
   | `Resp (Proto.Bad_request d) ->
     Alcotest.(check string) "reason" "query-outside-space" d
   | `Resp r -> Alcotest.failf "outside-space got %s" (Proto.response_code r)
-  | `Fault f -> Alcotest.failf "outside-space: %s" (Sockio.fault_to_string f)
+  | `Fault f -> Alcotest.failf "outside-space: %s" (Sockio.fault_code f)
 
 let test_serve_drain () =
   let cfg = base_server_cfg in
@@ -488,9 +488,9 @@ let test_chaos_registry () =
     (fun name ->
       match Scenario.find name with
       | Some sc ->
-        Alcotest.(check string)
-          (name ^ " category") "transport"
-          (Scenario.category_name sc.Scenario.category)
+        Alcotest.(check bool)
+          (name ^ " category is transport") true
+          (sc.Scenario.category = Scenario.Transport)
       | None -> Alcotest.failf "%s not found" name)
     Scenario.network_names;
   List.iter
@@ -501,12 +501,38 @@ let test_chaos_registry () =
         (List.mem sc.Scenario.name Scenario.names))
     Scenario.network
 
-(* --- checkpoint robustness: truncation and byte flips --- *)
-
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
+
+(* A claimed role the ADS does not know, or the pseudo role, is refused
+   before any job is submitted: the client makes one attempt and gets a
+   typed Bad_request, which it never retries. *)
+let test_serve_unknown_role () =
+  with_server base_server_cfg @@ fun t ->
+  let _, mvk, tree = Lazy.force fixture in
+  List.iter
+    (fun role ->
+      Zkqac_telemetry.Metrics.reset ();
+      match
+        Cl.query (client_cfg (Server.port t)) ~mvk ~universe:(Ap2g.universe tree)
+          ?hierarchy:(Ap2g.hierarchy tree)
+          ~user:(Attr.set_of_list [ "RoleA"; role ])
+          ~query:whole_box ()
+      with
+      | Error (Client.Bad_request d) ->
+        Alcotest.(check string) (role ^ " reason") "unknown-role" d;
+        Alcotest.(check bool) (role ^ " one attempt") true
+          (contains_sub
+             (Zkqac_telemetry.Metrics.to_prometheus ())
+             "zkqac_server_requests_total{outcome=\"bad-request\"} 1")
+      | Error f -> Alcotest.failf "%s: %s" role (Client.failure_to_string f)
+      | Ok _ -> Alcotest.failf "%s: served" role)
+    [ "RoleZ"; Attr.pseudo_role ];
+  Alcotest.(check int) "nothing served" 0 (Server.served t)
+
+(* --- checkpoint robustness: truncation and byte flips --- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -734,7 +760,7 @@ let test_sockio_expired_deadline () =
           | _ -> Alcotest.fail "read succeeded past an expired deadline"
           | exception Sockio.Fault Sockio.Timeout -> ()
           | exception Sockio.Fault f ->
-            Alcotest.failf "expected Timeout, got %s" (Sockio.fault_to_string f));
+            Alcotest.failf "expected Timeout, got %s" (Sockio.fault_code f));
           (match
              Sockio.write_frame a
                ~deadline:(Sockio.deadline_after budget)
@@ -743,7 +769,7 @@ let test_sockio_expired_deadline () =
           | () -> Alcotest.fail "write succeeded past an expired deadline"
           | exception Sockio.Fault Sockio.Timeout -> ()
           | exception Sockio.Fault f ->
-            Alcotest.failf "expected Timeout, got %s" (Sockio.fault_to_string f));
+            Alcotest.failf "expected Timeout, got %s" (Sockio.fault_code f));
           Alcotest.(check bool)
             (Printf.sprintf "budget %g fails fast" budget)
             true
@@ -1179,6 +1205,7 @@ let suite =
           test_serve_retains_no_spans;
         Alcotest.test_case "read deadline" `Quick test_serve_read_deadline;
         Alcotest.test_case "bad request" `Quick test_serve_bad_request;
+        Alcotest.test_case "unknown role refused once" `Quick test_serve_unknown_role;
         Alcotest.test_case "graceful drain" `Quick test_serve_drain;
         Alcotest.test_case "chaos registry" `Quick test_chaos_registry;
         Alcotest.test_case "chaos sweep" `Slow test_chaos_sweep;

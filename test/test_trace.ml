@@ -126,6 +126,14 @@ let parse_ok s =
   | Ok v -> v
   | Error e -> Alcotest.failf "parse %S: %s" s e
 
+(* The trace as [Trace.write_chrome] writes it, read back. *)
+let chrome_json () =
+  let path = Filename.temp_file "zkqac-trace" ".json" in
+  Trace.write_chrome path;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  parse_ok s
+
 let test_json_parse () =
   Alcotest.(check json) "null" Json.Null (parse_ok " null ");
   Alcotest.(check json) "int" (Json.Int (-42)) (parse_ok "-42");
@@ -285,7 +293,7 @@ let test_query_trace () =
         ss)
     by_tid;
   (* The Chrome export is valid JSON with well-formed complete events. *)
-  let exported = parse_ok (Json.to_string (Trace.chrome_json ())) in
+  let exported = chrome_json () in
   let events =
     match exported with
     | Json.Obj fields ->
