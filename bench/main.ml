@@ -84,8 +84,7 @@ let () =
       with Sys_error e ->
         Printf.eprintf "cannot write %s: %s\n" path e;
         exit 2);
-     Report.collecting := true;
-     Telemetry.enable ());
+     Report.collecting := true);
   (match !trace_dir with
    | None -> ()
    | Some dir ->
@@ -162,7 +161,7 @@ let () =
   in
   Rte.stop ();
   let stages = Telemetry.stages (Telemetry.snapshot ()) in
-  if Telemetry.enabled () || !trace_dir <> None then Report.print_histograms stages;
+  if !json_path <> None || !trace_dir <> None then Report.print_histograms stages;
   Report.warn_dropped_spans ();
   Printf.printf "\ntotal: %.1fs\n" total;
   match !json_path with

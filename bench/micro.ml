@@ -148,21 +148,16 @@ let paired_overhead ~title ~series ~base:(base_label, base)
          ("q1", Json.Float q1);
          ("q3", Json.Float q3) ])
 
-(* Overhead of the telemetry wrapper when collection is disabled: the
-   instrumented backend adds one atomic load + branch per group op. The
-   budget is the CI gate's: a median under 10% on mock ABS.Verify. *)
+(* Overhead of the op counters: the instrumented backend bumps one slot of
+   the calling domain's counters per group op, always. The budget is the CI
+   gate's: a median under 10% on mock ABS.Verify. *)
 let telemetry_overhead () =
-  let module Telemetry = Zkqac_telemetry.Telemetry in
-  let was_on = Telemetry.enabled () in
-  Telemetry.disable ();
-  Fun.protect ~finally:(fun () -> if was_on then Telemetry.enable ())
-  @@ fun () ->
   let module R = (val Zkqac_group.Backend.instantiate_raw Zkqac_group.Backend.Mock)
   in
   let module I = Zkqac_group.Instrumented.Make (R) in
   let wrap f = f () in
   paired_overhead
-    ~title:"Telemetry wrapper overhead (mock ABS.Verify, telemetry disabled)"
+    ~title:"Op-counting overhead (mock ABS.Verify, instrumented vs raw backend)"
     ~series:"telemetry_overhead"
     ~base:("raw", verifier (module R) ~wrap)
     ~variant:("instrumented", verifier (module I) ~wrap)
@@ -174,23 +169,15 @@ let span_verifier name =
     (Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
     ~wrap:(fun f -> Trace.with_span name ~parent:Trace.none (fun _ -> f ()))
 
-(* Overhead of the always-on flight recorder: unlike the telemetry wrapper
-   above, [Flight] records by default, so its cost per instrumented span is
-   what every production run pays. The span fast path with flight enabled
-   does two clock reads and a ring store; with flight disabled it is a
-   single branch. Both variants run with telemetry and tracing off, so the
-   difference isolates the recorder itself. The budget is the CI gate's: a
+(* Overhead of the always-on flight recorder: per span close, a clock
+   read, an atomic sequence number and a ring store, on top of the stage
+   table's note, which both variants pay. The budget is the CI gate's: a
    median under 10%. *)
 let flight_overhead () =
-  let module Telemetry = Zkqac_telemetry.Telemetry in
   let module Flight = Zkqac_telemetry.Flight in
   let was_on = Flight.enabled () in
-  let tel_on = Telemetry.enabled () in
-  Telemetry.disable ();
   Fun.protect
-    ~finally:(fun () ->
-      if was_on then Flight.enable () else Flight.disable ();
-      if tel_on then Telemetry.enable ())
+    ~finally:(fun () -> if was_on then Flight.enable () else Flight.disable ())
   @@ fun () ->
   let run = span_verifier "flight.overhead" in
   paired_overhead
@@ -199,25 +186,20 @@ let flight_overhead () =
     ~base:("disabled", fun iters -> Flight.disable (); run iters)
     ~variant:("enabled", fun iters -> Flight.enable (); run iters)
 
-(* Overhead of GC-pause attribution: with telemetry on, each span's open
-   and close read [Rte.pause_mark], which drains the runtime-events ring
-   while [Rte] is started. The variant block starts [Rte] and stops it at
-   its end, so it pays for every drain, the final one included, and the
-   base block and the collections between blocks run with event collection
-   paused. The budget is the CI gate's: a median under 10%. *)
+(* Overhead of GC-pause attribution: each span's open and close read
+   [Rte.pause_mark], which drains the runtime-events ring while [Rte] is
+   started. The variant block starts [Rte] and stops it at its end, so it
+   pays for every drain, the final one included, and the base block and
+   the collections between blocks run with event collection paused. The
+   budget is the CI gate's: a median under 10%. *)
 let rte_overhead () =
-  let module Telemetry = Zkqac_telemetry.Telemetry in
-  let rte_on = Rte.started () and tel_on = Telemetry.enabled () in
+  let rte_on = Rte.started () in
   Rte.stop ();
-  Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      if rte_on then Rte.start ();
-      if not tel_on then Telemetry.disable ())
+  Fun.protect ~finally:(fun () -> if rte_on then Rte.start ())
   @@ fun () ->
   let run = span_verifier "rte.overhead" in
   paired_overhead
-    ~title:"GC-pause attribution overhead (mock ABS.Verify inside a span, telemetry on)"
+    ~title:"GC-pause attribution overhead (mock ABS.Verify inside a span)"
     ~series:"rte_overhead"
     ~base:("stopped", run)
     ~variant:

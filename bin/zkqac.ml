@@ -150,7 +150,6 @@ type obs = {
 
 let with_obs { stats; trace; trace_tree; audit; audit_durability; audit_recover } f =
   let module T = Zkqac_telemetry.Telemetry in
-  if stats then T.enable ();
   if trace <> None || trace_tree then Trace.enable ();
   (* GC pause attribution reads the runtime-events ring; it only runs when
      some observer (stats, trace) will report what it collects. *)
@@ -180,7 +179,7 @@ let with_obs { stats; trace; trace_tree; audit; audit_durability; audit_recover 
       Audit.disable ();
       (match trace with
        | Some path ->
-         Trace.write_chrome path;
+         (try Trace.write_chrome path with Sys_error e -> die "%s" e);
          Printf.printf "trace written to %s: %d span(s)%s\n" path
            (Trace.span_count ())
            (if Trace.dropped () > 0 then
@@ -318,9 +317,11 @@ let parse_range ~space s =
   | _ -> bad ()
 
 let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
+  try
+    let oc = open_out_bin path in
+    output_string oc data;
+    close_out oc
+  with Sys_error e -> die "%s" e
 
 let read_file path =
   let ic = open_in_bin path in
@@ -379,7 +380,7 @@ let setup records_file roles dims depth seed out =
   let tree =
     Ap2g.build drbg ~mvk ~sk ~space ~universe ~pseudo_seed:("cli:" ^ seed) records
   in
-  Ads_io.save ~path:out ~mvk tree;
+  (try Ads_io.save ~path:out ~mvk tree with Sys_error e -> die "%s" e);
   let st = Ap2g.stats tree in
   Printf.printf
     "ADS written to %s: %d records over a %d^%d space, %d signatures (%d KB)\n" out
@@ -543,9 +544,7 @@ let attack_cmd =
 (* --- metrics --- *)
 
 let metrics fmt seed out =
-  let module T = Zkqac_telemetry.Telemetry in
   let module Metrics = Zkqac_telemetry.Metrics in
-  T.enable ();
   Rte.start ();
   (* One adversarial sweep touches every metric family: PAIRING-boundary op
      counts, per-stage latency and allocation attribution, and typed

@@ -4,7 +4,7 @@ module Universe = Zkqac_policy.Universe
 module Hierarchy = Zkqac_policy.Hierarchy
 module Drbg = Zkqac_hashing.Drbg
 module Trace = Zkqac_telemetry.Trace
-module Tel = Zkqac_telemetry.Telemetry
+module Clock = Zkqac_telemetry.Monotonic_clock
 module Flight = Zkqac_telemetry.Flight
 module Metrics = Zkqac_telemetry.Metrics
 module Json = Zkqac_telemetry.Json
@@ -16,7 +16,7 @@ module VE = Zkqac_util.Verify_error
    with probability at most 1/r per try. *)
 let batch_weights vo_bytes = Drbg.create ~seed:("zkqac-vo-batch:" ^ vo_bytes)
 
-let ms_since t0 = Int64.to_float (Int64.sub (Tel.now_ns ()) t0) /. 1e6
+let ms_since t0 = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e6
 
 module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
   module Abs = Zkqac_abs.Abs.Make (P)
@@ -165,11 +165,11 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     if Result.is_error result then Flight.trip ~reason:("verify-error:" ^ outcome)
 
   let verify_vo ?envelope_open_ms ~mvk ~universe ?hierarchy ~roles ~query payload =
-    let t_start = Tel.now_ns () in
+    let t_start = Clock.now_ns () in
     let fallbacks0 = Metrics.batch_fallbacks () in
     let decode_ms = ref 0.0 and verify_ms = ref 0.0 and vo_entries = ref 0 in
     let timed cell f =
-      let t0 = Tel.now_ns () in
+      let t0 = Clock.now_ns () in
       let r = f () in
       cell := ms_since t0;
       r
@@ -197,7 +197,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       Trace.set_attr ctx "verify_error" (Trace.Str (VE.code e));
       Error e
     in
-    let t_start = Tel.now_ns () in
+    let t_start = Clock.now_ns () in
     let opened =
       if not (Box.equal query response.query) then Error VE.Query_mismatch
       else Envelope.open_result user.user_pp user.cpabe_sk response.sealed

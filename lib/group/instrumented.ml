@@ -4,8 +4,8 @@
    with a Zkqac_telemetry counter bump; cheap structural operations
    (equality, encoding, constants) pass through untouched. Applied by
    Backend.instantiate, so all protocol code is counted without the
-   backends themselves knowing about telemetry. When telemetry is disabled
-   (the default) each wrapped call costs one load-and-branch. *)
+   backends themselves knowing about telemetry. Each wrapped call bumps
+   one slot of the calling domain's counters. *)
 
 module T = Zkqac_telemetry.Telemetry
 

@@ -8,7 +8,9 @@ let small_primes =
 
 (* Miller-Rabin witness loop with a deterministic DRBG for the bases, so
    primality results are reproducible. *)
-let miller_rabin rounds n =
+let rounds = 32
+
+let miller_rabin n =
   let n1 = B.sub n B.one in
   let rec split d s = if B.is_even d then split (B.shift_right d 1) (s + 1) else (d, s) in
   let d, s = split n1 0 in
@@ -39,11 +41,11 @@ let miller_rabin rounds n =
   in
   if B.compare n B.two < 0 then false else loop 0
 
-let is_probable_prime ?(rounds = 32) n =
+let is_probable_prime n =
   if B.compare n B.two < 0 then false
   else begin
     let rec trial = function
-      | [] -> miller_rabin rounds n
+      | [] -> miller_rabin n
       | p :: rest ->
         let bp = B.of_int p in
         if B.equal n bp then true

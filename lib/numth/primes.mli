@@ -1,8 +1,8 @@
 (** Primality testing and prime generation (for pairing parameter setup). *)
 
-val is_probable_prime : ?rounds:int -> Zkqac_bigint.Bigint.t -> bool
+val is_probable_prime : Zkqac_bigint.Bigint.t -> bool
 (** Deterministic trial division by small primes followed by Miller–Rabin
-    with [rounds] (default 32) pseudo-random bases. *)
+    with 32 pseudo-random bases. *)
 
 val random_prime : Zkqac_rng.Prng.t -> bits:int -> Zkqac_bigint.Bigint.t
 (** Random prime with exactly [bits] significant bits. *)

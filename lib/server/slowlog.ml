@@ -55,7 +55,6 @@ type pending = {
 type t = {
   cap : int;
   threshold_ms : float; (* > 0 fixed; 0 = dynamic p99 *)
-  max_spans : int;
   lock : Mutex.t;
   ring : incident option array;
   mutable next : int;
@@ -70,6 +69,9 @@ type t = {
    slowlog tracks its root. Reading [!live] without the lock is sound: OCaml
    ref reads are atomic, and a stale list only costs one span. *)
 let live : t list ref = ref []
+
+(* Spans collected per tracked request, at most. *)
+let max_spans = 4096
 let live_lock = Mutex.create ()
 
 let on_close (info : Trace.info) =
@@ -79,7 +81,7 @@ let on_close (info : Trace.info) =
       (fun t ->
         Mutex.lock t.lock;
         (match Hashtbl.find_opt t.tracked root with
-        | Some p when p.p_count < t.max_spans ->
+        | Some p when p.p_count < max_spans ->
           p.p_spans <- info :: p.p_spans;
           p.p_count <- p.p_count + 1
         | Some _ | None -> ());
@@ -103,13 +105,12 @@ let close t =
 let dynamic_warmup = 64
 let dynamic_floor_ms = 1.0
 
-let create ?(cap = 64) ?(threshold_ms = 0.0) ?(max_spans = 4096) () =
+let create ?(cap = 64) ?(threshold_ms = 0.0) () =
   if cap < 1 then invalid_arg "Slowlog.create: cap < 1";
   let t =
     {
       cap;
       threshold_ms;
-      max_spans;
       lock = Mutex.create ();
       ring = Array.make cap None;
       next = 0;

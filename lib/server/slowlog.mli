@@ -33,13 +33,12 @@ type incident = {
       (** complete span tree, root included, in start order *)
 }
 
-val create : ?cap:int -> ?threshold_ms:float -> ?max_spans:int -> unit -> t
+val create : ?cap:int -> ?threshold_ms:float -> unit -> t
 (** A live slowlog holding at most [cap] incidents (default 64; oldest
     evicted). [threshold_ms = 0] (default) selects the dynamic p99
-    threshold; positive values are fixed. [max_spans] bounds the spans
-    collected per request (default 4096). Creating a slowlog installs the
-    trace close hook; {!close} releases it. Tracing must be enabled for
-    span trees to be collected. *)
+    threshold; positive values are fixed. At most 4096 spans are collected
+    per request. Creating a slowlog installs the trace close hook, which
+    collects span trees with tracing off; {!close} releases it. *)
 
 val close : t -> unit
 (** Deregister from the trace close hook (the last live slowlog clears

@@ -2,8 +2,8 @@
 
    The recording path is deliberately minimal — one atomic fetch-and-add for
    the global sequence number, a DLS lookup, and a ring store — because it
-   runs on every span close, verdict, pool failure and wire-limit hit even
-   when all other telemetry is off. Rings are registered under [reg_lock]
+   runs on every span close, verdict, pool failure and wire-limit hit, traced
+   or not. Rings are registered under [reg_lock]
    (the Trace/Stage idiom) so dumps can merge them from any domain. *)
 
 type event = {
@@ -17,13 +17,7 @@ type event = {
   req_id : int64; (* correlating request id; 0 = not request-scoped *)
 }
 
-let env_flag name default =
-  match Sys.getenv_opt name with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | Some _ -> true
-  | None -> default
-
-let on = Atomic.make (env_flag "ZKQAC_FLIGHT" true)
+let on = Atomic.make true
 let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false

@@ -4,12 +4,11 @@
     verify verdicts, pool job failures, wire-limit hits — recorded
     unconditionally (a few atomic operations plus one ring store per event)
     so that a crash or a one-in-a-million verification failure leaves a
-    forensic trail even when tracing and telemetry were off.
+    forensic trail even when tracing was off.
 
-    The recorder is enabled by default; set [ZKQAC_FLIGHT=off] in the
-    environment (or call {!disable}) to turn it off, e.g. for overhead
-    ablations. Each domain's ring holds 2048 events; once full, the oldest
-    events are overwritten and counted in {!dropped}.
+    The recorder is enabled by default; {!disable} turns it off, for the
+    overhead gate's ablation. Each domain's ring holds 2048 events; once
+    full, the oldest events are overwritten and counted in {!dropped}.
 
     {!trip} is the dump-on-demand path: it records a [trip] event and, when
     a dump directory is configured ({!set_dir} or [ZKQAC_FLIGHT_DIR]),

@@ -1,5 +1,5 @@
 (* The per-stage table: one cell per stage name per domain, fed once by
-   every measured span close.
+   every span close, next to the domain's op counters.
 
    A cell holds the stage's latency histogram (whose count and sum double
    as calls and seconds), the GC words the stage allocated and the GC pause
@@ -29,18 +29,37 @@ let empty () =
 
 let count c = Histogram.count c.hist
 
-type dstate = { tid : int; tbl : (string, cell) Hashtbl.t }
+let op_slots = 13
+
+type dstate = { tid : int; tbl : (string, cell) Hashtbl.t; ops : int array }
 
 let reg_lock = Mutex.create ()
 let states : dstate list ref = ref []
 
 let dls =
   Domain.DLS.new_key (fun () ->
-      let d = { tid = (Domain.self () :> int); tbl = Hashtbl.create 16 } in
+      let d =
+        { tid = (Domain.self () :> int);
+          tbl = Hashtbl.create 16;
+          ops = Array.make op_slots 0 }
+      in
       Mutex.lock reg_lock;
       states := d :: !states;
       Mutex.unlock reg_lock;
       d)
+
+(* No safepoint falls between the load and the store, so the sys-threads
+   sharing a domain cannot interleave inside one bump. *)
+let add_op i n =
+  let ops = (Domain.DLS.get dls).ops in
+  ops.(i) <- ops.(i) + n
+
+let ops () =
+  Mutex.lock reg_lock;
+  let sum = Array.make op_slots 0 in
+  List.iter (fun d -> Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) d.ops) !states;
+  Mutex.unlock reg_lock;
+  sum
 
 (* Negative deltas can only come from counter approximation glitches or a
    reset of the pause totals mid-span; clamp so a snapshot is monotone. *)
@@ -120,5 +139,9 @@ let diff ~earlier ~later =
 
 let reset () =
   Mutex.lock reg_lock;
-  List.iter (fun d -> Hashtbl.reset d.tbl) !states;
+  List.iter
+    (fun d ->
+      Hashtbl.reset d.tbl;
+      Array.fill d.ops 0 op_slots 0)
+    !states;
   Mutex.unlock reg_lock

@@ -1,13 +1,13 @@
-(** The per-stage table: what every measured span close records.
+(** The per-stage table: what every span close records, and the op
+    counters.
 
-    Every [Trace.with_span] close (with telemetry or tracing enabled)
-    makes one {!note} for its stage name: the span's duration, the
-    allocation deltas of the domain-local counters ([Gc.counters]: minor,
-    promoted and major words) and the GC pause time the runtime-events
-    bridge ({!Rte}) attributed to the domain while the span was open. One
-    cell therefore answers "how often, how long, how many words, how much
-    GC" for a stage, and [Telemetry], [Metrics] and the bench harness all
-    read the same cells.
+    Every [Trace.with_span] close makes one {!note} for its stage name:
+    the span's duration, the allocation deltas of the domain-local
+    counters ([Gc.counters]: minor, promoted and major words) and the GC
+    pause time the runtime-events bridge ({!Rte}) attributed to the
+    domain while the span was open. One cell therefore answers "how often,
+    how long, how many words, how much GC" for a stage, and [Telemetry],
+    [Metrics] and the bench harness all read the same cells.
 
     Attribution is inclusive, like span wall time: a parent span's words
     and pauses include its children's. Allocation deltas are exact per
@@ -42,6 +42,23 @@ val note :
     domain's table. Lock-free with respect to other domains; negative
     deltas are clamped to 0. *)
 
+(** {1 Op counters}
+
+    Each domain's state also holds the op counters of [Telemetry]: one
+    [int] slot per counter, bumped by the domain that did the op, without
+    a lock or an atomic. *)
+
+val op_slots : int
+(** Slots per domain, one per [Telemetry.counter]. *)
+
+val add_op : int -> int -> unit
+(** [add_op i n] adds [n] to slot [i] of the calling domain's counters. *)
+
+val ops : unit -> int array
+(** Every slot summed over all domains, exited ones included. *)
+
+(** {1 Snapshots} *)
+
 val snapshot : unit -> (string * cell) list
 (** Merge all domains' tables: every stage observed so far, sorted by
     name. The cells are copies. Taking a snapshot while worker domains are
@@ -60,4 +77,4 @@ val diff :
     dropped. *)
 
 val reset : unit -> unit
-(** Clear every stage in every domain's table. *)
+(** Clear every stage and zero every op counter in every domain's table. *)

@@ -48,30 +48,14 @@ let index = function
   | Multi_pairing -> 11
   | Multi_pairing_terms -> 12
 
-let num_counters = List.length all_counters
-
-(* --- switching --- *)
-
-let on = Switch.telemetry_on
-let enabled () = Atomic.get on
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
-
-let with_enabled f =
-  let prev = Atomic.get on in
-  Atomic.set on true;
-  Fun.protect ~finally:(fun () -> Atomic.set on prev) f
+let () = assert (List.length all_counters = Stage.op_slots)
 
 (* --- counters --- *)
 
-let counters = Array.init num_counters (fun _ -> Atomic.make 0)
-
-let bump c = if Atomic.get on then Atomic.incr counters.(index c)
-
-let bump_n c n =
-  if Atomic.get on then ignore (Atomic.fetch_and_add counters.(index c) n)
-
-let get c = Atomic.get counters.(index c)
+(* Each domain bumps its own slots in the stage table; readers sum them. *)
+let bump c = Stage.add_op (index c) 1
+let bump_n c n = Stage.add_op (index c) n
+let get c = (Stage.ops ()).(index c)
 
 (* --- spans --- *)
 
@@ -82,13 +66,11 @@ let get c = Atomic.get counters.(index c)
 
 type span_stat = { calls : int; seconds : float }
 
-let now_ns () = Monotonic_clock.now_ns ()
-
 (* --- snapshots --- *)
 
 type snapshot = { ops : int array; stages : (string * Stage.cell) list }
 
-let snapshot () = { ops = Array.map Atomic.get counters; stages = Stage.snapshot () }
+let snapshot () = { ops = Stage.ops (); stages = Stage.snapshot () }
 
 let diff ~earlier ~later =
   {
@@ -96,10 +78,7 @@ let diff ~earlier ~later =
     stages = Stage.diff ~earlier:earlier.stages ~later:later.stages;
   }
 
-let reset () =
-  Array.iter (fun c -> Atomic.set c 0) counters;
-  Stage.reset ()
-
+let reset = Stage.reset
 let ops snap = List.map (fun c -> (c, snap.ops.(index c))) all_counters
 let stages snap = snap.stages
 

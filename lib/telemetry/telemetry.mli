@@ -5,17 +5,17 @@
     per-stage wall time — observable at runtime without changing any
     protocol code path.
 
-    Design constraint: telemetry is compiled into the production code, so
-    the disabled path (the default) must cost a single load-and-branch per
-    operation. Counters are {!Atomic} and therefore domain-safe: relax jobs
-    fanned out by [Zkqac_parallel.Pool] count correctly. Named spans
-    accumulate in the per-domain {!Stage} table without a lock, and are
-    only placed at coarse stage boundaries (DO setup, ADS build, SP query,
-    relax fan-out, envelope seal/open, client verify), never per-op.
+    Counting is always on. The counters live in the per-domain {!Stage}
+    state: each domain bumps its own slots without a lock or an atomic,
+    and every reader ({!get}, {!snapshot}, the [zkqac_ops_total] metric)
+    sums the domains, so relax jobs fanned out by [Zkqac_parallel.Pool]
+    count correctly. Named spans accumulate in the same per-domain table,
+    and are only placed at coarse stage boundaries (DO setup, ADS build,
+    SP query, relax fan-out, envelope seal/open, client verify), never
+    per-op.
 
     Typical profiling session:
     {[
-      Telemetry.enable ();
       let before = Telemetry.snapshot () in
       ... run a query ...
       let cost = Telemetry.diff ~earlier:before ~later:(Telemetry.snapshot ()) in
@@ -46,25 +46,12 @@ val all_counters : counter list
 val counter_name : counter -> string
 (** Stable snake_case name, used as the JSON key. *)
 
-(** {1 Switching} *)
-
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Run the thunk with telemetry on, restoring the previous state after
-    (also on exception). *)
-
 (** {1 Recording (called from instrumented code)} *)
 
 val bump : counter -> unit
-(** Increment a counter. When disabled this is one atomic load and branch. *)
+(** Increment a counter in the calling domain's slots. *)
 
 val bump_n : counter -> int -> unit
-
-val now_ns : unit -> int64
-(** The monotonic clock used by spans, in nanoseconds. *)
 
 (** {1 Snapshots} *)
 
@@ -86,7 +73,7 @@ val reset : unit -> unit
     and GC-pause rows alike). Prefer {!snapshot}/{!diff}. *)
 
 val get : counter -> int
-(** Current live value of one counter. *)
+(** Current value of one counter, summed over all domains. *)
 
 val ops : snapshot -> (counter * int) list
 (** All counters in declaration order. *)

@@ -8,10 +8,10 @@
    so relax jobs fanned out across domains record without contention.
 
    The budget bounds retained memory: once [capacity] spans are stored, new
-   spans are counted in [dropped] and discarded. Every measured span close
-   also makes one {!Stage.note}: duration, allocation words and GC pause
-   time, the per-stage table that [Telemetry], [Metrics] and the bench
-   harness read. *)
+   spans are counted in [dropped] and discarded. Every span close also
+   makes one {!Stage.note}: duration, allocation words and GC pause time,
+   the per-stage table that [Telemetry], [Metrics] and the bench harness
+   read. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -30,7 +30,7 @@ type ctx = span option
 
 let none : ctx = None
 let ctx_id : ctx -> int = function Some sp -> sp.id | None -> 0
-let on = Switch.tracing_on
+let on = Atomic.make false
 let enabled () = Atomic.get on
 
 let default_capacity = 1 lsl 16
@@ -128,85 +128,79 @@ let set_close_hook h = Atomic.set close_hook h
 
 let with_span ?parent ?(attrs = []) name f =
   let tracing = Atomic.get on in
-  (* Spans join the open-span stack when exported or handed to the hook. *)
-  let tree = tracing || Atomic.get close_hook <> None in
-  if not (tree || Atomic.get Switch.telemetry_on) then
-    if not (Flight.enabled ()) then f none
+  let t0 = now_ns () in
+  (* Every span close makes one [Stage.note] and one flight record. Only a
+     span that is exported or handed to the close hook also gets a record,
+     with an id and a parent, on its domain's open-span stack. *)
+  let ctx : ctx =
+    if not (tracing || Atomic.get close_hook <> None) then None
     else begin
-      (* Nothing else wants spans, but the flight recorder still wants the
-         span close: two clock reads and one ring store per span. *)
-      let t0 = now_ns () in
-      Fun.protect
-        ~finally:(fun () ->
-          Flight.record ~cat:"span"
-            ~v:(Int64.to_int (Int64.sub (now_ns ()) t0))
-            name)
-        (fun () -> f none)
-    end
-  else begin
-    let d = Domain.DLS.get dls in
-    let parent_sp =
-      match parent with
-      | Some (Some p : ctx) -> Some p
-      | Some None -> None
-      | None -> (
-        Mutex.lock d.dm;
-        let p = match d.stack with s :: _ -> Some s | [] -> None in
-        Mutex.unlock d.dm;
-        p)
-    in
-    let id = Atomic.fetch_and_add next_id 1 in
-    let sp =
-      {
-        id;
-        parent = (match parent_sp with Some p -> p.id | None -> 0);
-        (* A child inherits its tree's root id, so any span can be joined
-           back to its request without walking parent links. *)
-        root = (match parent_sp with Some p -> p.root | None -> id);
-        name;
-        tid = d.tid;
-        t0 = now_ns ();
-        t1 = 0L;
-        attrs;
-      }
-    in
-    if tree then begin
+      let d = Domain.DLS.get dls in
+      let parent_sp =
+        match parent with
+        | Some (Some p : ctx) -> Some p
+        | Some None -> None
+        | None -> (
+          Mutex.lock d.dm;
+          let p = match d.stack with s :: _ -> Some s | [] -> None in
+          Mutex.unlock d.dm;
+          p)
+      in
+      let id = Atomic.fetch_and_add next_id 1 in
+      let sp =
+        {
+          id;
+          parent = (match parent_sp with Some p -> p.id | None -> 0);
+          (* A child inherits its tree's root id, so any span can be joined
+             back to its request without walking parent links. *)
+          root = (match parent_sp with Some p -> p.root | None -> id);
+          name;
+          tid = d.tid;
+          t0;
+          t1 = 0L;
+          attrs;
+        }
+      in
       Mutex.lock d.dm;
       d.stack <- sp :: d.stack;
-      Mutex.unlock d.dm
-    end;
-    (* Domain-local allocation counters (minor, promoted, major words) and
-       the domain's GC pause totals: the close-time deltas attribute this
-       span's allocation and pauses to its stage (inclusive of children,
-       like wall time). *)
-    let mi0, pr0, ma0 = Gc.counters () in
-    let gmi0, gma0 = Rte.pause_mark () in
-    Fun.protect
-      ~finally:(fun () ->
-        sp.t1 <- now_ns ();
-        if tree then begin
-          Mutex.lock d.dm;
-          (* Interleaved sys-threads on one domain can close out of stack
-             order; remove this span wherever it sits. *)
-          (match d.stack with
-          | s :: rest when s == sp -> d.stack <- rest
-          | stack -> d.stack <- List.filter (fun s -> not (s == sp)) stack);
-          if tracing then push d sp;
-          Mutex.unlock d.dm
-        end;
-        let ns = Int64.to_int (Int64.sub sp.t1 sp.t0) in
-        let mi1, pr1, ma1 = Gc.counters () in
-        let gmi1, gma1 = Rte.pause_mark () in
-        Stage.note name ~ns ~minor:(mi1 -. mi0) ~promoted:(pr1 -. pr0)
-          ~major:(ma1 -. ma0)
-          ~gc_minor_ns:(Int64.to_int (Int64.sub gmi1 gmi0))
-          ~gc_major_ns:(Int64.to_int (Int64.sub gma1 gma0));
-        Flight.record ~cat:"span" ~v:ns name;
+      Mutex.unlock d.dm;
+      Some sp
+    end
+  in
+  (* Domain-local allocation counters (minor, promoted, major words) and
+     the domain's GC pause totals: the close-time deltas attribute this
+     span's allocation and pauses to its stage (inclusive of children,
+     like wall time). *)
+  let mi0, pr0, ma0 = Gc.counters () in
+  let gmi0, gma0 = Rte.pause_mark () in
+  Fun.protect
+    ~finally:(fun () ->
+      let t1 = now_ns () in
+      let ns = Int64.to_int (Int64.sub t1 t0) in
+      let mi1, pr1, ma1 = Gc.counters () in
+      let gmi1, gma1 = Rte.pause_mark () in
+      Stage.note name ~ns ~minor:(mi1 -. mi0) ~promoted:(pr1 -. pr0)
+        ~major:(ma1 -. ma0)
+        ~gc_minor_ns:(Int64.to_int (Int64.sub gmi1 gmi0))
+        ~gc_major_ns:(Int64.to_int (Int64.sub gma1 gma0));
+      Flight.record ~cat:"span" ~v:ns name;
+      match ctx with
+      | None -> ()
+      | Some sp -> (
+        sp.t1 <- t1;
+        let d = Domain.DLS.get dls in
+        Mutex.lock d.dm;
+        (* Interleaved sys-threads on one domain can close out of stack
+           order; remove this span wherever it sits. *)
+        (match d.stack with
+        | s :: rest when s == sp -> d.stack <- rest
+        | stack -> d.stack <- List.filter (fun s -> not (s == sp)) stack);
+        if tracing then push d sp;
+        Mutex.unlock d.dm;
         match Atomic.get close_hook with
         | None -> ()
-        | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ()))
-      (fun () -> f (Some sp))
-  end
+        | Some h -> ( try h (info_of_span (Atomic.get t_zero) sp) with _ -> ())))
+    (fun () -> f ctx)
 
 (* --- switching --- *)
 

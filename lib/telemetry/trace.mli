@@ -16,14 +16,13 @@
     Recording is domain-safe and bounded: closed spans go into per-domain
     buffers whose total size is capped by the capacity given to {!enable};
     beyond it spans are counted in {!dropped} and discarded, so the hot path
-    never allocates unboundedly. When a span closes it also makes one
+    never allocates unboundedly. Every span close, traced or not, makes one
     {!Stage.note} — duration, allocation words and GC pause time — into the
-    per-stage table that [Telemetry.snapshot] and [Metrics] report.
-
-    When tracing, telemetry and the close hook are all off (the default),
-    {!with_span} costs three atomic loads and a branch, plus — while the
-    always-on flight recorder is enabled, its default — two clock reads and
-    one ring store per span ({!Flight.record}). *)
+    per-stage table that [Telemetry.snapshot] and [Metrics] report, and one
+    {!Flight.record} while the flight recorder is enabled (its default).
+    Tracing and the close hook decide only whether the span also gets a
+    record on its domain's open-span stack: with both off (the default),
+    [f] receives {!none}. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -58,9 +57,10 @@ val reset : unit -> unit
 
 val with_span :
   ?parent:ctx -> ?attrs:(string * value) list -> string -> (ctx -> 'a) -> 'a
-(** [with_span name f] times [f], passing it the new span's context. Parent:
-    [?parent] if given, else the innermost open span of this domain, else
-    none. The span is recorded even if [f] raises. *)
+(** [with_span name f] times [f], passing it the new span's context
+    ({!none} unless tracing or a close hook is on). Parent: [?parent] if
+    given, else the innermost open span of this domain, else none. The span
+    is recorded even if [f] raises. *)
 
 val set_attr : ctx -> string -> value -> unit
 (** Attach an attribute (result rows, VO bytes, relax count, ...) to a span

@@ -47,35 +47,10 @@ let contents = Buffer.contents
 
 type limits = { max_bytes : int; max_collection : int; max_depth : int }
 
-(* Each bound is overridable via ZKQAC_WIRE_MAX_{BYTES,COLLECTION,DEPTH};
-   like ZKQAC_DOMAINS, a nonsense value fails loudly instead of silently
-   running with a bound the operator did not ask for. *)
-let env_limit name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some raw ->
-    let s = String.trim raw in
-    if s = "" then default
-    else begin
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | Some n -> invalid_arg (Printf.sprintf "%s=%d out of range (want >= 1)" name n)
-      | None -> invalid_arg (Printf.sprintf "%s=%S is not an integer" name raw)
-    end
-
-let limits_of_env () =
-  {
-    max_bytes = env_limit "ZKQAC_WIRE_MAX_BYTES" (1 lsl 30);
-    max_collection = env_limit "ZKQAC_WIRE_MAX_COLLECTION" (1 lsl 20);
-    max_depth = env_limit "ZKQAC_WIRE_MAX_DEPTH" 96;
-  }
-
 (* Generous production defaults: a multi-GB VO, a million-entry collection
    or a 96-deep recursion is outside anything the system produces; anything
-   beyond is an attack or a bug, and either way must fail cleanly. Read from
-   the environment once, at startup — so a daemon serving hostile traffic
-   can be tightened without a rebuild. *)
-let default_limits = limits_of_env ()
+   beyond is an attack or a bug, and either way must fail cleanly. *)
+let default_limits = { max_bytes = 1 lsl 30; max_collection = 1 lsl 20; max_depth = 96 }
 
 (* A reader covers the slice [pos, stop) of [data] and never reads past
    [stop]: a checkpoint's body is decoded in place, inside the file it came

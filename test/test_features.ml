@@ -412,14 +412,13 @@ let test_fallback_counted () =
    the join's and the continuous query's VOs hold APP and APS entries too. *)
 let test_one_product_per_vo () =
   let one what verify =
-    T.with_enabled (fun () ->
-        let before = T.snapshot () in
-        (match verify () with
-         | Ok _ -> ()
-         | Error e -> Alcotest.failf "%s: %s" what (Vo.error_to_string e));
-        let ops = T.ops (T.diff ~earlier:before ~later:(T.snapshot ())) in
-        Alcotest.(check (pair int int)) (what ^ ": products, ABS verifications") (1, 1)
-          (List.assoc T.Multi_pairing ops, List.assoc T.Abs_verify ops))
+    let before = T.snapshot () in
+    (match verify () with
+     | Ok _ -> ()
+     | Error e -> Alcotest.failf "%s: %s" what (Vo.error_to_string e));
+    let ops = T.ops (T.diff ~earlier:before ~later:(T.snapshot ())) in
+    Alcotest.(check (pair int int)) (what ^ ": products, ABS verifications") (1, 1)
+      (List.assoc T.Multi_pairing ops, List.assoc T.Abs_verify ops)
   in
   let user = attrs [ "RoleA"; "RoleC" ] in
   let query = Box.of_range ~alpha:[| 0; 0 |] ~beta:[| 7; 7 |] in

@@ -97,7 +97,6 @@ let test_sha256_reference_chunks () =
 (* Bad bounds raise before the kernel runs: no compression is counted. *)
 let test_sha256_bounds () =
   let module T = Zkqac_telemetry.Telemetry in
-  T.with_enabled @@ fun () ->
   let s = String.make 200 'b' in
   let before = T.get T.Sha256_compress in
   List.iter

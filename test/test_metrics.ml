@@ -136,9 +136,8 @@ let test_prometheus_golden () =
   Zkqac_telemetry.Flight.reset ();
   Zkqac_telemetry.Rte.reset ();
   Zkqac_core.Ads_io.reset_epoch_gauge ();
-  T.with_enabled (fun () ->
-      T.bump_n T.Pairing 3;
-      T.bump_n T.G_exp 2);
+  T.bump_n T.Pairing 3;
+  T.bump_n T.G_exp 2;
   List.iteri
     (fun i ns ->
       (* One cell takes both views: four latencies, and the words of the
@@ -203,8 +202,7 @@ let test_alloc_multi_domain () =
     done;
     ignore (Sys.opaque_identity !acc)
   in
-  T.with_enabled (fun () ->
-      ignore (Pool.map ~threads:2 (List.init 4 (fun _ -> allocate))));
+  ignore (Pool.map ~threads:2 (List.init 4 (fun _ -> allocate)));
   let snap = Stage.snapshot () in
   (match List.assoc_opt "alloc.job" snap with
    | None -> Alcotest.fail "alloc.job not attributed"

@@ -202,31 +202,28 @@ let test_gc_slices_keep_newest () =
     true
     (List.length gc_events >= 50)
 
-(* Run [f] from cleared [Rte], [Trace] and [Telemetry] state, with all three
-   off, and put back whichever of them the caller had on. *)
+(* Run [f] from cleared [Rte], [Trace] and [Telemetry] state, with [Rte]
+   and tracing off, and put back whichever of them the caller had on. *)
 let isolated f =
-  let rte = Rte.started () and tr = Trace.enabled () and tel = Telemetry.enabled () in
+  let rte = Rte.started () and tr = Trace.enabled () in
   let clear () =
     Rte.stop ();
     Rte.reset ();
     Trace.disable ();
     Trace.reset ();
-    Telemetry.disable ();
     Telemetry.reset ()
   in
   clear ();
   Fun.protect f ~finally:(fun () ->
       clear ();
       if rte then Rte.start ();
-      if tr then Trace.enable ();
-      if tel then Telemetry.enable ())
+      if tr then Trace.enable ())
 
 (* Each span's closing mark drains the ring, so the minor collection a span
    forces is booked to that span's own stage, every time. *)
 let test_exact_attribution () =
   isolated @@ fun () ->
   Rte.start ();
-  Telemetry.enable ();
   let names = List.init 200 (Printf.sprintf "rte.exact.%03d") in
   List.iter
     (fun name -> Trace.with_span name ~parent:Trace.none (fun _ -> Gc.minor ()))
@@ -247,7 +244,6 @@ let test_exact_attribution () =
 let test_no_phantom_domain () =
   isolated @@ fun () ->
   Rte.start ();
-  Telemetry.enable ();
   Trace.with_span "rte.solo" ~parent:Trace.none (fun _ -> churn ());
   let self = (Domain.self () :> int) in
   Alcotest.(check (list string))
@@ -266,7 +262,6 @@ let test_no_phantom_domain () =
 let test_lost_events_counted () =
   isolated @@ fun () ->
   Rte.start ();
-  Telemetry.enable ();
   let storm () =
     Rte.announce ();
     for _ = 1 to 3_000 do

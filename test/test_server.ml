@@ -177,6 +177,26 @@ let test_serve_roundtrip () =
   | Error f -> Alcotest.failf "round-trip: %s" (Client.failure_to_string f));
   Alcotest.(check int) "served" 1 (Server.served t)
 
+(* A daemon counts its ops with nothing switched on: one query's relaxes
+   show in [Telemetry] and in the Prometheus exposition. *)
+let test_serve_counts_ops () =
+  let module T = Zkqac_telemetry.Telemetry in
+  let before = T.get T.Abs_relax in
+  with_server base_server_cfg @@ fun t ->
+  (match query_server (Server.port t) with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "round-trip: %s" (Client.failure_to_string f));
+  Alcotest.(check bool) "abs_relax rose" true (T.get T.Abs_relax > before);
+  let prefix = {|zkqac_ops_total{op="abs_relax"} |} in
+  match
+    List.find_opt (String.starts_with ~prefix)
+      (String.split_on_char '\n' (Zkqac_telemetry.Metrics.to_prometheus ()))
+  with
+  | None -> Alcotest.fail "no abs_relax sample in the exposition"
+  | Some line ->
+    let v = String.sub line (String.length prefix) (String.length line - String.length prefix) in
+    Alcotest.(check bool) (line ^ " is nonzero") true (float_of_string v > 0.0)
+
 (* A served connection must cost nothing once it is closed. With the
    trace buffer, flight rings and slowlog pinned to their minimum, the live
    heap after 1,000 more round trips may grow by less than one word per
@@ -1195,6 +1215,7 @@ let suite =
       [
         Alcotest.test_case "proto round-trip" `Quick test_proto_roundtrip;
         Alcotest.test_case "serve round-trip" `Quick test_serve_roundtrip;
+        Alcotest.test_case "served ops counted" `Quick test_serve_counts_ops;
         Alcotest.test_case "shed under zero capacity" `Quick test_serve_shed;
         Alcotest.test_case "no per-connection leak" `Slow
           test_serve_no_per_connection_leak;

@@ -454,7 +454,6 @@ let test_join_codec_one_span () =
       (List.filter (function Join.R_side _ | Join.S_side _ -> true | Join.Pair _ -> false) vo)
   in
   Alcotest.(check bool) "at least two side entries" true (sides >= 2);
-  Telemetry.with_enabled @@ fun () ->
   let calls name f =
     let before = Telemetry.snapshot () in
     let v = f () in

@@ -161,47 +161,6 @@ let test_vo_inflation () =
   Bytes.set b 3 (Char.chr ((Char.code (Bytes.get b 3) + 1) land 0xff));
   check_mutated "inflated count" (Bytes.to_string b)
 
-let test_env_limits () =
-  (* ZKQAC_WIRE_MAX_* overrides are validated like ZKQAC_DOMAINS: a valid
-     value takes effect, junk and out-of-range values are loud errors, and
-     blank/absent falls back to the default. *)
-  let with_env value f =
-    Unix.putenv "ZKQAC_WIRE_MAX_BYTES" value;
-    Fun.protect ~finally:(fun () -> Unix.putenv "ZKQAC_WIRE_MAX_BYTES" "") f
-  in
-  with_env "4096" (fun () ->
-      Alcotest.(check int)
-        "valid override" 4096
-        (Wire.limits_of_env ()).Wire.max_bytes);
-  with_env " 8192 " (fun () ->
-      Alcotest.(check int)
-        "whitespace trimmed" 8192
-        (Wire.limits_of_env ()).Wire.max_bytes);
-  with_env "" (fun () ->
-      Alcotest.(check int)
-        "blank falls back" (1 lsl 30)
-        (Wire.limits_of_env ()).Wire.max_bytes);
-  List.iter
-    (fun bad ->
-      with_env bad (fun () ->
-          match Wire.limits_of_env () with
-          | _ -> Alcotest.failf "accepted ZKQAC_WIRE_MAX_BYTES=%S" bad
-          | exception Invalid_argument msg ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%S names the variable" bad)
-              true
-              (String.length msg >= 20
-              && String.sub msg 0 20 = "ZKQAC_WIRE_MAX_BYTES")))
-    [ "banana"; "0"; "-3"; "1.5" ];
-  (* The other two knobs share the same validator; spot-check one. *)
-  Unix.putenv "ZKQAC_WIRE_MAX_DEPTH" "7";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "ZKQAC_WIRE_MAX_DEPTH" "")
-    (fun () ->
-      Alcotest.(check int)
-        "depth override" 7
-        (Wire.limits_of_env ()).Wire.max_depth)
-
 let suite =
   [ ( "wire",
       [ Alcotest.test_case "u32 round-trip" `Quick test_u32_roundtrip;
@@ -210,5 +169,4 @@ let suite =
         Alcotest.test_case "slice reads" `Quick test_slice_reads;
         Alcotest.test_case "vo truncation" `Quick test_vo_truncation;
         Alcotest.test_case "vo bit flips" `Quick test_vo_bitflips;
-        Alcotest.test_case "vo inflation" `Quick test_vo_inflation;
-        Alcotest.test_case "env limit overrides" `Quick test_env_limits ] ) ]
+        Alcotest.test_case "vo inflation" `Quick test_vo_inflation ] ) ]
