@@ -169,10 +169,11 @@ let span_verifier name =
     (Zkqac_group.Backend.instantiate Zkqac_group.Backend.Mock)
     ~wrap:(fun f -> Trace.with_span name ~parent:Trace.none (fun _ -> f ()))
 
-(* Overhead of the always-on flight recorder: per span close, a clock
-   read, an atomic sequence number and a ring store, on top of the stage
-   table's note, which both variants pay. The budget is the CI gate's: a
-   median under 10%. *)
+(* Overhead of the always-on span store, the whole store against none: per
+   span, a record, an atomic sequence number, a push and a pop on the
+   domain's open-span stack under its mutex and a ring store, on top of the
+   stage table's note, which both variants pay. The budget is the CI
+   gate's: a median under 10%. *)
 let flight_overhead () =
   let module Flight = Zkqac_telemetry.Flight in
   let was_on = Flight.enabled () in

@@ -223,7 +223,7 @@ let create ?threads () =
 
 let respawns p = p.respawned
 
-let submit ?ctx ?(attrs = []) p f =
+let submit ?ctx ?req_id ?(attrs = []) p f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
   (* With a caller context, the job runs under a [pool.worker] span parented
      on it — the same shape [map] produces — so per-request spans
@@ -233,7 +233,7 @@ let submit ?ctx ?(attrs = []) p f =
     match ctx with
     | None -> f
     | Some parent ->
-      fun () -> Trace.with_span "pool.worker" ~parent ~attrs (fun _ -> f ())
+      fun () -> Trace.with_span "pool.worker" ~parent ?req_id ~attrs (fun _ -> f ())
   in
   let task () =
     match f () with

@@ -62,15 +62,16 @@ val respawns : pool -> int
 
 val submit :
   ?ctx:Zkqac_telemetry.Trace.ctx ->
+  ?req_id:int64 ->
   ?attrs:(string * Zkqac_telemetry.Trace.value) list ->
   pool ->
   (unit -> 'a) ->
   'a future
 (** Enqueue a job; it runs on the first free worker. When [ctx] is given,
-    the job runs inside a [pool.worker] span (with [attrs]) parented on it,
-    so spans the job records attach to the submitting request's trace
-    across the domain boundary — the {!map} behaviour for individually
-    submitted jobs.
+    the job runs inside a [pool.worker] span (with [req_id] and [attrs])
+    parented on it, so spans the job records attach to the submitting
+    request's trace across the domain boundary — the {!map} behaviour for
+    individually submitted jobs.
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a future -> 'a outcome

@@ -257,7 +257,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         let minted = req_id = 0L in
         let rid = if minted then Proto.mint_req_id () else req_id in
         let n_req = Atomic.fetch_and_add t.req_seq 1 + 1 in
-        let rid_attr = Trace.Str (Proto.req_id_hex rid) in
         let timing = ref Proto.zero_timing in
         let root_id = ref 0 in
         let resp =
@@ -265,14 +264,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
              explicit root (~parent:none) and every child names its parent
              explicitly — interleaved requests must not adopt each other's
              spans. *)
-          Trace.with_span "server.request" ~parent:Trace.none
-            ~attrs:
-              [ ("req_id", rid_attr);
-                ("conn", Trace.Int conn_id);
-                ("minted", Trace.Bool minted) ]
+          Trace.with_span "server.request" ~parent:Trace.none ~req_id:rid
+            ~attrs:[ ("conn", Trace.Int conn_id); ("minted", Trace.Bool minted) ]
           @@ fun root ->
           root_id := Trace.ctx_id root;
-          Slowlog.track t.slowlog ~root:!root_id ~req_id:rid;
           (match t.cfg.slow_inject with
           | Some (delay_s, at) when n_req = at ->
             (* The injected stall is its own span, so the forced incident's
@@ -301,8 +296,8 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
             and prove_ns = ref 0L
             and encode_ns = ref 0L in
             let fut =
-              Pool.submit ~ctx:root
-                ~attrs:[ ("req_id", rid_attr); ("conn", Trace.Int conn_id) ]
+              Pool.submit ~ctx:root ~req_id:rid
+                ~attrs:[ ("conn", Trace.Int conn_id) ]
                 t.pool
                 (fun () ->
                   queue_ns := Int64.sub (Monotonic_clock.now_ns ()) submitted;
@@ -431,10 +426,7 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
            [ ("served", Json.Int (Atomic.get t.served));
              ("connections", Json.Int (Atomic.get t.conn_seq));
              ("clean", Json.Bool (stragglers = 0)) ]);
-    Flight.record ~cat:"server" ~v:(Atomic.get t.served) "server.drained";
-    (* Release the trace close hook; retained incidents stay readable for
-       any post-drain dump. *)
-    Slowlog.close t.slowlog
+    Flight.record ~cat:"server" ~v:(Atomic.get t.served) "server.drained"
 
   (* Periodic epoch checkpoints of the served tree: each one is an atomic,
      footer-committed sibling file, so the next restart resumes from the
@@ -500,13 +492,10 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         | Error e -> Error e)
     in
     match mh with
-    | Error e ->
-      Slowlog.close slowlog;
-      Error e
+    | Error e -> Error e
     | Ok mh -> (
       let fail e =
         Option.iter Metrics_http.stop mh;
-        Slowlog.close slowlog;
         Error e
       in
       match Ads_io.load_recover ~path:ads with

@@ -21,8 +21,8 @@
       (then the pool is left running and the entry says [clean: false]);
     - an optional live [GET /metrics] HTTP endpoint fed by the
       {!Zkqac_telemetry.Metrics} registry, with the tail sampler's
-      [GET /slowlog] mounted alongside (span trees come from the trace close
-      hook; the server retains no spans);
+      [GET /slowlog] mounted alongside (a kept request's span tree is
+      gathered from the span store's rings);
     - end-to-end request correlation: every request's id (client-minted,
       or server-minted when the request carries [0L] or does not decode)
       appears identically in the root trace span, its [pool.worker] child,

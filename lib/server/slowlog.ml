@@ -1,27 +1,12 @@
-(* Tail-based trace sampling for the serving daemon.
-
-   Every request records its full span tree (the trace close hook fires per
-   span close, with tracing off and independent of the export buffer's
-   retention budget); the
-   decision of whether to KEEP the tree is made only after the request
-   finishes, when its latency and typed outcome are known. Kept requests —
-   incidents — land in a bounded ring exposed live at /slowlog and dumpable
-   as one Perfetto file each, so "why was that query slow at 03:12" is
-   answerable from a server that has been up for weeks.
-
-   Sampling policy: an incident is a request that either ended in a typed
-   non-ok outcome (deadline, overloaded, bad-request, server-error) or was
-   slower than the threshold. The threshold is a fixed configured value, or
-   — when configured as 0 — the live p99 of all observed request latencies
-   (with a floor and a warm-up count, so the first requests of a quiet
-   server are not all "slow").
-
-   Cost on the fast path: one hashtable insert/remove per request plus one
-   lookup per span close, all under a single mutex per slowlog — a few
-   hundred nanoseconds against queries that cost milliseconds of pairing
-   arithmetic. Requests that are not sampled leave nothing behind. *)
+(* Tail-based trace sampling for the serving daemon: whether to keep a
+   request is decided when it finishes, from its latency and typed outcome,
+   and only a kept request's span tree is gathered from the span store's
+   rings. Kept requests — incidents — land in a bounded ring exposed live
+   at /slowlog and dumpable as one Perfetto file each, so "why was that
+   query slow at 03:12" is answerable from a server up for weeks. *)
 
 module Trace = Zkqac_telemetry.Trace
+module Flight = Zkqac_telemetry.Flight
 module Histogram = Zkqac_telemetry.Histogram
 module Metrics = Zkqac_telemetry.Metrics
 module Json = Zkqac_telemetry.Json
@@ -43,13 +28,8 @@ type incident = {
   i_reason : string;  (** why it was kept: "slow" or "error" *)
   i_total_ms : float;
   i_timing : Proto.timing option;
-  i_spans : Trace.info list;  (** complete span tree, root included *)
-}
-
-type pending = {
-  p_req_id : int64;
-  mutable p_spans : Trace.info list; (* reverse close order *)
-  mutable p_count : int;
+  i_spans : Flight.event list;  (** the request's span tree, root included *)
+  i_complete : bool;  (** no ring can have overwritten part of the tree *)
 }
 
 type t = {
@@ -61,44 +41,7 @@ type t = {
   mutable sampled : int; (* incidents ever kept *)
   mutable observed : int; (* requests ever observed *)
   lat : Histogram.t; (* request latencies, ns — feeds the dynamic threshold *)
-  tracked : (int, pending) Hashtbl.t; (* root span id -> collector *)
 }
-
-(* The trace layer has one process-wide close hook; slowlogs register here
-   and a single dispatcher fans each closing span out to whichever live
-   slowlog tracks its root. Reading [!live] without the lock is sound: OCaml
-   ref reads are atomic, and a stale list only costs one span. *)
-let live : t list ref = ref []
-
-(* Spans collected per tracked request, at most. *)
-let max_spans = 4096
-let live_lock = Mutex.create ()
-
-let on_close (info : Trace.info) =
-  let root = info.Trace.span_root in
-  if root <> 0 then
-    List.iter
-      (fun t ->
-        Mutex.lock t.lock;
-        (match Hashtbl.find_opt t.tracked root with
-        | Some p when p.p_count < max_spans ->
-          p.p_spans <- info :: p.p_spans;
-          p.p_count <- p.p_count + 1
-        | Some _ | None -> ());
-        Mutex.unlock t.lock)
-      !live
-
-let register t =
-  Mutex.lock live_lock;
-  live := t :: !live;
-  Trace.set_close_hook (Some on_close);
-  Mutex.unlock live_lock
-
-let close t =
-  Mutex.lock live_lock;
-  live := List.filter (fun t' -> not (t' == t)) !live;
-  if !live = [] then Trace.set_close_hook None;
-  Mutex.unlock live_lock
 
 (* Dynamic mode needs enough observations for a meaningful p99, and a floor
    keeps a microsecond-fast fixture server from flagging its own noise. *)
@@ -107,21 +50,16 @@ let dynamic_floor_ms = 1.0
 
 let create ?(cap = 64) ?(threshold_ms = 0.0) () =
   if cap < 1 then invalid_arg "Slowlog.create: cap < 1";
-  let t =
-    {
-      cap;
-      threshold_ms;
-      lock = Mutex.create ();
-      ring = Array.make cap None;
-      next = 0;
-      sampled = 0;
-      observed = 0;
-      lat = Histogram.create ();
-      tracked = Hashtbl.create 64;
-    }
-  in
-  register t;
-  t
+  {
+    cap;
+    threshold_ms;
+    lock = Mutex.create ();
+    ring = Array.make cap None;
+    next = 0;
+    sampled = 0;
+    observed = 0;
+    lat = Histogram.create ();
+  }
 
 (* Caller holds [t.lock]. *)
 let threshold_now_locked t =
@@ -129,38 +67,26 @@ let threshold_now_locked t =
   else if t.observed < dynamic_warmup then infinity
   else Float.max dynamic_floor_ms (Histogram.quantile t.lat 0.99 /. 1e6)
 
-let track t ~root ~req_id =
-  if root <> 0 then begin
-    Mutex.lock t.lock;
-    Hashtbl.replace t.tracked root
-      { p_req_id = req_id; p_spans = []; p_count = 0 };
-    Mutex.unlock t.lock
-  end
-
 let observe t ~root ~req_id ~minted ~conn ~outcome ~total_ms ?timing () =
-  Mutex.lock t.lock;
-  let spans =
-    match Hashtbl.find_opt t.tracked root with
-    | Some p ->
-      Hashtbl.remove t.tracked root;
-      (* Close order is children-before-parents; flip to start order. *)
-      List.rev p.p_spans
-    | None -> []
-  in
   (* The decision threshold is computed before this request's latency joins
      the histogram, so one slow request cannot hide itself by dragging the
      p99 up in its own observation. *)
+  Mutex.lock t.lock;
   let threshold = threshold_now_locked t in
   t.observed <- t.observed + 1;
   Histogram.record t.lat (int_of_float (total_ms *. 1e6));
+  Mutex.unlock t.lock;
+  Metrics.inc m_observed [];
   let reason =
     if outcome <> "ok" then Some "error"
     else if total_ms > threshold then Some "slow"
     else None
   in
-  (match reason with
-  | None -> ()
+  match reason with
+  | None -> false
   | Some reason ->
+    (* Outside the lock: gathering scans every ring. *)
+    let spans, complete = if root = 0 then ([], true) else Flight.gather ~root in
     let inc =
       {
         i_req_id = req_id;
@@ -172,16 +98,14 @@ let observe t ~root ~req_id ~minted ~conn ~outcome ~total_ms ?timing () =
         i_total_ms = total_ms;
         i_timing = timing;
         i_spans = spans;
+        i_complete = complete;
       }
     in
+    Mutex.lock t.lock;
     t.ring.(t.next) <- Some inc;
     t.next <- (t.next + 1) mod t.cap;
-    t.sampled <- t.sampled + 1);
-  Mutex.unlock t.lock;
-  Metrics.inc m_observed [];
-  match reason with
-  | None -> false
-  | Some reason ->
+    t.sampled <- t.sampled + 1;
+    Mutex.unlock t.lock;
     Metrics.inc m_sampled [ ("reason", reason) ];
     true
 
@@ -212,24 +136,16 @@ let observed t =
 
 (* --- export --- *)
 
-let value_json = function
-  | Trace.Int i -> Json.Int i
-  | Trace.Float f -> Json.Float f
-  | Trace.Str s -> Json.Str s
-  | Trace.Bool b -> Json.Bool b
-
-let span_json (s : Trace.info) =
+let span_json (s : Flight.event) =
   Json.Obj
-    [ ("id", Json.Int s.Trace.span_id);
-      ("parent", Json.Int s.Trace.span_parent);
-      ("root", Json.Int s.Trace.span_root);
-      ("name", Json.Str s.Trace.span_name);
-      ("tid", Json.Int s.Trace.span_tid);
-      ("start_ns", Json.Float (Int64.to_float s.Trace.start_ns));
-      ("dur_ns", Json.Float (Int64.to_float s.Trace.dur_ns));
-      ( "attrs",
-        Json.Obj (List.map (fun (k, v) -> (k, value_json v)) s.Trace.span_attrs)
-      ) ]
+    [ ("id", Json.Int s.seq);
+      ("parent", Json.Int s.parent);
+      ("root", Json.Int s.root);
+      ("name", Json.Str s.name);
+      ("tid", Json.Int s.domain);
+      ("start_ns", Json.Float (float_of_int (Trace.start_ns s)));
+      ("dur_ns", Json.Float (float_of_int s.v));
+      ("attrs", Json.Obj (Trace.attrs_json s)) ]
 
 let incident_json inc =
   Json.Obj
@@ -243,7 +159,8 @@ let incident_json inc =
     @ (match inc.i_timing with
       | Some tm -> [ ("timing", Proto.timing_json tm) ]
       | None -> [])
-    @ [ ("spans", Json.Arr (List.map span_json inc.i_spans)) ])
+    @ [ ("complete", Json.Bool inc.i_complete);
+        ("spans", Json.Arr (List.map span_json inc.i_spans)) ])
 
 let to_json t =
   let incs = incidents t in

@@ -1,12 +1,12 @@
 (** Tail-based trace sampling: the server's slow-query forensics plane.
 
-    Every request's full span tree is collected while it runs (via the
-    {!Zkqac_telemetry.Trace} close hook, which fires regardless of the
-    export buffer's retention budget); whether to {e keep} the tree is
-    decided only when the request finishes, from its typed outcome and
-    latency. Kept requests — incidents — sit in a bounded ring, exposed
-    live as JSON at the server's [/slowlog] endpoint and dumpable as one
-    Perfetto trace file per incident.
+    Whether to {e keep} a request is decided only when it finishes, from
+    its typed outcome and latency; only then is its span tree gathered
+    from the span store's rings ({!Zkqac_telemetry.Flight.gather}), marked
+    complete unless a ring may have overwritten part of it. Kept requests
+    — incidents — sit in a bounded ring, exposed live as JSON at the
+    server's [/slowlog] endpoint and dumpable as one Perfetto trace file
+    per incident.
 
     Sampling policy: keep every request with a non-[ok] typed outcome
     (reason ["error"]), and every request slower than the threshold (reason
@@ -14,9 +14,8 @@
     [threshold_ms = 0] — the live p99 of observed request latencies, with a
     1 ms floor and a 64-request warm-up during which nothing is "slow".
 
-    Fast successful requests leave nothing behind; the constant per-request
-    cost is bounded by one hashtable insert/remove plus one lookup per span
-    close. *)
+    Fast successful requests leave nothing behind; each request costs one
+    histogram record under the slowlog's mutex. *)
 
 type t
 
@@ -29,25 +28,17 @@ type incident = {
   i_reason : string;  (** why it was kept: ["slow"] or ["error"] *)
   i_total_ms : float;
   i_timing : Proto.timing option;
-  i_spans : Zkqac_telemetry.Trace.info list;
-      (** complete span tree, root included, in start order *)
+  i_spans : Zkqac_telemetry.Flight.event list;
+      (** the request's span tree, root included, in start order *)
+  i_complete : bool;
+      (** no ring overwrote a record opened after the root before the tree
+          was gathered, so no span of the tree is missing *)
 }
 
 val create : ?cap:int -> ?threshold_ms:float -> unit -> t
 (** A live slowlog holding at most [cap] incidents (default 64; oldest
     evicted). [threshold_ms = 0] (default) selects the dynamic p99
-    threshold; positive values are fixed. At most 4096 spans are collected
-    per request. Creating a slowlog installs the trace close hook, which
-    collects span trees with tracing off; {!close} releases it. *)
-
-val close : t -> unit
-(** Deregister from the trace close hook (the last live slowlog clears
-    it). Retained incidents stay readable. *)
-
-val track : t -> root:int -> req_id:int64 -> unit
-(** Start collecting spans whose {!Zkqac_telemetry.Trace.info.span_root}
-    equals [root] (the request's root span id, from
-    {!Zkqac_telemetry.Trace.ctx_id}). No-op for [root = 0]. *)
+    threshold; positive values are fixed. *)
 
 val observe :
   t ->
@@ -60,11 +51,11 @@ val observe :
   ?timing:Proto.timing ->
   unit ->
   bool
-(** Finish the request started with {!track} (call {e after} its root span
-    closed, so the tree is complete) and decide retention; returns whether
-    it was kept. Requests never tracked (e.g. shed connections) may be
-    observed with [root = 0] — they carry no spans but still count and can
-    still be kept by outcome. *)
+(** Decide retention for a finished request whose root span (id [root],
+    from {!Zkqac_telemetry.Trace.ctx_id}) has closed, gathering its span
+    tree if kept; returns whether it was kept. Requests without spans (e.g.
+    shed connections) are observed with [root = 0] — they still count and
+    can still be kept by outcome. *)
 
 val incidents : t -> incident list
 (** Retained incidents, oldest first. *)

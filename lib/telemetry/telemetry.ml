@@ -60,9 +60,9 @@ let get c = (Stage.ops ()).(index c)
 (* --- spans --- *)
 
 (* The timing primitive lives in Trace: one [with_span] close makes one
-   [Stage.note], and (when tracing is enabled) records a hierarchical span.
-   The per-stage calls/seconds reported here are that table's histogram
-   count and sum. *)
+   [Stage.note] and stores the span's record in the span store. The
+   per-stage calls/seconds reported here are that table's histogram count
+   and sum. *)
 
 type span_stat = { calls : int; seconds : float }
 

@@ -247,7 +247,7 @@ let test_verify_error_telemetry_attr () =
   let report = Harness.run ~scenario:"flip-value" ~seed:3 () in
   Alcotest.(check bool) "flip-value row ok" true report.ok;
   let recorded =
-    List.concat_map (fun (i : Trace.info) -> i.Trace.span_attrs) (Trace.spans ())
+    List.concat_map (fun (i : Zkqac_telemetry.Flight.event) -> i.attrs) (Trace.spans ())
     |> List.filter_map (function
          | "verify_error", Trace.Str s -> Some s
          | _ -> None)

@@ -154,21 +154,21 @@ let test_submit_ctx_span () =
   let spans = Trace.spans () in
   let root =
     match
-      List.filter (fun s -> s.Trace.span_name = "request.root") spans
+      List.filter (fun s -> s.Zkqac_telemetry.Flight.name = "request.root") spans
     with
     | [ r ] -> r
     | l -> Alcotest.failf "expected one request.root, got %d" (List.length l)
   in
-  match List.filter (fun s -> s.Trace.span_name = "pool.worker") spans with
+  match List.filter (fun s -> s.Zkqac_telemetry.Flight.name = "pool.worker") spans with
   | [ w ] ->
     Alcotest.(check int) "worker's parent is the caller's span"
-      root.Trace.span_id w.Trace.span_parent;
+      root.Zkqac_telemetry.Flight.seq w.Zkqac_telemetry.Flight.parent;
     Alcotest.(check int) "worker joins the caller's tree root"
-      root.Trace.span_id w.Trace.span_root;
+      root.Zkqac_telemetry.Flight.seq w.Zkqac_telemetry.Flight.root;
     Alcotest.(check bool) "worker ran on a different domain" true
-      (w.Trace.span_tid <> root.Trace.span_tid);
+      (w.Zkqac_telemetry.Flight.domain <> root.Zkqac_telemetry.Flight.domain);
     Alcotest.(check bool) "attrs carried across the boundary" true
-      (List.assoc_opt "req_id" w.Trace.span_attrs
+      (List.assoc_opt "req_id" w.Zkqac_telemetry.Flight.attrs
       = Some (Trace.Str "00000000000000ab"))
   | l -> Alcotest.failf "expected one pool.worker span, got %d" (List.length l)
 

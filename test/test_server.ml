@@ -341,8 +341,8 @@ let test_serve_backlog_bounded () =
     (Printf.sprintf "the other jobs expired queued (%d)" queued)
     true (queued >= List.length rids - 1)
 
-(* The daemon keeps no trace of its own: the slowlog's close hook sees
-   every span, and nothing fills the export buffer. *)
+(* The daemon takes no trace of its own: its spans live in the span
+   store's rings, and no trace view holds or drops any of them. *)
 let test_serve_retains_no_spans () =
   let module Trace = Zkqac_telemetry.Trace in
   let was_tracing = Trace.enabled () in
@@ -1017,7 +1017,7 @@ let find_incident slowlog rid =
 
 let span_names (i : Slowlog.incident) =
   List.map
-    (fun (s : Zkqac_telemetry.Trace.info) -> s.Zkqac_telemetry.Trace.span_name)
+    (fun (s : Zkqac_telemetry.Flight.event) -> s.Zkqac_telemetry.Flight.name)
     i.Slowlog.i_spans
 
 let test_slowlog_forced_slow () =
@@ -1057,12 +1057,12 @@ let test_slowlog_forced_slow () =
       [ "server.request"; "server.slow_inject"; "pool.worker" ];
     (* Every collected span belongs to this request's tree. *)
     let root_id =
-      (List.hd inc.Slowlog.i_spans).Zkqac_telemetry.Trace.span_root
+      (List.hd inc.Slowlog.i_spans).Zkqac_telemetry.Flight.root
     in
     List.iter
-      (fun (s : Zkqac_telemetry.Trace.info) ->
+      (fun (s : Zkqac_telemetry.Flight.event) ->
         Alcotest.(check int) "span in tree" root_id
-          s.Zkqac_telemetry.Trace.span_root)
+          s.Zkqac_telemetry.Flight.root)
       inc.Slowlog.i_spans;
     (match inc.Slowlog.i_timing with
     | Some tm ->
@@ -1110,6 +1110,87 @@ let test_slowlog_forced_error () =
       (List.mem "server.request" (span_names inc))
   | l -> Alcotest.failf "expected exactly one error incident, got %d"
            (List.length l)
+
+(* --- incident completeness --- *)
+
+(* An incident's tree as (name, parent name) edges, sorted: the shape the
+   slowlog kept before it gathered trees from the span store. *)
+let tree_edges (i : Slowlog.incident) =
+  let name_of id =
+    match List.find_opt (fun (s : Flight.event) -> s.Flight.seq = id) i.Slowlog.i_spans with
+    | Some s -> s.Flight.name
+    | None -> "-"
+  in
+  List.sort compare
+    (List.map
+       (fun (s : Flight.event) -> (s.Flight.name, name_of s.Flight.parent))
+       i.Slowlog.i_spans)
+
+let test_incident_complete () =
+  let rid = 0x00c0_11ec_7ed0_0001L in
+  with_server
+    { base_server_cfg with S.slow_threshold_ms = 40.0; slow_inject = Some (0.06, 1) }
+  @@ fun t ->
+  (match query_server ~rid (Server.port t) with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "forced-slow query: %s" (Client.failure_to_string f));
+  match find_incident (Server.slowlog t) rid with
+  | [ inc ] ->
+    Alcotest.(check bool) "marked complete" true inc.Slowlog.i_complete;
+    let root = List.hd inc.Slowlog.i_spans in
+    Alcotest.(check string) "root first" "server.request" root.Flight.name;
+    List.iter
+      (fun (s : Flight.event) ->
+        Alcotest.(check int) "one root" root.Flight.seq s.Flight.root)
+      inc.Slowlog.i_spans;
+    let relaxes =
+      match List.assoc_opt "relax_calls"
+              (List.find (fun (s : Flight.event) -> s.Flight.name = "sp.query")
+                 inc.Slowlog.i_spans).Flight.attrs with
+      | Some (Zkqac_telemetry.Trace.Int n) -> n
+      | _ -> Alcotest.fail "sp.query lost its relax_calls"
+    in
+    Alcotest.(check (list (pair string string))) "the served tree"
+      (List.sort compare
+         ([ ("server.request", "-"); ("server.slow_inject", "server.request");
+            ("pool.worker", "server.request"); ("sp.query", "pool.worker");
+            ("sp.relax", "sp.query"); ("vo.encode", "pool.worker") ]
+         @ List.init relaxes (fun _ -> ("abs.relax", "sp.relax"))))
+      (tree_edges inc)
+  | l -> Alcotest.failf "expected one incident, got %d" (List.length l)
+
+(* A request that stores more records on one domain than a ring holds
+   overwrites its own start: the incident says so. *)
+let test_incident_incomplete () =
+  let slowlog = Slowlog.create ~threshold_ms:1.0 () in
+  let request children =
+    let root =
+      Zkqac_telemetry.Trace.with_span "req.root" ~parent:Zkqac_telemetry.Trace.none
+      @@ fun root ->
+      for _ = 1 to children do
+        Zkqac_telemetry.Trace.with_span ~parent:root "req.child" (fun _ -> ())
+      done;
+      Zkqac_telemetry.Trace.ctx_id root
+    in
+    ignore
+      (Slowlog.observe slowlog ~root ~req_id:(Int64.of_int children) ~minted:false
+         ~conn:0 ~outcome:"server-error" ~total_ms:0.0 ()
+        : bool);
+    match find_incident slowlog (Int64.of_int children) with
+    | [ inc ] -> inc
+    | _ -> Alcotest.fail "incident not kept"
+  in
+  let small = request 3 in
+  Alcotest.(check bool) "a short request is complete" true small.Slowlog.i_complete;
+  Alcotest.(check int) "all of it gathered" 4 (List.length small.Slowlog.i_spans);
+  let big = request (Flight.capacity () + 1) in
+  Alcotest.(check bool) "past the ring's depth: incomplete" false big.Slowlog.i_complete;
+  Alcotest.(check bool) "the root was overwritten" true
+    (List.length big.Slowlog.i_spans <= Flight.capacity ());
+  match Zkqac_telemetry.Json.to_string (Slowlog.to_json slowlog) with
+  | j ->
+    Alcotest.(check bool) "/slowlog carries the flag" true
+      (contains_sub j {|"complete":false|} && contains_sub j {|"complete":true|})
 
 (* --- the correlation join: one id, all planes --- *)
 
@@ -1252,6 +1333,10 @@ let suite =
           test_v1_response_garbled;
         Alcotest.test_case "tail sampler keeps the forced-slow request" `Quick
           test_slowlog_forced_slow;
+        Alcotest.test_case "incident complete when every span survives" `Quick
+          test_incident_complete;
+        Alcotest.test_case "incident incomplete past the ring's depth" `Quick
+          test_incident_incomplete;
         Alcotest.test_case "tail sampler keeps the forced error" `Quick
           test_slowlog_forced_error;
         Alcotest.test_case "one req id joins audit, slowlog, client" `Quick

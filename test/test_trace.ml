@@ -8,6 +8,7 @@ module Json = Zkqac_telemetry.Json
 module Histogram = Zkqac_telemetry.Histogram
 module Stage = Zkqac_telemetry.Stage
 module Trace = Zkqac_telemetry.Trace
+module Flight = Zkqac_telemetry.Flight
 module Pool = Zkqac_parallel.Pool
 module Drbg = Zkqac_hashing.Drbg
 module Expr = Zkqac_policy.Expr
@@ -234,31 +235,31 @@ let test_query_trace () =
   let spans = Trace.spans () in
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ());
   let by_id = Hashtbl.create 64 in
-  List.iter (fun (s : Trace.info) -> Hashtbl.replace by_id s.span_id s) spans;
+  List.iter (fun (s : Flight.event) -> Hashtbl.replace by_id s.seq s) spans;
   (* The query root exists and relax spans reach it through parent links. *)
   let root =
-    match List.filter (fun (s : Trace.info) -> s.Trace.span_name = "sp.query") spans with
+    match List.filter (fun (s : Flight.event) -> s.Flight.name = "sp.query") spans with
     | [ r ] -> r
     | l -> Alcotest.failf "expected one sp.query root, got %d" (List.length l)
   in
-  Alcotest.(check int) "root is a root" 0 root.Trace.span_parent;
+  Alcotest.(check int) "root is a root" 0 root.Flight.parent;
   let relaxes =
-    List.filter (fun (s : Trace.info) -> s.Trace.span_name = "abs.relax") spans
+    List.filter (fun (s : Flight.event) -> s.Flight.name = "abs.relax") spans
   in
   Alcotest.(check int) "one abs.relax per relax call" st.Ap2g.relax_calls
     (List.length relaxes);
-  let rec root_of (s : Trace.info) =
-    if s.Trace.span_parent = 0 then s
-    else root_of (Hashtbl.find by_id s.Trace.span_parent)
+  let rec root_of (s : Flight.event) =
+    if s.Flight.parent = 0 then s
+    else root_of (Hashtbl.find by_id s.Flight.parent)
   in
   List.iter
-    (fun (s : Trace.info) ->
+    (fun (s : Flight.event) ->
       Alcotest.(check int) "relax chains up to the query root"
-        root.Trace.span_id (root_of s).Trace.span_id)
+        root.Flight.seq (root_of s).Flight.seq)
     relaxes;
   (* Relax work is attributed to at least two distinct worker domains. *)
   let relax_tids =
-    List.sort_uniq compare (List.map (fun (s : Trace.info) -> s.Trace.span_tid) relaxes)
+    List.sort_uniq compare (List.map (fun (s : Flight.event) -> s.Flight.domain) relaxes)
   in
   if List.length relax_tids < 2 then
     Alcotest.failf "relax spans on %d domain(s), expected >= 2"
@@ -266,28 +267,28 @@ let test_query_trace () =
   (* Spans on one domain must nest properly: no partial overlap. *)
   let by_tid = Hashtbl.create 8 in
   List.iter
-    (fun (s : Trace.info) ->
-      Hashtbl.replace by_tid s.Trace.span_tid
-        (s :: (try Hashtbl.find by_tid s.Trace.span_tid with Not_found -> [])))
+    (fun (s : Flight.event) ->
+      Hashtbl.replace by_tid s.Flight.domain
+        (s :: (try Hashtbl.find by_tid s.Flight.domain with Not_found -> [])))
     spans;
   Hashtbl.iter
     (fun tid ss ->
       let ss =
         List.sort
-          (fun (a : Trace.info) b -> Int64.compare a.Trace.start_ns b.Trace.start_ns)
+          (fun (a : Flight.event) b -> compare a.Flight.t_ns b.Flight.t_ns)
           ss
       in
       let stack = ref [] in
       List.iter
-        (fun (s : Trace.info) ->
-          let e = Int64.add s.Trace.start_ns s.Trace.dur_ns in
-          while !stack <> [] && Int64.compare (List.hd !stack) s.Trace.start_ns <= 0 do
+        (fun (s : Flight.event) ->
+          let e = s.Flight.t_ns + s.Flight.v in
+          while !stack <> [] && compare (List.hd !stack) s.Flight.t_ns <= 0 do
             stack := List.tl !stack
           done;
           (match !stack with
-           | top :: _ when Int64.compare e top > 0 ->
+           | top :: _ when compare e top > 0 ->
              Alcotest.failf "tid %d: span %s overlaps its enclosing span" tid
-               s.Trace.span_name
+               s.Flight.name
            | _ -> ());
           stack := e :: !stack)
         ss)
@@ -343,15 +344,11 @@ let test_trace_capacity () =
   Trace.enable ~capacity:10 ();
   Alcotest.(check int) "reset clears" 0 (Trace.span_count ())
 
-(* The tail sampler's two load-bearing guarantees: every span knows its
-   tree's root id without walking parent links, and the close hook sees
-   every close even after the export ring's retention budget is spent. *)
-let test_root_and_close_hook () =
-  Trace.enable ~capacity:4 ();
-  let closed = ref [] in
-  Trace.set_close_hook (Some (fun info -> closed := info :: !closed));
+(* The tail sampler gathers a request by its root id: every span knows its
+   tree's root without walking parent links. *)
+let test_span_root () =
+  Trace.enable ();
   Fun.protect ~finally:(fun () ->
-      Trace.set_close_hook None;
       Trace.disable ();
       Trace.reset ())
   @@ fun () ->
@@ -360,30 +357,24 @@ let test_root_and_close_hook () =
         Trace.with_span ~parent:outer "inner" (fun _ -> ()))
   done;
   Trace.disable ();
-  (* Retention saturated at 4 spans, but the hook saw all 6 closes. *)
-  Alcotest.(check int) "retention budget respected" 4 (Trace.span_count ());
-  Alcotest.(check int) "close hook fired past the budget" 6
-    (List.length !closed);
-  let outers =
-    List.filter (fun s -> s.Trace.span_name = "outer") !closed
-  and inners =
-    List.filter (fun s -> s.Trace.span_name = "inner") !closed
-  in
+  let spans = Trace.spans () in
+  let outers = List.filter (fun s -> s.Flight.name = "outer") spans
+  and inners = List.filter (fun s -> s.Flight.name = "inner") spans in
   Alcotest.(check int) "three outer closes" 3 (List.length outers);
   Alcotest.(check int) "three inner closes" 3 (List.length inners);
   List.iter
-    (fun (o : Trace.info) ->
-      Alcotest.(check int) "a root's span_root is itself" o.Trace.span_id
-        o.Trace.span_root)
+    (fun (o : Flight.event) ->
+      Alcotest.(check int) "a root's span_root is itself" o.Flight.seq
+        o.Flight.root)
     outers;
   List.iter
-    (fun (i : Trace.info) ->
+    (fun (i : Flight.event) ->
       (* Each inner's root is its own outer — join by parent id. *)
       let o =
-        List.find (fun o -> o.Trace.span_id = i.Trace.span_parent) outers
+        List.find (fun o -> o.Flight.seq = i.Flight.parent) outers
       in
       Alcotest.(check int) "child inherits its tree's root id"
-        o.Trace.span_id i.Trace.span_root)
+        o.Flight.seq i.Flight.root)
     inners
 
 (* --- the join's prover path --- *)
@@ -419,7 +410,7 @@ let test_join_relax_span () =
   Trace.disable ();
   Alcotest.(check bool) "join relaxed something" true (st.Join.relax_calls > 0);
   let spans = Trace.spans () in
-  let named name = List.filter (fun (s : Trace.info) -> s.Trace.span_name = name) spans in
+  let named name = List.filter (fun (s : Flight.event) -> s.Flight.name = name) spans in
   let query =
     match named "sp.query" with
     | [ q ] -> q
@@ -427,19 +418,20 @@ let test_join_relax_span () =
   in
   let relax =
     match
-      List.filter (fun (s : Trace.info) -> s.Trace.span_parent = query.Trace.span_id)
+      List.filter (fun (s : Flight.event) -> s.Flight.parent = query.Flight.seq)
         (named "sp.relax")
     with
     | [ r ] -> r
     | l -> Alcotest.failf "expected one sp.relax under sp.query, got %d" (List.length l)
   in
-  let rec under (s : Trace.info) =
-    s.Trace.span_parent = relax.Trace.span_id
-    || (s.Trace.span_parent <> 0
-        && under (List.find (fun (p : Trace.info) -> p.Trace.span_id = s.Trace.span_parent) spans))
+  let rec under (s : Flight.event) =
+    s.Flight.parent = relax.Flight.seq
+    || (s.Flight.parent <> 0
+        && under
+             (List.find (fun (p : Flight.event) -> p.Flight.seq = s.Flight.parent) spans))
   in
   Alcotest.(check (option int)) "relax_calls attribute" (Some st.Join.relax_calls)
-    (match List.assoc_opt "relax_calls" query.Trace.span_attrs with
+    (match List.assoc_opt "relax_calls" query.Flight.attrs with
      | Some (Trace.Int n) -> Some n
      | _ -> None);
   Alcotest.(check int) "abs.relax spans under sp.relax" st.Join.relax_calls
@@ -486,6 +478,5 @@ let suite =
         Alcotest.test_case "join relaxes under one sp.relax" `Quick test_join_relax_span;
         Alcotest.test_case "join codec is one span" `Quick test_join_codec_one_span;
         Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;
-        Alcotest.test_case "span_root and close hook" `Quick
-          test_root_and_close_hook ] )
+        Alcotest.test_case "span_root" `Quick test_span_root ] )
   ]
