@@ -166,6 +166,7 @@ let with_obs { stats; trace; trace_tree; audit; audit_durability; audit_recover 
           (if kept = 1 then "y" else "ies")
       | Ok _ -> ()
       | Error b -> die "audit recover: entry %d: %s" b.Audit.entry b.Audit.reason
+      | exception Sys_error e -> die "%s" e
     end;
     (match Audit.enable ~durability:audit_durability ~path () with
     | Ok () -> ()
@@ -240,6 +241,17 @@ let parse_record line =
                ~key:(Array.of_list (List.map Option.get key))
                ~value ~policy)))
 
+(* Reads a file argument. Cmdliner's [file] lets a directory through,
+   and [open_in] opens one: refuse it here, naming the path as [open_in]
+   names any other file it cannot open. *)
+let with_input path f =
+  try
+    if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
+    In_channel.with_open_bin path f
+  with Sys_error e -> die "%s" e
+
+let read_file path = with_input path In_channel.input_all
+
 (* The records of [path], each checked against the space and the role
    universe it will be signed under; the first unusable line ends the run
    with [path:line: reason]. *)
@@ -265,7 +277,7 @@ let read_records ~space ~universe path =
            |> String.concat ","))
     else Ok r
   in
-  In_channel.with_open_text path @@ fun ic ->
+  with_input path @@ fun ic ->
   let rec go n acc =
     match In_channel.input_line ic with
     | None -> List.rev acc
@@ -322,12 +334,6 @@ let write_file path data =
     output_string oc data;
     close_out oc
   with Sys_error e -> die "%s" e
-
-let read_file path =
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  data
 
 let load_ads path =
   match Ads_io.load ~path with Error e -> die "%s" e | Ok loaded -> loaded
@@ -604,8 +610,10 @@ let audit_verify path quiet repair =
            "zkqac: audit repair refused at entry %d: %s" b.Audit.entry
            b.Audit.reason);
       exit 1
+    | exception Sys_error e -> die "%s" e
   end;
   match Audit.verify_file path with
+  | exception Sys_error e -> die "%s" e
   | Error b ->
     prerr_endline
       (Printf.sprintf "zkqac: audit chain BROKEN at entry %d: %s" b.Audit.entry
@@ -634,6 +642,7 @@ let audit_verify path quiet repair =
 
 let audit_show path =
   match Audit.verify_file path with
+  | exception Sys_error e -> die "%s" e
   | Error b ->
     prerr_endline
       (Printf.sprintf "zkqac: audit chain BROKEN at entry %d: %s" b.Audit.entry

@@ -106,14 +106,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       attr_bases = per_attr (attr_base mvk);
     }
 
-  (* Exponentiation by a possibly-negative small matrix entry. *)
-  let pow_entry base entry r =
-    match entry with
-    | 0 -> G.one
-    | 1 -> G.pow base r
-    | -1 -> G.inv (G.pow base r)
-    | m -> G.pow base (B.erem (B.mul (B.of_int m) r) order)
-
   (* Sign raises only tabled bases: Y = K_base^r0, W = K0^r0, each row
      S_i = K_u^r0 * C^rr_i * g^(h rr_i) and each column
      P_j = prod_i (A B^u_i)^(M_ij rr_i), one [G.pow_prod] each. The draws
@@ -186,22 +178,6 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     Array.iter (fun x -> Buffer.add_string buf (G.to_bytes x)) sigma.p;
     Buffer.contents buf
 
-  (* Fiat-Shamir-style weights for the combined verification equation:
-     [verify] is deterministic and takes no randomness, so the random
-     linear-combination coefficients that merge the key-binding and the
-     per-column span-program equations into one product are derived from
-     the (message, policy, signature) under check. A forger commits to
-     sigma before the weights exist, so a combination that cancels a bad
-     equation against another is a ~1/order event per attempt — the same
-     bound as verifier-sampled small-exponent batching. *)
-  let verify_weights ~msg ~policy sigma n =
-    let seed =
-      String.concat "\x00"
-        [ "zkqac-abs-verify-weights"; msg; Expr.to_string policy; to_bytes sigma ]
-    in
-    let drbg = Drbg.create ~seed in
-    Array.init n (fun _ -> P.rand_scalar drbg)
-
   (* A signature fits a span program when it has one S per row and one P
      per column. *)
   let fits msp sigma =
@@ -219,75 +195,102 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
         !c)
       msp.Msp.matrix
 
+  (* The one ABS verification equation (DESIGN.md §5.1). Claim m is a
+     message, a signature, its span program and its row weights c_{m,i}
+     under the column weights [zs]; it gets the weight d_m, with d_1 = 1
+     and each later d_m a [d ()] draw:
+
+       e(prod_m W_m^{d_m z_kb}, A0)
+         * e((prod_m Y_m^{d_m})^{-1}, h0^{z_kb} h^{z_0})
+         * prod_u e(prod_{u(m,i) = u} S_{m,i}^{d_m c_{m,i}}, AB^u)
+         * prod_h e(C g^h, prod_{h_m = h} prod_j P_{m,j}^{-z_j d_m})
+       = 1
+
+     Row terms merge by attribute, whatever policy the row came from, and
+     column terms by message hash: 2 + distinct attributes + distinct
+     hashes Miller loops and one final exponentiation, for one claim or
+     many. For one claim the product is ABS.Verify's key-binding equation
+     to the power z_kb times column j's to the power z_j, so zero weights
+     pick out a single equation. *)
+  let holds mvk ~zkb ~zs ~d claims =
+    let merge x = function Some acc -> G.mul acc x | None -> x in
+    let add tbl key x = Hashtbl.replace tbl key (merge x (Hashtbl.find_opt tbl key)) in
+    let rows = Hashtbl.create 16 and msgs = Hashtbl.create 16 in
+    let w_acc = ref None and y_acc = ref None in
+    List.iteri
+      (fun m (msg, s, msp, cs) ->
+        let d = if m = 0 then B.one else d () in
+        let weigh x = if m = 0 then x else G.pow x d in
+        w_acc := Some (merge (weigh s.w) !w_acc);
+        y_acc := Some (merge (weigh s.y) !y_acc);
+        Array.iteri
+          (fun i ci ->
+            if not (B.is_zero ci) then
+              add rows msp.Msp.labels.(i) (G.pow s.s.(i) (B.erem (B.mul d ci) order)))
+          cs;
+        (* (tau, msg) fixes the message hash h_m. *)
+        Array.iteri
+          (fun j pj ->
+            if not (B.is_zero zs.(j)) then
+              add msgs (s.tau, msg) (G.pow pj (B.erem (B.neg (B.mul d zs.(j))) order)))
+          s.p)
+      claims;
+    let total acc = Option.value ~default:G.one !acc in
+    let terms =
+      (G.pow (total w_acc) zkb, mvk.cap_a0)
+      :: (G.inv (total y_acc), G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h zs.(0)))
+      :: Hashtbl.fold (fun u acc l -> (acc, attr_base mvk u) :: l) rows []
+      @ Hashtbl.fold
+          (fun (tau, msg) acc l -> (msg_base mvk (msg_scalar tau msg), acc) :: l)
+          msgs []
+    in
+    P.Gt.is_one (P.e_prod terms)
+
   (* Typed verification: each way ABS.Verify can fail is a distinct
      [Bad_abs_signature] payload, so a client rejection is attributable.
 
-     The acceptance test is one product-of-pairings-equals-one check: with
-     weights z_kb (key binding) and z_j (column j),
-
-       e(W^{z_kb}, A0) * e(Y^{-1}, h0^{z_kb} h^{z_0})
-         * prod_i e(S_i, (AB^{u(i)})^{sum_j M_ij z_j})
-         * prod_j e((C g^{h_m})^{-z_j}, P_j)  =  1
-
-     which is k + l + 2 Miller loops sharing a single accumulator and one
-     final exponentiation, versus 2(k + l) + 3 full pairings for the
-     one-equation-at-a-time form. Only when the product is not 1 do we
-     re-check equation by equation to name the culprit. *)
+     [verify] takes no randomness, so the weights z_0 .. z_{l-1}, then
+     z_kb, are derived Fiat-Shamir style from the (message, policy,
+     signature) under check. A forger commits to sigma before the weights
+     exist, so a combination that cancels a bad equation against another
+     is a ~1/order event per attempt -- the same bound as
+     verifier-sampled small-exponent batching. Only when the product is
+     not 1 is it re-weighted, one equation at a time, to name the
+     culprit. *)
   let verify_result mvk ~msg ~policy sigma =
     Trace.with_span "abs.verify" @@ fun _ ->
     T.bump T.Abs_verify;
     let fail what = Error (Zkqac_util.Verify_error.Bad_abs_signature what) in
     let msp = Msp.build policy in
+    let cols = msp.Msp.cols in
     if not (fits msp sigma)
     then fail "component count does not match the policy's span program"
     else if G.is_one sigma.y then fail "degenerate Y component"
     else begin
-      let hash = msg_scalar sigma.tau msg in
-      let base_c = msg_base mvk hash in
-      let bases = Array.map (fun u -> attr_base mvk u) msp.Msp.labels in
-      let ws = verify_weights ~msg ~policy sigma (msp.Msp.cols + 1) in
-      let zkb = ws.(msp.Msp.cols) in
-      let cs = row_weights msp ws in
-      let row_terms =
-        List.filter_map
-          (fun i -> if B.is_zero cs.(i) then None else Some (sigma.s.(i), G.pow bases.(i) cs.(i)))
-          (List.init msp.Msp.rows Fun.id)
+      let holds ~zkb zs =
+        holds mvk ~zkb ~zs ~d:(fun () -> B.one) [ (msg, sigma, msp, row_weights msp zs) ]
       in
-      let col_terms =
-        List.init msp.Msp.cols (fun j ->
-            (G.pow base_c (B.neg ws.(j)), sigma.p.(j)))
+      let drbg =
+        Drbg.create
+          ~seed:
+            (String.concat "\x00"
+               [ "zkqac-abs-verify-weights"; msg; Expr.to_string policy; to_bytes sigma ])
       in
-      let terms =
-        (G.pow sigma.w zkb, mvk.cap_a0)
-        :: (G.inv sigma.y, G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h ws.(0)))
-        :: (row_terms @ col_terms)
-      in
-      if P.Gt.is_one (P.e_prod terms) then Ok ()
-      else if not (P.Gt.equal (P.e sigma.w mvk.cap_a0) (P.e sigma.y mvk.h0))
+      let zs = Array.init cols (fun _ -> P.rand_scalar drbg) in
+      let zkb = P.rand_scalar drbg in
+      let column j = Array.init cols (fun k -> if k = j then B.one else B.zero) in
+      if holds ~zkb zs then Ok ()
+      else if not (holds ~zkb:B.one (Array.make cols B.zero))
       then fail "key-binding pairing equation"
-      else begin
-        let bad = ref (-1) in
-        for j = 0 to msp.Msp.cols - 1 do
-          if !bad < 0 then begin
-            let lhs = ref P.Gt.one in
-            for i = 0 to msp.Msp.rows - 1 do
-              let mij = msp.Msp.matrix.(i).(j) in
-              if mij <> 0 then
-                lhs := P.Gt.mul !lhs (P.e sigma.s.(i) (pow_entry bases.(i) mij B.one))
-            done;
-            let rhs = P.e base_c sigma.p.(j) in
-            let rhs = if j = 0 then P.Gt.mul (P.e sigma.y mvk.h) rhs else rhs in
-            if not (P.Gt.equal !lhs rhs) then bad := j
-          end
-        done;
-        if !bad >= 0 then
-          fail (Printf.sprintf "span-program equation (column %d)" !bad)
-        else
-          (* Combined product rejected but every individual equation holds:
-             a ~1/order coincidence in the weight derivation. Reject — the
-             combined check is the authoritative one. *)
+      else
+        let bad j = not (holds ~zkb:B.zero (column j)) in
+        match List.find_opt bad (List.init cols Fun.id) with
+        | Some j -> fail (Printf.sprintf "span-program equation (column %d)" j)
+        | None ->
+          (* The product rejected but every single equation holds: a
+             ~1/order coincidence in the weights. The product is
+             authoritative. *)
           fail "combined verification equation"
-      end
     end
 
   let verify mvk ~msg ~policy sigma =
@@ -300,24 +303,13 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     blame : Zkqac_util.Verify_error.t -> Zkqac_util.Verify_error.t;
   }
 
-  (* Every claim of a VO in one small-exponent product: with a weight d_m
-     per claim, and column weights z_j and a key-binding weight z_kb shared
-     by all,
-
-       e(prod_m W_m^{d_m z_kb}, A0)
-         * e((prod_m Y_m^{d_m})^{-1}, h0^{z_kb} h^{z_0})
-         * prod_u e(prod_{u(m,i) = u} S_{m,i}^{d_m c_{m,i}}, AB^u)
-         * prod_h e((C g^h)^{-1}, prod_{h_m = h} prod_j P_{m,j}^{z_j d_m})
-       = 1
-
-     where c_{m,i} is row i's weight in claim m's span program. Row terms
-     merge by attribute, whatever policy the row came from, and message
-     terms by message hash (the same-message fast path): 2 + distinct
-     attributes + distinct hashes Miller loops, one final exponentiation.
-     The product is the exponent sum_m d_m L_m(z), where L_m is claim m's
-     equations weighted by the z's; a bad equation makes it a nonzero
-     polynomial of degree 2 in the weights, so it vanishes with
-     probability at most 2/order (Schwartz-Zippel). *)
+  (* Every claim of a VO in one product: the column and key-binding
+     weights are shared, and each claim after the first gets its own
+     weight d_m, all drawn from [drbg]. The product is the exponent
+     L_1(z) + sum_{m>1} d_m L_m(z), where L_m is claim m's equations
+     weighted by the z's; a bad equation makes it a nonzero polynomial of
+     degree 2 in the weights, so it vanishes with probability at most
+     2/order (Schwartz-Zippel). *)
   let batch_holds drbg mvk claims =
     Trace.with_span "abs.verify_batch"
       ~attrs:[ ("batch", Trace.Int (List.length claims)) ]
@@ -341,36 +333,9 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
       let zkb = P.rand_scalar drbg in
       let cs = Hashtbl.create 8 in
       Hashtbl.iter (fun key msp -> Hashtbl.add cs key (row_weights msp zs)) programs;
-      let rows = Hashtbl.create 16 and msgs = Hashtbl.create 16 in
-      let add tbl key x =
-        Hashtbl.replace tbl key
-          (match Hashtbl.find_opt tbl key with Some acc -> G.mul acc x | None -> x)
-      in
-      let w_acc = ref G.one and y_acc = ref G.one in
-      List.iter
-        (fun (c, key, msp) ->
-          let s = c.sigma and d = P.rand_scalar drbg in
-          w_acc := G.mul !w_acc (G.pow s.w d);
-          y_acc := G.mul !y_acc (G.pow s.y d);
-          Array.iteri
-            (fun i ci ->
-              if not (B.is_zero ci) then
-                add rows msp.Msp.labels.(i) (G.pow s.s.(i) (B.erem (B.mul d ci) order)))
-            (Hashtbl.find cs key);
-          (* (tau, msg) fixes the message hash h_m. *)
-          add msgs (s.tau, c.msg)
-            (Array.fold_left G.mul G.one
-               (Array.mapi (fun j pj -> G.pow pj (B.erem (B.mul zs.(j) d) order)) s.p)))
-        claims;
-      let terms =
-        (G.pow !w_acc zkb, mvk.cap_a0)
-        :: (G.inv !y_acc, G.mul (G.pow mvk.h0 zkb) (G.pow mvk.h zs.(0)))
-        :: Hashtbl.fold (fun u acc l -> (acc, attr_base mvk u) :: l) rows []
-        @ Hashtbl.fold
-            (fun (tau, msg) acc l -> (G.inv (msg_base mvk (msg_scalar tau msg)), acc) :: l)
-            msgs []
-      in
-      P.Gt.is_one (P.e_prod terms)
+      holds mvk ~zkb ~zs
+        ~d:(fun () -> P.rand_scalar drbg)
+        (List.map (fun (c, key, msp) -> (c.msg, c.sigma, msp, Hashtbl.find cs key)) claims)
     end
 
   let rec check_each mvk = function

@@ -100,8 +100,15 @@ let parse_line ~index line =
 
 (* --- offline verification --- *)
 
+(* [open_in] opens a directory, and the first read fails with a bare
+   "Is a directory"; refuse it here, naming the path as [open_in] names
+   it for any other file it cannot open. *)
+let open_log path =
+  if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
+  open_in_bin path
+
 let read_lines path =
-  let ic = open_in_bin path in
+  let ic = open_log path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
@@ -148,7 +155,7 @@ let verify_file path =
 type repair = { kept : int; dropped : string option }
 
 let read_raw path =
-  let ic = open_in_bin path in
+  let ic = open_log path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
@@ -167,7 +174,7 @@ let is_prefix_of whole s =
 let recover ~path =
   if not (Sys.file_exists path) then Ok { kept = 0; dropped = None }
   else begin
-    let raw = try read_raw path with Sys_error _ | End_of_file -> "" in
+    let raw = read_raw path in
     let finish repair =
       Metrics.recovery (if repair.dropped = None then "audit-clean" else "audit-truncated");
       (match repair.dropped with
@@ -284,6 +291,7 @@ let enable ?(durability = Always) ~path () =
           Error
             (Printf.sprintf "refusing to append to corrupted audit log %s (entry %d: %s)"
                path b.entry b.reason)
+      | exception Sys_error e -> Error e
     else Ok (genesis, -1)
   in
   match resume with

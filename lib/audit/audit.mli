@@ -69,7 +69,8 @@ val enable : ?durability:durability -> path:string -> unit -> (unit, string) res
     from the tail hash; a corrupted existing log is refused (run {!recover}
     first after a crash). A freshly created log is fsynced — file and
     directory — before any entry is acknowledged. [durability] defaults to
-    {!Always}. *)
+    {!Always}. A log that cannot be opened or read (a directory, say) is
+    an [Error] naming its path. *)
 
 val disable : unit -> unit
 (** Flush, fsync (unless [Never]) and close the sink. Idempotent. *)
@@ -92,7 +93,8 @@ val record : ?time:float -> kind:string -> Json.t -> unit
 val verify_file : string -> (entry list, broken) result
 (** Walk the whole file, re-deriving every chain hash from the bytes on
     disk, and return the entries oldest-first — or the first broken
-    link. *)
+    link. @raise Sys_error naming the path if the file cannot be read (a
+    directory, say): an unreadable log is not a broken chain. *)
 
 (** {1 Crash recovery} *)
 
@@ -107,7 +109,8 @@ val recover : path:string -> (repair, broken) result
     line refuses to repair and reports the broken entry, exactly like
     {!verify_file}. A missing file is [Ok { kept = 0; dropped = None }].
     Outcomes feed [zkqac_recoveries_total{outcome}] as [audit-clean] /
-    [audit-truncated]. *)
+    [audit-truncated]. @raise Sys_error as {!verify_file} does: an
+    unreadable log is never taken for an empty one. *)
 
 val pp_time : float -> string
 (** ["YYYY-MM-DDTHH:MM:SSZ"] (UTC), for [zkqac audit show]. *)

@@ -1,9 +1,12 @@
 module B = Zkqac_bigint.Bigint
 module Attr = Zkqac_policy.Attr
 module Expr = Zkqac_policy.Expr
+module Msp = Zkqac_policy.Msp
 module Universe = Zkqac_policy.Universe
 module Drbg = Zkqac_hashing.Drbg
 module Prng = Zkqac_rng.Prng
+module T = Zkqac_telemetry.Telemetry
+module Verify_error = Zkqac_util.Verify_error
 
 let attrs = Attr.set_of_list
 
@@ -205,6 +208,94 @@ module Make_tests (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     done;
     Alcotest.(check bool) "no tampered signature verifies" true !ok
 
+  (* One verification is one pairing product with a term per distinct
+     label, whatever the policy's shape, plus the two key-binding terms
+     and one message term. *)
+  let test_one_equation () =
+    let r = List.init 10 (Printf.sprintf "R%d") in
+    let key = Abs.keygen drbg msk (attrs r) in
+    List.iter
+      (fun (shape, policy, rows) ->
+        let sigma = Abs.sign drbg mvk key ~msg:"m" ~policy in
+        Alcotest.(check int) (shape ^ ": rows") rows (Msp.build policy).Msp.rows;
+        let before = T.snapshot () in
+        Alcotest.(check bool) (shape ^ " verifies") true (Abs.verify mvk ~msg:"m" ~policy sigma);
+        let ops = T.ops (T.diff ~earlier:before ~later:(T.snapshot ())) in
+        Alcotest.(check int) (shape ^ ": products") 1 (List.assoc T.Multi_pairing ops);
+        Alcotest.(check int) (shape ^ ": terms")
+          (2 + Attr.Set.cardinal (Expr.attrs policy) + 1)
+          (List.assoc T.Multi_pairing_terms ops))
+      [ ("leaf", Expr.of_string "R0", 1);
+        ("AND of 3", Expr.of_string "R0 & R1 & R2", 3);
+        ("OR of 3", Expr.of_string "R0 | R1 | R2", 3);
+        ("OR of ANDs", Expr.of_string "(R0 & R1) | (R2 & R3) | (R4 & R5)", 6);
+        ("repeated clause", Expr.of_string "(R0 & R1) | (R0 & R1) | (R0 & R1)", 6);
+        ("relaxed OR of 10", Abs.relaxed_policy (attrs r), 10) ]
+
+  (* Each element of an honest signature swapped for the one at the same
+     place in another signature of the same statement: a rejection names
+     the equation that breaks, through [verify], [check] and a batched
+     [check] alike. *)
+  let test_culprits () =
+    let g = String.length (P.G.to_bytes P.G.g) in
+    let splice bytes off elt =
+      String.sub bytes 0 off ^ elt ^ String.sub bytes (off + g) (String.length bytes - off - g)
+    in
+    let claim policy sigma = { Abs.msg = "m"; policy; sigma; blame = Fun.id } in
+    let bystander =
+      let policy = Expr.of_string "RoleC | RoleD" in
+      claim policy (Abs.sign drbg mvk do_key ~msg:"m" ~policy)
+    in
+    let key_binding = Error (Verify_error.Bad_abs_signature "key-binding pairing equation") in
+    let column j =
+      Error (Verify_error.Bad_abs_signature (Printf.sprintf "span-program equation (column %d)" j))
+    in
+    let show = function Ok () -> "accepted" | Error e -> Verify_error.to_string e in
+    List.iter
+      (fun pstr ->
+        let policy = Expr.of_string pstr in
+        let msp = Msp.build policy in
+        let sign () = Abs.to_bytes (Abs.sign drbg mvk do_key ~msg:"m" ~policy) in
+        let honest = sign () and other = sign () in
+        let y_at = 2 + ((Char.code honest.[0] lsl 8) lor Char.code honest.[1]) in
+        let s_at i = y_at + (2 * g) + 2 + (i * g) in
+        let p_at j = s_at msp.Msp.rows + 2 + (j * g) in
+        let swap off = splice honest off (String.sub other off g) in
+        let first_column i =
+          let rec go j = if msp.Msp.matrix.(i).(j) <> 0 then j else go (j + 1) in
+          go 0
+        in
+        let cases =
+          [ ("honest", honest, Ok ());
+            ("Y", swap y_at, key_binding);
+            ("W", swap (y_at + g), key_binding);
+            ( "Y = 1",
+              splice honest y_at (P.G.to_bytes P.G.one),
+              Error (Verify_error.Bad_abs_signature "degenerate Y component") ) ]
+          @ List.init msp.Msp.rows (fun i ->
+                (Printf.sprintf "S%d" i, swap (s_at i), column (first_column i)))
+          @ List.init msp.Msp.cols (fun j -> (Printf.sprintf "P%d" j, swap (p_at j), column j))
+        in
+        List.iter
+          (fun (what, bytes, expected) ->
+            let name = Printf.sprintf "%s, %s" pstr what in
+            let sigma =
+              match Abs.of_bytes bytes with
+              | Some sigma -> sigma
+              | None -> Alcotest.failf "%s: does not decode" name
+            in
+            let c = claim policy sigma in
+            Alcotest.(check bool) (name ^ ": verify") (Result.is_ok expected)
+              (Abs.verify mvk ~msg:"m" ~policy sigma);
+            Alcotest.(check string) (name ^ ": check") (show expected) (show (Abs.check mvk [ c ]));
+            Alcotest.(check string) (name ^ ": batched check") (show expected)
+              (show
+                 (Abs.check ~batch:(Drbg.create ~seed:("culprits:" ^ name)) mvk
+                    [ bystander; c; bystander ])))
+          cases)
+      [ "RoleA"; "RoleA & RoleB"; "RoleA | RoleB"; "RoleA & (RoleB | RoleC)";
+        "(RoleA & RoleB) | (RoleC & RoleD)"; "(RoleA & RoleB) | (RoleA & RoleB)" ]
+
   let suite name =
     [
       Alcotest.test_case (name ^ " sign/verify") `Quick test_sign_verify;
@@ -227,4 +318,9 @@ module Mock_tests = Make_tests ((val Zkqac_group.Backend.instantiate Zkqac_group
 module Typea_tests = Make_tests ((val Zkqac_group.Backend.instantiate Zkqac_group.Backend.Typea_tiny))
 
 let suite =
-  [ ("abs", Mock_tests.suite "mock" @ Typea_tests.suite "typea-tiny") ]
+  [ ( "abs",
+      Mock_tests.suite "mock" @ Typea_tests.suite "typea-tiny"
+      @ [ Alcotest.test_case "one equation" `Quick Mock_tests.test_one_equation;
+          Alcotest.test_case "verdicts and culprits" `Quick (fun () ->
+              Mock_tests.test_culprits ();
+              Typea_tests.test_culprits ()) ] ) ]
